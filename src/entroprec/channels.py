@@ -70,7 +70,7 @@ class QuantumChannel:
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action on an arbitrary matrix (no state validation)."""
-        out = np.zeros_like(m, dtype=complex)
+        out = np.zeros_like(m, dtype=np.result_type(m, complex))  # keeps clongdouble
         for e in self.kraus:
             out += e @ m @ e.conj().T
         return out

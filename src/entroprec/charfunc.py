@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, Observable, matrix_power, tensor_product
-from .protocol import (
-    TwoTimeProtocol,
-    _dephase,
-    _local_dephased,
-    bipartite_marginals,
-)
+from .protocol import TwoTimeProtocol, _dephase, _local_dephased, _outcome_probs
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
@@ -64,14 +59,6 @@ def _rank_one(obs: Observable) -> bool:
     return all(abs(np.trace(p).real - 1.0) < 1e-9 for p in obs.projectors)
 
 
-def _apply_kraus(kraus, m: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(m)
-    for e in kraus:
-        e = e.astype(m.dtype)
-        out += e @ m @ e.conj().T
-    return out
-
-
 def char_function(proto: TwoTimeProtocol, subsystem: str, lam: complex):
     """Characteristic function G_C(lam) evaluated via the operator trace form.
 
@@ -81,14 +68,13 @@ def char_function(proto: TwoTimeProtocol, subsystem: str, lam: complex):
     if subsystem == "A-B":
         rho_in = _dephase(proto.obs_in, proto.rho0.data)
         if _rank_one(proto.obs_in) and _rank_one(proto.obs_fin):
-            p_in = np.array([np.trace(p @ proto.rho0.data).real for p in proto.obs_in.projectors])
-            rho_fin = _apply_kraus(proto.channel.kraus, rho_in.astype(np.clongdouble))
-            p_fin = np.array(
-                [np.trace(p.astype(np.clongdouble) @ rho_fin).real for p in proto.obs_fin.projectors]
+            p_in = _outcome_probs(proto.obs_in, proto.rho0.data)
+            p_fin = _outcome_probs(
+                proto.obs_fin, proto.channel.apply_matrix(rho_in.astype(np.clongdouble))
             )
             initial = _powered_state(p_in, proto.obs_in.projectors, 1 + 1j * lam)
             probe = _powered_state(p_fin, proto.obs_fin.projectors, -1j * lam)
-            return np.trace(probe @ _apply_kraus(proto.channel.kraus, initial))
+            return np.trace(probe @ proto.channel.apply_matrix(initial))
         # degenerate (rank > 1) projectors: fall back to generic matrix powers
         rho_fin = proto.channel.apply_matrix(rho_in)
         rho_tau = _dephase(proto.obs_fin, rho_fin)
@@ -96,7 +82,7 @@ def char_function(proto: TwoTimeProtocol, subsystem: str, lam: complex):
         return complex(np.trace(matrix_power(rho_tau, -1j * lam) @ deformed))
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    marg = bipartite_marginals(proto)  # rejects protocols without local observables
+    marg = proto.marginals  # rejects protocols without local observables
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
     if subsystem == "A":
         probe = tensor_product(
@@ -116,7 +102,7 @@ def char_function(proto: TwoTimeProtocol, subsystem: str, lam: complex):
             _local_dephased(marg.p_a_in, oa_in),
             _powered_state(marg.p_b_in, ob_in.projectors, 1 + 1j * lam),
         )
-    evolved = _apply_kraus(proto.channel.kraus, initial.astype(np.clongdouble))
+    evolved = proto.channel.apply_matrix(initial.astype(np.clongdouble))
     return np.trace(probe.astype(np.clongdouble) @ evolved)
 
 
@@ -145,7 +131,7 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     """
     if subsystem not in SUBSYSTEMS:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    marg = bipartite_marginals(proto)
+    marg = proto.marginals
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
     rho_a_in = _local_dephased(marg.p_a_in, oa_in)
     rho_b_in = _local_dephased(marg.p_b_in, ob_in)

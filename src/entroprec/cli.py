@@ -251,7 +251,7 @@ def emit_report(report: dict, cfg: RunConfig, sweep: SweepReport | None = None) 
     written: list[Path] = []
     if cfg.fmt == "json":
         path = out_dir / f"{cfg.command}.json"
-        path.write_text(json.dumps(report, indent=2, allow_nan=True))
+        path.write_text(json.dumps(report, indent=2, allow_nan=False))
         written.append(path)
         return written
     if sweep is not None:

@@ -65,6 +65,10 @@ class TwoIonConfig:
     rho0_diag: tuple[float, ...] = RHO0_DIAG
 
     def __post_init__(self):
+        for name in ("phi", "gamma", "tau", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dynamics not in ("unitary", "lindblad"):
             raise ValueError(f"dynamics must be 'unitary' or 'lindblad', got {self.dynamics!r}")
         if self.gamma < 0:
@@ -264,7 +268,8 @@ class SweepReport:
     records: tuple[ConfigRecord, ...]
 
     def rows(self) -> list[dict]:
-        """Flat per-point rows with a fixed key order for emission."""
+        """Flat per-point rows with a fixed key order for emission; the RMSE
+        columns come from the first method the sweep ran (NaN if none)."""
         out = []
         for point, rec in zip(self.points, self.records):
             row: dict[str, float] = {self.axis: float(point)}
@@ -272,9 +277,9 @@ class SweepReport:
             for label, key in zip(LABELS, ("A", "B", "AB", "ApB")):
                 for k in range(4):
                     row[f"m{k + 1}_{key}"] = float(table[label][k])
-            pinv = rec.reconstructions.get("pinv")
-            row["rmse_moments"] = float(pinv.rmse_moments_conv) if pinv else float("nan")
-            row["rmse_probs"] = float(pinv.rmse_probs_conv) if pinv else float("nan")
+            bundle = next(iter(rec.reconstructions.values()), None)
+            row["rmse_moments"] = float(bundle.rmse_moments_conv) if bundle else float("nan")
+            row["rmse_probs"] = float(bundle.rmse_probs_conv) if bundle else float("nan")
             for k in range(4):
                 row[f"gap_m{k + 1}"] = float(rec.witness.moment_gaps[k])
             out.append(row)

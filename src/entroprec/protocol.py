@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +47,8 @@ class TwoTimeProtocol:
     ``bipartite_obs`` optionally holds the local observables
     (O_A_in, O_B_in, O_A_fin, O_B_fin); when present, ``rho0`` must carry a
     partition and its post-measurement state must factorise between the
-    subsystems.
+    subsystems. The joint tables and marginals are built once, on first use,
+    and shared by every distribution, check and chi evaluation.
     """
 
     rho0: DensityMatrix
@@ -89,6 +91,22 @@ class TwoTimeProtocol:
             channel=channel,
             bipartite_obs=(obs_a_in, obs_b_in, obs_a_fin, obs_b_fin),
         )
+
+    @cached_property
+    def forward(self) -> "JointOutcomeTable":
+        """Forward joint table, see :func:`forward_joint`."""
+        return forward_joint(self)
+
+    @cached_property
+    def backward(self) -> "JointOutcomeTable":
+        """Forward table plus the reversed-map backward table, see
+        :func:`backward_joint`."""
+        return backward_joint(self)
+
+    @cached_property
+    def marginals(self) -> "BipartiteMarginals":
+        """Local and joint outcome probabilities, see :func:`bipartite_marginals`."""
+        return bipartite_marginals(self)
 
 
 @dataclass(frozen=True)
@@ -174,6 +192,8 @@ class JointOutcomeTable:
     final outcome ``k``; ``p_bwd[m, k]`` is the backward-process analogue.
     ``p_in`` and ``p_ref`` are the initial-outcome and reference-outcome
     marginals (the reference state being the final post-measurement state).
+    The arrays are read-only: a protocol hands its cached tables to every
+    caller.
     """
 
     p_fwd: np.ndarray
@@ -182,12 +202,16 @@ class JointOutcomeTable:
     p_bwd: np.ndarray | None = None
 
     def __post_init__(self):
-        p_fwd = np.asarray(self.p_fwd, dtype=float)
-        if p_fwd.min() < -1e-12:
+        for name in ("p_fwd", "p_in", "p_ref", "p_bwd"):
+            if getattr(self, name) is not None:
+                array = np.array(getattr(self, name), dtype=float)
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
+        if self.p_fwd.min() < -1e-12:
             raise ValueError("joint probabilities must be nonnegative")
-        if abs(p_fwd.sum() - 1.0) > 1e-10:
-            raise ValueError(f"forward table sums to {p_fwd.sum()!r}")
-        if self.p_bwd is not None and abs(np.sum(self.p_bwd) - 1.0) > 1e-10:
+        if abs(self.p_fwd.sum() - 1.0) > 1e-10:
+            raise ValueError(f"forward table sums to {self.p_fwd.sum()!r}")
+        if self.p_bwd is not None and abs(self.p_bwd.sum() - 1.0) > 1e-10:
             raise ValueError("backward table must sum to 1")
 
     def conditional_fwd(self) -> np.ndarray:
@@ -214,23 +238,25 @@ def _outcome_probs(obs: Observable, rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(p @ rho).real for p in obs.projectors])
 
 
+def _measured_joint(channel: QuantumChannel, rho: np.ndarray, prepare, read) -> np.ndarray:
+    """``table[k, m] = Tr[read_k  Phi(prepare_m rho prepare_m)]``, negatives clipped."""
+    table = np.zeros((len(read), len(prepare)))
+    for m, p_m in enumerate(prepare):
+        evolved = channel.apply_matrix(p_m @ rho @ p_m)
+        for k, p_k in enumerate(read):
+            table[k, m] = np.trace(p_k @ evolved).real
+    return np.clip(table, 0.0, None)
+
+
 def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     """Joint outcome table of the forward process.
 
     ``p_fwd[k, m] = Tr[P_fin_k  Phi(P_in_m rho0 P_in_m)]``.
     """
     rho0 = proto.rho0.data
-    n_in = proto.obs_in.n_outcomes
-    n_fin = proto.obs_fin.n_outcomes
+    p_fwd = _measured_joint(proto.channel, rho0, proto.obs_in.projectors, proto.obs_fin.projectors)
     p_in = _outcome_probs(proto.obs_in, rho0)
-    p_fwd = np.zeros((n_fin, n_in))
-    for m, p_m in enumerate(proto.obs_in.projectors):
-        evolved = proto.channel.apply_matrix(p_m @ rho0 @ p_m)
-        for k, p_k in enumerate(proto.obs_fin.projectors):
-            p_fwd[k, m] = np.trace(p_k @ evolved).real
-    p_fwd = np.clip(p_fwd, 0.0, None)
-    p_ref = p_fwd.sum(axis=1)
-    return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_ref)
+    return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_fwd.sum(axis=1))
 
 
 def backward_joint(
@@ -246,7 +272,7 @@ def backward_joint(
     conditional-probability equality valid for unital channels, which needs
     only forward data.
     """
-    fwd = forward_joint(proto)
+    fwd = proto.forward
     if via == "conditional-equality":
         if not proto.channel.is_unital:
             raise ValueError("the conditional-equality shortcut requires a unital channel")
@@ -262,12 +288,7 @@ def backward_joint(
         rho_tau_rev = theta.apply_to_state(rho_tau)
         proj_in_rev = [theta.apply_to_state(p) for p in proto.obs_in.projectors]
         proj_ref_rev = [theta.apply_to_state(p) for p in proto.obs_fin.projectors]
-        p_bwd = np.zeros((proto.obs_in.n_outcomes, proto.obs_fin.n_outcomes))
-        for k, p_k in enumerate(proj_ref_rev):
-            evolved = reversed_channel.apply_matrix(p_k @ rho_tau_rev @ p_k)
-            for m, p_m in enumerate(proj_in_rev):
-                p_bwd[m, k] = np.trace(p_m @ evolved).real
-        p_bwd = np.clip(p_bwd, 0.0, None)
+        p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
     else:
         raise ValueError(f"unknown backward method {via!r}")
     return JointOutcomeTable(p_fwd=fwd.p_fwd, p_in=fwd.p_in, p_ref=fwd.p_ref, p_bwd=p_bwd)
@@ -348,59 +369,39 @@ def entropy_bound_check(proto: TwoTimeProtocol, tol: float = 1e-10) -> EntropyBo
     return EntropyBoundResult(float(s_rel), float(mean_sigma), bool(passed))
 
 
-def conditional_equality_deviation(proto: TwoTimeProtocol, theta: TimeReversal | None = None) -> float:
+def conditional_equality_deviation(proto: TwoTimeProtocol) -> float:
     """Max |p(fin k | in m) - p(in m | ref k)| with both sides computed
     independently (forward table vs explicitly reversed map)."""
-    table = backward_joint(proto, via="reversed-map", theta=theta)
-    cond_f = table.conditional_fwd()
-    cond_b = table.conditional_bwd()
-    diff = np.abs(cond_f - cond_b.T)
+    table = proto.backward
+    diff = np.abs(table.conditional_fwd() - table.conditional_bwd().T)
     if np.all(np.isnan(diff)):
         return 0.0
     return float(np.nanmax(diff))
 
 
-def crooks_check(proto: TwoTimeProtocol, theta: TimeReversal | None = None) -> float:
+def _mass_at(dist: EntropyDistribution, x: float) -> float:
+    """Probability of the support point of ``dist`` at ``x``; 0 if there is none."""
+    idx = np.searchsorted(dist.support, x)
+    for i in (idx - 1, idx):
+        if 0 <= i < len(dist.support) and abs(dist.support[i] - x) <= SUPPORT_MERGE_TOL:
+            return float(dist.probs[i])
+    return 0.0
+
+
+def crooks_check(proto: TwoTimeProtocol) -> float:
     """Max deviation |Prob(sigma_bwd = -G) - exp(-G) Prob(sigma = G)|.
 
     The backward distribution is built from the explicitly reversed map, so
     the deviation measures how well the fluctuation relation survives the
-    numerics of the channel representation.
+    numerics of the channel representation. Its table swaps the roles of the
+    initial and reference outcomes: ``sigma_bwd = ln p_ref[k] - ln p_in[m]``.
     """
-    table = backward_joint(proto, via="reversed-map", theta=theta)
+    table = proto.backward
     fwd = entropy_samples(table)
-    values: list[float] = []
-    masses: list[float] = []
-    n_in, n_fin = table.p_bwd.shape
-    for m in range(n_in):
-        for k in range(n_fin):
-            mass = table.p_bwd[m, k]
-            if mass <= MASS_DROP_TOL:
-                continue
-            if table.p_ref[k] <= MASS_DROP_TOL or table.p_in[m] <= MASS_DROP_TOL:
-                continue
-            values.append(math.log(table.p_ref[k]) - math.log(table.p_in[m]))
-            masses.append(mass)
-    bwd_support, bwd_probs = merge_support(np.array(values), np.array(masses))
-
-    def bwd_mass_at(x: float) -> float:
-        idx = np.searchsorted(bwd_support, x)
-        for i in (idx - 1, idx):
-            if 0 <= i < len(bwd_support) and abs(bwd_support[i] - x) <= SUPPORT_MERGE_TOL:
-                return float(bwd_probs[i])
-        return 0.0
-
-    def fwd_mass_at(x: float) -> float:
-        idx = np.searchsorted(fwd.support, x)
-        for i in (idx - 1, idx):
-            if 0 <= i < len(fwd.support) and abs(fwd.support[i] - x) <= SUPPORT_MERGE_TOL:
-                return float(fwd.probs[i])
-        return 0.0
-
-    gammas = np.union1d(fwd.support, -bwd_support)
+    bwd = entropy_samples(JointOutcomeTable(table.p_bwd, table.p_ref, table.p_in))
     deviation = 0.0
-    for g in gammas:
-        deviation = max(deviation, abs(bwd_mass_at(-g) - math.exp(-g) * fwd_mass_at(g)))
+    for g in np.union1d(fwd.support, -bwd.support):
+        deviation = max(deviation, abs(_mass_at(bwd, -g) - math.exp(-g) * _mass_at(fwd, g)))
     return deviation
 
 
@@ -413,10 +414,6 @@ class BipartiteMarginals:
     p_a_fin: np.ndarray
     p_b_fin: np.ndarray
     p_c_fin: np.ndarray  # joint final, indexed [k, l]
-
-    @property
-    def p_c_in(self) -> np.ndarray:
-        return np.outer(self.p_a_in, self.p_b_in)
 
 
 def bipartite_marginals(proto: TwoTimeProtocol) -> BipartiteMarginals:
@@ -449,60 +446,22 @@ def bipartite_marginals(proto: TwoTimeProtocol) -> BipartiteMarginals:
 def bipartite_distributions(proto: TwoTimeProtocol):
     """Entropy-production distributions (dist_A, dist_B, dist_AB, dist_AplusB).
 
-    dist_A and dist_B come from the local joint probabilities, dist_AB from
-    the correlated global measurement, and dist_AplusB is the convolution of
-    the two local distributions.
+    All three measured distributions come from the composite forward table
+    ``p_fwd[(k, l), (m, h)]``: dist_A and dist_B from its local sums, dist_AB
+    from the table itself (the correlated global measurement). dist_AplusB is
+    the convolution of the two local distributions.
     """
-    if proto.bipartite_obs is None:
-        raise ValueError("protocol carries no bipartite observables")
-    oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-    da, db = proto.rho0.partition
-    marg = bipartite_marginals(proto)
-    eye_a, eye_b = np.eye(da), np.eye(db)
-
-    rho_in = _dephase(proto.obs_in, proto.rho0.data)
-    rho_a_in = _local_dephased(marg.p_a_in, oa_in)
-    rho_b_in = _local_dephased(marg.p_b_in, ob_in)
-
-    # Local joints: p_a[k, m] = Tr[(P_fin_k x 1) Phi(P_in_m x rho_B_in)] p(a_in_m)
-    p_a = np.zeros((oa_fin.n_outcomes, oa_in.n_outcomes))
-    for m, pm in enumerate(oa_in.projectors):
-        evolved = proto.channel.apply_matrix(tensor_product(pm, rho_b_in))
-        for k, pk in enumerate(oa_fin.projectors):
-            p_a[k, m] = np.trace(tensor_product(pk, eye_b) @ evolved).real * marg.p_a_in[m]
-    p_b = np.zeros((ob_fin.n_outcomes, ob_in.n_outcomes))
-    for h, ph in enumerate(ob_in.projectors):
-        evolved = proto.channel.apply_matrix(tensor_product(rho_a_in, ph))
-        for l, pl in enumerate(ob_fin.projectors):
-            p_b[l, h] = np.trace(tensor_product(eye_a, pl) @ evolved).real * marg.p_b_in[h]
-
+    marg = proto.marginals  # rejects protocols without local observables
+    n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in proto.bipartite_obs)
+    p_fwd = proto.forward.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
     dist_a = entropy_samples(
-        JointOutcomeTable(np.clip(p_a, 0, None), marg.p_a_in, marg.p_a_fin), label="A"
+        JointOutcomeTable(p_fwd.sum(axis=(1, 3)), marg.p_a_in, marg.p_a_fin), label="A"
     )
     dist_b = entropy_samples(
-        JointOutcomeTable(np.clip(p_b, 0, None), marg.p_b_in, marg.p_b_fin), label="B"
+        JointOutcomeTable(p_fwd.sum(axis=(0, 2)), marg.p_b_in, marg.p_b_fin), label="B"
     )
-
-    # Global joint over pair outcomes (m,h) -> (k,l).
-    p_c_in = marg.p_c_in
-    values: list[float] = []
-    masses: list[float] = []
-    for m, pm in enumerate(oa_in.projectors):
-        for h, ph in enumerate(ob_in.projectors):
-            if p_c_in[m, h] <= MASS_DROP_TOL:
-                continue
-            evolved = proto.channel.apply_matrix(tensor_product(pm, ph))
-            for k, pk in enumerate(oa_fin.projectors):
-                for l, pl in enumerate(ob_fin.projectors):
-                    mass = np.trace(tensor_product(pk, pl) @ evolved).real * p_c_in[m, h]
-                    if mass <= MASS_DROP_TOL:
-                        continue
-                    values.append(math.log(p_c_in[m, h]) - math.log(marg.p_c_fin[k, l]))
-                    masses.append(mass)
-    support, probs = merge_support(np.array(values), np.array(masses))
-    dist_ab = EntropyDistribution(support, probs, label="A-B")
-    dist_conv = convolve_distributions(dist_a, dist_b, label="A+B")
-    return dist_a, dist_b, dist_ab, dist_conv
+    dist_ab = entropy_samples(proto.forward, label="A-B")
+    return dist_a, dist_b, dist_ab, convolve_distributions(dist_a, dist_b, label="A+B")
 
 
 def _local_dephased(probs: np.ndarray, obs: Observable) -> np.ndarray:

@@ -42,6 +42,17 @@ class TestApplyChannel:
         out = apply_channel(QuantumChannel(kraus), plus)
         assert np.max(np.abs(out.data - np.eye(2) / 2)) <= 1e-14
 
+    def test_extended_precision_input_stays_extended(self, rng):
+        channel = random_mixed_unitary_channel(3, rng)
+        m = random_density(3, rng).data.astype(np.clongdouble)
+        out = channel.apply_matrix(m)
+        assert out.dtype == np.clongdouble
+        expected = sum(
+            e.astype(np.clongdouble) @ m @ e.conj().T.astype(np.clongdouble) for e in channel.kraus
+        )
+        assert np.array_equal(out, expected)
+        assert channel.apply_matrix(np.eye(3)).dtype == complex
+
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             apply_channel(QuantumChannel.identity(2), random_density(3, rng))

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from entroprec.cli import main, parse_config
+from entroprec.cli import emit_report, main, parse_config
 
 
 class TestParseConfig:
@@ -53,6 +54,30 @@ class TestParseConfig:
             parse_config(["simulate", "--config", str(path)])
 
 
+class TestNonFiniteInput:
+    def run_quietly(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert caught == []
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_flag_rejected(self, value, tmp_path, capsys):
+        error = self.run_quietly(["simulate", "--phi", value, "--out", str(tmp_path)], capsys)
+        assert "phi must be finite" in error
+
+    @pytest.mark.parametrize("text", ['{"gamma": Infinity}', '{"tau": NaN}'])
+    def test_config_file_rejected(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path)]
+        assert "must be finite" in self.run_quietly(argv, capsys)
+
+
 class TestVerifyCommand:
     def test_fig3_passes(self, tmp_path, capsys):
         code = main(["verify", "--preset", "fig3", "--out", str(tmp_path)])
@@ -92,6 +117,24 @@ class TestSweepCommand:
         assert header[0] == "gamma"
         assert header[1:5] == ["m1_A", "m2_A", "m3_A", "m4_A"]
         assert header[-6:] == ["rmse_moments", "rmse_probs", "gap_m1", "gap_m2", "gap_m3", "gap_m4"]
+
+
+    def test_fourier_json_is_strict(self, tmp_path):
+        argv = ["sweep", "--axis", "N", "--method", "fourier", "--format", "json"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=reject)
+        assert len(report["rows"]) == 15
+        for row in report["rows"]:
+            assert math.isfinite(row["rmse_moments"]) and math.isfinite(row["rmse_probs"])
+
+    def test_nan_is_not_written_as_json(self, tmp_path):
+        cfg = parse_config(["simulate", "--out", str(tmp_path)])
+        with pytest.raises(ValueError, match="JSON"):
+            emit_report({"value": math.nan}, cfg)
 
 
 class TestSimulateCommand:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
+from entroprec import protocol
 from entroprec.experiments import default_sweep_points
 
 
@@ -30,6 +31,10 @@ class TestConfig:
             TwoIonConfig(phi=0.1, tau=0.0)
         with pytest.raises(ValueError):
             TwoIonConfig(phi=0.1, dynamics="exact")
+        for key in ("phi", "gamma", "tau", "dt"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    replace(TwoIonConfig(phi=0.1), **{key: value})
 
     def test_omega_consistency(self):
         cfg = TwoIonConfig(phi=math.pi / 7, tau=50.0)
@@ -54,6 +59,19 @@ class TestRunConfig:
         assert record.crooks_deviation <= 1e-7
         assert record.ift_deviation <= 1e-7
         assert record.conditional_equality_deviation <= 1e-7
+
+    def test_builds_tables_once_per_protocol(self, monkeypatch):
+        calls = {}
+        for name in ("forward_joint", "backward_joint", "bipartite_marginals"):
+            original = getattr(protocol, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, counted)
+        run_config(preset("fig3"), methods=("pinv", "fourier"))
+        assert calls == {"forward_joint": 1, "backward_joint": 1, "bipartite_marginals": 1}
 
     def test_determinism(self):
         a = run_config(preset("fig3"), methods=("pinv",))

@@ -27,7 +27,7 @@ from entroprec import (
     entropy_bound_check,
     von_neumann_entropy,
 )
-from entroprec.protocol import _dephase, merge_support
+from entroprec.protocol import _dephase, _local_dephased, bipartite_marginals, merge_support
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
@@ -64,6 +64,14 @@ class TestForwardJoint:
         p_in = np.diag(RHO0.data).real
         expected = np.abs(u) ** 2 * p_in[None, :]
         assert np.max(np.abs(table.p_fwd - expected)) <= 1e-14
+
+    def test_tables_built_once_and_read_only(self):
+        proto = section6_protocol()
+        assert proto.forward is proto.forward and proto.backward is proto.backward
+        assert proto.marginals is proto.marginals
+        assert np.array_equal(proto.backward.p_fwd, proto.forward.p_fwd)
+        with pytest.raises(ValueError, match="read-only"):
+            proto.forward.p_fwd[0, 0] = 1.0
 
     def test_maximally_mixed_uniform_marginal(self, rng):
         proto = TwoTimeProtocol(
@@ -210,6 +218,15 @@ class TestCrooks:
         for _ in range(10):
             assert crooks_check(generic_protocol(rng)) <= 1e-10
 
+    def test_rank_deficient_state_flags_unreachable_initial_outcomes(self):
+        # the backward process lands on initial outcomes that rho0 never
+        # occupies; that mass is split off as absolute irreversibility and
+        # the relation holds on the rest
+        rho0 = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+        proto = TwoTimeProtocol(rho0, COMP4, COMP4, ms_gate(0.4))
+        with pytest.warns(AbsoluteIrreversibilityWarning):
+            assert crooks_check(proto) <= 1e-15
+
 
 class TestIntegralFluctuationTheorem:
     def test_unital_channels(self, rng):
@@ -256,14 +273,75 @@ class TestBipartite:
                 correlated, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, ms_gate(0.3)
             )
 
-    def test_global_table_matches_composite_protocol(self):
-        # the correlated global distribution equals the plain single-system
-        # two-time run with the tensor-product observables
-        proto = section6_protocol()
-        _, _, dist_ab, _ = bipartite_distributions(proto)
-        direct = entropy_samples(forward_joint(proto), label="A-B")
-        assert np.max(np.abs(dist_ab.support - direct.support)) <= 1e-10
-        assert np.max(np.abs(dist_ab.probs - direct.probs)) <= 1e-10
+    def test_global_table_matches_composite_protocol(self, rng):
+        # explicit loop over pair outcomes (m, h) -> (k, l) on product states
+        for proto in product_state_protocols(rng):
+            _, _, dist_ab, _ = bipartite_distributions(proto)
+            assert_same_distribution(dist_ab, product_state_oracle(proto)[2])
+
+    def test_local_tables_match_product_state_formula(self, rng):
+        for proto in product_state_protocols(rng):
+            dist_a, dist_b, _, _ = bipartite_distributions(proto)
+            oracle_a, oracle_b, _ = product_state_oracle(proto)
+            assert_same_distribution(dist_a, oracle_a)
+            assert_same_distribution(dist_b, oracle_b)
+
+
+def product_state_protocols(rng):
+    """Section-6 gate, random local unitaries and random mixed unitaries,
+    each on a random product diagonal state."""
+    channels = [ms_gate(math.pi / 7)]
+    for _ in range(5):
+        u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+        channels += [QuantumChannel.unitary(u), random_mixed_unitary_channel(4, rng)]
+    for channel in channels:
+        diag = np.kron(rng.dirichlet([1.0, 1.0]), rng.dirichlet([1.0, 1.0]))
+        rho0 = DensityMatrix.from_diagonal(diag, partition=(2, 2))
+        yield TwoTimeProtocol.bipartite(rho0, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, channel)
+
+
+def product_state_oracle(proto):
+    """dist_A, dist_B and dist_AB from product-state formulas (rank-1 local
+    projectors): p_A[k, m] = Tr[(P_k x 1) Phi(P_m x rho_B)] p_A(m), the
+    analogue for B, and the global joint of every pair (m, h) -> (k, l)."""
+    oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
+    marg = bipartite_marginals(proto)
+    eye = np.eye(2)
+    rho_a_in = _local_dephased(marg.p_a_in, oa_in)
+    rho_b_in = _local_dephased(marg.p_b_in, ob_in)
+    p_a = np.zeros((oa_fin.n_outcomes, oa_in.n_outcomes))
+    for m, pm in enumerate(oa_in.projectors):
+        evolved = proto.channel.apply_matrix(tensor_product(pm, rho_b_in))
+        for k, pk in enumerate(oa_fin.projectors):
+            p_a[k, m] = np.trace(tensor_product(pk, eye) @ evolved).real * marg.p_a_in[m]
+    p_b = np.zeros((ob_fin.n_outcomes, ob_in.n_outcomes))
+    for h, ph in enumerate(ob_in.projectors):
+        evolved = proto.channel.apply_matrix(tensor_product(rho_a_in, ph))
+        for l, pl in enumerate(ob_fin.projectors):
+            p_b[l, h] = np.trace(tensor_product(eye, pl) @ evolved).real * marg.p_b_in[h]
+    dist_a = entropy_samples(JointOutcomeTable(np.clip(p_a, 0, None), marg.p_a_in, marg.p_a_fin))
+    dist_b = entropy_samples(JointOutcomeTable(np.clip(p_b, 0, None), marg.p_b_in, marg.p_b_fin))
+    p_c_in = np.outer(marg.p_a_in, marg.p_b_in)
+    values, masses = [], []
+    for m, pm in enumerate(oa_in.projectors):
+        for h, ph in enumerate(ob_in.projectors):
+            if p_c_in[m, h] <= 1e-15:
+                continue
+            evolved = proto.channel.apply_matrix(tensor_product(pm, ph))
+            for k, pk in enumerate(oa_fin.projectors):
+                for l, pl in enumerate(ob_fin.projectors):
+                    mass = np.trace(tensor_product(pk, pl) @ evolved).real * p_c_in[m, h]
+                    if mass > 1e-15:
+                        values.append(math.log(p_c_in[m, h]) - math.log(marg.p_c_fin[k, l]))
+                        masses.append(mass)
+    dist_ab = EntropyDistribution(*merge_support(np.array(values), np.array(masses)))
+    return dist_a, dist_b, dist_ab
+
+
+def assert_same_distribution(dist, oracle):
+    assert dist.support.shape == oracle.support.shape
+    assert np.max(np.abs(dist.support - oracle.support)) <= 1e-10
+    assert np.max(np.abs(dist.probs - oracle.probs)) <= 1e-12
 
 
 class TestWitness:
