@@ -277,12 +277,24 @@ def kraus_from_lindblad_endpoint(
     A complete matrix-unit basis is propagated in one batch and the resulting
     Choi matrix eigendecomposed; eigenvalues in [-1e-8, 0) are clipped to zero
     (integration noise) and the spectrum rescaled, anything more negative is a
-    genuine complete-positivity failure.
+    genuine complete-positivity failure. A non-finite endpoint, or a trace
+    drift beyond 1e-6 in any propagated matrix unit, raises
+    :class:`IntegratorAccuracyError` (the step size is outside RK4's
+    stability region).
     """
     d = model.dim
     if tau == 0:
         return QuantumChannel.identity(d)
-    endpoint, _ = _rk4_evolve(model.liouvillian, np.eye(d * d, dtype=complex), tau, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged by the guard below
+        endpoint, _ = _rk4_evolve(model.liouvillian, np.eye(d * d, dtype=complex), tau, dt)
+    # Row a*d+a holds the diagonal entry (a, a), so the column sums of every
+    # (d+1)-th row are Tr Phi(|i><j|), which must equal delta_ij.
+    traces = endpoint[:: d + 1].sum(axis=0)
+    drift = float(np.max(np.abs(traces - np.eye(d).reshape(-1))))
+    if not (np.all(np.isfinite(endpoint)) and drift <= MAX_TRACE_DRIFT):
+        raise IntegratorAccuracyError(
+            f"endpoint map trace drift {drift!r} exceeds {MAX_TRACE_DRIFT}; reduce dt"
+        )
     # endpoint[:, i*d+j] = vec(Phi(|i><j|)); reindex into the Choi matrix
     # J[(i,a),(j,b)] = Phi(|i><j|)[a,b].
     choi = endpoint.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)

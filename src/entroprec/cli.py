@@ -9,6 +9,10 @@ Commands:
 Precedence of settings: CLI flags > config file > preset > built-in defaults.
 The environment variable ENTROPREC_SEED is reserved for randomised test
 generation; the pipeline itself is deterministic.
+
+Exit codes: 0 success; 1 a ``verify`` check failed; 2 bad input or a
+numerical failure, reported as one JSON line ``{"error": ...}`` on stderr
+(argparse usage errors also exit 2, with argparse's usage message).
 """
 
 from __future__ import annotations
@@ -282,7 +286,7 @@ def main(argv=None) -> int:
     print(json.dumps({"effective_config": cfg.echo()}))
     try:
         return _run(cfg)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

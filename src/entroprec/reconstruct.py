@@ -192,18 +192,31 @@ def fourier_reconstruct(
     sum_k <sigma^k> (i mu)^k / k! is integrated over mu in [-L, L] with step
     ``dmu``, evaluated at the candidate support points and renormalised; the
     limit whose recomputed moments best match the input is kept.
+
+    The series is E(mu) + i O(mu) with E even and O odd, both real, so the
+    integrand Re[series e^{-i s mu}] = E cos(s mu) + O sin(s mu) is even: each
+    integral is twice a trapezoid over [0, L]. All limits share the half-line
+    grid mu_i = i dmu and one cos/sin table; each reads its own window.
     """
     m = np.asarray(moments, dtype=float)
+    if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
+        raise ValueError("moments must be a nonempty 1-D array of finite values")
+    if not (math.isfinite(dmu) and dmu > 0):
+        raise ValueError(f"dmu must be positive and finite, got {dmu!r}")
+    limits = np.asarray(limit_candidates, dtype=float)
+    if limits.ndim != 1 or limits.size == 0 or not np.all(np.isfinite(limits) & (limits > 0)):
+        raise ValueError("limit_candidates must be a nonempty sequence of positive limits")
     support = np.sort(np.asarray(support_grid, dtype=float))
     coeffs = np.array([m[k] * 1j**k / math.factorial(k) for k in range(m.size)])
+    ends = np.rint(limits / dmu).astype(int)
+    mu = np.arange(ends.max() + 1) * dmu
+    series = np.polyval(coeffs[::-1], mu)  # real part E, imaginary part O
+    phase = np.outer(support, mu)
+    integrand = series.real * np.cos(phase) + series.imag * np.sin(phase)
     best_err = None
     best_probs = None
-    for limit in limit_candidates:
-        mu = np.arange(-limit, limit + dmu / 2, dmu)
-        powers = mu[None, :] ** np.arange(m.size)[:, None]
-        series = coeffs @ powers
-        kernel = np.exp(-1j * np.outer(support, mu))
-        density = _trapezoid(series[None, :] * kernel, mu, axis=1).real / (2 * np.pi)
+    for end in ends:
+        density = _trapezoid(integrand[:, : end + 1], dx=dmu, axis=1) / np.pi
         total = density.sum()
         if total <= 0:
             continue

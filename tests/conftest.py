@@ -2,8 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entroprec import DensityMatrix, Observable, QuantumChannel
+
+# Property tests draw the same examples on every run (no example database).
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 def _seed() -> int:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestLindbladPropagate:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="nonnegative"):
             two_ion_model(0.1, -0.1, 0.1)
+
+    @pytest.mark.parametrize(
+        "gamma, dt",
+        [(2.0, 10.0), (1e6, 0.01)],  # finite but trace-drifted; overflowed to NaN
+        ids=["drifted", "overflowed"],
+    )
+    def test_unstable_endpoint_step_raises(self, gamma, dt):
+        model = two_ion_model(0.01, gamma, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegratorAccuracyError, match="reduce dt"):
+                kraus_from_lindblad_endpoint(model, 50.0, dt)
 
     def test_unstable_endpoint_fails_positivity(self):
         from entroprec import NonCompletelyPositiveError

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import entroprec.experiments
 from entroprec.cli import emit_report, main, parse_config
 
 
@@ -54,20 +55,22 @@ class TestParseConfig:
             parse_config(["simulate", "--config", str(path)])
 
 
-class TestNonFiniteInput:
-    def run_quietly(self, argv, capsys):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        assert caught == []
-        assert code == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        return json.loads(lines[0])["error"]
+def run_quietly(argv, capsys):
+    """Run the CLI expecting exit 2 with one JSON error line and no warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == []
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
 
+
+class TestNonFiniteInput:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_flag_rejected(self, value, tmp_path, capsys):
-        error = self.run_quietly(["simulate", "--phi", value, "--out", str(tmp_path)], capsys)
+        error = run_quietly(["simulate", "--phi", value, "--out", str(tmp_path)], capsys)
         assert "phi must be finite" in error
 
     @pytest.mark.parametrize("text", ['{"gamma": Infinity}', '{"tau": NaN}'])
@@ -75,7 +78,21 @@ class TestNonFiniteInput:
         path = tmp_path / "cfg.json"
         path.write_text(text)
         argv = ["simulate", "--config", str(path), "--out", str(tmp_path)]
-        assert "must be finite" in self.run_quietly(argv, capsys)
+        assert "must be finite" in run_quietly(argv, capsys)
+
+
+class TestNumericalFailureExit:
+    def test_unstable_lindblad_step(self, tmp_path, capsys):
+        argv = ["simulate", "--dynamics", "lindblad", "--gamma", "1e6", "--out", str(tmp_path)]
+        assert "reduce dt" in run_quietly(argv, capsys)
+
+    def test_arithmetic_error(self, monkeypatch, tmp_path, capsys):
+        def imaginary_residue(proto, subsystem, phi):
+            raise ArithmeticError("moment-generating value has imaginary residue 1.000e-03")
+
+        monkeypatch.setattr(entroprec.experiments, "moment_generating", imaginary_residue)
+        argv = ["reconstruct", "--preset", "fig3", "--out", str(tmp_path)]
+        assert "imaginary residue" in run_quietly(argv, capsys)
 
 
 class TestVerifyCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entroprec import (
     DensityMatrix,
@@ -20,9 +22,12 @@ from entroprec import (
 )
 from entroprec.protocol import TwoTimeProtocol
 from entroprec.reconstruct import (
+    DEFAULT_DMU,
+    DEFAULT_LIMITS,
     InfeasibleRecoveryWarning,
     ParameterGrid,
     ReconstructionError,
+    _trapezoid,
     divided_differences,
 )
 from entroprec.experiments import PHI_MIN, PHI_MAX, build_protocol, preset
@@ -165,7 +170,84 @@ class TestChebyshevOptimality:
         assert cheb_err < equi_err
 
 
+def _fourier_reference(moments, support_grid, dmu=DEFAULT_DMU, limit_candidates=DEFAULT_LIMITS):
+    """Independent oracle: one full-line grid, power matrix and complex
+    kernel per integration limit, with the same admissibility and selection
+    rules as ``fourier_reconstruct``."""
+    m = np.asarray(moments, dtype=float)
+    support = np.sort(np.asarray(support_grid, dtype=float))
+    coeffs = np.array([m[k] * 1j**k / math.factorial(k) for k in range(m.size)])
+    best_err = None
+    best_probs = None
+    for limit in limit_candidates:
+        mu = np.arange(-limit, limit + dmu / 2, dmu)
+        powers = mu[None, :] ** np.arange(m.size)[:, None]
+        series = coeffs @ powers
+        kernel = np.exp(-1j * np.outer(support, mu))
+        density = _trapezoid(series[None, :] * kernel, mu, axis=1).real / (2 * np.pi)
+        total = density.sum()
+        if total <= 0:
+            continue
+        masses = density / total
+        if masses.min() < -1e-3:
+            continue
+        probs = np.clip(masses, 0.0, None)
+        probs /= probs.sum()
+        recomputed = np.array([np.sum(probs * support**k) for k in range(1, m.size)])
+        err = float(np.sum(np.abs(m[1:] - recomputed) ** 2))
+        if best_err is None or err < best_err:
+            best_err = err
+            best_probs = probs
+    if best_probs is None:
+        raise ReconstructionError("all candidate integration limits produced inadmissible mass")
+    return best_probs
+
+
+@st.composite
+def discrete_distributions(draw):
+    """Distinct support points on a 0.01 lattice in [-3, 3], positive masses,
+    and the exact moments <sigma^k>, k = 0..N-1, for N in 2..16."""
+    lattice = draw(st.lists(st.integers(-300, 300), min_size=1, max_size=16, unique=True))
+    support = np.array(lattice) / 100.0
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=support.size, max_size=support.size))
+    probs = np.array(weights) / sum(weights)
+    n = draw(st.integers(2, 16))
+    moments = np.array([np.sum(probs * support**k) for k in range(n)])
+    return moments, support
+
+
 class TestFourierReconstruct:
+    @given(discrete_distributions())
+    def test_matches_per_limit_reference(self, case):
+        moments, support = case
+        try:
+            expected = _fourier_reference(moments, support)
+        except ReconstructionError:
+            with pytest.raises(ReconstructionError):
+                fourier_reconstruct(moments, support)
+            return
+        dist = fourier_reconstruct(moments, support)
+        assert np.max(np.abs(dist.probs - expected)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "moments, kwargs",
+        [
+            ([1.0, np.nan, 0.5], {}),
+            ([1.0, 0.2, np.inf], {}),
+            ([], {}),
+            ([1.0, 0.2, 0.5], {"dmu": 0.0}),
+            ([1.0, 0.2, 0.5], {"dmu": -0.01}),
+            ([1.0, 0.2, 0.5], {"limit_candidates": ()}),
+            ([1.0, 0.2, 0.5], {"limit_candidates": (2.0, 0.0)}),
+            ([1.0, 0.2, 0.5], {"limit_candidates": (-4.0,)}),
+        ],
+        ids=["nan", "inf", "empty", "zero-dmu", "negative-dmu", "no-limits", "zero-limit",
+             "negative-limit"],
+    )
+    def test_rejects_invalid_input(self, moments, kwargs):
+        with pytest.raises(ValueError):
+            fourier_reconstruct(np.array(moments), [-0.5, 0.5], **kwargs)
+
     def test_delta_at_zero(self):
         moments = np.zeros(8)
         moments[0] = 1.0
