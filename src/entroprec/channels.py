@@ -213,6 +213,14 @@ class PropagationInfo(NamedTuple):
     steps: int
 
 
+def _validate_step(tau: float, dt: float) -> None:
+    """The step checks shared by every entry point that integrates."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not tau >= 0:
+        raise ValueError("tau must be nonnegative")
+
+
 def _rk4_evolve(gen: np.ndarray, y0: np.ndarray, tau: float, dt: float) -> tuple[np.ndarray, int]:
     n_full = int(tau / dt + 1e-9)
     remainder = tau - n_full * dt
@@ -247,10 +255,7 @@ def lindblad_propagate(
     correction magnitudes are available via ``return_info=True``. Trace drift
     beyond 1e-6 before renormalisation raises :class:`IntegratorAccuracyError`.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _validate_step(tau, dt)
     if rho0.dim != model.dim:
         raise ValueError("state and model dimensions differ")
     vec, steps = _rk4_evolve(model.liouvillian, rho0.data.reshape(-1), tau, dt)
@@ -280,8 +285,9 @@ def kraus_from_lindblad_endpoint(
     genuine complete-positivity failure. A non-finite endpoint, or a trace
     drift beyond 1e-6 in any propagated matrix unit, raises
     :class:`IntegratorAccuracyError` (the step size is outside RK4's
-    stability region).
+    stability region); a negative ``tau`` or nonpositive ``dt`` is a ``ValueError``.
     """
+    _validate_step(tau, dt)
     d = model.dim
     if tau == 0:
         return QuantumChannel.identity(d)

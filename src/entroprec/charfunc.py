@@ -14,7 +14,8 @@ probabilities) and must agree with the operator form.
 The powered post-measurement states are sums sum_k p_k^x P_k over the
 measured outcome probabilities, so they are assembled directly from the
 observable's projectors; the arithmetic runs in 80-bit precision because the
-downstream moment extraction amplifies evaluation noise factorially.
+downstream moment extraction amplifies evaluation noise factorially. That
+form holds for rank-one projectors only, so both paths reject any other.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, Observable, matrix_power, tensor_product
-from .protocol import TwoTimeProtocol, _dephase, _local_dephased, _outcome_probs
+from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, matrix_power, tensor_product
+from .protocol import TwoTimeProtocol, _local_dephased, _outcome_probs
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
@@ -55,35 +56,30 @@ def _powered_state(probs, projectors, z: complex) -> np.ndarray:
     return out
 
 
-def _rank_one(obs: Observable) -> bool:
-    return all(abs(np.trace(p).real - 1.0) < 1e-9 for p in obs.projectors)
+def _require_rank_one(*observables) -> None:
+    if not all(obs.is_rank_one for obs in observables):
+        raise ValueError("chi requires rank-one projective measurements")
 
 
 def char_function(proto: TwoTimeProtocol, subsystem: str, lam: complex):
     """Characteristic function G_C(lam) evaluated via the operator trace form.
 
-    Returns a complex scalar (extended precision where the projectors are all
-    rank one)."""
+    Returns an extended-precision complex scalar. Every projector involved
+    must be rank one; ``ValueError`` otherwise."""
     lam = complex(lam)
     if subsystem == "A-B":
-        rho_in = _dephase(proto.obs_in, proto.rho0.data)
-        if _rank_one(proto.obs_in) and _rank_one(proto.obs_fin):
-            p_in = _outcome_probs(proto.obs_in, proto.rho0.data)
-            p_fin = _outcome_probs(
-                proto.obs_fin, proto.channel.apply_matrix(rho_in.astype(np.clongdouble))
-            )
-            initial = _powered_state(p_in, proto.obs_in.projectors, 1 + 1j * lam)
-            probe = _powered_state(p_fin, proto.obs_fin.projectors, -1j * lam)
-            return np.trace(probe @ proto.channel.apply_matrix(initial))
-        # degenerate (rank > 1) projectors: fall back to generic matrix powers
-        rho_fin = proto.channel.apply_matrix(rho_in)
-        rho_tau = _dephase(proto.obs_fin, rho_fin)
-        deformed = proto.channel.apply_matrix(matrix_power(rho_in, 1 + 1j * lam))
-        return complex(np.trace(matrix_power(rho_tau, -1j * lam) @ deformed))
+        _require_rank_one(proto.obs_in, proto.obs_fin)
+        p_fin = _outcome_probs(
+            proto.obs_fin, proto.channel.apply_matrix(proto.states.rho_in.astype(np.clongdouble))
+        )
+        initial = _powered_state(proto.forward.p_in, proto.obs_in.projectors, 1 + 1j * lam)
+        probe = _powered_state(p_fin, proto.obs_fin.projectors, -1j * lam)
+        return np.trace(probe @ proto.channel.apply_matrix(initial))
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
     marg = proto.marginals  # rejects protocols without local observables
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
+    _require_rank_one(oa_in, ob_in, oa_fin if subsystem == "A" else ob_fin)
     if subsystem == "A":
         probe = tensor_product(
             _powered_state(marg.p_a_fin, oa_fin.projectors, -1j * lam),
@@ -131,32 +127,27 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     """
     if subsystem not in SUBSYSTEMS:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    marg = proto.marginals
+    marg = proto.marginals  # rejects protocols without local observables
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
+    read_fin = {"A": (oa_fin,), "B": (ob_fin,)}.get(subsystem, (oa_fin, ob_fin))
+    _require_rank_one(oa_in, ob_in, *read_fin)
     rho_a_in = _local_dephased(marg.p_a_in, oa_in)
     rho_b_in = _local_dephased(marg.p_b_in, ob_in)
 
     if subsystem == "A":
         deformed = tensor_product(matrix_power(rho_a_in, 1.0 - phi), rho_b_in)
+        weights = marg.p_a_fin[:, None]
     elif subsystem == "B":
         deformed = tensor_product(rho_a_in, matrix_power(rho_b_in, 1.0 - phi))
+        weights = marg.p_b_fin[None, :]
     else:
         deformed = matrix_power(tensor_product(rho_a_in, rho_b_in), 1.0 - phi)
+        weights = marg.p_c_fin
     norm = np.trace(deformed).real
     evolved = proto.channel.apply_matrix(deformed / norm)
-
-    total = 0.0
-    for k, pa in enumerate(oa_fin.projectors):
-        for l, pb in enumerate(ob_fin.projectors):
-            occupation = np.trace(tensor_product(pa, pb) @ evolved).real
-            if subsystem == "A":
-                weight = marg.p_a_fin[k] ** phi
-            elif subsystem == "B":
-                weight = marg.p_b_fin[l] ** phi
-            else:
-                weight = marg.p_c_fin[k, l] ** phi
-            total += weight * occupation
-    return float(norm * total)
+    # occupations of the joint final outcomes (k, l), indexed k * n_b + l
+    occupation = _outcome_probs(proto.obs_fin, evolved).reshape(marg.p_c_fin.shape)
+    return float(norm * np.sum(weights**phi * occupation))
 
 
 @dataclass(frozen=True)

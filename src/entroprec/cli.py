@@ -36,7 +36,23 @@ from .experiments import (
     sweep_phase,
 )
 
-OVERRIDE_KEYS = ("phi", "gamma", "tau", "N", "dynamics", "method")
+
+def _is_real(value) -> bool:
+    # bool is an int subclass, but JSON true/false is never a setting here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What each override key accepts. NaN and infinities pass here; TwoIonConfig
+# refuses them with the key named.
+OVERRIDES = {
+    "phi": ("a real number", _is_real),
+    "gamma": ("a nonnegative number", lambda v: _is_real(v) and not v < 0),
+    "tau": ("a positive number", lambda v: _is_real(v) and not v <= 0),
+    "N": ("an integer >= 1", lambda v: _is_real(v) and isinstance(v, int) and v >= 1),
+    "dynamics": ("'unitary' or 'lindblad'", lambda v: v in ("unitary", "lindblad")),
+    "method": ("'pinv' or 'fourier'", lambda v: v in ("pinv", "fourier")),
+}
+
 CHECK_TOLERANCES = {
     "conditional_equality": 1e-7,
     "ift": 1e-7,
@@ -97,19 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_overrides(values: dict, source: str) -> dict:
-    for key in values:
-        if key not in OVERRIDE_KEYS:
+    for key, value in values.items():
+        if key not in OVERRIDES:
             raise ValueError(f"unknown key '{key}' in {source}")
-    if "gamma" in values and values["gamma"] < 0:
-        raise ValueError(f"'gamma' must be nonnegative ({source})")
-    if "N" in values and (not isinstance(values["N"], int) or values["N"] < 1):
-        raise ValueError(f"'N' must be an integer >= 1 ({source})")
-    if "tau" in values and values["tau"] <= 0:
-        raise ValueError(f"'tau' must be positive ({source})")
-    if "dynamics" in values and values["dynamics"] not in ("unitary", "lindblad"):
-        raise ValueError(f"'dynamics' must be 'unitary' or 'lindblad' ({source})")
-    if "method" in values and values["method"] not in ("pinv", "fourier"):
-        raise ValueError(f"'method' must be 'pinv' or 'fourier' ({source})")
+        expected, accepts = OVERRIDES[key]
+        if not accepts(value):
+            raise ValueError(f"'{key}' must be {expected} ({source})")
     return values
 
 
@@ -118,28 +127,24 @@ def parse_config(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
     ion = preset(args.preset) if args.preset else TwoIonConfig(phi=math.pi / 7)
     method = "pinv"
-
+    sources = []
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
-        file_values = _validate_overrides(raw, f"config file {args.config}")
-        method = file_values.pop("method", method)
-        if "N" in file_values:
-            file_values["n_moments"] = file_values.pop("N")
-        ion = replace(ion, **file_values)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        sources.append((raw, f"config file {args.config}"))
+    flags = {key: getattr(args, key) for key in OVERRIDES if getattr(args, key) is not None}
+    sources.append((flags, "command line"))
 
-    flag_values = {
-        key: getattr(args, key)
-        for key in ("phi", "gamma", "tau", "N", "dynamics", "method")
-        if getattr(args, key) is not None
-    }
-    flag_values = _validate_overrides(flag_values, "command line")
-    method = flag_values.pop("method", method)
-    if "N" in flag_values:
-        flag_values["n_moments"] = flag_values.pop("N")
-    ion = replace(ion, **flag_values)
+    for values, source in sources:  # the later source wins
+        values = _validate_overrides(values, source)
+        method = values.pop("method", method)
+        if "N" in values:
+            values["n_moments"] = values.pop("N")
+        ion = replace(ion, **values)
 
     return RunConfig(
         command=args.command,

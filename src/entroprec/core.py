@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,6 +176,11 @@ class Observable:
     @property
     def n_outcomes(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def is_rank_one(self) -> bool:
+        """Whether every projector has rank one (trace 1)."""
+        return all(abs(np.trace(p).real - 1.0) < 1e-9 for p in self.projectors)
 
     def matrix(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import LindbladModel, QuantumChannel, kraus_from_lindblad_endpoint, ms_gate
+from .channels import _validate_step
 from .charfunc import moment_generating
 from .core import DensityMatrix, Observable, tensor_product
 from .protocol import (
@@ -28,7 +29,6 @@ from .protocol import (
     correlation_witness,
     crooks_check,
     ift_deviation,
-    mean_entropy,
     conditional_equality_deviation,
     entropy_bound_check,
 )
@@ -75,6 +75,7 @@ class TwoIonConfig:
             raise ValueError("gamma must be nonnegative")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        _validate_step(self.tau, self.step_size)
         if self.n_moments < 1:
             raise ValueError("n_moments must be at least 1")
 
@@ -245,12 +246,13 @@ def run_config(cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier")
             rmse_moments_conv=rmse_moments(dist_conv.moments(k_max), conv.moments(k_max), k_max),
         )
     gap = dist_a.moment(1) + dist_b.moment(1) - dist_ab.moment(1)
+    bound = entropy_bound_check(proto)
     return ConfigRecord(
         config=cfg,
         distributions=dists,
-        mean_sigma=mean_entropy(proto),
+        mean_sigma=bound.mean_sigma,
         conditional_equality_deviation=conditional_equality_deviation(proto),
-        entropy_bound=entropy_bound_check(proto),
+        entropy_bound=bound,
         crooks_deviation=crooks_check(proto),
         ift_deviation=ift_deviation(dist_ab),
         subadditivity_gap=gap,

@@ -40,15 +40,25 @@ class AbsoluteIrreversibilityWarning(UserWarning):
     """Forward mass landed on a reference outcome of zero probability."""
 
 
+class ProtocolStates(NamedTuple):
+    """The state after the first measurement, the evolved state Phi(rho_in)
+    (Hermitised) and the reference state after the second measurement."""
+
+    rho_in: np.ndarray
+    rho_fin: np.ndarray
+    rho_tau: np.ndarray
+
+
 @dataclass(frozen=True)
 class TwoTimeProtocol:
     """One forward/backward measurement experiment.
 
     ``bipartite_obs`` optionally holds the local observables
     (O_A_in, O_B_in, O_A_fin, O_B_fin); when present, ``rho0`` must carry a
-    partition and its post-measurement state must factorise between the
-    subsystems. The joint tables and marginals are built once, on first use,
-    and shared by every distribution, check and chi evaluation.
+    partition, ``obs_in``/``obs_fin`` must be their tensor products and the
+    post-measurement state must factorise between the subsystems. The protocol
+    states, joint tables and marginals are built once, on first use, and
+    shared by every distribution, check and chi evaluation.
     """
 
     rho0: DensityMatrix
@@ -68,7 +78,14 @@ class TwoTimeProtocol:
             oa_in, ob_in, oa_fin, ob_fin = self.bipartite_obs
             if oa_in.dim != da or oa_fin.dim != da or ob_in.dim != db or ob_fin.dim != db:
                 raise ValueError("local observable dimensions must match the partition")
-            rho_in = _dephase(self.obs_in, self.rho0.data)
+            for obs, a, b in ((self.obs_in, oa_in, ob_in), (self.obs_fin, oa_fin, ob_fin)):
+                # the projectors of a.tensor(b), without its O(n^2) re-validation
+                products = [np.kron(p, q) for p in a.projectors for q in b.projectors]
+                if len(products) != obs.n_outcomes or np.max(
+                    np.abs(np.subtract(obs.projectors, products))
+                ) > PRODUCT_TOL:
+                    raise ValueError("obs_in/obs_fin must be tensor products of bipartite_obs")
+            rho_in = self.states.rho_in
             state = DensityMatrix(rho_in, self.rho0.partition)
             product = tensor_product(partial_trace(state, "A").data, partial_trace(state, "B").data)
             if np.max(np.abs(rho_in - product)) > PRODUCT_TOL:
@@ -91,6 +108,17 @@ class TwoTimeProtocol:
             channel=channel,
             bipartite_obs=(obs_a_in, obs_b_in, obs_a_fin, obs_b_fin),
         )
+
+    @cached_property
+    def states(self) -> ProtocolStates:
+        """rho_in, rho_fin and rho_tau; the only place they are built."""
+        rho_in = _dephase(self.obs_in, self.rho0.data)
+        rho_fin = self.channel.apply_matrix(rho_in)
+        rho_fin = (rho_fin + rho_fin.conj().T) / 2.0
+        states = ProtocolStates(rho_in, rho_fin, _dephase(self.obs_fin, rho_fin))
+        for rho in states:
+            rho.flags.writeable = False
+        return states
 
     @cached_property
     def forward(self) -> "JointOutcomeTable":
@@ -282,10 +310,7 @@ def backward_joint(
     elif via == "reversed-map":
         theta = theta or TimeReversal()
         reversed_channel = time_reversed(proto.channel, theta)
-        rho_in = _dephase(proto.obs_in, proto.rho0.data)
-        rho_fin = proto.channel.apply_matrix(rho_in)
-        rho_tau = _dephase(proto.obs_fin, rho_fin)
-        rho_tau_rev = theta.apply_to_state(rho_tau)
+        rho_tau_rev = theta.apply_to_state(proto.states.rho_tau)
         proj_in_rev = [theta.apply_to_state(p) for p in proto.obs_in.projectors]
         proj_ref_rev = [theta.apply_to_state(p) for p in proto.obs_fin.projectors]
         p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
@@ -332,17 +357,9 @@ def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDi
     return EntropyDistribution(support, probs, label, dropped, infinite_mass)
 
 
-def _protocol_states(proto: TwoTimeProtocol):
-    rho_in = _dephase(proto.obs_in, proto.rho0.data)
-    rho_fin = proto.channel.apply_matrix(rho_in)
-    rho_fin = (rho_fin + rho_fin.conj().T) / 2.0
-    rho_tau = _dephase(proto.obs_fin, rho_fin)
-    return rho_in, rho_fin, rho_tau
-
-
 def mean_entropy(proto: TwoTimeProtocol) -> float:
     """Mean entropy production <sigma> = -Tr[rho_fin ln rho_tau] - S(rho_in)."""
-    rho_in, rho_fin, rho_tau = _protocol_states(proto)
+    rho_in, rho_fin, rho_tau = proto.states
     return -trace_rho_log_sigma(rho_fin, rho_tau) - von_neumann_entropy(rho_in)
 
 
@@ -358,9 +375,9 @@ def entropy_bound_check(proto: TwoTimeProtocol, tol: float = 1e-10) -> EntropyBo
     When the final observable commutes with rho_fin the relative entropy must
     additionally vanish (the second measurement leaves the state untouched).
     """
-    rho_in, rho_fin, rho_tau = _protocol_states(proto)
+    _, rho_fin, rho_tau = proto.states
     s_rel = relative_entropy(rho_fin, rho_tau)
-    mean_sigma = -trace_rho_log_sigma(rho_fin, rho_tau) - von_neumann_entropy(rho_in)
+    mean_sigma = mean_entropy(proto)
     passed = -tol <= s_rel <= mean_sigma + tol
     obs_mat = proto.obs_fin.matrix()
     commutator = np.max(np.abs(obs_mat @ rho_fin - rho_fin @ obs_mat))
@@ -417,30 +434,20 @@ class BipartiteMarginals:
 
 
 def bipartite_marginals(proto: TwoTimeProtocol) -> BipartiteMarginals:
+    """Local marginals as axis sums of the composite outcome probabilities,
+    which are indexed ``m * n_b + h`` (see :meth:`Observable.tensor`)."""
     if proto.bipartite_obs is None:
         raise ValueError("protocol carries no bipartite observables")
-    oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-    da, db = proto.rho0.partition
-    rho_in = _dephase(proto.obs_in, proto.rho0.data)
-    rho_fin = proto.channel.apply_matrix(rho_in)
-    eye_a, eye_b = np.eye(da), np.eye(db)
-    p_a_in = np.array(
-        [np.trace(tensor_product(p, eye_b) @ proto.rho0.data).real for p in oa_in.projectors]
+    n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in proto.bipartite_obs)
+    p_c_in = proto.forward.p_in.reshape(n_a_in, n_b_in)
+    p_c_fin = _outcome_probs(proto.obs_fin, proto.states.rho_fin).reshape(n_a_fin, n_b_fin)
+    return BipartiteMarginals(
+        p_a_in=p_c_in.sum(axis=1),
+        p_b_in=p_c_in.sum(axis=0),
+        p_a_fin=p_c_fin.sum(axis=1),
+        p_b_fin=p_c_fin.sum(axis=0),
+        p_c_fin=np.clip(p_c_fin, 0.0, None),
     )
-    p_b_in = np.array(
-        [np.trace(tensor_product(eye_a, p) @ proto.rho0.data).real for p in ob_in.projectors]
-    )
-    p_a_fin = np.array(
-        [np.trace(tensor_product(p, eye_b) @ rho_fin).real for p in oa_fin.projectors]
-    )
-    p_b_fin = np.array(
-        [np.trace(tensor_product(eye_a, p) @ rho_fin).real for p in ob_fin.projectors]
-    )
-    p_c_fin = np.zeros((oa_fin.n_outcomes, ob_fin.n_outcomes))
-    for k, pa in enumerate(oa_fin.projectors):
-        for l, pb in enumerate(ob_fin.projectors):
-            p_c_fin[k, l] = np.trace(tensor_product(pa, pb) @ rho_fin).real
-    return BipartiteMarginals(p_a_in, p_b_in, p_a_fin, p_b_fin, np.clip(p_c_fin, 0.0, None))
 
 
 def bipartite_distributions(proto: TwoTimeProtocol):
@@ -527,24 +534,17 @@ def second_law_report(
         raise ValueError("beta must be positive")
     h0 = np.asarray(h0, dtype=complex)
     h_tau = np.asarray(h_tau, dtype=complex)
-    rho_in_dm, f0, basis = _gibbs(h0, beta)
-    obs_in = Observable.from_basis(basis)
-    thermal_proto = TwoTimeProtocol(
-        rho0=rho_in_dm, obs_in=obs_in, obs_fin=proto.obs_fin, channel=proto.channel
-    )
-    rho_in, rho_fin, _ = _protocol_states(thermal_proto)
+    rho_th, f0, basis = _gibbs(h0, beta)
+    thermal = TwoTimeProtocol(rho_th, Observable.from_basis(basis), proto.obs_fin, proto.channel)
+    rho_in, rho_fin, _ = thermal.states
     rho_tau_th, f_tau, _ = _gibbs(h_tau, beta)
-    mean_work = float(np.trace(rho_fin @ h_tau).real - np.trace(rho_in @ h0).real)
-    mean_heat = float(np.trace((rho_fin - rho_in) @ h0).real)
-    mean_sigma = mean_entropy(thermal_proto)
-    s_rel_th = relative_entropy(rho_fin, rho_tau_th.data)
     return ThermoReport(
-        mean_work=mean_work,
+        mean_work=float(np.trace(rho_fin @ h_tau).real - np.trace(rho_in @ h0).real),
         free_energy_delta=float(f_tau - f0),
         beta=float(beta),
-        mean_heat=mean_heat,
-        mean_sigma=float(mean_sigma),
-        rel_entropy_thermal=float(s_rel_th),
+        mean_heat=float(np.trace((rho_fin - rho_in) @ h0).real),
+        mean_sigma=float(mean_entropy(thermal)),
+        rel_entropy_thermal=float(relative_entropy(rho_fin, rho_tau_th.data)),
     )
 
 

@@ -187,6 +187,20 @@ class TestLindbladPropagate:
         with pytest.raises(ValueError):
             lindblad_propagate(model, RHO0, -1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "tau, dt, message",
+        [(-1.0, 0.01, "tau"), (50.0, 0.0, "dt"), (50.0, -0.01, "dt")],
+        ids=["negative-tau", "zero-dt", "negative-dt"],
+    )
+    def test_endpoint_validates_steps(self, tau, dt, message):
+        # before, the negative duration gave the identity channel and a zero
+        # step a bare ZeroDivisionError
+        model = two_ion_model(0.01, 0.1, 0.1)
+        with pytest.raises(ValueError, match=f"{message} must be"):
+            kraus_from_lindblad_endpoint(model, tau, dt)
+        with pytest.raises(ValueError, match=f"{message} must be"):
+            lindblad_propagate(model, RHO0, tau, dt)
+
     def test_unstable_step_raises(self):
         model = two_ion_model(0.01, 1e6, 1e6)
         with pytest.raises(IntegratorAccuracyError):

@@ -17,6 +17,7 @@ from entroprec import (
 )
 from entroprec.protocol import TwoTimeProtocol, bipartite_marginals, _local_dephased
 from entroprec.reconstruct import chebyshev_nodes
+from conftest import random_density, random_mixed_unitary_channel
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
 QUBIT_OBS = Observable.computational(2)
@@ -76,6 +77,50 @@ class TestCharFunction:
     def test_unknown_subsystem(self, proto):
         with pytest.raises(ValueError, match="subsystem"):
             char_function(proto, "C", 0.0)
+
+
+class TestRankOneGuard:
+    """chi assembles powered states from rank-one projectors only; anything
+    else used to return a wrong value instead of an error."""
+
+    def test_trivial_local_observable_refused(self):
+        # B is not measured (one rank-2 projector) and its factor is not
+        # diagonal: chi_A(0.3) came out as 1.99 against 0.996 from dist_A
+        trivial = Observable((0.0,), (np.eye(2),))
+        rho_b = np.array([[0.6, 0.3], [0.3, 0.4]])
+        rho0 = DensityMatrix(np.kron(np.diag([0.7, 0.3]), rho_b), partition=(2, 2))
+        proto = TwoTimeProtocol.bipartite(
+            rho0, QUBIT_OBS, trivial, QUBIT_OBS, trivial, ms_gate(0.4)
+        )
+        for label in ("A", "B", "A-B"):
+            with pytest.raises(ValueError, match="rank-one"):
+                char_function(proto, label, 0.3)
+            with pytest.raises(ValueError, match="rank-one"):
+                simulate_measurement_path(proto, label, 0.3)
+
+    def test_rank_two_composite_projector_refused(self, rng):
+        # the removed matrix-power fallback gave chi(0.3) = 0.989 + 0.048j
+        # here, against 0.995 - 0.003j from the protocol's own distribution
+        diagonals = ([1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+        projectors = [np.diag(d).astype(complex) for d in diagonals]
+        obs = Observable((0.0, 1.0, 2.0), tuple(projectors))
+        proto = TwoTimeProtocol(
+            random_density(4, rng), obs, obs, random_mixed_unitary_channel(4, rng)
+        )
+        with pytest.raises(ValueError, match="rank-one"):
+            char_function(proto, "A-B", 0.3)
+
+    def test_unmeasured_final_factor_allowed_for_the_other_side(self):
+        # chi_A never reads B's final projectors, so a trivial one is fine
+        trivial = Observable((0.0,), (np.eye(2),))
+        proto = TwoTimeProtocol.bipartite(
+            RHO0, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, trivial, ms_gate(0.4)
+        )
+        dist_a = bipartite_distributions(proto)[0]
+        assert abs(complex(char_function(proto, "A", 0.3)) - dist_a.char_fn(0.3)) <= 1e-12
+        assert abs(simulate_measurement_path(proto, "A", 0.5) - dist_a.mgf(0.5)) <= 1e-12
+        with pytest.raises(ValueError, match="rank-one"):
+            char_function(proto, "B", 0.3)
 
 
 class TestMomentGenerating:

@@ -81,6 +81,26 @@ class TestNonFiniteInput:
         assert "must be finite" in run_quietly(argv, capsys)
 
 
+class TestWrongTypeInput:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"phi": "abc"}', "'phi' must be"),
+            ('{"gamma": null}', "'gamma' must be"),
+            ('{"tau": [1]}', "'tau' must be"),
+            ('{"N": true}', "'N' must be"),
+            ("5", "must hold a JSON object"),
+        ],
+    )
+    def test_config_file_rejected(self, text, message, tmp_path, capsys):
+        # these used to end in a TypeError traceback (exit 1), or for N in
+        # the echo "N": true
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path)]
+        assert message in run_quietly(argv, capsys)
+
+
 class TestNumericalFailureExit:
     def test_unstable_lindblad_step(self, tmp_path, capsys):
         argv = ["simulate", "--dynamics", "lindblad", "--gamma", "1e6", "--out", str(tmp_path)]

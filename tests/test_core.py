@@ -228,11 +228,13 @@ class TestObservable:
         assert obs.n_outcomes == 2
         ranks = sorted(round(np.trace(p).real) for p in obs.projectors)
         assert ranks == [1, 2]
+        assert not obs.is_rank_one
 
     def test_from_basis(self, rng):
         u = random_unitary(3, rng)
         obs = Observable.from_basis(u)
         assert obs.n_outcomes == 3
+        assert obs.is_rank_one
         for i, p in enumerate(obs.projectors):
             assert np.max(np.abs(p - np.outer(u[:, i], u[:, i].conj()))) <= 1e-12
 

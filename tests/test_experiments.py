@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{key} must be finite"):
                     replace(TwoIonConfig(phi=0.1), **{key: value})
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_step_validation(self, dt):
+        # dt = -0.01 used to run a single 0.01 s step instead of 50 s of
+        # evolution, and dt = 0 ended in a bare ZeroDivisionError
+        for dynamics in ("unitary", "lindblad"):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                TwoIonConfig(phi=0.1, gamma=0.2, dynamics=dynamics, dt=dt)
+
     def test_omega_consistency(self):
         cfg = TwoIonConfig(phi=math.pi / 7, tau=50.0)
         assert cfg.omega == pytest.approx(math.pi / 7 / 50.0)
@@ -62,16 +71,32 @@ class TestRunConfig:
 
     def test_builds_tables_once_per_protocol(self, monkeypatch):
         calls = {}
-        for name in ("forward_joint", "backward_joint", "bipartite_marginals"):
-            original = getattr(protocol, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args, **kwargs)
+        def count(name, original):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(protocol, name, counted)
+            return counted
+
+        for name in ("forward_joint", "backward_joint", "bipartite_marginals", "_dephase"):
+            monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
+        states = cached_property(count("states", protocol.TwoTimeProtocol.states.func))
+        states.__set_name__(protocol.TwoTimeProtocol, "states")
+        monkeypatch.setattr(protocol.TwoTimeProtocol, "states", states)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
-        assert calls == {"forward_joint": 1, "backward_joint": 1, "bipartite_marginals": 1}
+        # one states build dephases twice (rho_in, rho_tau); nothing else does
+        assert calls == {
+            "forward_joint": 1,
+            "backward_joint": 1,
+            "bipartite_marginals": 1,
+            "states": 1,
+            "_dephase": 2,
+        }
+
+    def test_mean_sigma_is_the_bound_value(self):
+        record = run_config(preset("fig4"), methods=("pinv",))
+        assert record.mean_sigma == record.entropy_bound.mean_sigma
 
     def test_determinism(self):
         a = run_config(preset("fig3"), methods=("pinv",))

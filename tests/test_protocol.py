@@ -27,7 +27,13 @@ from entroprec import (
     entropy_bound_check,
     von_neumann_entropy,
 )
-from entroprec.protocol import _dephase, _local_dephased, bipartite_marginals, merge_support
+from entroprec.protocol import (
+    BipartiteMarginals,
+    _dephase,
+    _local_dephased,
+    bipartite_marginals,
+    merge_support,
+)
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
@@ -68,10 +74,21 @@ class TestForwardJoint:
     def test_tables_built_once_and_read_only(self):
         proto = section6_protocol()
         assert proto.forward is proto.forward and proto.backward is proto.backward
-        assert proto.marginals is proto.marginals
+        assert proto.marginals is proto.marginals and proto.states is proto.states
         assert np.array_equal(proto.backward.p_fwd, proto.forward.p_fwd)
         with pytest.raises(ValueError, match="read-only"):
             proto.forward.p_fwd[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            proto.states.rho_tau[0, 0] = 1.0
+
+    def test_states_follow_their_definitions(self, rng):
+        proto = generic_protocol(rng)
+        rho_in, rho_fin, rho_tau = proto.states
+        evolved = proto.channel.apply_matrix(_dephase(proto.obs_in, proto.rho0.data))
+        assert np.array_equal(rho_in, _dephase(proto.obs_in, proto.rho0.data))
+        assert np.max(np.abs(rho_fin - evolved)) <= 1e-15
+        assert np.array_equal(rho_fin, rho_fin.conj().T)
+        assert np.array_equal(rho_tau, _dephase(proto.obs_fin, rho_fin))
 
     def test_maximally_mixed_uniform_marginal(self, rng):
         proto = TwoTimeProtocol(
@@ -266,6 +283,35 @@ class TestBipartite:
         assert conv.probs.sum() == pytest.approx(1.0)
         assert conv.moment(1) == pytest.approx(da.moment(1) + db.moment(1))
 
+    def test_marginals_match_kronecker_traces(self, rng):
+        # random product states, random local bases (not computational) and
+        # random channels against Tr[(P_k x 1) rho] and friends
+        for _ in range(20):
+            rho0 = DensityMatrix(
+                np.kron(random_density(2, rng).data, random_density(2, rng).data), (2, 2)
+            )
+            local = [random_observable(2, rng) for _ in range(4)]
+            proto = TwoTimeProtocol.bipartite(rho0, *local, random_mixed_unitary_channel(4, rng))
+            marg, oracle = bipartite_marginals(proto), kronecker_trace_marginals(proto)
+            for name in ("p_a_in", "p_b_in", "p_a_fin", "p_b_fin", "p_c_fin"):
+                assert np.max(np.abs(getattr(marg, name) - getattr(oracle, name))) <= 1e-14
+
+    def test_inconsistent_local_observables_rejected(self, rng):
+        other = random_observable(2, rng)
+        mismatched = [
+            (QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, other),  # obs_fin is not comp x other
+            (other, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS),  # obs_in is not other x comp
+        ]
+        for local in mismatched:
+            with pytest.raises(ValueError, match="tensor products"):
+                TwoTimeProtocol(RHO0, COMP4, COMP4, ms_gate(0.3), bipartite_obs=local)
+        # same projectors, B x A order instead of A x B
+        swapped = other.tensor(QUBIT_OBS)
+        with pytest.raises(ValueError, match="tensor products"):
+            TwoTimeProtocol(
+                RHO0, swapped, COMP4, ms_gate(0.3), (QUBIT_OBS, other, QUBIT_OBS, QUBIT_OBS)
+            )
+
     def test_non_product_state_rejected(self):
         correlated = DensityMatrix.from_diagonal([0.5, 0.0, 0.0, 0.5], partition=(2, 2))
         with pytest.raises(ValueError, match="factorise"):
@@ -285,6 +331,25 @@ class TestBipartite:
             oracle_a, oracle_b, _ = product_state_oracle(proto)
             assert_same_distribution(dist_a, oracle_a)
             assert_same_distribution(dist_b, oracle_b)
+
+
+def kronecker_trace_marginals(proto):
+    """Local and joint outcome probabilities as traces against Kronecker
+    products of the local projectors with identities."""
+    oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
+    rho0 = proto.rho0.data
+    rho_fin = proto.channel.apply_matrix(_dephase(proto.obs_in, rho0))
+    eye = np.eye(2)
+    trace = lambda op, rho: np.trace(op @ rho).real
+    p_a_in = np.array([trace(tensor_product(p, eye), rho0) for p in oa_in.projectors])
+    p_b_in = np.array([trace(tensor_product(eye, p), rho0) for p in ob_in.projectors])
+    p_a_fin = np.array([trace(tensor_product(p, eye), rho_fin) for p in oa_fin.projectors])
+    p_b_fin = np.array([trace(tensor_product(eye, p), rho_fin) for p in ob_fin.projectors])
+    p_c_fin = np.zeros((oa_fin.n_outcomes, ob_fin.n_outcomes))
+    for k, pa in enumerate(oa_fin.projectors):
+        for l, pb in enumerate(ob_fin.projectors):
+            p_c_fin[k, l] = np.trace(tensor_product(pa, pb) @ rho_fin).real
+    return BipartiteMarginals(p_a_in, p_b_in, p_a_fin, p_b_fin, np.clip(p_c_fin, 0.0, None))
 
 
 def product_state_protocols(rng):
