@@ -20,6 +20,7 @@ from .channels import (
     TimeReversal,
     apply_channel,
     kraus_from_lindblad_endpoint,
+    kraus_from_lindblad_endpoints,
     lindblad_propagate,
     ms_gate,
     time_reversed,

@@ -10,12 +10,18 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .channels import LindbladModel, QuantumChannel, kraus_from_lindblad_endpoint, ms_gate
+from .channels import (
+    IntegratorAccuracyError,
+    LindbladModel,
+    QuantumChannel,
+    kraus_from_lindblad_endpoints,
+    ms_gate,
+)
 from .channels import _validate_step
 from .charfunc import moment_generating
 from .core import DensityMatrix, Observable, tensor_product
@@ -33,6 +39,8 @@ from .protocol import (
     entropy_bound_check,
 )
 from .reconstruct import (
+    MomentVector,
+    ParameterGrid,
     ReconstructionResult,
     chebyshev_nodes,
     fourier_reconstruct,
@@ -117,24 +125,70 @@ def two_ion_model(omega: float, gamma_a: float, gamma_b: float) -> LindbladModel
     return LindbladModel(hamiltonian, ((l_a, gamma_a), (l_b, gamma_b)))
 
 
-@lru_cache(maxsize=256)
-def _cached_lindblad_channel(phi: float, gamma: float, tau: float, dt: float) -> QuantumChannel:
-    model = two_ion_model(phi / tau, gamma, gamma)
-    return kraus_from_lindblad_endpoint(model, tau, dt)
+CHANNEL_CACHE_SIZE = 256
+# Lindblad endpoint maps by (phi, gamma, tau, step_size), least recently used first.
+_channel_cache: OrderedDict[tuple[float, float, float, float], QuantumChannel] = OrderedDict()
+
+
+def _channel_key(cfg: TwoIonConfig) -> tuple[float, float, float, float]:
+    return (cfg.phi, cfg.gamma, cfg.tau, cfg.step_size)
+
+
+def build_channels(cfgs) -> list[QuantumChannel]:
+    """The channel of every configuration, in order.
+
+    Lindblad endpoint maps come from a bounded least-recently-used cache.
+    The distinct maps it lacks are grouped by ``(tau, step_size)`` and each
+    group is integrated as one stacked batch (bit-identical to building each
+    map alone); the new maps then enter the cache. An
+    :class:`IntegratorAccuracyError` names the offending phase and rate; a
+    step outside RK4's stability region is refused before any map of its
+    group is integrated.
+    """
+    cfgs = list(cfgs)
+    keys = dict.fromkeys(_channel_key(c) for c in cfgs if c.dynamics == "lindblad")
+    found = {}
+    groups: dict[tuple[float, float], list] = {}
+    for key in keys:
+        if key in _channel_cache:
+            _channel_cache.move_to_end(key)
+            found[key] = _channel_cache[key]
+        else:
+            groups.setdefault(key[2:], []).append(key)
+    for (tau, dt), group in groups.items():
+        models = [two_ion_model(phi / tau, gamma, gamma) for phi, gamma, _, _ in group]
+        try:
+            channels = kraus_from_lindblad_endpoints(models, tau, dt)
+        except IntegratorAccuracyError as err:
+            phi, gamma = group[err.index][:2]
+            raise IntegratorAccuracyError(f"phi={phi!r}, gamma={gamma!r}: {err}") from err
+        for key, channel in zip(group, channels):
+            found[key] = _channel_cache[key] = channel
+            if len(_channel_cache) > CHANNEL_CACHE_SIZE:
+                _channel_cache.popitem(last=False)
+    return [
+        found[_channel_key(c)] if c.dynamics == "lindblad" else ms_gate(c.phi) for c in cfgs
+    ]
 
 
 def build_channel(cfg: TwoIonConfig) -> QuantumChannel:
-    if cfg.dynamics == "unitary":
-        return ms_gate(cfg.phi)
-    return _cached_lindblad_channel(cfg.phi, cfg.gamma, cfg.tau, cfg.step_size)
+    return build_channels((cfg,))[0]
+
+
+QUBIT_OBS = Observable.computational(2)
+QUBIT_PAIR_OBS = QUBIT_OBS.tensor(QUBIT_OBS)
 
 
 def build_protocol(cfg: TwoIonConfig) -> TwoTimeProtocol:
-    """Computational-basis two-time protocol for one configuration."""
+    """Computational-basis two-time protocol for one configuration; every
+    protocol shares the two qubit observables built once at import."""
     rho0 = DensityMatrix.from_diagonal(cfg.rho0_diag, partition=(2, 2))
-    qubit_obs = Observable.computational(2)
-    return TwoTimeProtocol.bipartite(
-        rho0, qubit_obs, qubit_obs, qubit_obs, qubit_obs, build_channel(cfg)
+    return TwoTimeProtocol(
+        rho0=rho0,
+        obs_in=QUBIT_PAIR_OBS,
+        obs_fin=QUBIT_PAIR_OBS,
+        channel=build_channel(cfg),
+        bipartite_obs=(QUBIT_OBS,) * 4,
     )
 
 
@@ -166,9 +220,34 @@ def reconstruct_subsystem(
     pseudo-inverse sees at most as many moment rows as there are support
     points; rows beyond that only add factorially amplified extraction noise.
     """
+    grid, chi, moments = _measure_moments(proto, label, n_moments, phi_min, phi_max)
+    return _recover(grid, chi, moments, true_dist, label, method)
+
+
+def _measure_moments(
+    proto: TwoTimeProtocol,
+    label: str,
+    n_moments: int,
+    phi_min: float = PHI_MIN,
+    phi_max: float = PHI_MAX,
+) -> tuple[ParameterGrid, np.ndarray, MomentVector]:
+    """The Chebyshev grid, chi on it and the extracted moments of one label;
+    see :func:`reconstruct_subsystem`."""
     grid = chebyshev_nodes(n_moments, phi_min, phi_max)
     chi = np.array([moment_generating(proto, label, phi) for phi in grid.nodes])
-    moments = moments_via_vandermonde(grid, chi)
+    return grid, chi, moments_via_vandermonde(grid, chi)
+
+
+def _recover(
+    grid: ParameterGrid,
+    chi: np.ndarray,
+    moments: MomentVector,
+    true_dist: EntropyDistribution,
+    label: str,
+    method: str,
+) -> ReconstructionResult:
+    """One recovery method applied to measured moments, scored against the
+    true distribution; see :func:`reconstruct_subsystem`."""
     if method == "pinv":
         n_rows = min(moments.nontrivial.size, true_dist.support.size)
         dist = pseudoinverse_reconstruct(
@@ -225,15 +304,18 @@ def run_config(cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier")
 
     Builds the channel and computational-basis protocol, enumerates all four
     entropy-production distributions, evaluates every theorem check, and runs
-    the requested reconstruction methods at ``cfg.n_moments``.
+    the requested reconstruction methods at ``cfg.n_moments``. Chi and the
+    moments of each label are evaluated once and shared by every method.
     """
     proto = build_protocol(cfg)
     dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
     dists = {"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv}
+    labels = ("A", "B", "A-B") if methods else ()
+    measured = {label: _measure_moments(proto, label, cfg.n_moments) for label in labels}
     bundles: dict[str, ReconstructionBundle] = {}
     for method in methods:
         per_label = {
-            label: reconstruct_subsystem(proto, label, dists[label], cfg.n_moments, method)
+            label: _recover(*measured[label], dists[label], label, method)
             for label in ("A", "B", "A-B")
         }
         conv = convolve_distributions(per_label["A"].dist, per_label["B"].dist)
@@ -288,26 +370,35 @@ class SweepReport:
         return out
 
 
+def _run_sweep(cfgs: list[TwoIonConfig], methods) -> tuple[ConfigRecord, ...]:
+    """run_config on each configuration, in chunks no larger than the channel
+    cache, whose Lindblad maps are built (each once, in stacked batches) first."""
+    records = []
+    for start in range(0, len(cfgs), CHANNEL_CACHE_SIZE):
+        chunk = cfgs[start : start + CHANNEL_CACHE_SIZE]
+        build_channels(cfg for cfg in chunk if cfg.dynamics == "lindblad")
+        records.extend(run_config(cfg, methods) for cfg in chunk)
+    return tuple(records)
+
+
 def sweep_phase(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
     """Sweep the gate phase, all other settings fixed."""
     points = np.asarray(points, dtype=float)
-    records = tuple(run_config(replace(cfg, phi=float(p)), methods) for p in points)
+    records = _run_sweep([replace(cfg, phi=float(p)) for p in points], methods)
     return SweepReport("phi", points, records)
 
 
 def sweep_gamma(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
     """Sweep the dephasing rate at fixed phase (Lindblad dynamics)."""
     points = np.asarray(points, dtype=float)
-    records = tuple(
-        run_config(replace(cfg, gamma=float(g), dynamics="lindblad"), methods) for g in points
-    )
-    return SweepReport("gamma", points, records)
+    cfgs = [replace(cfg, gamma=float(g), dynamics="lindblad") for g in points]
+    return SweepReport("gamma", points, _run_sweep(cfgs, methods))
 
 
 def sweep_moment_count(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
     """Sweep the number of moment evaluations N; the protocol is fixed."""
     points = np.asarray(points, dtype=int)
-    records = tuple(run_config(replace(cfg, n_moments=int(n)), methods) for n in points)
+    records = _run_sweep([replace(cfg, n_moments=int(n)) for n in points], methods)
     return SweepReport("N", np.asarray(points, dtype=float), records)
 
 

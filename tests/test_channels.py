@@ -9,14 +9,17 @@ from entroprec import (
     DensityMatrix,
     IntegratorAccuracyError,
     LindbladModel,
+    NonCompletelyPositiveError,
     QuantumChannel,
     TimeReversal,
     apply_channel,
     kraus_from_lindblad_endpoint,
+    kraus_from_lindblad_endpoints,
     lindblad_propagate,
     ms_gate,
     time_reversed,
 )
+from entroprec import channels
 from entroprec.experiments import two_ion_model
 from conftest import random_density, random_mixed_unitary_channel, random_unitary
 
@@ -210,11 +213,13 @@ class TestLindbladPropagate:
         with pytest.raises(ValueError, match="nonnegative"):
             two_ion_model(0.1, -0.1, 0.1)
 
-    @pytest.mark.parametrize(
+    UNSTABLE = pytest.mark.parametrize(
         "gamma, dt",
-        [(2.0, 10.0), (1e6, 0.01)],  # finite but trace-drifted; overflowed to NaN
+        [(2.0, 10.0), (1e6, 0.01)],  # integrated: finite but trace-drifted; overflowed to NaN
         ids=["drifted", "overflowed"],
     )
+
+    @UNSTABLE
     def test_unstable_endpoint_step_raises(self, gamma, dt):
         model = two_ion_model(0.01, gamma, gamma)
         with warnings.catch_warnings():
@@ -222,12 +227,24 @@ class TestLindbladPropagate:
             with pytest.raises(IntegratorAccuracyError, match="reduce dt"):
                 kraus_from_lindblad_endpoint(model, 50.0, dt)
 
-    def test_unstable_endpoint_fails_positivity(self):
-        from entroprec import NonCompletelyPositiveError
+    @UNSTABLE
+    def test_drift_guard_behind_the_stability_check(self, gamma, dt, monkeypatch):
+        # the stability check refuses both steps first; the guard after the
+        # integration still catches what gets past it
+        monkeypatch.setattr(channels, "_check_rk4_stability", lambda *args: None)
+        model = two_ion_model(0.01, gamma, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegratorAccuracyError, match="trace drift"):
+                kraus_from_lindblad_endpoint(model, 50.0, dt)
 
-        model = two_ion_model(0.01, 1.0, 1.0)
+    def test_unstable_endpoint_fails_positivity(self):
+        # two steps inside RK4's stability region that still leave a Choi
+        # eigenvalue near -0.08: the coarse map is trace preserving but not
+        # completely positive (steps outside the region are refused earlier)
+        model = two_ion_model(1.0, 1.0, 1.0)
         with pytest.raises(NonCompletelyPositiveError):
-            kraus_from_lindblad_endpoint(model, 50.0, 10.0)
+            kraus_from_lindblad_endpoint(model, 2.0, 1.0)
 
 
 class TestLindbladEndpoint:
@@ -279,6 +296,89 @@ class TestLindbladEndpoint:
         for a, b in zip(errors, errors[1:]):
             ratio = a / b  # dt shrinks 5x, so dt^4 gives 625
             assert 125 <= ratio <= 3125
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    """The number of RK4 steps taken while the test runs."""
+    calls = []
+    original = channels._rk4_step
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(channels, "_rk4_step", counted)
+    return calls
+
+
+class TestBatchedEndpoint:
+    @pytest.mark.parametrize("tau", [5.0, 5.004], ids=["whole-steps", "remainder-step"])
+    def test_stacked_matches_single(self, rng, tau):
+        phis = np.concatenate([[0.0, math.pi / 7], rng.uniform(0.0, 2 * math.pi, 4)])
+        gammas = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 1.2, 4)])
+        models = [two_ion_model(phi / tau, g, g) for phi, g in zip(phis, gammas)]
+        batch = kraus_from_lindblad_endpoints(models, tau, 0.01)
+        assert len(batch) == len(models)
+        for model, stacked in zip(models, batch):
+            single = kraus_from_lindblad_endpoint(model, tau, 0.01)
+            assert len(stacked.kraus) == len(single.kraus)
+            for a, b in zip(stacked.kraus, single.kraus):
+                assert np.array_equal(a, b)
+
+    def test_split_stacks_match_one_stack(self, monkeypatch):
+        models = [two_ion_model(0.05, g, g) for g in (0.0, 0.3, 0.6, 0.9, 1.2)]
+        whole = kraus_from_lindblad_endpoints(models, 1.0, 0.01)
+        monkeypatch.setattr(channels, "STACK_BYTES", 2 * models[0].liouvillian.nbytes)
+        split = kraus_from_lindblad_endpoints(models, 1.0, 0.01)  # stacks of 2, 2 and 1
+        for a, b in zip(whole, split):
+            assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
+
+    def test_empty_zero_time_and_dimensions(self):
+        assert kraus_from_lindblad_endpoints([], 50.0, 0.01) == ()
+        models = [two_ion_model(0.01, g, g) for g in (0.1, 0.2)]
+        for ch in kraus_from_lindblad_endpoints(models, 0.0, 0.01):
+            assert np.array_equal(ch.kraus[0], np.eye(4))
+        qubit = LindbladModel(np.zeros((2, 2)), ())
+        with pytest.raises(ValueError, match="share one dimension"):
+            kraus_from_lindblad_endpoints([models[0], qubit], 1.0, 0.01)
+
+    def test_unstable_step_takes_no_step(self, count_steps):
+        model = two_ion_model(0.01, 1e6, 1e6)
+        with pytest.raises(IntegratorAccuracyError, match="stability region"):
+            kraus_from_lindblad_endpoint(model, 50.0, 0.01)
+        with pytest.raises(IntegratorAccuracyError, match="stability region"):
+            lindblad_propagate(model, RHO0, 50.0, 0.01)
+        assert count_steps == []
+
+    def test_unstable_model_in_a_batch_is_named(self, count_steps):
+        models = [two_ion_model(0.01, g, g) for g in (0.2, 1.0, 1e6)]
+        with pytest.raises(IntegratorAccuracyError) as err:
+            kraus_from_lindblad_endpoints(models, 50.0, 0.01)
+        assert err.value.index == 2
+        assert count_steps == []
+
+    def test_coarse_step_refused_before_positivity(self, count_steps):
+        # h lambda = -20 on the fastest coherence: RK4 would amplify it
+        # 5514-fold per step, so the map is refused before the Choi check
+        with pytest.raises(IntegratorAccuracyError, match="5514.33"):
+            kraus_from_lindblad_endpoint(two_ion_model(0.01, 1.0, 1.0), 50.0, 10.0)
+        assert count_steps == []
+
+    def test_stability_boundary(self):
+        # RK4 is stable on the negative real axis down to about -2.785 and on
+        # the imaginary axis up to 2 sqrt(2); the fastest dephasing rate is
+        # 2 gamma and the eigenvalues of -i[H, .] reach 2 omega
+        def stable(omega, gamma, dt):
+            gen = two_ion_model(omega, gamma, gamma).liouvillian
+            try:
+                channels._check_rk4_stability(gen, 10.0, dt)
+            except IntegratorAccuracyError:
+                return False
+            return True
+
+        assert stable(0.0, 1.0, 2.78 / 2) and not stable(0.0, 1.0, 2.79 / 2)
+        assert stable(1.0, 0.0, 2.8 / 2) and not stable(1.0, 0.0, 2.9 / 2)
 
 
 class TestChannelInvariants:

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from dataclasses import replace
 from functools import cached_property
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
-from entroprec import protocol
-from entroprec.experiments import default_sweep_points
+from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
+from entroprec import channels, experiments, protocol
+from entroprec.experiments import build_channels, default_sweep_points
 
 
 class TestConfig:
@@ -210,3 +212,148 @@ class TestDefaults:
         assert list(default_sweep_points("N")) == list(range(2, 17))
         with pytest.raises(ValueError):
             default_sweep_points("tau")
+
+
+# Short integrations (100 steps) keep the build-counting tests fast.
+QUICK = replace(preset("fig5"), tau=5.0, dt=0.05)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Sizes of the stacked endpoint builds, recording whether any of them
+    ran inside a run_config call; starts from an empty channel cache."""
+    monkeypatch.setattr(experiments, "_channel_cache", OrderedDict())
+    log = {"batches": [], "inside_run_config": 0, "gammas": []}
+    depth = []
+    build, run = experiments.kraus_from_lindblad_endpoints, experiments.run_config
+
+    def counted_build(models, tau, dt):
+        log["batches"].append(len(models))
+        log["inside_run_config"] += bool(depth)
+        log["gammas"].extend(m.dissipators[0][1] for m in models)
+        return build(models, tau, dt)
+
+    def counted_run(*args, **kwargs):
+        depth.append(1)
+        try:
+            return run(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(experiments, "kraus_from_lindblad_endpoints", counted_build)
+    monkeypatch.setattr(experiments, "run_config", counted_run)
+    return log
+
+
+class TestChannelBuilds:
+    def test_gamma_sweep_is_one_batch(self, builds):
+        report = sweep_gamma(default_sweep_points("gamma"), QUICK, methods=())
+        assert len(report.records) == 25
+        assert builds["batches"] == [25]
+        assert builds["inside_run_config"] == 0
+        assert len(experiments._channel_cache) == 25
+
+    def test_moment_count_sweep_builds_its_map_once(self, builds):
+        sweep_moment_count([2, 3, 4], QUICK, methods=())
+        sweep_moment_count([5], QUICK, methods=())
+        assert builds["batches"] == [1]
+        assert builds["inside_run_config"] == 0
+
+    def test_phase_sweep_with_dephasing_is_one_batch(self, builds):
+        sweep_phase([0.1, 0.2, 0.2, 0.3], QUICK, methods=())
+        assert builds["batches"] == [3]  # the repeated phase is one map
+
+    def test_sweep_longer_than_the_cache(self, builds, monkeypatch):
+        monkeypatch.setattr(experiments, "CHANNEL_CACHE_SIZE", 4)
+        points = np.linspace(0.0, 1.2, 10)
+        sweep_gamma(points, QUICK, methods=())
+        assert builds["batches"] == [4, 4, 2]
+        assert builds["inside_run_config"] == 0
+        assert builds["gammas"] == list(points)  # each map once
+        assert list(experiments._channel_cache) == [
+            (QUICK.phi, float(g), QUICK.tau, QUICK.step_size) for g in points[-4:]
+        ]
+
+    def test_build_channels_beyond_the_cache(self, builds, monkeypatch):
+        monkeypatch.setattr(experiments, "CHANNEL_CACHE_SIZE", 4)
+        cfgs = [replace(QUICK, gamma=g) for g in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        built = build_channels(cfgs + cfgs[:1] + [preset("fig3")])
+        assert builds["batches"] == [6]
+        assert len(built) == 8 and built[6] is built[0]
+        assert np.array_equal(built[7].kraus[0], build_channel(preset("fig3")).kraus[0])
+        assert len(experiments._channel_cache) == 4
+        # the four most recent maps are hits, the evicted ones are rebuilt
+        assert all(a is b for a, b in zip(build_channels(cfgs[2:]), built[2:6]))
+        build_channels(cfgs[:2])
+        assert builds["batches"] == [6, 2]
+
+    def test_groups_by_time_and_step(self, builds):
+        other = replace(QUICK, dt=0.025)
+        build_channels([QUICK, other, replace(QUICK, gamma=0.5), replace(other, gamma=0.5)])
+        assert builds["batches"] == [2, 2]
+
+    def test_batched_map_is_the_single_map(self, builds):
+        cfgs = [replace(QUICK, phi=p, gamma=g) for p, g in ((0.4, 0.0), (2.0, 0.7), (5.0, 1.1))]
+        batched = build_channels(cfgs)
+        experiments._channel_cache.clear()
+        for cfg, channel in zip(cfgs, batched):
+            alone = build_channel(cfg)
+            assert channel is not alone
+            assert all(np.array_equal(a, b) for a, b in zip(channel.kraus, alone.kraus))
+
+    def test_unstable_rate_is_named_before_any_step(self, builds, monkeypatch):
+        steps = []
+        original = channels._rk4_step
+        monkeypatch.setattr(channels, "_rk4_step", lambda *a: steps.append(1) or original(*a))
+        with pytest.raises(IntegratorAccuracyError, match="gamma=1000000.0: RK4 step"):
+            sweep_gamma([0.2, 1e6], QUICK, methods=())
+        assert steps == []
+
+    def test_protocols_share_the_qubit_observables(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("observable built per protocol")
+
+        monkeypatch.setattr(Observable, "__post_init__", refuse)
+        proto = build_protocol(preset("fig3"))
+        assert proto.obs_in is experiments.QUBIT_PAIR_OBS
+        assert proto.bipartite_obs == (experiments.QUBIT_OBS,) * 4
+
+
+class TestMomentsOncePerLabel:
+    def test_chi_evaluated_once_per_label_and_node(self, monkeypatch):
+        calls = []
+        original = experiments.moment_generating
+
+        def counted(proto, label, phi):
+            calls.append(label)
+            return original(proto, label, phi)
+
+        monkeypatch.setattr(experiments, "moment_generating", counted)
+        cfg = replace(preset("fig3"), n_moments=7)
+        record = run_config(cfg, methods=("pinv", "fourier"))
+        assert sorted(calls) == sorted(["A", "B", "A-B"] * 7)
+        pinv, fourier = (record.reconstructions[m].per_label for m in ("pinv", "fourier"))
+        for label in ("A", "B", "A-B"):
+            assert fourier[label].chi is pinv[label].chi
+            assert fourier[label].moments is pinv[label].moments
+        calls.clear()
+        run_config(cfg, methods=())
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_shared_moments_match_reconstruct_subsystem(self):
+        cfg = replace(preset("fig4"), n_moments=9)
+        record = run_config(cfg, methods=("pinv", "fourier"))
+        proto = build_protocol(cfg)
+        for method, bundle in record.reconstructions.items():
+            for label, result in bundle.per_label.items():
+                alone = experiments.reconstruct_subsystem(
+                    proto, label, record.distributions[label], 9, method
+                )
+                assert np.array_equal(result.chi, alone.chi)
+                assert np.array_equal(result.dist.probs, alone.dist.probs)
+                assert result.rmse_probs == alone.rmse_probs
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="method must be"):
+            run_config(preset("fig3"), methods=("exact",))
