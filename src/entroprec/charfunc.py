@@ -32,28 +32,21 @@ SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
 
 
-def _cpow(p: float, z: complex) -> np.clongdouble:
-    return np.exp(np.clongdouble(z) * np.log(np.longdouble(p)))
-
-
-def _powered_state(probs, projectors, z: complex) -> np.ndarray:
-    """sum_k p_k^z P_k in extended precision; zero outcomes follow the same
-    support conventions as :func:`entroprec.core.matrix_power`."""
+def _powered_state(probs, projectors, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """The stack sum_k p_k^z P_k, one slice per exponent in ``z``, in extended
+    precision, and the number of (outcome, exponent) terms dropped: zero
+    outcomes follow the same support conventions as
+    :func:`entroprec.core.matrix_power`."""
     dim = projectors[0].shape[0]
-    out = np.zeros((dim, dim), dtype=np.clongdouble)
+    out = np.zeros((z.size, dim, dim), dtype=np.clongdouble)
     dropped = 0
     for p, proj in zip(probs, projectors):
         if p > EIGENVALUE_CUTOFF:
-            out += _cpow(p, z) * proj.astype(np.clongdouble)
-        elif complex(z).real <= 0:
-            dropped += 1
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} zero-probability outcome(s) for exponent {z}",
-            DegenerateSupportWarning,
-            stacklevel=3,
-        )
-    return out
+            power = np.exp(z.astype(np.clongdouble) * np.log(np.longdouble(p)))
+            out += power[:, None, None] * proj.astype(np.clongdouble)
+        else:
+            dropped += int(np.count_nonzero(z.real <= 0))
+    return out, dropped
 
 
 def _require_rank_one(*observables) -> None:
@@ -61,59 +54,72 @@ def _require_rank_one(*observables) -> None:
         raise ValueError("chi requires rank-one projective measurements")
 
 
-def char_function(proto: TwoTimeProtocol, subsystem: str, lam: complex):
+def char_function(proto: TwoTimeProtocol, subsystem: str, lam):
     """Characteristic function G_C(lam) evaluated via the operator trace form.
 
-    Returns an extended-precision complex scalar. Every projector involved
-    must be rank one; ``ValueError`` otherwise."""
-    lam = complex(lam)
+    ``lam`` is a scalar or a 1-D array of parameter values; all of them are
+    evaluated as one stack of powered states, one channel application per
+    stack. Returns an extended-precision complex scalar or array of the same
+    shape. Every projector involved must be rank one; ``ValueError``
+    otherwise. One :class:`DegenerateSupportWarning` per call reports the
+    zero-probability outcomes dropped over all parameter values.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    if lam.ndim > 1:
+        raise ValueError("parameter values must be a scalar or a 1-D array")
+    stack = lam.reshape(-1)
+    probe_z, initial_z = -1j * stack, 1 + 1j * stack
     if subsystem == "A-B":
         _require_rank_one(proto.obs_in, proto.obs_fin)
         p_fin = _outcome_probs(
             proto.obs_fin, proto.channel.apply_matrix(proto.states.rho_in.astype(np.clongdouble))
         )
-        initial = _powered_state(proto.forward.p_in, proto.obs_in.projectors, 1 + 1j * lam)
-        probe = _powered_state(p_fin, proto.obs_fin.projectors, -1j * lam)
-        return np.trace(probe @ proto.channel.apply_matrix(initial))
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    marg = proto.marginals  # rejects protocols without local observables
-    oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-    _require_rank_one(oa_in, ob_in, oa_fin if subsystem == "A" else ob_fin)
-    if subsystem == "A":
-        probe = tensor_product(
-            _powered_state(marg.p_a_fin, oa_fin.projectors, -1j * lam),
-            np.eye(ob_fin.dim),
-        )
-        initial = tensor_product(
-            _powered_state(marg.p_a_in, oa_in.projectors, 1 + 1j * lam),
-            _local_dephased(marg.p_b_in, ob_in),
-        )
+        initial, dropped_in = _powered_state(proto.forward.p_in, proto.obs_in.projectors, initial_z)
+        probe, dropped_fin = _powered_state(p_fin, proto.obs_fin.projectors, probe_z)
+    elif subsystem in ("A", "B"):
+        marg = proto.marginals  # rejects protocols without local observables
+        oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
+        _require_rank_one(oa_in, ob_in, oa_fin if subsystem == "A" else ob_fin)
+        if subsystem == "A":
+            probe, dropped_fin = _powered_state(marg.p_a_fin, oa_fin.projectors, probe_z)
+            initial, dropped_in = _powered_state(marg.p_a_in, oa_in.projectors, initial_z)
+            probe = tensor_product(probe, np.eye(ob_fin.dim))
+            initial = tensor_product(initial, _local_dephased(marg.p_b_in, ob_in))
+        else:
+            probe, dropped_fin = _powered_state(marg.p_b_fin, ob_fin.projectors, probe_z)
+            initial, dropped_in = _powered_state(marg.p_b_in, ob_in.projectors, initial_z)
+            probe = tensor_product(np.eye(oa_fin.dim), probe)
+            initial = tensor_product(_local_dephased(marg.p_a_in, oa_in), initial)
+        initial = initial.astype(np.clongdouble)  # the channel acts in 80-bit
     else:
-        probe = tensor_product(
-            np.eye(oa_fin.dim),
-            _powered_state(marg.p_b_fin, ob_fin.projectors, -1j * lam),
+        raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
+    if dropped_in + dropped_fin:
+        warnings.warn(
+            f"dropped {dropped_in + dropped_fin} zero-probability outcome term(s) "
+            f"over {stack.size} parameter value(s)",
+            DegenerateSupportWarning,
+            stacklevel=2,
         )
-        initial = tensor_product(
-            _local_dephased(marg.p_a_in, oa_in),
-            _powered_state(marg.p_b_in, ob_in.projectors, 1 + 1j * lam),
-        )
-    evolved = proto.channel.apply_matrix(initial.astype(np.clongdouble))
-    return np.trace(probe.astype(np.clongdouble) @ evolved)
+    values = np.trace(probe @ proto.channel.apply_matrix(initial), axis1=-2, axis2=-1)
+    return values.reshape(lam.shape)[()]
 
 
-def moment_generating(proto: TwoTimeProtocol, subsystem: str, phi: float):
+def moment_generating(proto: TwoTimeProtocol, subsystem: str, phi):
     """chi_C(phi) = G_C(i phi) = <exp(-phi sigma_C)> for real phi.
 
-    Returns an extended-precision real scalar; the moment extraction
-    amplifies data rounding, so the value is not narrowed to float64 here.
+    ``phi`` is a scalar or a 1-D array of nodes, evaluated in one stacked
+    :func:`char_function` call. Returns an extended-precision real scalar or
+    array; the moment extraction amplifies data rounding, so the values are
+    not narrowed to float64 here. ``ArithmeticError`` reports the node with
+    the largest imaginary residue when any exceeds its tolerance.
     """
-    value = char_function(proto, subsystem, 1j * phi)
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"moment-generating value has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
+    value = np.asarray(char_function(proto, subsystem, 1j * np.asarray(phi, dtype=float)))
+    residue = np.abs(value.imag)
+    excess = residue > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real))
+    if np.any(excess):
+        worst = value.imag.flat[int(np.argmax(np.where(excess, residue, -1.0)))]
+        raise ArithmeticError(f"moment-generating value has imaginary residue {worst:.3e}")
+    return value.real.copy()[()]
 
 
 def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float) -> float:

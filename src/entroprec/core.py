@@ -238,8 +238,13 @@ class Observable:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor most significant."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    """Kronecker product with the first factor most significant, in complex128.
+
+    Leading axes broadcast, so stacks of matrices multiply slice by slice."""
+    a, b = _as_matrix(a), _as_matrix(b)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (rows, cols))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -220,22 +220,24 @@ def reconstruct_subsystem(
     pseudo-inverse sees at most as many moment rows as there are support
     points; rows beyond that only add factorially amplified extraction noise.
     """
-    grid, chi, moments = _measure_moments(proto, label, n_moments, phi_min, phi_max)
-    return _recover(grid, chi, moments, true_dist, label, method)
+    measured = _measure_moments(proto, (label,), n_moments, phi_min, phi_max)
+    return _recover(*measured[label], true_dist, label, method)
 
 
 def _measure_moments(
     proto: TwoTimeProtocol,
-    label: str,
+    labels: tuple[str, ...],
     n_moments: int,
     phi_min: float = PHI_MIN,
     phi_max: float = PHI_MAX,
-) -> tuple[ParameterGrid, np.ndarray, MomentVector]:
-    """The Chebyshev grid, chi on it and the extracted moments of one label;
-    see :func:`reconstruct_subsystem`."""
+) -> dict[str, tuple[ParameterGrid, np.ndarray, MomentVector]]:
+    """The Chebyshev grid, chi on it and the extracted moments of each label;
+    see :func:`reconstruct_subsystem`. Chi is one stacked call per label on
+    all nodes, and every label's moments come from one shared elimination."""
     grid = chebyshev_nodes(n_moments, phi_min, phi_max)
-    chi = np.array([moment_generating(proto, label, phi) for phi in grid.nodes])
-    return grid, chi, moments_via_vandermonde(grid, chi)
+    chis = [moment_generating(proto, label, grid.nodes) for label in labels]
+    moments = moments_via_vandermonde(grid, np.stack(chis))
+    return {label: (grid, chi, mv) for label, chi, mv in zip(labels, chis, moments)}
 
 
 def _recover(
@@ -310,8 +312,7 @@ def run_config(cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier")
     proto = build_protocol(cfg)
     dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
     dists = {"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv}
-    labels = ("A", "B", "A-B") if methods else ()
-    measured = {label: _measure_moments(proto, label, cfg.n_moments) for label in labels}
+    measured = _measure_moments(proto, ("A", "B", "A-B"), cfg.n_moments) if methods else {}
     bundles: dict[str, ReconstructionBundle] = {}
     for method in methods:
         per_label = {

@@ -85,8 +85,10 @@ class MomentVector:
     ill_conditioned: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "moments", np.asarray(self.moments, dtype=float))
-        object.__setattr__(self, "scaled", np.asarray(self.scaled, dtype=float))
+        # contiguous: the pinv recovery's BLAS kernel, and so its rounding,
+        # depends on the memory layout of the moments it reads
+        object.__setattr__(self, "moments", np.ascontiguousarray(self.moments, dtype=float))
+        object.__setattr__(self, "scaled", np.ascontiguousarray(self.scaled, dtype=float))
 
     @property
     def n(self) -> int:
@@ -106,9 +108,12 @@ def _scaling_transform(n: int) -> np.ndarray:
 def _solve_extended(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Partially pivoted Gaussian elimination in extended precision.
 
-    The factorial rescaling from scaled to plain moments amplifies any solve
-    error by k!, so the float64 noise floor of a LAPACK solve would dominate
-    the high moments; 80-bit arithmetic buys roughly three extra digits.
+    ``rhs`` holds k right-hand sides as the columns of an (n, k) array. The
+    pivots and factors depend on the matrix only, so all columns share one
+    elimination and each comes out as it would alone. The factorial
+    rescaling from scaled to plain moments amplifies any solve error by k!,
+    so the float64 noise floor of a LAPACK solve would dominate the high
+    moments; 80-bit arithmetic buys roughly three extra digits.
     """
     a = matrix.astype(np.longdouble).copy()
     b = rhs.astype(np.longdouble).copy()
@@ -122,29 +127,36 @@ def _solve_extended(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             b[[col, pivot]] = b[[pivot, col]]
         factors = a[col + 1 :, col] / a[col, col]
         a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1 :] -= factors * b[col]
-    x = np.zeros(n, dtype=np.longdouble)
+        b[col + 1 :] -= factors[:, None] * b[col]
+    x = np.zeros_like(b)
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
 
 
-def moments_via_vandermonde(grid: ParameterGrid, chi) -> MomentVector:
+def moments_via_vandermonde(grid: ParameterGrid, chi):
     """Solve V(phi) m_tilde = chi for the scaled moments.
 
-    The condition number of the Vandermonde matrix is attached to the result;
+    ``chi`` holds one value per grid node, shape (n,), or one row per label,
+    shape (labels, n); all rows share one elimination and one condition
+    number, and the result is a :class:`MomentVector` or a tuple of them, one
+    per row. The condition number of the Vandermonde matrix is attached;
     values above 1e14 set the ``ill_conditioned`` flag. Extended-precision
     ``chi`` input is honoured (the factorial rescaling amplifies any rounding
     of the data).
     """
     chi = np.asarray(chi, dtype=np.longdouble)
-    if chi.shape != (grid.n,):
+    if chi.ndim not in (1, 2) or chi.shape[-1] != grid.n:
         raise ValueError("need one chi value per grid node")
     v = np.vander(grid.nodes.astype(np.longdouble), increasing=True)
     cond = float(np.linalg.cond(v.astype(float)))
-    scaled = _solve_extended(v, chi)
-    moments = (_scaling_transform(grid.n) * scaled).astype(float)
-    return MomentVector(moments, scaled.astype(float), cond, cond > ILL_CONDITION_LIMIT)
+    scaled = _solve_extended(v, np.atleast_2d(chi).T)  # one column per row of chi
+    moments = (_scaling_transform(grid.n)[:, None] * scaled).astype(float)
+    vectors = tuple(
+        MomentVector(m, s, cond, cond > ILL_CONDITION_LIMIT)
+        for m, s in zip(moments.T, scaled.T.astype(float))
+    )
+    return vectors if chi.ndim == 2 else vectors[0]
 
 
 def divided_differences(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -198,7 +210,7 @@ def fourier_reconstruct(
     integral is twice a trapezoid over [0, L]. All limits share the half-line
     grid mu_i = i dmu and one cos/sin table; each reads its own window.
     """
-    m = np.asarray(moments, dtype=float)
+    m = np.ascontiguousarray(moments, dtype=float)
     if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
         raise ValueError("moments must be a nonempty 1-D array of finite values")
     if not (math.isfinite(dmu) and dmu > 0):
@@ -244,8 +256,11 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
     columns = support points) is inverted through its normal equations; a
     1e-12 Tikhonov diagonal is added when they are numerically singular.
     Masses in [-1e-8, 0) are clipped to zero and the result renormalised.
+    The moments are copied to contiguous memory first: a strided ``b`` takes
+    a different BLAS kernel and, through the nearly singular normal
+    equations, visibly different masses.
     """
-    b = np.asarray(moments, dtype=float)
+    b = np.ascontiguousarray(moments, dtype=float)
     s = np.asarray(support, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("support must be a nonempty 1-D array")

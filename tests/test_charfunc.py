@@ -1,7 +1,11 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroprec import (
     DegenerateSupportWarning,
@@ -15,6 +19,9 @@ from entroprec import (
     simulate_measurement_path,
     tensor_product,
 )
+from entroprec import charfunc
+from entroprec.charfunc import SUBSYSTEMS
+from entroprec.experiments import PHI_MAX, PHI_MIN, PRESETS, build_protocol, preset
 from entroprec.protocol import TwoTimeProtocol, bipartite_marginals, _local_dephased
 from entroprec.reconstruct import chebyshev_nodes
 from conftest import random_density, random_mixed_unitary_channel
@@ -143,6 +150,81 @@ class TestMomentGenerating:
                 - float(moment_generating(proto, label, -h))
             ) / (2 * h)
             assert abs(deriv + dists[label].moment(1)) <= 1e-6
+
+
+def assert_stack_matches_scalar_calls(proto, nodes):
+    for label in SUBSYSTEMS:
+        stacked = moment_generating(proto, label, nodes)
+        loop = np.array([moment_generating(proto, label, phi) for phi in nodes])
+        assert stacked.dtype == np.longdouble and stacked.shape == nodes.shape
+        assert np.array_equal(stacked, loop)
+
+
+class TestStackedNodes:
+    """A node array is evaluated as one stack of powered states; each value
+    must equal the scalar call at its node bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_match_scalar_calls(self, name):
+        proto = build_protocol(preset(name))
+        for n in (1, 2, 10, 16):
+            assert_stack_matches_scalar_calls(proto, chebyshev_nodes(n, PHI_MIN, PHI_MAX).nodes)
+
+    @settings(max_examples=12)
+    @given(
+        name=st.sampled_from(["fig3", "fig4"]),
+        phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        gamma=st.floats(0.0, 1.2),
+        n=st.integers(1, 16),
+    )
+    def test_drawn_settings_match_scalar_calls(self, name, phi, gamma, n):
+        proto = build_protocol(replace(preset(name), phi=phi, gamma=gamma))
+        assert_stack_matches_scalar_calls(proto, chebyshev_nodes(n, PHI_MIN, PHI_MAX).nodes)
+
+    def test_complex_parameters_match_scalar_calls(self, proto, rng):
+        lam = rng.uniform(-2, 2, 6) + 1j * rng.uniform(-1, 1, 6)
+        for label in SUBSYSTEMS:
+            stacked = char_function(proto, label, lam)
+            assert stacked.dtype == np.clongdouble
+            assert np.array_equal(stacked, [char_function(proto, label, x) for x in lam])
+
+    def test_scalar_call_returns_scalar(self, proto):
+        chi = moment_generating(proto, "A", 0.3)
+        assert isinstance(chi, np.longdouble) and np.ndim(chi) == 0
+        value = char_function(proto, "A-B", 0.2 + 0.1j)
+        assert isinstance(value, np.clongdouble) and np.ndim(value) == 0
+
+    def test_matrix_of_parameters_refused(self, proto):
+        with pytest.raises(ValueError, match="1-D"):
+            char_function(proto, "A", np.zeros((2, 2)))
+
+    def test_imaginary_residue_reports_worst_node(self, proto, monkeypatch):
+        residues = np.array([0.0, 3e-3, -5e-3, 1e-14])
+        fake = (1 + 1j * residues).astype(np.clongdouble)
+        monkeypatch.setattr(charfunc, "char_function", lambda *args: fake)
+        message = r"^moment-generating value has imaginary residue -5\.000e-03$"
+        with pytest.raises(ArithmeticError, match=message):
+            moment_generating(proto, "A", np.linspace(0.0, 1.0, 4))
+        monkeypatch.setattr(charfunc, "char_function", lambda *args: fake[1])
+        with pytest.raises(ArithmeticError, match=r"residue 3\.000e-03$"):
+            moment_generating(proto, "A", 0.5)
+
+    def test_one_warning_carries_the_total_dropped_count(self):
+        # A's initial marginal is pure: its zero outcome is dropped at every
+        # node with 1 - phi <= 0, here three of four
+        rho0 = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+        proto = TwoTimeProtocol.bipartite(
+            rho0, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, ms_gate(0.4)
+        )
+        nodes = np.array([0.5, 1.0, 1.5, 2.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stacked = moment_generating(proto, "A", nodes)
+        assert [w.category for w in caught] == [DegenerateSupportWarning]
+        assert "dropped 3 zero-probability" in str(caught[0].message)
+        with pytest.warns(DegenerateSupportWarning):
+            loop = [moment_generating(proto, "A", phi) for phi in nodes]
+        assert np.array_equal(stacked, loop)
 
 
 class TestMeasurementPath:

@@ -44,6 +44,24 @@ class TestTensorProduct:
         assert np.allclose(tensor_product(marg_a, marg_b), expected)
         assert np.allclose(np.diag(expected).real, RHO0_DIAG)
 
+    def test_matches_kron_bit_for_bit(self, rng):
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for a, b in ((draw(2, 2), draw(3, 3)), (draw(2, 3), draw(4, 1))):
+            assert np.array_equal(tensor_product(a, b), np.kron(a, b))
+
+    def test_stacks_multiply_slice_by_slice(self, rng):
+        stack = (rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))).astype(
+            np.clongdouble
+        )
+        other = rng.standard_normal((3, 3))
+        left, right = tensor_product(stack, other), tensor_product(other, stack)
+        assert left.shape == right.shape == (5, 6, 6) and left.dtype == complex
+        for k, m in enumerate(stack.astype(complex)):
+            assert np.array_equal(left[k], np.kron(m, other))
+            assert np.array_equal(right[k], np.kron(other, m))
+
 
 class TestPartialTrace:
     def test_product_state(self, rng):

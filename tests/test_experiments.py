@@ -10,6 +10,7 @@ from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_momen
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
 from entroprec import channels, experiments, protocol
 from entroprec.experiments import build_channels, default_sweep_points
+from entroprec.reconstruct import chebyshev_nodes
 
 
 class TestConfig:
@@ -321,17 +322,20 @@ class TestChannelBuilds:
 
 class TestMomentsOncePerLabel:
     def test_chi_evaluated_once_per_label_and_node(self, monkeypatch):
+        # one stacked call per label carries all N nodes
         calls = []
         original = experiments.moment_generating
 
         def counted(proto, label, phi):
-            calls.append(label)
+            calls.append((label, np.array(phi)))
             return original(proto, label, phi)
 
         monkeypatch.setattr(experiments, "moment_generating", counted)
         cfg = replace(preset("fig3"), n_moments=7)
         record = run_config(cfg, methods=("pinv", "fourier"))
-        assert sorted(calls) == sorted(["A", "B", "A-B"] * 7)
+        nodes = chebyshev_nodes(7, experiments.PHI_MIN, experiments.PHI_MAX).nodes
+        assert [label for label, _ in calls] == ["A", "B", "A-B"]
+        assert all(np.array_equal(phi, nodes) for _, phi in calls)
         pinv, fourier = (record.reconstructions[m].per_label for m in ("pinv", "fourier"))
         for label in ("A", "B", "A-B"):
             assert fourier[label].chi is pinv[label].chi

@@ -27,6 +27,7 @@ from entroprec.reconstruct import (
     InfeasibleRecoveryWarning,
     ParameterGrid,
     ReconstructionError,
+    _solve_extended,
     _trapezoid,
     divided_differences,
 )
@@ -111,6 +112,30 @@ class TestVandermondeMoments:
         result = moments_via_vandermonde(grid, chi)
         assert result.condition_number > 1e14
         assert result.ill_conditioned
+
+    def test_stacked_rows_match_single_solves(self, proto):
+        # one elimination for all labels gives each row's solve bit for bit
+        for n in range(1, 17):
+            grid = chebyshev_nodes(n, PHI_MIN, PHI_MAX)
+            chi = np.stack([chi_values(proto, label, grid) for label in ("A", "B", "A-B")])
+            stacked = moments_via_vandermonde(grid, chi)
+            assert len(stacked) == 3
+            v = np.vander(grid.nodes.astype(np.longdouble), increasing=True)
+            columns = _solve_extended(v, chi.T)  # 80-bit, before the float64 cast
+            for row, column in zip(chi, columns.T):
+                assert np.array_equal(column, _solve_extended(v, row[:, None])[:, 0])
+            for row, mv in zip(chi, stacked):
+                alone = moments_via_vandermonde(grid, row)
+                assert np.array_equal(mv.moments, alone.moments)
+                assert np.array_equal(mv.scaled, alone.scaled)
+                assert mv.condition_number == alone.condition_number
+                assert mv.ill_conditioned == alone.ill_conditioned
+                assert mv.moments.flags.c_contiguous and mv.scaled.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 5)])
+    def test_chi_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="one chi value per grid node"):
+            moments_via_vandermonde(chebyshev_nodes(5, 0.0, 1.0), np.ones(shape))
 
 
 class TestNewtonMoments:
@@ -280,6 +305,23 @@ class TestFourierReconstruct:
 
 
 class TestPseudoinverse:
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    @given(discrete_distributions())
+    def test_strided_moments_recover_like_contiguous(self, case):
+        # a strided moment vector used to take another BLAS kernel and, through
+        # the nearly singular normal equations, come out with other masses
+        moments, support = case
+        padded = np.zeros((moments.size, 3))
+        padded[:, 1] = moments
+        strided = padded[:, 1]
+        assert not strided.flags.c_contiguous
+        for recover, first in ((pseudoinverse_reconstruct, 1), (fourier_reconstruct, 0)):
+            try:
+                expected = recover(moments[first:].copy(), support).probs
+            except ReconstructionError:
+                continue
+            assert np.array_equal(recover(strided[first:], support).probs, expected)
+
     def test_symmetric_pair(self):
         s = 0.7
         dist = pseudoinverse_reconstruct([0.0, s**2], [s, -s])
