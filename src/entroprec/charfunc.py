@@ -12,10 +12,16 @@ procedure (prepare a power-deformed initial state, evolve, read occupation
 probabilities) and must agree with the operator form.
 
 The powered post-measurement states are sums sum_k p_k^x P_k over the
-measured outcome probabilities, so they are assembled directly from the
-observable's projectors; the arithmetic runs in 80-bit precision because the
-downstream moment extraction amplifies evaluation noise factorially. That
-form holds for rank-one projectors only, so both paths reject any other.
+outcome probabilities of each label's forward table
+(:attr:`TwoTimeProtocol.tables`), so they are assembled directly from the
+observable's projectors. That form holds for rank-one projectors only, so both
+paths reject any other. The powers, the channel application and the trace
+run in 80-bit precision because the downstream moment extraction amplifies
+evaluation noise factorially. Two steps still round to float64: the
+exponent ``1 + i lam`` is formed in complex128 before it is widened (so
+``1 - phi`` is rounded for real phi), and the A and B states pass through a
+complex128 Kronecker product. Item 1 of ROADMAP.md describes the fix, which
+moves the benchmark's pinned values.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, matrix_power, tensor_product
-from .protocol import TwoTimeProtocol, _local_dephased, _outcome_probs
+from .protocol import TwoTimeProtocol, _local_dephased, _local_observables, _outcome_probs
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
@@ -77,19 +83,17 @@ def char_function(proto: TwoTimeProtocol, subsystem: str, lam):
         initial, dropped_in = _powered_state(proto.forward.p_in, proto.obs_in.projectors, initial_z)
         probe, dropped_fin = _powered_state(p_fin, proto.obs_fin.projectors, probe_z)
     elif subsystem in ("A", "B"):
-        marg = proto.marginals  # rejects protocols without local observables
-        oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-        _require_rank_one(oa_in, ob_in, oa_fin if subsystem == "A" else ob_fin)
-        if subsystem == "A":
-            probe, dropped_fin = _powered_state(marg.p_a_fin, oa_fin.projectors, probe_z)
-            initial, dropped_in = _powered_state(marg.p_a_in, oa_in.projectors, initial_z)
-            probe = tensor_product(probe, np.eye(ob_fin.dim))
-            initial = tensor_product(initial, _local_dephased(marg.p_b_in, ob_in))
-        else:
-            probe, dropped_fin = _powered_state(marg.p_b_fin, ob_fin.projectors, probe_z)
-            initial, dropped_in = _powered_state(marg.p_b_in, ob_in.projectors, initial_z)
-            probe = tensor_product(np.eye(oa_fin.dim), probe)
-            initial = tensor_product(_local_dephased(marg.p_a_in, oa_in), initial)
+        local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
+        own = "AB".index(subsystem)
+        other = 1 - own
+        _require_rank_one(local[own], local[other], local[own + 2])
+        table = proto.tables[subsystem]
+        probe, dropped_fin = _powered_state(table.p_ref, local[own + 2].projectors, probe_z)
+        initial, dropped_in = _powered_state(table.p_in, local[own].projectors, initial_z)
+        spectator = _local_dephased(proto.tables["AB"[other]].p_in, local[other])
+        order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
+        probe = tensor_product(*(probe, np.eye(local[other + 2].dim))[::order])
+        initial = tensor_product(*(initial, spectator)[::order])
         initial = initial.astype(np.clongdouble)  # the channel acts in 80-bit
     else:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
@@ -133,26 +137,27 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     """
     if subsystem not in SUBSYSTEMS:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    marg = proto.marginals  # rejects protocols without local observables
-    oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
+    oa_in, ob_in, oa_fin, ob_fin = _local_observables(proto)
     read_fin = {"A": (oa_fin,), "B": (ob_fin,)}.get(subsystem, (oa_fin, ob_fin))
     _require_rank_one(oa_in, ob_in, *read_fin)
-    rho_a_in = _local_dephased(marg.p_a_in, oa_in)
-    rho_b_in = _local_dephased(marg.p_b_in, ob_in)
+    tables = proto.tables
+    rho_a_in = _local_dephased(tables["A"].p_in, oa_in)
+    rho_b_in = _local_dephased(tables["B"].p_in, ob_in)
+    shape = (oa_fin.n_outcomes, ob_fin.n_outcomes)
 
     if subsystem == "A":
         deformed = tensor_product(matrix_power(rho_a_in, 1.0 - phi), rho_b_in)
-        weights = marg.p_a_fin[:, None]
+        weights = tables["A"].p_ref[:, None]
     elif subsystem == "B":
         deformed = tensor_product(rho_a_in, matrix_power(rho_b_in, 1.0 - phi))
-        weights = marg.p_b_fin[None, :]
+        weights = tables["B"].p_ref[None, :]
     else:
         deformed = matrix_power(tensor_product(rho_a_in, rho_b_in), 1.0 - phi)
-        weights = marg.p_c_fin
+        weights = tables["A-B"].p_ref.reshape(shape)
     norm = np.trace(deformed).real
     evolved = proto.channel.apply_matrix(deformed / norm)
     # occupations of the joint final outcomes (k, l), indexed k * n_b + l
-    occupation = _outcome_probs(proto.obs_fin, evolved).reshape(marg.p_c_fin.shape)
+    occupation = _outcome_probs(proto.obs_fin, evolved).reshape(shape)
     return float(norm * np.sum(weights**phi * occupation))
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .experiments import (
     PRESETS,
+    SWEEP_COLUMNS,
     SweepReport,
     TwoIonConfig,
     default_sweep_points,
@@ -234,13 +235,6 @@ def _recon_payload(record, method: str) -> dict:
         }
     payload["conv_distribution"] = _dist_payload(bundle.conv_dist)
     return payload
-
-
-SWEEP_COLUMNS = (
-    ["m{}_{}".format(k, key) for key in ("A", "B", "AB", "ApB") for k in range(1, 5)]
-    + ["rmse_moments", "rmse_probs"]
-    + ["gap_m{}".format(k) for k in range(1, 5)]
-)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

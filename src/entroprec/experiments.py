@@ -344,6 +344,13 @@ def run_config(cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier")
     )
 
 
+SWEEP_COLUMNS = (
+    [f"m{k}_{key}" for key in ("A", "B", "AB", "ApB") for k in range(1, 5)]
+    + ["rmse_moments", "rmse_probs"]
+    + [f"gap_m{k}" for k in range(1, 5)]
+)
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Per-point records along one axis (phi, gamma, or N)."""
@@ -353,20 +360,18 @@ class SweepReport:
     records: tuple[ConfigRecord, ...]
 
     def rows(self) -> list[dict]:
-        """Flat per-point rows with a fixed key order for emission; the RMSE
-        columns come from the first method the sweep ran (NaN if none)."""
+        """Flat per-point rows keyed by the axis and then ``SWEEP_COLUMNS``:
+        the first four moments of each of ``LABELS``, the RMSEs of the first
+        method the sweep ran (NaN if none) and the four witness gaps."""
         out = []
         for point, rec in zip(self.points, self.records):
-            row: dict[str, float] = {self.axis: float(point)}
             table = rec.moments_table()
-            for label, key in zip(LABELS, ("A", "B", "AB", "ApB")):
-                for k in range(4):
-                    row[f"m{k + 1}_{key}"] = float(table[label][k])
             bundle = next(iter(rec.reconstructions.values()), None)
-            row["rmse_moments"] = float(bundle.rmse_moments_conv) if bundle else float("nan")
-            row["rmse_probs"] = float(bundle.rmse_probs_conv) if bundle else float("nan")
-            for k in range(4):
-                row[f"gap_m{k + 1}"] = float(rec.witness.moment_gaps[k])
+            rmse = (bundle.rmse_moments_conv, bundle.rmse_probs_conv) if bundle else (math.nan,) * 2
+            values = [table[label][k] for label in LABELS for k in range(4)]
+            values += [*rmse, *rec.witness.moment_gaps[:4]]
+            row = {self.axis: float(point)}
+            row.update((column, float(v)) for column, v in zip(SWEEP_COLUMNS, values, strict=True))
             out.append(row)
         return out
 

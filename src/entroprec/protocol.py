@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +58,8 @@ class TwoTimeProtocol:
     (O_A_in, O_B_in, O_A_fin, O_B_fin); when present, ``rho0`` must carry a
     partition, ``obs_in``/``obs_fin`` must be their tensor products and the
     post-measurement state must factorise between the subsystems. The protocol
-    states, joint tables and marginals are built once, on first use, and
-    shared by every distribution, check and chi evaluation.
+    states, the joint tables and the distributions are built once, on first
+    use, and shared by every check and chi evaluation.
     """
 
     rho0: DensityMatrix
@@ -132,9 +133,34 @@ class TwoTimeProtocol:
         return backward_joint(self)
 
     @cached_property
-    def marginals(self) -> "BipartiteMarginals":
-        """Local and joint outcome probabilities, see :func:`bipartite_marginals`."""
-        return bipartite_marginals(self)
+    def tables(self) -> "MappingProxyType[str, JointOutcomeTable]":
+        """Forward joint table of each label, read-only: ``"A-B"`` is
+        :attr:`forward`. A bipartite protocol adds ``"A"`` and ``"B"``, the
+        axis sums of the composite table, whose outcomes are indexed
+        ``m * n_b + h`` (see :meth:`Observable.tensor`); their reference
+        marginals sum the composite outcome probabilities of ``rho_fin``."""
+        fwd = self.forward
+        if self.bipartite_obs is None:
+            return MappingProxyType({"A-B": fwd})
+        n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in self.bipartite_obs)
+        p_fwd = fwd.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
+        p_in = fwd.p_in.reshape(n_a_in, n_b_in)
+        p_fin = _outcome_probs(self.obs_fin, self.states.rho_fin).reshape(n_a_fin, n_b_fin)
+        return MappingProxyType({
+            "A": JointOutcomeTable(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1)),
+            "B": JointOutcomeTable(p_fwd.sum(axis=(0, 2)), p_in.sum(axis=0), p_fin.sum(axis=0)),
+            "A-B": fwd,
+        })
+
+    @cached_property
+    def distributions(self) -> "MappingProxyType[str, EntropyDistribution]":
+        """Entropy-production distribution of each of :attr:`tables`,
+        read-only; a bipartite protocol adds ``"A+B"``, the convolution of the
+        A and B distributions."""
+        dists = {label: entropy_samples(table, label) for label, table in self.tables.items()}
+        if "A" in dists:
+            dists["A+B"] = convolve_distributions(dists["A"], dists["B"], label="A+B")
+        return MappingProxyType(dists)
 
 
 @dataclass(frozen=True)
@@ -152,6 +178,8 @@ class EntropyDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if support.shape != probs.shape or support.ndim != 1:
             raise ValueError("support and probs must be matching 1-D arrays")
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+            raise ValueError("support and probs must be finite")
         order = np.argsort(support)
         support = support[order]
         probs = probs[order]
@@ -287,35 +315,20 @@ def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_fwd.sum(axis=1))
 
 
-def backward_joint(
-    proto: TwoTimeProtocol,
-    via: str = "reversed-map",
-    theta: TimeReversal | None = None,
-) -> JointOutcomeTable:
+def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     """Joint outcome table of the backward process (plus the forward one).
 
-    ``via="reversed-map"`` evaluates
     ``p_bwd[m, k] = Tr[~P_in_m  ~Phi(~P_ref_k ~rho_tau ~P_ref_k)]`` with the
-    explicitly time-reversed channel; ``via="conditional-equality"`` instead uses the
-    conditional-probability equality valid for unital channels, which needs
-    only forward data.
+    explicitly time-reversed channel, so that it stays independent of the
+    forward table it is checked against.
     """
     fwd = proto.forward
-    if via == "conditional-equality":
-        if not proto.channel.is_unital:
-            raise ValueError("the conditional-equality shortcut requires a unital channel")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(fwd.p_in[None, :] > 0, fwd.p_fwd / fwd.p_in[None, :], 0.0)
-        p_bwd = (cond * fwd.p_ref[:, None]).T
-    elif via == "reversed-map":
-        theta = theta or TimeReversal()
-        reversed_channel = time_reversed(proto.channel, theta)
-        rho_tau_rev = theta.apply_to_state(proto.states.rho_tau)
-        proj_in_rev = [theta.apply_to_state(p) for p in proto.obs_in.projectors]
-        proj_ref_rev = [theta.apply_to_state(p) for p in proto.obs_fin.projectors]
-        p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
-    else:
-        raise ValueError(f"unknown backward method {via!r}")
+    theta = TimeReversal()
+    reversed_channel = time_reversed(proto.channel, theta)
+    rho_tau_rev = theta.apply_to_state(proto.states.rho_tau)
+    proj_in_rev = [theta.apply_to_state(p) for p in proto.obs_in.projectors]
+    proj_ref_rev = [theta.apply_to_state(p) for p in proto.obs_fin.projectors]
+    p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
     return JointOutcomeTable(p_fwd=fwd.p_fwd, p_in=fwd.p_in, p_ref=fwd.p_ref, p_bwd=p_bwd)
 
 
@@ -412,9 +425,10 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
     the deviation measures how well the fluctuation relation survives the
     numerics of the channel representation. Its table swaps the roles of the
     initial and reference outcomes: ``sigma_bwd = ln p_ref[k] - ln p_in[m]``.
+    The forward distribution is the protocol's A-B one.
     """
     table = proto.backward
-    fwd = entropy_samples(table)
+    fwd = proto.distributions["A-B"]
     bwd = entropy_samples(JointOutcomeTable(table.p_bwd, table.p_ref, table.p_in))
     deviation = 0.0
     for g in np.union1d(fwd.support, -bwd.support):
@@ -422,53 +436,18 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
     return deviation
 
 
-@dataclass(frozen=True)
-class BipartiteMarginals:
-    """Outcome probabilities of the local and joint measurements."""
-
-    p_a_in: np.ndarray
-    p_b_in: np.ndarray
-    p_a_fin: np.ndarray
-    p_b_fin: np.ndarray
-    p_c_fin: np.ndarray  # joint final, indexed [k, l]
-
-
-def bipartite_marginals(proto: TwoTimeProtocol) -> BipartiteMarginals:
-    """Local marginals as axis sums of the composite outcome probabilities,
-    which are indexed ``m * n_b + h`` (see :meth:`Observable.tensor`)."""
+def _local_observables(proto: TwoTimeProtocol):
+    """(O_A_in, O_B_in, O_A_fin, O_B_fin); ``ValueError`` if the protocol has none."""
     if proto.bipartite_obs is None:
         raise ValueError("protocol carries no bipartite observables")
-    n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in proto.bipartite_obs)
-    p_c_in = proto.forward.p_in.reshape(n_a_in, n_b_in)
-    p_c_fin = _outcome_probs(proto.obs_fin, proto.states.rho_fin).reshape(n_a_fin, n_b_fin)
-    return BipartiteMarginals(
-        p_a_in=p_c_in.sum(axis=1),
-        p_b_in=p_c_in.sum(axis=0),
-        p_a_fin=p_c_fin.sum(axis=1),
-        p_b_fin=p_c_fin.sum(axis=0),
-        p_c_fin=np.clip(p_c_fin, 0.0, None),
-    )
+    return proto.bipartite_obs
 
 
 def bipartite_distributions(proto: TwoTimeProtocol):
-    """Entropy-production distributions (dist_A, dist_B, dist_AB, dist_AplusB).
-
-    All three measured distributions come from the composite forward table
-    ``p_fwd[(k, l), (m, h)]``: dist_A and dist_B from its local sums, dist_AB
-    from the table itself (the correlated global measurement). dist_AplusB is
-    the convolution of the two local distributions.
-    """
-    marg = proto.marginals  # rejects protocols without local observables
-    n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in proto.bipartite_obs)
-    p_fwd = proto.forward.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
-    dist_a = entropy_samples(
-        JointOutcomeTable(p_fwd.sum(axis=(1, 3)), marg.p_a_in, marg.p_a_fin), label="A"
-    )
-    dist_b = entropy_samples(
-        JointOutcomeTable(p_fwd.sum(axis=(0, 2)), marg.p_b_in, marg.p_b_fin), label="B"
-    )
-    dist_ab = entropy_samples(proto.forward, label="A-B")
-    return dist_a, dist_b, dist_ab, convolve_distributions(dist_a, dist_b, label="A+B")
+    """Entropy-production distributions (dist_A, dist_B, dist_AB, dist_AplusB)
+    of a bipartite protocol, see :attr:`TwoTimeProtocol.distributions`."""
+    _local_observables(proto)
+    return tuple(proto.distributions.values())
 
 
 def _local_dephased(probs: np.ndarray, obs: Observable) -> np.ndarray:

@@ -44,8 +44,10 @@ class ParameterGrid:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size == 0:
-            raise ValueError("nodes must be a nonempty 1-D array")
+        if nodes.ndim != 1 or nodes.size == 0 or not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be a nonempty 1-D array of finite values")
+        if not (math.isfinite(self.phi_min) and math.isfinite(self.phi_max)):
+            raise ValueError("phi_min and phi_max must be finite")
         if np.min(np.abs(np.subtract.outer(nodes, nodes) + np.eye(nodes.size))) == 0.0:
             raise ValueError("nodes must be distinct")
         if nodes.min() < self.phi_min - 1e-12 or nodes.max() > self.phi_max + 1e-12:
@@ -66,6 +68,8 @@ def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not (math.isfinite(phi_min) and math.isfinite(phi_max)):
+        raise ValueError("phi_min and phi_max must be finite")
     if not phi_min < phi_max:
         raise ValueError("phi_min must be below phi_max")
     k = np.arange(1, n + 1)
@@ -261,9 +265,11 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
     equations, visibly different masses.
     """
     b = np.ascontiguousarray(moments, dtype=float)
+    if b.ndim != 1 or not np.all(np.isfinite(b)):
+        raise ValueError("moments must be a 1-D array of finite values")
     s = np.asarray(support, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("support must be a nonempty 1-D array")
+    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
+        raise ValueError("support must be a nonempty 1-D array of finite values")
     if s.size > 1:
         gaps = np.abs(np.subtract.outer(s, s))[~np.eye(s.size, dtype=bool)]
         if gaps.min() <= 1e-10:

@@ -22,7 +22,7 @@ from entroprec import (
 from entroprec import charfunc
 from entroprec.charfunc import SUBSYSTEMS
 from entroprec.experiments import PHI_MAX, PHI_MIN, PRESETS, build_protocol, preset
-from entroprec.protocol import TwoTimeProtocol, bipartite_marginals, _local_dephased
+from entroprec.protocol import TwoTimeProtocol, _local_dephased
 from entroprec.reconstruct import chebyshev_nodes
 from conftest import random_density, random_mixed_unitary_channel
 
@@ -57,10 +57,9 @@ class TestCharFunction:
 
     def test_subsystem_jarzynski_trace_oracle(self, proto):
         # independent evaluation of Tr[(rho_A_tau x 1) Phi(1_A x rho_B_in)]
-        marg = bipartite_marginals(proto)
         oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-        rho_a_tau = _local_dephased(marg.p_a_fin, oa_fin)
-        rho_b_in = _local_dephased(marg.p_b_in, ob_in)
+        rho_a_tau = _local_dephased(proto.tables["A"].p_ref, oa_fin)
+        rho_b_in = _local_dephased(proto.tables["B"].p_in, ob_in)
         probe = tensor_product(rho_a_tau, np.eye(2))
         evolved = proto.channel.apply_matrix(tensor_product(np.eye(2), rho_b_in))
         oracle = np.trace(probe @ evolved)
@@ -84,6 +83,33 @@ class TestCharFunction:
     def test_unknown_subsystem(self, proto):
         with pytest.raises(ValueError, match="subsystem"):
             char_function(proto, "C", 0.0)
+
+    def test_local_labels_on_asymmetric_protocols(self, rng):
+        # the section-6 gate and state map A onto B under a qubit swap; random
+        # channels do not, so a factor on the wrong side of the Kronecker
+        # product shows here
+        for _ in range(5):
+            diag = np.kron(rng.dirichlet([1.0, 1.0]), rng.dirichlet([1.0, 1.0]))
+            proto = TwoTimeProtocol.bipartite(
+                DensityMatrix.from_diagonal(diag, partition=(2, 2)),
+                QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS,
+                random_mixed_unitary_channel(4, rng),
+            )
+            for label in ("A", "B"):
+                for phi in (-0.5, 0.3, 1.0):
+                    expected = proto.distributions[label].mgf(phi)
+                    assert abs(float(moment_generating(proto, label, phi)) - expected) <= 1e-10
+                    assert abs(simulate_measurement_path(proto, label, phi) - expected) <= 1e-10
+
+    def test_local_label_needs_local_observables(self, rng):
+        composite = Observable.computational(4)
+        proto = TwoTimeProtocol(RHO0, composite, composite, random_mixed_unitary_channel(4, rng))
+        assert abs(complex(char_function(proto, "A-B", 0.0)) - 1.0) <= 1e-12
+        for label in ("A", "B"):
+            with pytest.raises(ValueError, match="bipartite"):
+                char_function(proto, label, 0.3)
+            with pytest.raises(ValueError, match="bipartite"):
+                simulate_measurement_path(proto, label, 0.3)
 
 
 class TestRankOneGuard:

@@ -8,7 +8,7 @@ import pytest
 
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
-from entroprec import channels, experiments, protocol
+from entroprec import channels, cli, experiments, protocol
 from entroprec.experiments import build_channels, default_sweep_points
 from entroprec.reconstruct import chebyshev_nodes
 
@@ -82,17 +82,18 @@ class TestRunConfig:
 
             return counted
 
-        for name in ("forward_joint", "backward_joint", "bipartite_marginals", "_dephase"):
+        for name in ("forward_joint", "backward_joint", "entropy_samples", "_dephase"):
             monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
         states = cached_property(count("states", protocol.TwoTimeProtocol.states.func))
         states.__set_name__(protocol.TwoTimeProtocol, "states")
         monkeypatch.setattr(protocol.TwoTimeProtocol, "states", states)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
-        # one states build dephases twice (rho_in, rho_tau); nothing else does
+        # one states build dephases twice (rho_in, rho_tau); nothing else does.
+        # A, B and A-B are sampled once each; the Crooks check adds the backward one.
         assert calls == {
             "forward_joint": 1,
             "backward_joint": 1,
-            "bipartite_marginals": 1,
+            "entropy_samples": 4,
             "states": 1,
             "_dephase": 2,
         }
@@ -140,6 +141,17 @@ class TestSweepPhase:
         assert len(rows) == 2
         assert list(rows[0])[0] == "phi"
         assert "m4_ApB" in rows[0] and "rmse_probs" in rows[0] and "gap_m4" in rows[0]
+        # the CSV header and the row keys come from one column list
+        assert cli.SWEEP_COLUMNS is experiments.SWEEP_COLUMNS
+        for row, rec in zip(rows, report.records):
+            assert list(row) == ["phi"] + experiments.SWEEP_COLUMNS
+            assert row["m2_AB"] == rec.distributions["A-B"].moment(2)
+            assert row["rmse_probs"] == rec.reconstructions["pinv"].rmse_probs_conv
+            assert row["gap_m3"] == rec.witness.moment_gaps[2]
+
+    def test_rows_without_reconstruction_carry_nan_errors(self):
+        row = sweep_phase([0.3], preset("fig3"), methods=()).rows()[0]
+        assert math.isnan(row["rmse_moments"]) and math.isnan(row["rmse_probs"])
 
     def test_dephasing_sweep_reaches_fixed_point(self):
         # with dephasing on, the mean entropy production rises monotonically

@@ -27,13 +27,7 @@ from entroprec import (
     entropy_bound_check,
     von_neumann_entropy,
 )
-from entroprec.protocol import (
-    BipartiteMarginals,
-    _dephase,
-    _local_dephased,
-    bipartite_marginals,
-    merge_support,
-)
+from entroprec.protocol import _dephase, _local_dephased, merge_support
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
@@ -74,12 +68,42 @@ class TestForwardJoint:
     def test_tables_built_once_and_read_only(self):
         proto = section6_protocol()
         assert proto.forward is proto.forward and proto.backward is proto.backward
-        assert proto.marginals is proto.marginals and proto.states is proto.states
+        assert proto.tables is proto.tables and proto.states is proto.states
+        assert proto.distributions is proto.distributions
+        assert proto.tables["A-B"] is proto.forward
         assert np.array_equal(proto.backward.p_fwd, proto.forward.p_fwd)
         with pytest.raises(ValueError, match="read-only"):
             proto.forward.p_fwd[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
+            proto.tables["A"].p_ref[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            proto.distributions["A+B"].probs[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
             proto.states.rho_tau[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            proto.tables["A"] = proto.forward
+        with pytest.raises(TypeError):
+            proto.distributions["A+B"] = proto.distributions["A-B"]
+
+    def test_labels_of_tables_and_distributions(self):
+        proto = section6_protocol()
+        assert list(proto.tables) == ["A", "B", "A-B"]
+        assert list(proto.distributions) == ["A", "B", "A-B", "A+B"]
+        assert all(
+            a is b for a, b in zip(bipartite_distributions(proto), proto.distributions.values())
+        )
+        expected = {label: entropy_samples(t, label) for label, t in proto.tables.items()}
+        expected["A+B"] = convolve_distributions(expected["A"], expected["B"])
+        for label, dist in proto.distributions.items():
+            assert dist.label == label
+            assert np.array_equal(dist.support, expected[label].support)
+            assert np.array_equal(dist.probs, expected[label].probs)
+
+    def test_composite_protocol_has_only_the_global_label(self):
+        proto = TwoTimeProtocol(RHO0, COMP4, COMP4, ms_gate(0.3))
+        assert list(proto.tables) == ["A-B"] and list(proto.distributions) == ["A-B"]
+        with pytest.raises(ValueError, match="bipartite"):
+            bipartite_distributions(proto)
 
     def test_states_follow_their_definitions(self, rng):
         proto = generic_protocol(rng)
@@ -117,14 +141,11 @@ class TestBackwardJoint:
             assert conditional_equality_deviation(generic_protocol(rng)) <= 1e-10
 
     def test_shortcut_matches_reversed_map(self, rng):
+        # unital shortcut: p_bwd[m, k] = p(fin k | in m) p_ref[k], forward data only
         proto = generic_protocol(rng)
-        explicit = backward_joint(proto, via="reversed-map")
-        shortcut = backward_joint(proto, via="conditional-equality")
-        assert np.max(np.abs(explicit.p_bwd - shortcut.p_bwd)) <= 1e-10
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown"):
-            backward_joint(section6_protocol(), via="nope")
+        fwd = proto.forward
+        shortcut = (fwd.p_fwd / fwd.p_in[None, :] * fwd.p_ref[:, None]).T
+        assert np.max(np.abs(backward_joint(proto).p_bwd - shortcut)) <= 1e-10
 
 
 class TestEntropySamples:
@@ -292,9 +313,12 @@ class TestBipartite:
             )
             local = [random_observable(2, rng) for _ in range(4)]
             proto = TwoTimeProtocol.bipartite(rho0, *local, random_mixed_unitary_channel(4, rng))
-            marg, oracle = bipartite_marginals(proto), kronecker_trace_marginals(proto)
-            for name in ("p_a_in", "p_b_in", "p_a_fin", "p_b_fin", "p_c_fin"):
-                assert np.max(np.abs(getattr(marg, name) - getattr(oracle, name))) <= 1e-14
+            oracle = kronecker_trace_tables(proto)
+            assert list(proto.tables) == list(oracle)
+            for label, table in proto.tables.items():
+                for name in ("p_fwd", "p_in", "p_ref"):
+                    diff = getattr(table, name) - getattr(oracle[label], name)
+                    assert np.max(np.abs(diff)) <= 1e-14
 
     def test_inconsistent_local_observables_rejected(self, rng):
         other = random_observable(2, rng)
@@ -333,23 +357,40 @@ class TestBipartite:
             assert_same_distribution(dist_b, oracle_b)
 
 
-def kronecker_trace_marginals(proto):
-    """Local and joint outcome probabilities as traces against Kronecker
-    products of the local projectors with identities."""
+def kronecker_trace_tables(proto):
+    """The A, B and A-B forward tables as traces against Kronecker products of
+    the local projectors with identities: the local tables are
+    p_A[k, m] = sum_h Tr[(P_k x 1) Phi(Q_mh rho0 Q_mh)] with Q_mh = P_m x P_h,
+    the reference marginals are read off rho_fin."""
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
     rho0 = proto.rho0.data
     rho_fin = proto.channel.apply_matrix(_dephase(proto.obs_in, rho0))
     eye = np.eye(2)
     trace = lambda op, rho: np.trace(op @ rho).real
-    p_a_in = np.array([trace(tensor_product(p, eye), rho0) for p in oa_in.projectors])
-    p_b_in = np.array([trace(tensor_product(eye, p), rho0) for p in ob_in.projectors])
-    p_a_fin = np.array([trace(tensor_product(p, eye), rho_fin) for p in oa_fin.projectors])
-    p_b_fin = np.array([trace(tensor_product(eye, p), rho_fin) for p in ob_fin.projectors])
-    p_c_fin = np.zeros((oa_fin.n_outcomes, ob_fin.n_outcomes))
-    for k, pa in enumerate(oa_fin.projectors):
-        for l, pb in enumerate(ob_fin.projectors):
-            p_c_fin[k, l] = np.trace(tensor_product(pa, pb) @ rho_fin).real
-    return BipartiteMarginals(p_a_in, p_b_in, p_a_fin, p_b_fin, np.clip(p_c_fin, 0.0, None))
+    read = {
+        "A": [tensor_product(p, eye) for p in oa_fin.projectors],
+        "B": [tensor_product(eye, p) for p in ob_fin.projectors],
+        "A-B": [tensor_product(p, q) for p in oa_fin.projectors for q in ob_fin.projectors],
+    }
+    prepare = {
+        "A": [tensor_product(p, eye) for p in oa_in.projectors],
+        "B": [tensor_product(eye, p) for p in ob_in.projectors],
+        "A-B": [tensor_product(p, q) for p in oa_in.projectors for q in ob_in.projectors],
+    }
+    evolved = [  # (m, h) -> Phi(Q_mh rho0 Q_mh), indexed m * n_b + h
+        proto.channel.apply_matrix(q @ rho0 @ q) for q in prepare["A-B"]
+    ]
+    tables = {}
+    for label in ("A", "B", "A-B"):
+        p_fwd = np.array([[trace(p, rho) for rho in evolved] for p in read[label]])
+        if label == "A":
+            p_fwd = p_fwd.reshape(-1, oa_in.n_outcomes, ob_in.n_outcomes).sum(axis=2)
+        elif label == "B":
+            p_fwd = p_fwd.reshape(-1, oa_in.n_outcomes, ob_in.n_outcomes).sum(axis=1)
+        p_in = np.array([trace(p, rho0) for p in prepare[label]])
+        p_ref = np.array([trace(p, rho_fin) for p in read[label]])
+        tables[label] = JointOutcomeTable(np.clip(p_fwd, 0.0, None), p_in, p_ref)
+    return tables
 
 
 def product_state_protocols(rng):
@@ -370,23 +411,25 @@ def product_state_oracle(proto):
     projectors): p_A[k, m] = Tr[(P_k x 1) Phi(P_m x rho_B)] p_A(m), the
     analogue for B, and the global joint of every pair (m, h) -> (k, l)."""
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-    marg = bipartite_marginals(proto)
+    tables = kronecker_trace_tables(proto)
+    p_a_in, p_b_in = tables["A"].p_in, tables["B"].p_in
+    p_c_fin = tables["A-B"].p_ref.reshape(oa_fin.n_outcomes, ob_fin.n_outcomes)
     eye = np.eye(2)
-    rho_a_in = _local_dephased(marg.p_a_in, oa_in)
-    rho_b_in = _local_dephased(marg.p_b_in, ob_in)
+    rho_a_in = _local_dephased(p_a_in, oa_in)
+    rho_b_in = _local_dephased(p_b_in, ob_in)
     p_a = np.zeros((oa_fin.n_outcomes, oa_in.n_outcomes))
     for m, pm in enumerate(oa_in.projectors):
         evolved = proto.channel.apply_matrix(tensor_product(pm, rho_b_in))
         for k, pk in enumerate(oa_fin.projectors):
-            p_a[k, m] = np.trace(tensor_product(pk, eye) @ evolved).real * marg.p_a_in[m]
+            p_a[k, m] = np.trace(tensor_product(pk, eye) @ evolved).real * p_a_in[m]
     p_b = np.zeros((ob_fin.n_outcomes, ob_in.n_outcomes))
     for h, ph in enumerate(ob_in.projectors):
         evolved = proto.channel.apply_matrix(tensor_product(rho_a_in, ph))
         for l, pl in enumerate(ob_fin.projectors):
-            p_b[l, h] = np.trace(tensor_product(eye, pl) @ evolved).real * marg.p_b_in[h]
-    dist_a = entropy_samples(JointOutcomeTable(np.clip(p_a, 0, None), marg.p_a_in, marg.p_a_fin))
-    dist_b = entropy_samples(JointOutcomeTable(np.clip(p_b, 0, None), marg.p_b_in, marg.p_b_fin))
-    p_c_in = np.outer(marg.p_a_in, marg.p_b_in)
+            p_b[l, h] = np.trace(tensor_product(eye, pl) @ evolved).real * p_b_in[h]
+    dist_a = entropy_samples(JointOutcomeTable(np.clip(p_a, 0, None), p_a_in, tables["A"].p_ref))
+    dist_b = entropy_samples(JointOutcomeTable(np.clip(p_b, 0, None), p_b_in, tables["B"].p_ref))
+    p_c_in = np.outer(p_a_in, p_b_in)
     values, masses = [], []
     for m, pm in enumerate(oa_in.projectors):
         for h, ph in enumerate(ob_in.projectors):
@@ -397,7 +440,7 @@ def product_state_oracle(proto):
                 for l, pl in enumerate(ob_fin.projectors):
                     mass = np.trace(tensor_product(pk, pl) @ evolved).real * p_c_in[m, h]
                     if mass > 1e-15:
-                        values.append(math.log(p_c_in[m, h]) - math.log(marg.p_c_fin[k, l]))
+                        values.append(math.log(p_c_in[m, h]) - math.log(p_c_fin[k, l]))
                         masses.append(mass)
     dist_ab = EntropyDistribution(*merge_support(np.array(values), np.array(masses)))
     return dist_a, dist_b, dist_ab
@@ -466,6 +509,15 @@ class TestDistributionBasics:
     def test_normalisation_enforced(self):
         with pytest.raises(ValueError, match="sum"):
             EntropyDistribution(np.array([0.0, 1.0]), np.array([0.4, 0.4]))
+
+    @pytest.mark.parametrize(
+        "support, probs",
+        [([0.0, 1.0], [np.nan, np.nan]), ([0.0, np.nan], [0.5, 0.5]), ([0.0, np.inf], [0.5, 0.5])],
+        ids=["nan-probs", "nan-support", "inf-support"],
+    )
+    def test_non_finite_values_rejected(self, support, probs):
+        with pytest.raises(ValueError, match="finite"):
+            EntropyDistribution(np.array(support), np.array(probs))
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative"):

@@ -81,6 +81,23 @@ class TestChebyshevNodes:
         with pytest.raises(ValueError, match="distinct"):
             ParameterGrid(0.0, 1.0, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "bounds, nodes",
+        [((-1.0, 1.0), [0.1, np.nan]), ((-1.0, 1.0), [0.1, np.inf]), ((-1.0, np.inf), [0.1])],
+        ids=["nan-node", "inf-node", "inf-bound"],
+    )
+    def test_grid_rejects_non_finite_values(self, bounds, nodes):
+        with pytest.raises(ValueError, match="finite"):
+            ParameterGrid(*bounds, np.array(nodes))
+
+    @pytest.mark.parametrize(
+        "bounds", [(-0.5, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-0.5, np.nan)]
+    )
+    def test_nodes_reject_non_finite_interval(self, bounds):
+        # used to return NaN nodes with a RuntimeWarning for an infinite end
+        with pytest.raises(ValueError, match="finite"):
+            chebyshev_nodes(4, *bounds)
+
 
 class TestVandermondeMoments:
     def test_two_by_two(self):
@@ -336,6 +353,17 @@ class TestPseudoinverse:
     def test_degenerate_support_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
             pseudoinverse_reconstruct([0.1, 0.2], [0.5, 0.5 + 1e-12])
+
+    @pytest.mark.parametrize(
+        "moments, support",
+        [([0.1, np.nan], [0.0, 1.0]), ([0.1, np.inf], [0.0, 1.0]), ([0.1, 0.2], [0.0, np.nan])],
+        ids=["nan-moment", "inf-moment", "nan-support"],
+    )
+    def test_non_finite_input_rejected(self, moments, support):
+        # a NaN moment used to come back as NaN masses, a NaN support point
+        # as numpy's "SVD did not converge"
+        with pytest.raises(ValueError, match="finite"):
+            pseudoinverse_reconstruct(moments, support)
 
     def test_underdetermined_warns(self):
         with pytest.warns(InfeasibleRecoveryWarning):
