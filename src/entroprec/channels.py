@@ -156,12 +156,13 @@ def time_reversed(channel: QuantumChannel, theta: TimeReversal | None = None) ->
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_XX = np.kron(PAULI_X, PAULI_X)
+PAULI_X.flags.writeable = PAULI_XX.flags.writeable = False
 
 
 def ms_gate(phi: float) -> QuantumChannel:
     """Partial Moelmer-Soerensen entangling gate exp(-i phi X (x) X) on two qubits."""
-    xx = np.kron(PAULI_X, PAULI_X)
-    u = np.cos(phi) * np.eye(4, dtype=complex) - 1j * np.sin(phi) * xx
+    u = np.cos(phi) * np.eye(4, dtype=complex) - 1j * np.sin(phi) * PAULI_XX
     return QuantumChannel.unitary(u)
 
 

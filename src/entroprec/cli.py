@@ -4,6 +4,7 @@ Commands:
     simulate     enumerate distributions and theorem checks for one config
     reconstruct  run the moment-based reconstruction for one config
     verify       run all fluctuation-theorem checks; exit 0 only if they pass
+                 (JSON only: --format csv is refused)
     sweep        sweep phi, gamma, or N and emit one row per point
 
 Precedence of settings: CLI flags > config file > preset > built-in defaults.
@@ -147,6 +148,8 @@ def parse_config(argv) -> RunConfig:
             values["n_moments"] = values.pop("N")
         ion = replace(ion, **values)
 
+    if args.command == "verify" and args.format == "csv":
+        raise ValueError("verify reports are JSON only; --format csv is not supported")
     return RunConfig(
         command=args.command,
         ion=ion,
@@ -244,34 +247,52 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _csv_distributions(report: dict) -> dict | None:
+    """The distributions a report's CSV form lists: the enumerated ones of a
+    simulate report, the recovered A, B, A-B and A+B of a reconstruct report."""
+    if "distributions" in report:
+        return report["distributions"]
+    if "reconstruction" in report:
+        recon = report["reconstruction"]
+        dists = {label: entry["distribution"] for label, entry in recon["per_label"].items()}
+        return {**dists, "A+B": recon["conv_distribution"]}
+    return None
+
+
 def emit_report(report: dict, cfg: RunConfig, sweep: SweepReport | None = None) -> list[Path]:
-    """Write the report in the requested format; returns the written paths."""
+    """Write the report in the requested format; returns the written paths.
+
+    JSON writes ``<command>.json``. CSV writes ``sweep.csv`` for a sweep and
+    ``<command>_distributions.csv`` (``label,sigma,prob``) for a report that
+    carries distributions; a report with no CSV form raises ``ValueError``.
+    """
     out_dir = cfg.output_dir
+    tables = []  # (file name, header, rows) of each CSV file
+    if cfg.fmt == "csv":
+        if sweep is not None:
+            header = [sweep.axis] + SWEEP_COLUMNS
+            tables.append(("sweep.csv", header, [[row[c] for c in header] for row in sweep.rows()]))
+        dists = _csv_distributions(report)
+        if dists is not None:
+            rows = [
+                [label, entry["sigma"], entry["prob"]]
+                for label, entries in dists.items()
+                for entry in entries
+            ]
+            tables.append((f"{cfg.command}_distributions.csv", ["label", "sigma", "prob"], rows))
+        if not tables:
+            raise ValueError(f"a {cfg.command} report has no CSV form; use --format json")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create output directory {out_dir}: {exc}") from exc
-    written: list[Path] = []
     if cfg.fmt == "json":
         path = out_dir / f"{cfg.command}.json"
         path.write_text(json.dumps(report, indent=2, allow_nan=False))
-        written.append(path)
-        return written
-    if sweep is not None:
-        header = [sweep.axis] + SWEEP_COLUMNS
-        rows = [[row[col] for col in header] for row in sweep.rows()]
-        path = out_dir / "sweep.csv"
-        _write_csv(path, header, rows)
-        written.append(path)
-    if "distributions" in report:
-        rows = []
-        for label, entries in report["distributions"].items():
-            for entry in entries:
-                rows.append([label, entry["sigma"], entry["prob"]])
-        path = out_dir / f"{cfg.command}_distributions.csv"
-        _write_csv(path, ["label", "sigma", "prob"], rows)
-        written.append(path)
-    return written
+        return [path]
+    for name, header, rows in tables:
+        _write_csv(out_dir / name, header, rows)
+    return [out_dir / name for name, _, _ in tables]
 
 
 def main(argv=None) -> int:

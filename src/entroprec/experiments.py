@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
+    PAULI_XX,
     IntegratorAccuracyError,
     LindbladModel,
     QuantumChannel,
@@ -118,8 +119,7 @@ PROJ_0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 def two_ion_model(omega: float, gamma_a: float, gamma_b: float) -> LindbladModel:
     """X x X coupling with local pure dephasing on each ion."""
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    hamiltonian = omega * np.kron(x, x)
+    hamiltonian = omega * PAULI_XX
     l_a = tensor_product(PROJ_0, np.eye(2))
     l_b = tensor_product(np.eye(2), PROJ_0)
     return LindbladModel(hamiltonian, ((l_a, gamma_a), (l_b, gamma_b)))
@@ -301,17 +301,52 @@ class ConfigRecord:
         return {label: self.distributions[label].moments(k_max) for label in LABELS}
 
 
-def run_config(cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier")) -> ConfigRecord:
+def protocol_part(cfg: TwoIonConfig) -> tuple[TwoTimeProtocol, ConfigRecord]:
+    """The protocol of ``cfg`` and its record without reconstructions: the
+    four distributions and every theorem check, none of which depends on
+    ``n_moments``."""
+    proto = build_protocol(cfg)
+    dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
+    bound = entropy_bound_check(proto)
+    return proto, ConfigRecord(
+        config=cfg,
+        distributions={"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv},
+        mean_sigma=bound.mean_sigma,
+        conditional_equality_deviation=conditional_equality_deviation(proto),
+        entropy_bound=bound,
+        crooks_deviation=crooks_check(proto),
+        ift_deviation=ift_deviation(dist_ab),
+        subadditivity_gap=dist_a.moment(1) + dist_b.moment(1) - dist_ab.moment(1),
+        witness=correlation_witness(dist_ab, dist_conv),
+        reconstructions={},
+    )
+
+
+def run_config(
+    cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier"), latest: dict | None = None
+) -> ConfigRecord:
     """Run the full pipeline for one configuration.
 
     Builds the channel and computational-basis protocol, enumerates all four
     entropy-production distributions, evaluates every theorem check, and runs
     the requested reconstruction methods at ``cfg.n_moments``. Chi and the
     moments of each label are evaluated once and shared by every method.
+
+    A sweep passes ``latest``, a dict holding at most the latest
+    :func:`protocol_part`, keyed by the configuration with ``n_moments`` set
+    to 1: points that differ only in ``n_moments`` share it. Without it
+    everything is computed afresh.
     """
-    proto = build_protocol(cfg)
-    dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
-    dists = {"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv}
+    key = replace(cfg, n_moments=1)
+    part = latest.get(key) if latest is not None else None
+    if part is None:
+        part = protocol_part(cfg)
+        if latest is not None:
+            latest.clear()
+            latest[key] = part
+    proto, base = part
+    dists = base.distributions
+    dist_conv = dists["A+B"]
     measured = _measure_moments(proto, ("A", "B", "A-B"), cfg.n_moments) if methods else {}
     bundles: dict[str, ReconstructionBundle] = {}
     for method in methods:
@@ -328,20 +363,7 @@ def run_config(cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier")
             rmse_probs_conv=rmse_probs(dist_conv, conv),
             rmse_moments_conv=rmse_moments(dist_conv.moments(k_max), conv.moments(k_max), k_max),
         )
-    gap = dist_a.moment(1) + dist_b.moment(1) - dist_ab.moment(1)
-    bound = entropy_bound_check(proto)
-    return ConfigRecord(
-        config=cfg,
-        distributions=dists,
-        mean_sigma=bound.mean_sigma,
-        conditional_equality_deviation=conditional_equality_deviation(proto),
-        entropy_bound=bound,
-        crooks_deviation=crooks_check(proto),
-        ift_deviation=ift_deviation(dist_ab),
-        subadditivity_gap=gap,
-        witness=correlation_witness(dist_ab, dist_conv),
-        reconstructions=bundles,
-    )
+    return replace(base, config=cfg, distributions=dict(dists), reconstructions=bundles)
 
 
 SWEEP_COLUMNS = (
@@ -378,12 +400,19 @@ class SweepReport:
 
 def _run_sweep(cfgs: list[TwoIonConfig], methods) -> tuple[ConfigRecord, ...]:
     """run_config on each configuration, in chunks no larger than the channel
-    cache, whose Lindblad maps are built (each once, in stacked batches) first."""
+    cache, whose Lindblad maps are built (each once, in stacked batches) first.
+
+    Consecutive points that differ only in ``n_moments`` share one protocol
+    part (see :func:`run_config`), so its warnings are raised once for the
+    run of such points, not once per point. Only the latest part is held, and
+    it is released when the sweep returns.
+    """
     records = []
+    latest: dict = {}
     for start in range(0, len(cfgs), CHANNEL_CACHE_SIZE):
         chunk = cfgs[start : start + CHANNEL_CACHE_SIZE]
         build_channels(cfg for cfg in chunk if cfg.dynamics == "lindblad")
-        records.extend(run_config(cfg, methods) for cfg in chunk)
+        records.extend(run_config(cfg, methods, latest=latest) for cfg in chunk)
     return tuple(records)
 
 
@@ -402,7 +431,8 @@ def sweep_gamma(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
 
 
 def sweep_moment_count(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
-    """Sweep the number of moment evaluations N; the protocol is fixed."""
+    """Sweep the number of moment evaluations N; the protocol is fixed, so it
+    is built and checked once and only the reconstruction runs per point."""
     points = np.asarray(points, dtype=int)
     records = _run_sweep([replace(cfg, n_moments=int(n)) for n in points], methods)
     return SweepReport("N", np.asarray(points, dtype=float), records)

@@ -81,7 +81,9 @@ class TwoTimeProtocol:
                 raise ValueError("local observable dimensions must match the partition")
             for obs, a, b in ((self.obs_in, oa_in, ob_in), (self.obs_fin, oa_fin, ob_fin)):
                 # the projectors of a.tensor(b), without its O(n^2) re-validation
-                products = [np.kron(p, q) for p in a.projectors for q in b.projectors]
+                products = tensor_product(
+                    np.asarray(a.projectors)[:, None], np.asarray(b.projectors)[None, :]
+                ).reshape(-1, d, d)
                 if len(products) != obs.n_outcomes or np.max(
                     np.abs(np.subtract(obs.projectors, products))
                 ) > PRODUCT_TOL:
@@ -388,9 +390,12 @@ def entropy_bound_check(proto: TwoTimeProtocol, tol: float = 1e-10) -> EntropyBo
     When the final observable commutes with rho_fin the relative entropy must
     additionally vanish (the second measurement leaves the state untouched).
     """
-    _, rho_fin, rho_tau = proto.states
-    s_rel = relative_entropy(rho_fin, rho_tau)
-    mean_sigma = mean_entropy(proto)
+    rho_in, rho_fin, rho_tau = proto.states
+    # Tr[rho_fin ln rho_tau] enters both sides; the relative entropy is
+    # relative_entropy(rho_fin, rho_tau) and the mean is mean_entropy(proto)
+    cross = trace_rho_log_sigma(rho_fin, rho_tau)
+    s_rel = -von_neumann_entropy(rho_fin) - cross  # +inf when cross is -inf
+    mean_sigma = -cross - von_neumann_entropy(rho_in)
     passed = -tol <= s_rel <= mean_sigma + tol
     obs_mat = proto.obs_fin.matrix()
     commutator = np.max(np.abs(obs_mat @ rho_fin - rho_fin @ obs_mat))

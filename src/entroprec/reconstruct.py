@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +61,18 @@ class ParameterGrid:
     def n(self) -> int:
         return self.nodes.size
 
+    @cached_property
+    def vandermonde(self) -> "_Elimination":
+        """The 80-bit elimination of V[i, k] = phi_i^k, done on first use."""
+        return _factor_extended(np.vander(self.nodes.astype(np.longdouble), increasing=True))
+
 
 def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     """Real zeros of the degree-n Chebyshev polynomial mapped to the interval.
 
     phi_k = (phi_min+phi_max)/2 + (phi_max-phi_min)/2 * cos((2k-1) pi / 2n),
-    k = 1..n; the nodes descend with k.
+    k = 1..n; the nodes descend with k. Equal arguments return one shared,
+    read-only grid, so its Vandermonde elimination is done once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -72,6 +80,11 @@ def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
         raise ValueError("phi_min and phi_max must be finite")
     if not phi_min < phi_max:
         raise ValueError("phi_min must be below phi_max")
+    return _chebyshev_grid(n, phi_min, phi_max)
+
+
+@lru_cache(maxsize=64)
+def _chebyshev_grid(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     k = np.arange(1, n + 1)
     mid = 0.5 * (phi_min + phi_max)
     half = 0.5 * (phi_max - phi_min)
@@ -109,6 +122,51 @@ def _scaling_transform(n: int) -> np.ndarray:
     return np.array([(-1.0) ** k * math.factorial(k) for k in range(n)])
 
 
+class _Elimination(NamedTuple):
+    """Partially pivoted Gaussian elimination of one square matrix in
+    extended precision: the row swapped in at each column, the multipliers
+    of each column, the upper factor and the float64 condition number."""
+
+    pivots: tuple[int, ...]
+    factors: tuple[np.ndarray, ...]
+    upper: np.ndarray
+    cond: float
+
+
+def _factor_extended(matrix: np.ndarray) -> _Elimination:
+    """Eliminate ``matrix`` in 80-bit arithmetic; see :func:`_solve_extended`."""
+    a = matrix.astype(np.longdouble).copy()
+    n = a.shape[0]
+    pivots, factors = [], []
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0:
+            raise np.linalg.LinAlgError("singular interpolation matrix")
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+        factors.append(a[col + 1 :, col] / a[col, col])
+        a[col + 1 :, col:] -= factors[-1][:, None] * a[col, col:]
+        pivots.append(pivot)
+    for array in (a, *factors):
+        array.flags.writeable = False
+    cond = float(np.linalg.cond(matrix.astype(float)))
+    return _Elimination(tuple(pivots), tuple(factors), a, cond)
+
+
+def _solve_factored(elim: _Elimination, rhs: np.ndarray) -> np.ndarray:
+    """Replay an elimination on the columns of ``rhs``, then back-substitute."""
+    b = rhs.astype(np.longdouble).copy()
+    for col, (pivot, factors) in enumerate(zip(elim.pivots, elim.factors)):
+        if pivot != col:
+            b[[col, pivot]] = b[[pivot, col]]
+        b[col + 1 :] -= factors[:, None] * b[col]
+    a = elim.upper
+    x = np.zeros_like(b)
+    for row in range(a.shape[0] - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
+
+
 def _solve_extended(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Partially pivoted Gaussian elimination in extended precision.
 
@@ -119,23 +177,7 @@ def _solve_extended(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     so the float64 noise floor of a LAPACK solve would dominate the high
     moments; 80-bit arithmetic buys roughly three extra digits.
     """
-    a = matrix.astype(np.longdouble).copy()
-    b = rhs.astype(np.longdouble).copy()
-    n = a.shape[0]
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0:
-            raise np.linalg.LinAlgError("singular interpolation matrix")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1 :] -= factors[:, None] * b[col]
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+    return _solve_factored(_factor_extended(matrix), rhs)
 
 
 def moments_via_vandermonde(grid: ParameterGrid, chi):
@@ -144,20 +186,20 @@ def moments_via_vandermonde(grid: ParameterGrid, chi):
     ``chi`` holds one value per grid node, shape (n,), or one row per label,
     shape (labels, n); all rows share one elimination and one condition
     number, and the result is a :class:`MomentVector` or a tuple of them, one
-    per row. The condition number of the Vandermonde matrix is attached;
-    values above 1e14 set the ``ill_conditioned`` flag. Extended-precision
-    ``chi`` input is honoured (the factorial rescaling amplifies any rounding
-    of the data).
+    per row. The elimination is the grid's own (:attr:`ParameterGrid.vandermonde`),
+    done once per grid and replayed on every call. The condition number of
+    the Vandermonde matrix is attached; values above 1e14 set the
+    ``ill_conditioned`` flag. Extended-precision ``chi`` input is honoured
+    (the factorial rescaling amplifies any rounding of the data).
     """
     chi = np.asarray(chi, dtype=np.longdouble)
     if chi.ndim not in (1, 2) or chi.shape[-1] != grid.n:
         raise ValueError("need one chi value per grid node")
-    v = np.vander(grid.nodes.astype(np.longdouble), increasing=True)
-    cond = float(np.linalg.cond(v.astype(float)))
-    scaled = _solve_extended(v, np.atleast_2d(chi).T)  # one column per row of chi
+    elim = grid.vandermonde
+    scaled = _solve_factored(elim, np.atleast_2d(chi).T)  # one column per row of chi
     moments = (_scaling_transform(grid.n)[:, None] * scaled).astype(float)
     vectors = tuple(
-        MomentVector(m, s, cond, cond > ILL_CONDITION_LIMIT)
+        MomentVector(m, s, elim.cond, elim.cond > ILL_CONDITION_LIMIT)
         for m, s in zip(moments.T, scaled.T.astype(float))
     )
     return vectors if chi.ndim == 2 else vectors[0]
@@ -212,7 +254,9 @@ def fourier_reconstruct(
     The series is E(mu) + i O(mu) with E even and O odd, both real, so the
     integrand Re[series e^{-i s mu}] = E cos(s mu) + O sin(s mu) is even: each
     integral is twice a trapezoid over [0, L]. All limits share the half-line
-    grid mu_i = i dmu and one cos/sin table; each reads its own window.
+    grid mu_i = i dmu and one cos/sin table; each reads its own window. The
+    table is cached per support, step and grid length (see
+    :func:`_fourier_kernel`).
     """
     m = np.ascontiguousarray(moments, dtype=float)
     if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
@@ -227,8 +271,8 @@ def fourier_reconstruct(
     ends = np.rint(limits / dmu).astype(int)
     mu = np.arange(ends.max() + 1) * dmu
     series = np.polyval(coeffs[::-1], mu)  # real part E, imaginary part O
-    phase = np.outer(support, mu)
-    integrand = series.real * np.cos(phase) + series.imag * np.sin(phase)
+    cos, sin = _fourier_kernel(support.tobytes(), dmu, mu.size)
+    integrand = series.real * cos + series.imag * sin
     best_err = None
     best_probs = None
     for end in ends:
@@ -251,6 +295,21 @@ def fourier_reconstruct(
             "all candidate integration limits produced inadmissible mass"
         )
     return EntropyDistribution(support, best_probs, label)
+
+
+FOURIER_KERNEL_CACHE_SIZE = 3  # one per reconstructed label
+
+
+@lru_cache(maxsize=FOURIER_KERNEL_CACHE_SIZE)
+def _fourier_kernel(support: bytes, dmu: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the phases s mu_i, one row per support value s (given
+    as float64 bytes) and mu_i = i dmu for i < size, read-only: an N sweep
+    reuses each label's table."""
+    phase = np.outer(np.frombuffer(support), np.arange(size) * dmu)
+    kernel = np.cos(phase), np.sin(phase)
+    for table in kernel:
+        table.flags.writeable = False
+    return kernel
 
 
 def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> EntropyDistribution:

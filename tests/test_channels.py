@@ -134,6 +134,10 @@ class TestMsGate:
         oracle = expm(-1j * phi * xx)
         assert np.max(np.abs(ms_gate(phi).kraus[0] - oracle)) <= 1e-12
 
+    def test_shared_coupling_is_read_only(self):
+        assert np.array_equal(channels.PAULI_XX, np.kron(PAULI_X, PAULI_X))
+        assert not channels.PAULI_XX.flags.writeable
+
     def test_one_parameter_group(self):
         u1 = ms_gate(0.3).kraus[0]
         u2 = ms_gate(0.9).kraus[0]

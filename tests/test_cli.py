@@ -193,6 +193,37 @@ class TestSimulateCommand:
         ab_rows = [line for line in lines[1:] if line.startswith("A-B,")]
         assert 0 < len(ab_rows) <= 16
 
+    def test_reconstruct_csv_lists_recovered_distributions(self, tmp_path):
+        argv = ["reconstruct", "--preset", "fig3", "--N", "8"]
+        assert main(argv + ["--out", str(tmp_path / "json")]) == 0
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+        assert [p.name for p in (tmp_path / "csv").iterdir()] == ["reconstruct_distributions.csv"]
+        lines = (tmp_path / "csv" / "reconstruct_distributions.csv").read_text().splitlines()
+        assert lines[0] == "label,sigma,prob"
+        recon = json.loads((tmp_path / "json" / "reconstruct.json").read_text())["reconstruction"]
+        expected = {label: entry["distribution"] for label, entry in recon["per_label"].items()}
+        expected["A+B"] = recon["conv_distribution"]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [label for label, _, _ in rows] == [
+            label for label, dist in expected.items() for _ in dist
+        ]
+        assert [[float(sigma), float(prob)] for _, sigma, prob in rows] == [
+            [entry["sigma"], entry["prob"]] for dist in expected.values() for entry in dist
+        ]
+
+    def test_verify_csv_refused_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        error = run_quietly(["verify", "--preset", "fig3", "--format", "csv", "--out", str(out)],
+                            capsys)
+        assert "--format csv" in error
+        assert not out.exists()
+
+    def test_report_without_csv_form_raises(self, tmp_path):
+        cfg = parse_config(["simulate", "--format", "csv", "--out", str(tmp_path / "out")])
+        with pytest.raises(ValueError, match="no CSV form"):
+            emit_report({"config": cfg.echo(), "checks": {}}, cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_json_round_trip(self, tmp_path):
         assert main(["simulate", "--preset", "fig3", "--out", str(tmp_path)]) == 0
         text = (tmp_path / "simulate.json").read_text()

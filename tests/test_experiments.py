@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import math
+import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import replace
 from functools import cached_property
@@ -10,6 +14,8 @@ from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_momen
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
 from entroprec import channels, cli, experiments, protocol
 from entroprec.experiments import build_channels, default_sweep_points
+from entroprec import reconstruct
+from entroprec.protocol import AbsoluteIrreversibilityWarning
 from entroprec.reconstruct import chebyshev_nodes
 
 
@@ -216,6 +222,110 @@ class TestSweepMomentCount:
         rmses = [rec.reconstructions["pinv"].rmse_probs_conv for rec in report.records]
         assert max(rmses) == rmses[0]
         assert min(rmses) == min(rmses[2:])
+
+
+def significant_bytes(array: np.ndarray) -> bytes:
+    """The bytes that carry an array's values: all of them, except for 80-bit
+    floats, whose 16-byte slots end in padding that numpy leaves unset."""
+    array = np.ascontiguousarray(array)
+    if array.dtype in (np.longdouble, np.clongdouble) and array.dtype.itemsize in (16, 32):
+        return array.view(np.uint8).reshape(-1, 16)[:, :10].tobytes()
+    return array.tobytes()
+
+
+def assert_same_record(a, b, path="record"):
+    """Every field of two records equal bit for bit, arrays by value and dtype
+    and extended-precision arrays on their significant bytes."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_same_record(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            assert_same_record(a[key], b[key], f"{path}[{key}]")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), path
+        assert significant_bytes(a) == significant_bytes(b), path
+    elif isinstance(a, tuple):
+        assert type(a) is type(b) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_record(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), path
+    else:
+        assert a == b, path
+
+
+def count_protocol_builds(monkeypatch) -> list:
+    built = []
+    original = experiments.protocol_part
+
+    def counted(cfg):
+        part = original(cfg)
+        built.append(weakref.ref(part[0]))
+        return part
+
+    monkeypatch.setattr(experiments, "protocol_part", counted)
+    return built
+
+
+class TestSweepSharing:
+    """An N sweep builds its protocol part once; every record still equals a
+    fresh run_config call for its point."""
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_n_sweep_records_equal_fresh_run_config(self):
+        base = replace(preset("fig4"), phi=2.6, gamma=0.23)
+        points = default_sweep_points("N")
+        report = sweep_moment_count(points, base, methods=("pinv", "fourier"))
+        for n, record in zip(points, report.records):
+            alone = run_config(replace(base, n_moments=int(n)), ("pinv", "fourier"))
+            assert_same_record(record, alone)
+
+    def test_protocol_part_built_once_per_n_sweep(self, monkeypatch):
+        built = count_protocol_builds(monkeypatch)
+        held = []
+        run = experiments.run_config
+
+        def counted_run(*args, **kwargs):
+            record = run(*args, **kwargs)
+            held.append(len(kwargs["latest"]))
+            return record
+
+        monkeypatch.setattr(experiments, "run_config", counted_run)
+        report = sweep_moment_count([2, 5, 9], preset("fig3"), methods=())
+        assert len(built) == 1 and held == [1, 1, 1]
+        assert report.records[0].distributions is not report.records[1].distributions
+        sweep_phase([0.1, 0.2, 0.2, 0.1], preset("fig3"), methods=())
+        assert len(built) == 4  # a repeated point shares, a new phase does not
+        assert held == [1] * 7  # only the latest part is held
+
+    def test_protocol_part_released_after_sweep(self, monkeypatch):
+        built = count_protocol_builds(monkeypatch)
+        report = sweep_moment_count([2, 3], preset("fig3"), methods=())
+        gc.collect()
+        assert len(report.records) == 2 and len(built) == 1
+        assert built[0]() is None
+
+    def test_lone_run_config_recomputes(self, monkeypatch):
+        built = count_protocol_builds(monkeypatch)
+        run_config(preset("fig3"), methods=())
+        run_config(replace(preset("fig3"), n_moments=4), methods=())
+        assert len(built) == 2
+
+    def test_protocol_warnings_once_per_n_sweep(self):
+        # The backward process of a rank-deficient state reaches initial
+        # outcomes rho0 never occupies: the Crooks check warns. That check
+        # belongs to the shared protocol part, so an N sweep warns once.
+        cfg = replace(preset("fig3"), rho0_diag=(0.6, 0.4, 0.0, 0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep_moment_count([6, 7, 8], cfg, methods=())
+        found = [w for w in caught if issubclass(w.category, AbsoluteIrreversibilityWarning)]
+        assert len(found) == 1
+        with pytest.warns(AbsoluteIrreversibilityWarning):
+            run_config(cfg, methods=())
 
 
 class TestDefaults:

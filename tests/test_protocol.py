@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from entroprec import (
     entropy_bound_check,
     von_neumann_entropy,
 )
-from entroprec.protocol import _dephase, _local_dephased, merge_support
+from entroprec import DegenerateSupportWarning, relative_entropy
+from entroprec.protocol import ProtocolStates, _dephase, _local_dephased, merge_support
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
@@ -244,6 +246,36 @@ class TestEntropyBound:
             assert -1e-10 <= result.relative_entropy <= result.mean_sigma + 1e-10
 
 
+    def test_cross_term_computed_once(self, rng, monkeypatch):
+        # both sides come out as relative_entropy and mean_entropy give them
+        from entroprec import protocol
+
+        calls = []
+        original = protocol.trace_rho_log_sigma
+        monkeypatch.setattr(
+            protocol, "trace_rho_log_sigma", lambda *a: calls.append(1) or original(*a)
+        )
+        for _ in range(10):
+            proto = generic_protocol(rng)
+            calls.clear()
+            result = entropy_bound_check(proto)
+            assert len(calls) == 1
+            _, rho_fin, rho_tau = proto.states
+            assert result.relative_entropy == relative_entropy(rho_fin, rho_tau)
+            assert result.mean_sigma == mean_entropy(proto)
+
+    def test_support_violation_gives_inf_with_a_warning(self):
+        # rho_fin outside the support of rho_tau; no dephasing produces this,
+        # so the states are handed over directly
+        rho_fin = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho_tau = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        fake = SimpleNamespace(states=ProtocolStates(rho_fin, rho_fin, rho_tau), obs_fin=COMP4)
+        with pytest.warns(DegenerateSupportWarning, match="support violation"):
+            result = entropy_bound_check(fake)
+        assert result.relative_entropy == math.inf == result.mean_sigma
+        assert result.passed is False
+
+
 class TestCrooks:
     def test_reversible_zero(self):
         proto = TwoTimeProtocol(RHO0, COMP4, COMP4, QuantumChannel.identity(4))
@@ -334,6 +366,19 @@ class TestBipartite:
         with pytest.raises(ValueError, match="tensor products"):
             TwoTimeProtocol(
                 RHO0, swapped, COMP4, ms_gate(0.3), (QUBIT_OBS, other, QUBIT_OBS, QUBIT_OBS)
+            )
+
+    def test_unequal_local_dimensions(self, rng):
+        qutrit = random_observable(3, rng)
+        rho0 = DensityMatrix.from_diagonal(np.kron([0.3, 0.7], [0.2, 0.5, 0.3]), partition=(2, 3))
+        proto = TwoTimeProtocol.bipartite(
+            rho0, QUBIT_OBS, Observable.computational(3), QUBIT_OBS, qutrit,
+            QuantumChannel.identity(6),
+        )
+        assert proto.obs_fin.n_outcomes == 6
+        with pytest.raises(ValueError, match="tensor products"):
+            TwoTimeProtocol(
+                rho0, proto.obs_in, proto.obs_in, QuantumChannel.identity(6), proto.bipartite_obs
             )
 
     def test_non_product_state_rejected(self):

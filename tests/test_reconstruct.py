@@ -21,9 +21,11 @@ from entroprec import (
     rmse_probs,
 )
 from entroprec.protocol import TwoTimeProtocol
+from entroprec import reconstruct
 from entroprec.reconstruct import (
     DEFAULT_DMU,
     DEFAULT_LIMITS,
+    FOURIER_KERNEL_CACHE_SIZE,
     InfeasibleRecoveryWarning,
     ParameterGrid,
     ReconstructionError,
@@ -153,6 +155,63 @@ class TestVandermondeMoments:
     def test_chi_shape_checked(self, shape):
         with pytest.raises(ValueError, match="one chi value per grid node"):
             moments_via_vandermonde(chebyshev_nodes(5, 0.0, 1.0), np.ones(shape))
+
+
+def eliminate_in_place(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The reference solve: the 80-bit pivoted elimination of matrix and
+    right-hand sides together, then back substitution."""
+    a = matrix.astype(np.longdouble).copy()
+    b = rhs.astype(np.longdouble).copy()
+    n = a.shape[0]
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            b[[col, pivot]] = b[[pivot, col]]
+        factors = a[col + 1 :, col] / a[col, col]
+        a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
+        b[col + 1 :] -= factors[:, None] * b[col]
+    x = np.zeros_like(b)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
+
+
+class TestFactorOnce:
+    """The grid's elimination, done once and replayed, solves as the
+    elimination of matrix and right-hand sides together does."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_replayed_solve_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        grid = chebyshev_nodes(n, PHI_MIN, PHI_MAX)
+        v = np.vander(grid.nodes.astype(np.longdouble), increasing=True)
+        for columns in (1, 3 * 5):  # one label; three labels at five points
+            rhs = (1.0 + rng.uniform(-0.1, 0.1, (n, columns))).astype(np.longdouble)
+            expected = eliminate_in_place(v, rhs)
+            assert np.array_equal(_solve_extended(v, rhs), expected)
+            assert np.array_equal(reconstruct._solve_factored(grid.vandermonde, rhs), expected)
+            rows = moments_via_vandermonde(grid, rhs.T)
+            assert np.array_equal(np.stack([mv.scaled for mv in rows]), expected.T.astype(float))
+            cond = float(np.linalg.cond(v.astype(float)))
+            assert all(mv.condition_number == cond for mv in rows)
+
+    def test_grid_shared_and_factored_once(self, monkeypatch):
+        calls = []
+        factor = reconstruct._factor_extended
+        monkeypatch.setattr(reconstruct, "_factor_extended", lambda m: calls.append(1) or factor(m))
+        grid = chebyshev_nodes(9, -0.25, 0.75)
+        assert chebyshev_nodes(9, -0.25, 0.75) is grid
+        for _ in range(3):
+            moments_via_vandermonde(chebyshev_nodes(9, -0.25, 0.75), np.ones((3, 9)))
+        assert len(calls) == 1
+        elim = grid.vandermonde
+        assert not grid.nodes.flags.writeable and not elim.upper.flags.writeable
+        assert all(not f.flags.writeable for f in elim.factors)
+
+    def test_singular_matrix_refused(self):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _solve_extended(np.ones((3, 3)), np.ones((3, 1)))
 
 
 class TestNewtonMoments:
@@ -310,6 +369,28 @@ class TestFourierReconstruct:
         moments = np.array([1.0, 4.0, 0.1, 60.0, 1.0, 800.0])
         with pytest.raises(ReconstructionError):
             fourier_reconstruct(moments, [-4.0, 4.1], limit_candidates=(2.0, 4.0))
+
+    def test_kernel_cache_bounded_and_exact(self):
+        kernel = reconstruct._fourier_kernel
+        kernel.cache_clear()
+        moments = np.array([1.0, 0.1, 0.3, 0.05, 0.15])
+        supports = [[-0.5, 0.5], [-0.6, 0.4, 0.7], [-1.0, 0.0, 1.0], [-0.3, 0.2], [-0.5, 0.5]]
+        cached = [fourier_reconstruct(moments, support).probs for support in supports]
+        assert kernel.cache_info().currsize <= FOURIER_KERNEL_CACHE_SIZE == 3
+        for support, probs in zip(supports, cached):
+            kernel.cache_clear()
+            assert np.array_equal(fourier_reconstruct(moments, support).probs, probs)
+        cos, sin = kernel(np.array([-0.5, 0.5]).tobytes(), DEFAULT_DMU, 11)
+        assert cos.shape == sin.shape == (2, 11)
+        assert not cos.flags.writeable and not sin.flags.writeable
+
+    def test_kernel_reused_across_n(self, dists):
+        reconstruct._fourier_kernel.cache_clear()
+        for n in (6, 8, 10):
+            moments = np.concatenate([[1.0], dists["A"].moments(n - 1)])
+            fourier_reconstruct(moments, dists["A"].support)
+        info = reconstruct._fourier_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_recovers_section6_coarsely(self, proto, dists):
         grid = chebyshev_nodes(10, PHI_MIN, PHI_MAX)
