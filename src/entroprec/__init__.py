@@ -5,7 +5,6 @@ from .core import (
     DensityMatrix,
     Observable,
     SpectralDecomposition,
-    matrix_power,
     partial_trace,
     relative_entropy,
     spectral_decomposition,

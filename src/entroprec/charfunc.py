@@ -11,13 +11,18 @@ reconstruction. A second evaluation path mimics the three-step measurement
 procedure (prepare a power-deformed initial state, evolve, read occupation
 probabilities) and must agree with the operator form.
 
-The powered post-measurement states are sums sum_k p_k^x P_k over the
-outcome probabilities of each label's forward table
-(:attr:`TwoTimeProtocol.tables`), so they are assembled directly from the
-observable's projectors. That form holds for rank-one projectors only, so both
-paths reject any other. The powers, the channel application and the trace
-run in 80-bit precision because the downstream moment extraction amplifies
-evaluation noise factorially. Two steps still round to float64: the
+The powered post-measurement states are sums sum_k p_k^x P_k over the outcome
+probabilities of each label's forward table (:attr:`TwoTimeProtocol.tables`),
+so they are assembled directly from the observable's projectors. That form
+holds for rank-one projectors only, so both paths reject any other. Both build
+these states with :func:`_powered_state` (the unpowered spectator factor of A
+and B is its z = 1 case) and weight the reference outcomes with the same
+powers, so they share one zero-outcome convention: a probability at or below
+``EIGENVALUE_CUTOFF`` contributes nothing, and one
+:class:`DegenerateSupportWarning` per call counts the terms dropped at
+exponents with non-positive real part. The powers, the channel application and
+the trace run in 80-bit precision because the downstream moment extraction
+amplifies evaluation noise factorially. Two steps still round to float64: the
 exponent ``1 + i lam`` is formed in complex128 before it is widened (so
 ``1 - phi`` is rounded for real phi), and the A and B states pass through a
 complex128 Kronecker product. Item 1 of ROADMAP.md describes the fix, which
@@ -31,28 +36,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, matrix_power, tensor_product
-from .protocol import TwoTimeProtocol, _local_dephased, _local_observables, _outcome_probs
+from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, tensor_product
+from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
 
 
+def _powers(probs, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """p_k^z in extended precision, one row per exponent in ``z`` and one
+    column per outcome, and the number of (outcome, exponent) terms dropped.
+    An outcome at or below ``EIGENVALUE_CUTOFF`` counts as a zero: its power
+    is 0, and it counts as dropped at each exponent with ``Re z <= 0``, where
+    the power would diverge. Zero is never raised to a power."""
+    p = np.asarray(probs, dtype=np.longdouble)
+    z = np.asarray(z).astype(np.clongdouble)
+    kept = p > EIGENVALUE_CUTOFF
+    powers = np.zeros((z.size, p.size), dtype=np.clongdouble)
+    powers[:, kept] = np.exp(z[:, None] * np.log(p[kept]))
+    return powers, int(np.count_nonzero(~kept) * np.count_nonzero(z.real <= 0))
+
+
 def _powered_state(probs, projectors, z: np.ndarray) -> tuple[np.ndarray, int]:
     """The stack sum_k p_k^z P_k, one slice per exponent in ``z``, in extended
-    precision, and the number of (outcome, exponent) terms dropped: zero
-    outcomes follow the same support conventions as
-    :func:`entroprec.core.matrix_power`."""
+    precision, and the number of dropped terms; see :func:`_powers`. The only
+    place a dephased state is raised to a power."""
+    powers, dropped = _powers(probs, z)
     dim = projectors[0].shape[0]
-    out = np.zeros((z.size, dim, dim), dtype=np.clongdouble)
-    dropped = 0
-    for p, proj in zip(probs, projectors):
-        if p > EIGENVALUE_CUTOFF:
-            power = np.exp(z.astype(np.clongdouble) * np.log(np.longdouble(p)))
-            out += power[:, None, None] * proj.astype(np.clongdouble)
-        else:
-            dropped += int(np.count_nonzero(z.real <= 0))
+    out = np.zeros((powers.shape[0], dim, dim), dtype=np.clongdouble)
+    for power, proj in zip(powers.T, projectors):
+        out += power[:, None, None] * proj.astype(np.clongdouble)
     return out, dropped
+
+
+def _initial_state(proto: TwoTimeProtocol, subsystem: str, z: np.ndarray):
+    """rho_in with the label's factor raised to each power in ``z`` (all of
+    it for ``"A-B"``), in extended precision, and the dropped count. Both
+    factors are powered from their tables' ``p_in``; the spectator at z = 1."""
+    if subsystem == "A-B":
+        return _powered_state(proto.forward.p_in, proto.obs_in.projectors, z)
+    local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
+    own = "AB".index(subsystem)
+    other = 1 - own
+    powered, dropped = _powered_state(proto.tables[subsystem].p_in, local[own].projectors, z)
+    spectator, _ = _powered_state(
+        proto.tables["AB"[other]].p_in, local[other].projectors, np.ones(1)
+    )
+    order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
+    # tensor_product works in complex128; the channel acts in 80-bit
+    return tensor_product(*(powered, spectator)[::order]).astype(np.clongdouble), dropped
+
+
+def _warn_dropped(dropped: int, n_values: int) -> None:
+    if dropped:
+        warnings.warn(
+            f"dropped {dropped} zero-probability outcome term(s) "
+            f"over {n_values} parameter value(s)",
+            DegenerateSupportWarning,
+            stacklevel=3,
+        )
 
 
 def _require_rank_one(*observables) -> None:
@@ -78,32 +120,24 @@ def char_function(proto: TwoTimeProtocol, subsystem: str, lam):
     if subsystem == "A-B":
         _require_rank_one(proto.obs_in, proto.obs_fin)
         p_fin = _outcome_probs(
-            proto.obs_fin, proto.channel.apply_matrix(proto.states.rho_in.astype(np.clongdouble))
+            proto.obs_fin.projectors,
+            proto.channel.apply_matrix(proto.states.rho_in.astype(np.clongdouble)),
         )
-        initial, dropped_in = _powered_state(proto.forward.p_in, proto.obs_in.projectors, initial_z)
         probe, dropped_fin = _powered_state(p_fin, proto.obs_fin.projectors, probe_z)
     elif subsystem in ("A", "B"):
         local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
         own = "AB".index(subsystem)
         other = 1 - own
         _require_rank_one(local[own], local[other], local[own + 2])
-        table = proto.tables[subsystem]
-        probe, dropped_fin = _powered_state(table.p_ref, local[own + 2].projectors, probe_z)
-        initial, dropped_in = _powered_state(table.p_in, local[own].projectors, initial_z)
-        spectator = _local_dephased(proto.tables["AB"[other]].p_in, local[other])
+        probe, dropped_fin = _powered_state(
+            proto.tables[subsystem].p_ref, local[own + 2].projectors, probe_z
+        )
         order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
         probe = tensor_product(*(probe, np.eye(local[other + 2].dim))[::order])
-        initial = tensor_product(*(initial, spectator)[::order])
-        initial = initial.astype(np.clongdouble)  # the channel acts in 80-bit
     else:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    if dropped_in + dropped_fin:
-        warnings.warn(
-            f"dropped {dropped_in + dropped_fin} zero-probability outcome term(s) "
-            f"over {stack.size} parameter value(s)",
-            DegenerateSupportWarning,
-            stacklevel=2,
-        )
+    initial, dropped_in = _initial_state(proto, subsystem, initial_z)
+    _warn_dropped(dropped_in + dropped_fin, stack.size)
     values = np.trace(probe @ proto.channel.apply_matrix(initial), axis1=-2, axis2=-1)
     return values.reshape(lam.shape)[()]
 
@@ -133,32 +167,25 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     step 2 prepares the normalised power-deformed initial state (its
     normalisation constant is tracked and folded back in); step 3 combines the
     measured occupation probabilities of the evolved deformed state with
-    powers of the step-1 probabilities.
+    powers of the step-1 probabilities. The deformed state and the powers
+    follow the operator form's zero-outcome convention and 80-bit arithmetic,
+    with one :class:`DegenerateSupportWarning` for the dropped terms.
     """
     if subsystem not in SUBSYSTEMS:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
     oa_in, ob_in, oa_fin, ob_fin = _local_observables(proto)
     read_fin = {"A": (oa_fin,), "B": (ob_fin,)}.get(subsystem, (oa_fin, ob_fin))
     _require_rank_one(oa_in, ob_in, *read_fin)
-    tables = proto.tables
-    rho_a_in = _local_dephased(tables["A"].p_in, oa_in)
-    rho_b_in = _local_dephased(tables["B"].p_in, ob_in)
-    shape = (oa_fin.n_outcomes, ob_fin.n_outcomes)
-
-    if subsystem == "A":
-        deformed = tensor_product(matrix_power(rho_a_in, 1.0 - phi), rho_b_in)
-        weights = tables["A"].p_ref[:, None]
-    elif subsystem == "B":
-        deformed = tensor_product(rho_a_in, matrix_power(rho_b_in, 1.0 - phi))
-        weights = tables["B"].p_ref[None, :]
-    else:
-        deformed = matrix_power(tensor_product(rho_a_in, rho_b_in), 1.0 - phi)
-        weights = tables["A-B"].p_ref.reshape(shape)
-    norm = np.trace(deformed).real
-    evolved = proto.channel.apply_matrix(deformed / norm)
+    deformed, dropped_in = _initial_state(proto, subsystem, np.array([1.0 - phi]))
+    weights, dropped_ref = _powers(proto.tables[subsystem].p_ref, np.array([phi]))
+    _warn_dropped(dropped_in + dropped_ref, 1)
+    norm = np.trace(deformed[0]).real
+    evolved = proto.channel.apply_matrix(deformed[0] / norm)
     # occupations of the joint final outcomes (k, l), indexed k * n_b + l
-    occupation = _outcome_probs(proto.obs_fin, evolved).reshape(shape)
-    return float(norm * np.sum(weights**phi * occupation))
+    shape = (oa_fin.n_outcomes, ob_fin.n_outcomes)
+    occupation = _outcome_probs(proto.obs_fin.projectors, evolved).reshape(shape)
+    weights = weights.real.reshape({"A": (-1, 1), "B": (1, -1)}.get(subsystem, shape))
+    return float(norm * np.sum(weights * occupation))
 
 
 @dataclass(frozen=True)

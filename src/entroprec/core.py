@@ -304,30 +304,3 @@ def trace_rho_log_sigma(rho, sigma) -> float:
             )
             return -math.inf
     return total
-
-
-def matrix_power(rho, z: complex) -> np.ndarray:
-    """Complex matrix power of a Hermitian PSD matrix via its spectral form.
-
-    Zero eigenvalues (below the cutoff) map to zero when ``Re z > 0``; for
-    ``Re z <= 0`` the offending modes are dropped and a
-    :class:`DegenerateSupportWarning` is emitted.
-    """
-    z = complex(z)
-    dec = spectral_decomposition(rho)
-    vals = np.clip(dec.eigenvalues, 0.0, None)
-    powered = np.zeros(len(vals), dtype=complex)
-    dropped = 0
-    for i, v in enumerate(vals):
-        if v > EIGENVALUE_CUTOFF:
-            powered[i] = v**z
-        elif z.real <= 0:
-            dropped += 1
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} zero mode(s) for exponent {z} with Re z <= 0",
-            DegenerateSupportWarning,
-            stacklevel=2,
-        )
-    v = dec.eigenvectors
-    return (v * powered) @ v.conj().T

@@ -202,13 +202,11 @@ def reconstruct_subsystem(
     true_dist: EntropyDistribution,
     n_moments: int,
     method: str = "pinv",
-    phi_min: float = PHI_MIN,
-    phi_max: float = PHI_MAX,
 ) -> ReconstructionResult:
     """Full reconstruction of one entropy-production distribution.
 
     Moment-generating values are taken at the Chebyshev nodes of
-    [phi_min, phi_max]; the scaled moments come from the Vandermonde
+    [PHI_MIN, PHI_MAX]; the scaled moments come from the Vandermonde
     inversion and the distribution from the requested recovery method
     evaluated on the enumerated support.
 
@@ -220,21 +218,17 @@ def reconstruct_subsystem(
     pseudo-inverse sees at most as many moment rows as there are support
     points; rows beyond that only add factorially amplified extraction noise.
     """
-    measured = _measure_moments(proto, (label,), n_moments, phi_min, phi_max)
+    measured = _measure_moments(proto, (label,), n_moments)
     return _recover(*measured[label], true_dist, label, method)
 
 
 def _measure_moments(
-    proto: TwoTimeProtocol,
-    labels: tuple[str, ...],
-    n_moments: int,
-    phi_min: float = PHI_MIN,
-    phi_max: float = PHI_MAX,
+    proto: TwoTimeProtocol, labels: tuple[str, ...], n_moments: int
 ) -> dict[str, tuple[ParameterGrid, np.ndarray, MomentVector]]:
     """The Chebyshev grid, chi on it and the extracted moments of each label;
     see :func:`reconstruct_subsystem`. Chi is one stacked call per label on
     all nodes, and every label's moments come from one shared elimination."""
-    grid = chebyshev_nodes(n_moments, phi_min, phi_max)
+    grid = chebyshev_nodes(n_moments, PHI_MIN, PHI_MAX)
     chis = [moment_generating(proto, label, grid.nodes) for label in labels]
     moments = moments_via_vandermonde(grid, np.stack(chis))
     return {label: (grid, chi, mv) for label, chi, mv in zip(labels, chis, moments)}

@@ -130,8 +130,7 @@ class TwoTimeProtocol:
 
     @cached_property
     def backward(self) -> "JointOutcomeTable":
-        """Forward table plus the reversed-map backward table, see
-        :func:`backward_joint`."""
+        """Joint table of the backward process, see :func:`backward_joint`."""
         return backward_joint(self)
 
     @cached_property
@@ -147,7 +146,8 @@ class TwoTimeProtocol:
         n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in self.bipartite_obs)
         p_fwd = fwd.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
         p_in = fwd.p_in.reshape(n_a_in, n_b_in)
-        p_fin = _outcome_probs(self.obs_fin, self.states.rho_fin).reshape(n_a_fin, n_b_fin)
+        p_fin = _outcome_probs(self.obs_fin.projectors, self.states.rho_fin)
+        p_fin = p_fin.reshape(n_a_fin, n_b_fin)
         return MappingProxyType({
             "A": JointOutcomeTable(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1)),
             "B": JointOutcomeTable(p_fwd.sum(axis=(0, 2)), p_in.sum(axis=0), p_fin.sum(axis=0)),
@@ -244,45 +244,34 @@ def convolve_distributions(
 
 @dataclass(frozen=True)
 class JointOutcomeTable:
-    """Forward and backward joint outcome probabilities.
+    """Joint outcome probabilities of one two-time process.
 
     ``p_fwd[k, m]`` is the probability of initial outcome ``m`` followed by
-    final outcome ``k``; ``p_bwd[m, k]`` is the backward-process analogue.
-    ``p_in`` and ``p_ref`` are the initial-outcome and reference-outcome
-    marginals (the reference state being the final post-measurement state).
-    The arrays are read-only: a protocol hands its cached tables to every
-    caller.
+    final outcome ``k``. ``p_in`` and ``p_ref`` are the initial-outcome and
+    reference-outcome marginals (the reference state being the final
+    post-measurement state). The backward process has a table of the same
+    form, see :func:`backward_joint`. The arrays are read-only: a protocol
+    hands its cached tables to every caller.
     """
 
     p_fwd: np.ndarray
     p_in: np.ndarray
     p_ref: np.ndarray
-    p_bwd: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("p_fwd", "p_in", "p_ref", "p_bwd"):
-            if getattr(self, name) is not None:
-                array = np.array(getattr(self, name), dtype=float)
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
+        for name in ("p_fwd", "p_in", "p_ref"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.p_fwd.min() < -1e-12:
             raise ValueError("joint probabilities must be nonnegative")
         if abs(self.p_fwd.sum() - 1.0) > 1e-10:
-            raise ValueError(f"forward table sums to {self.p_fwd.sum()!r}")
-        if self.p_bwd is not None and abs(self.p_bwd.sum() - 1.0) > 1e-10:
-            raise ValueError("backward table must sum to 1")
+            raise ValueError(f"joint table sums to {self.p_fwd.sum()!r}")
 
     def conditional_fwd(self) -> np.ndarray:
         """p(final k | initial m); columns with p_in ~ 0 are set to NaN."""
         p_in = np.where(self.p_in > MASS_DROP_TOL, self.p_in, np.nan)
         return self.p_fwd / p_in[None, :]
-
-    def conditional_bwd(self) -> np.ndarray:
-        """p(initial m | reference k); columns with p_ref ~ 0 are set to NaN."""
-        if self.p_bwd is None:
-            raise ValueError("backward table not filled")
-        p_ref = np.where(self.p_ref > MASS_DROP_TOL, self.p_ref, np.nan)
-        return self.p_bwd / p_ref[None, :]
 
 
 def _dephase(obs: Observable, rho: np.ndarray) -> np.ndarray:
@@ -292,17 +281,15 @@ def _dephase(obs: Observable, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outcome_probs(obs: Observable, rho: np.ndarray) -> np.ndarray:
-    return np.array([np.trace(p @ rho).real for p in obs.projectors])
+def _outcome_probs(projectors, rho: np.ndarray) -> np.ndarray:
+    return np.array([np.trace(p @ rho).real for p in projectors])
 
 
 def _measured_joint(channel: QuantumChannel, rho: np.ndarray, prepare, read) -> np.ndarray:
     """``table[k, m] = Tr[read_k  Phi(prepare_m rho prepare_m)]``, negatives clipped."""
     table = np.zeros((len(read), len(prepare)))
     for m, p_m in enumerate(prepare):
-        evolved = channel.apply_matrix(p_m @ rho @ p_m)
-        for k, p_k in enumerate(read):
-            table[k, m] = np.trace(p_k @ evolved).real
+        table[:, m] = _outcome_probs(read, channel.apply_matrix(p_m @ rho @ p_m))
     return np.clip(table, 0.0, None)
 
 
@@ -313,16 +300,20 @@ def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     """
     rho0 = proto.rho0.data
     p_fwd = _measured_joint(proto.channel, rho0, proto.obs_in.projectors, proto.obs_fin.projectors)
-    p_in = _outcome_probs(proto.obs_in, rho0)
+    p_in = _outcome_probs(proto.obs_in.projectors, rho0)
     return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_fwd.sum(axis=1))
 
 
 def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
-    """Joint outcome table of the backward process (plus the forward one).
+    """Joint outcome table of the backward process.
 
-    ``p_bwd[m, k] = Tr[~P_in_m  ~Phi(~P_ref_k ~rho_tau ~P_ref_k)]`` with the
-    explicitly time-reversed channel, so that it stays independent of the
-    forward table it is checked against.
+    The backward process prepares the reference outcomes and reads the
+    initial ones: its ``p_fwd[m, k] = Tr[~P_in_m  ~Phi(~P_ref_k ~rho_tau
+    ~P_ref_k)]`` with the explicitly time-reversed channel, so that it stays
+    independent of the forward table it is checked against. Its initial
+    marginal is the forward ``p_ref`` and its reference marginal the forward
+    ``p_in``, so :func:`entropy_samples` reads ``sigma_bwd = ln p_ref[k] -
+    ln p_in[m]`` from it.
     """
     fwd = proto.forward
     theta = TimeReversal()
@@ -331,7 +322,7 @@ def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     proj_in_rev = [theta.apply_to_state(p) for p in proto.obs_in.projectors]
     proj_ref_rev = [theta.apply_to_state(p) for p in proto.obs_fin.projectors]
     p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
-    return JointOutcomeTable(p_fwd=fwd.p_fwd, p_in=fwd.p_in, p_ref=fwd.p_ref, p_bwd=p_bwd)
+    return JointOutcomeTable(p_fwd=p_bwd, p_in=fwd.p_ref, p_ref=fwd.p_in)
 
 
 def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDistribution:
@@ -407,8 +398,7 @@ def entropy_bound_check(proto: TwoTimeProtocol, tol: float = 1e-10) -> EntropyBo
 def conditional_equality_deviation(proto: TwoTimeProtocol) -> float:
     """Max |p(fin k | in m) - p(in m | ref k)| with both sides computed
     independently (forward table vs explicitly reversed map)."""
-    table = proto.backward
-    diff = np.abs(table.conditional_fwd() - table.conditional_bwd().T)
+    diff = np.abs(proto.forward.conditional_fwd() - proto.backward.conditional_fwd().T)
     if np.all(np.isnan(diff)):
         return 0.0
     return float(np.nanmax(diff))
@@ -428,13 +418,11 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
 
     The backward distribution is built from the explicitly reversed map, so
     the deviation measures how well the fluctuation relation survives the
-    numerics of the channel representation. Its table swaps the roles of the
-    initial and reference outcomes: ``sigma_bwd = ln p_ref[k] - ln p_in[m]``.
-    The forward distribution is the protocol's A-B one.
+    numerics of the channel representation; see :func:`backward_joint` for
+    its ``sigma_bwd``. The forward distribution is the protocol's A-B one.
     """
-    table = proto.backward
     fwd = proto.distributions["A-B"]
-    bwd = entropy_samples(JointOutcomeTable(table.p_bwd, table.p_ref, table.p_in))
+    bwd = entropy_samples(proto.backward)
     deviation = 0.0
     for g in np.union1d(fwd.support, -bwd.support):
         deviation = max(deviation, abs(_mass_at(bwd, -g) - math.exp(-g) * _mass_at(fwd, g)))
@@ -453,13 +441,6 @@ def bipartite_distributions(proto: TwoTimeProtocol):
     of a bipartite protocol, see :attr:`TwoTimeProtocol.distributions`."""
     _local_observables(proto)
     return tuple(proto.distributions.values())
-
-
-def _local_dephased(probs: np.ndarray, obs: Observable) -> np.ndarray:
-    out = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for p, proj in zip(probs, obs.projectors):
-        out += p * proj
-    return out
 
 
 class WitnessResult(NamedTuple):

@@ -273,6 +273,7 @@ def fourier_reconstruct(
     series = np.polyval(coeffs[::-1], mu)  # real part E, imaginary part O
     cos, sin = _fourier_kernel(support.tobytes(), dmu, mu.size)
     integrand = series.real * cos + series.imag * sin
+    powers = np.array([support**k for k in range(1, m.size)]).reshape(-1, support.size)
     best_err = None
     best_probs = None
     for end in ends:
@@ -285,7 +286,7 @@ def fourier_reconstruct(
             continue
         probs = np.clip(masses, 0.0, None)
         probs /= probs.sum()
-        recomputed = np.array([np.sum(probs * support**k) for k in range(1, m.size)])
+        recomputed = np.sum(probs * powers, axis=1)
         err = float(np.sum(np.abs(m[1:] - recomputed) ** 2))
         if best_err is None or err < best_err:
             best_err = err

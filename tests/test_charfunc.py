@@ -11,6 +11,7 @@ from entroprec import (
     DegenerateSupportWarning,
     DensityMatrix,
     Observable,
+    QuantumChannel,
     bipartite_distributions,
     char_function,
     measurement_budget,
@@ -20,9 +21,9 @@ from entroprec import (
     tensor_product,
 )
 from entroprec import charfunc
-from entroprec.charfunc import SUBSYSTEMS
+from entroprec.charfunc import SUBSYSTEMS, _powered_state
 from entroprec.experiments import PHI_MAX, PHI_MIN, PRESETS, build_protocol, preset
-from entroprec.protocol import TwoTimeProtocol, _local_dephased
+from entroprec.protocol import TwoTimeProtocol
 from entroprec.reconstruct import chebyshev_nodes
 from conftest import random_density, random_mixed_unitary_channel
 
@@ -56,10 +57,11 @@ class TestCharFunction:
         assert abs(complex(char_function(proto, "A-B", 1j)) - 1.0) <= 1e-12
 
     def test_subsystem_jarzynski_trace_oracle(self, proto):
-        # independent evaluation of Tr[(rho_A_tau x 1) Phi(1_A x rho_B_in)]
-        oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
-        rho_a_tau = _local_dephased(proto.tables["A"].p_ref, oa_fin)
-        rho_b_in = _local_dephased(proto.tables["B"].p_in, ob_in)
+        # independent evaluation of Tr[(rho_A_tau x 1) Phi(1_A x rho_B_in)];
+        # the local observables are computational, so the dephased states
+        # are diagonal
+        rho_a_tau = np.diag(proto.tables["A"].p_ref)
+        rho_b_in = np.diag(proto.tables["B"].p_in)
         probe = tensor_product(rho_a_tau, np.eye(2))
         evolved = proto.channel.apply_matrix(tensor_product(np.eye(2), rho_b_in))
         oracle = np.trace(probe @ evolved)
@@ -273,6 +275,86 @@ class TestMeasurementPath:
             rho0, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, ms_gate(0.4)
         )
         with pytest.warns(DegenerateSupportWarning):
+            simulate_measurement_path(proto, "A", 1.5)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [QuantumChannel.identity(4), ms_gate(0.0), ms_gate(0.4)],
+        ids=["identity", "gate-0", "gate-0.4"],
+    )
+    def test_rank_deficient_state_on_the_default_grid(self, channel):
+        # without mixing, A's reference marginal keeps a zero outcome; step 3
+        # used to raise it to the grid's negative nodes and return NaN
+        rho0 = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+        proto = TwoTimeProtocol.bipartite(
+            rho0, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, channel
+        )
+        nodes = np.append(chebyshev_nodes(16, PHI_MIN, PHI_MAX).nodes, -0.3)
+        for label in SUBSYSTEMS:
+            for phi in nodes:
+                with warnings.catch_warnings(record=True) as operator_warnings:
+                    warnings.simplefilter("always")
+                    expected = float(moment_generating(proto, label, phi))
+                with warnings.catch_warnings(record=True) as path_warnings:
+                    warnings.simplefilter("always")
+                    measured = simulate_measurement_path(proto, label, float(phi))
+                assert math.isfinite(measured) and abs(measured - expected) <= 1e-10
+                # the same dropped count, and no numpy RuntimeWarning
+                assert [str(w.message) for w in path_warnings] == [
+                    str(w.message) for w in operator_warnings
+                ]
+
+
+class TestPoweredState:
+    """sum_k p_k^z P_k, the one builder both chi paths raise dephased states
+    with."""
+
+    def test_first_power_is_the_dephased_state(self, rng):
+        # exp(ln p) in 80 bits rounds back to p exactly, down to the cutoff
+        projectors = Observable.computational(3).projectors
+        for _ in range(200):
+            probs = np.exp(rng.uniform(np.log(1e-13), 0.0, 3))
+            state, dropped = _powered_state(probs, projectors, np.ones(1))
+            assert dropped == 0 and state.dtype == np.clongdouble
+            assert np.array_equal(state[0].astype(complex), np.diag(probs))
+
+    def test_unit_probabilities_any_exponent(self):
+        projectors = Observable.computational(3).projectors
+        state, _ = _powered_state(np.ones(3), projectors, np.array([0.3 - 1.7j, -2.0]))
+        assert np.array_equal(state, np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+    def test_complex_power_of_diagonal(self):
+        state, _ = _powered_state([0.25, 0.75], QUBIT_OBS.projectors, np.array([1 + 1j]))
+        expected = np.diag([0.25 ** (1 + 1j), 0.75 ** (1 + 1j)])
+        assert np.max(np.abs(state[0] - expected)) <= 1e-15
+
+    def test_semigroup_at_80_bits(self, rng):
+        # dyadic exponents add exactly, so p^z1 p^z2 = p^(z1 + z2) holds to
+        # the 80-bit rounding, well below float64's
+        z1, z2 = 0.25 + 0.5j, 0.5 - 0.75j
+        projectors = Observable.computational(4).projectors
+        for _ in range(20):
+            probs = rng.dirichlet(np.ones(4))
+            state, _ = _powered_state(probs, projectors, np.array([z1, z2, z1 + z2]))
+            assert np.max(np.abs(state[0] @ state[1] - state[2])) <= 1e-17
+
+    def test_zero_outcome_dropped_and_counted(self):
+        # outcomes at or below the cutoff give 0; they count as dropped at
+        # each exponent with Re z <= 0, and 0 is never raised to a power
+        z = np.array([1.5, 0.0, -0.5 + 1j, 2j])
+        projectors = Observable.computational(3).projectors
+        state, dropped = _powered_state([0.5, 0.5, 1e-15], projectors, z)
+        assert dropped == 3
+        assert np.all(state[:, 2, 2] == 0) and np.all(np.isfinite(state))
+        assert np.array_equal(state[1], np.diag([1.0, 1.0, 0.0]))
+        rho0 = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+        proto = TwoTimeProtocol.bipartite(
+            rho0, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS, ms_gate(0.4)
+        )
+        message = r"^dropped 1 zero-probability outcome term\(s\) over 1 parameter value\(s\)$"
+        with pytest.warns(DegenerateSupportWarning, match=message):
+            moment_generating(proto, "A", 1.5)
+        with pytest.warns(DegenerateSupportWarning, match=message):
             simulate_measurement_path(proto, "A", 1.5)
 
 

@@ -7,7 +7,6 @@ from entroprec import (
     DegenerateSupportWarning,
     DensityMatrix,
     Observable,
-    matrix_power,
     partial_trace,
     relative_entropy,
     spectral_decomposition,
@@ -144,37 +143,6 @@ class TestRelativeEntropy:
             assert s >= -1e-12
             close = np.max(np.abs(nu.data - mu.data)) <= 1e-10
             assert (s <= 1e-10) == close
-
-
-class TestMatrixPower:
-    def test_first_power(self, rng):
-        rho = random_density(3, rng)
-        assert np.max(np.abs(matrix_power(rho, 1.0) - rho.data)) <= 1e-12
-
-    def test_identity_any_exponent(self):
-        out = matrix_power(np.eye(3), 0.3 - 1.7j)
-        assert np.max(np.abs(out - np.eye(3))) <= 1e-12
-
-    def test_scalar_complex_power(self):
-        rho = np.diag([0.25, 0.75]).astype(complex)
-        out = matrix_power(rho, 1 + 1j)
-        expected = np.diag([0.25 ** (1 + 1j), 0.75 ** (1 + 1j)])
-        assert np.max(np.abs(out - expected)) <= 1e-14
-
-    def test_zero_mode_dropped(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.warns(DegenerateSupportWarning):
-            out = matrix_power(rho, -0.5)
-        assert np.allclose(out, np.diag([1.0, 0.0]))
-        # positive real part: zero maps to zero silently
-        assert np.allclose(matrix_power(rho, 2.0), np.diag([1.0, 0.0]))
-
-    def test_semigroup(self, rng):
-        rho = random_density(4, rng)
-        z1, z2 = 0.3 + 0.2j, 0.5 - 0.7j
-        lhs = matrix_power(rho, z1) @ matrix_power(rho, z2)
-        rhs = matrix_power(rho, z1 + z2)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 class TestSpectralDecomposition:

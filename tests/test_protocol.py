@@ -29,7 +29,7 @@ from entroprec import (
     von_neumann_entropy,
 )
 from entroprec import DegenerateSupportWarning, relative_entropy
-from entroprec.protocol import ProtocolStates, _dephase, _local_dephased, merge_support
+from entroprec.protocol import ProtocolStates, _dephase, merge_support
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
@@ -73,9 +73,13 @@ class TestForwardJoint:
         assert proto.tables is proto.tables and proto.states is proto.states
         assert proto.distributions is proto.distributions
         assert proto.tables["A-B"] is proto.forward
-        assert np.array_equal(proto.backward.p_fwd, proto.forward.p_fwd)
+        # the backward table has the forward table's form, marginals swapped
+        assert np.array_equal(proto.backward.p_in, proto.forward.p_ref)
+        assert np.array_equal(proto.backward.p_ref, proto.forward.p_in)
         with pytest.raises(ValueError, match="read-only"):
             proto.forward.p_fwd[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            proto.backward.p_fwd[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             proto.tables["A"].p_ref[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -132,7 +136,9 @@ class TestBackwardJoint:
     def test_identity_channel_reversible(self):
         proto = TwoTimeProtocol(RHO0, COMP4, COMP4, QuantumChannel.identity(4))
         table = backward_joint(proto)
-        assert np.max(np.abs(table.p_bwd - table.p_fwd.T)) <= 1e-12
+        assert np.max(np.abs(table.p_fwd - proto.forward.p_fwd.T)) <= 1e-12
+        assert np.array_equal(table.p_in, proto.forward.p_ref)
+        assert np.array_equal(table.p_ref, proto.forward.p_in)
 
     def test_section6_conditional_equality(self):
         dev = conditional_equality_deviation(section6_protocol())
@@ -143,11 +149,21 @@ class TestBackwardJoint:
             assert conditional_equality_deviation(generic_protocol(rng)) <= 1e-10
 
     def test_shortcut_matches_reversed_map(self, rng):
-        # unital shortcut: p_bwd[m, k] = p(fin k | in m) p_ref[k], forward data only
+        # unital shortcut: the backward p_fwd[m, k] = p(fin k | in m) p_ref[k],
+        # forward data only
         proto = generic_protocol(rng)
         fwd = proto.forward
         shortcut = (fwd.p_fwd / fwd.p_in[None, :] * fwd.p_ref[:, None]).T
-        assert np.max(np.abs(backward_joint(proto).p_bwd - shortcut)) <= 1e-10
+        assert np.max(np.abs(backward_joint(proto).p_fwd - shortcut)) <= 1e-10
+
+    def test_backward_samples_read_the_swapped_marginals(self, rng):
+        # sigma_bwd = ln p_ref[k] - ln p_in[m] on each backward pair (k -> m),
+        # so the backward support mirrors the forward one
+        proto = generic_protocol(rng)
+        fwd, bwd = proto.forward, entropy_samples(proto.backward)
+        expected = np.sort((np.log(fwd.p_ref)[None, :] - np.log(fwd.p_in)[:, None]).ravel())
+        assert np.max(np.abs(bwd.support - expected)) <= 1e-10
+        assert np.max(np.abs(-bwd.support[::-1] - proto.distributions["A-B"].support)) <= 1e-10
 
 
 class TestEntropySamples:
@@ -460,8 +476,8 @@ def product_state_oracle(proto):
     p_a_in, p_b_in = tables["A"].p_in, tables["B"].p_in
     p_c_fin = tables["A-B"].p_ref.reshape(oa_fin.n_outcomes, ob_fin.n_outcomes)
     eye = np.eye(2)
-    rho_a_in = _local_dephased(p_a_in, oa_in)
-    rho_b_in = _local_dephased(p_b_in, ob_in)
+    rho_a_in = sum(p * proj for p, proj in zip(p_a_in, oa_in.projectors))
+    rho_b_in = sum(p * proj for p, proj in zip(p_b_in, ob_in.projectors))
     p_a = np.zeros((oa_fin.n_outcomes, oa_in.n_outcomes))
     for m, pm in enumerate(oa_in.projectors):
         evolved = proto.channel.apply_matrix(tensor_product(pm, rho_b_in))
