@@ -173,18 +173,22 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     """
     if subsystem not in SUBSYSTEMS:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    oa_in, ob_in, oa_fin, ob_fin = _local_observables(proto)
-    read_fin = {"A": (oa_fin,), "B": (ob_fin,)}.get(subsystem, (oa_fin, ob_fin))
-    _require_rank_one(oa_in, ob_in, *read_fin)
+    if subsystem == "A-B":
+        _require_rank_one(proto.obs_in, proto.obs_fin)
+    else:
+        oa_in, ob_in, oa_fin, ob_fin = _local_observables(proto)
+        _require_rank_one(oa_in, ob_in, oa_fin if subsystem == "A" else ob_fin)
     deformed, dropped_in = _initial_state(proto, subsystem, np.array([1.0 - phi]))
     weights, dropped_ref = _powers(proto.tables[subsystem].p_ref, np.array([phi]))
     _warn_dropped(dropped_in + dropped_ref, 1)
     norm = np.trace(deformed[0]).real
     evolved = proto.channel.apply_matrix(deformed[0] / norm)
-    # occupations of the joint final outcomes (k, l), indexed k * n_b + l
-    shape = (oa_fin.n_outcomes, ob_fin.n_outcomes)
-    occupation = _outcome_probs(proto.obs_fin.projectors, evolved).reshape(shape)
-    weights = weights.real.reshape({"A": (-1, 1), "B": (1, -1)}.get(subsystem, shape))
+    occupation = _outcome_probs(proto.obs_fin.projectors, evolved)
+    weights = weights.real[0]
+    if subsystem != "A-B":
+        # occupations of the joint final outcomes (k, l), indexed k * n_b + l
+        occupation = occupation.reshape(oa_fin.n_outcomes, ob_fin.n_outcomes)
+        weights = weights.reshape((-1, 1) if subsystem == "A" else (1, -1))
     return float(norm * np.sum(weights * occupation))
 
 

@@ -10,8 +10,9 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cache, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -125,36 +126,22 @@ def two_ion_model(omega: float, gamma_a: float, gamma_b: float) -> LindbladModel
     return LindbladModel(hamiltonian, ((l_a, gamma_a), (l_b, gamma_b)))
 
 
-CHANNEL_CACHE_SIZE = 256
-# Lindblad endpoint maps by (phi, gamma, tau, step_size), least recently used first.
-_channel_cache: OrderedDict[tuple[float, float, float, float], QuantumChannel] = OrderedDict()
-
-
-def _channel_key(cfg: TwoIonConfig) -> tuple[float, float, float, float]:
-    return (cfg.phi, cfg.gamma, cfg.tau, cfg.step_size)
-
-
 def build_channels(cfgs) -> list[QuantumChannel]:
     """The channel of every configuration, in order.
 
-    Lindblad endpoint maps come from a bounded least-recently-used cache.
-    The distinct maps it lacks are grouped by ``(tau, step_size)`` and each
-    group is integrated as one stacked batch (bit-identical to building each
-    map alone); the new maps then enter the cache. An
+    Each distinct Lindblad endpoint map is integrated once: the maps are
+    grouped by ``(tau, step_size)`` and each group is integrated as one
+    stacked batch (bit-identical to building each map alone). An
     :class:`IntegratorAccuracyError` names the offending phase and rate; a
     step outside RK4's stability region is refused before any map of its
     group is integrated.
     """
     cfgs = list(cfgs)
-    keys = dict.fromkeys(_channel_key(c) for c in cfgs if c.dynamics == "lindblad")
-    found = {}
+    key = lambda c: (c.phi, c.gamma, c.tau, c.step_size)
     groups: dict[tuple[float, float], list] = {}
-    for key in keys:
-        if key in _channel_cache:
-            _channel_cache.move_to_end(key)
-            found[key] = _channel_cache[key]
-        else:
-            groups.setdefault(key[2:], []).append(key)
+    for k in dict.fromkeys(key(c) for c in cfgs if c.dynamics == "lindblad"):
+        groups.setdefault(k[2:], []).append(k)
+    found = {}
     for (tau, dt), group in groups.items():
         models = [two_ion_model(phi / tau, gamma, gamma) for phi, gamma, _, _ in group]
         try:
@@ -162,13 +149,8 @@ def build_channels(cfgs) -> list[QuantumChannel]:
         except IntegratorAccuracyError as err:
             phi, gamma = group[err.index][:2]
             raise IntegratorAccuracyError(f"phi={phi!r}, gamma={gamma!r}: {err}") from err
-        for key, channel in zip(group, channels):
-            found[key] = _channel_cache[key] = channel
-            if len(_channel_cache) > CHANNEL_CACHE_SIZE:
-                _channel_cache.popitem(last=False)
-    return [
-        found[_channel_key(c)] if c.dynamics == "lindblad" else ms_gate(c.phi) for c in cfgs
-    ]
+        found.update(zip(group, channels))
+    return [found[key(c)] if c.dynamics == "lindblad" else ms_gate(c.phi) for c in cfgs]
 
 
 def build_channel(cfg: TwoIonConfig) -> QuantumChannel:
@@ -179,15 +161,16 @@ QUBIT_OBS = Observable.computational(2)
 QUBIT_PAIR_OBS = QUBIT_OBS.tensor(QUBIT_OBS)
 
 
-def build_protocol(cfg: TwoIonConfig) -> TwoTimeProtocol:
-    """Computational-basis two-time protocol for one configuration; every
-    protocol shares the two qubit observables built once at import."""
+def build_protocol(cfg: TwoIonConfig, channel: QuantumChannel | None = None) -> TwoTimeProtocol:
+    """Computational-basis two-time protocol for one configuration, on
+    ``channel`` (by default :func:`build_channel` of ``cfg``); every protocol
+    shares the two qubit observables built once at import."""
     rho0 = DensityMatrix.from_diagonal(cfg.rho0_diag, partition=(2, 2))
     return TwoTimeProtocol(
         rho0=rho0,
         obs_in=QUBIT_PAIR_OBS,
         obs_fin=QUBIT_PAIR_OBS,
-        channel=build_channel(cfg),
+        channel=build_channel(cfg) if channel is None else channel,
         bipartite_obs=(QUBIT_OBS,) * 4,
     )
 
@@ -219,7 +202,8 @@ def reconstruct_subsystem(
     points; rows beyond that only add factorially amplified extraction noise.
     """
     measured = _measure_moments(proto, (label,), n_moments)
-    return _recover(*measured[label], true_dist, label, method)
+    truth = true_dist.moments(min(4, max(1, n_moments - 1)))
+    return _recover(*measured[label], true_dist, truth, label, method)
 
 
 def _measure_moments(
@@ -239,11 +223,13 @@ def _recover(
     chi: np.ndarray,
     moments: MomentVector,
     true_dist: EntropyDistribution,
+    true_moments: np.ndarray,
     label: str,
     method: str,
 ) -> ReconstructionResult:
     """One recovery method applied to measured moments, scored against the
-    true distribution; see :func:`reconstruct_subsystem`."""
+    true distribution and its leading ``true_moments``; see
+    :func:`reconstruct_subsystem`."""
     if method == "pinv":
         n_rows = min(moments.nontrivial.size, true_dist.support.size)
         dist = pseudoinverse_reconstruct(
@@ -253,14 +239,14 @@ def _recover(
         dist = fourier_reconstruct(moments.moments, true_dist.support, label=label)
     else:
         raise ValueError(f"method must be 'pinv' or 'fourier', got {method!r}")
-    k_max = min(4, max(1, moments.nontrivial.size))
+    k_max = true_moments.size
     return ReconstructionResult(
         grid=grid,
         chi=chi,
         moments=moments,
         method=method,
         dist=dist,
-        rmse_moments=rmse_moments(true_dist.moments(k_max), dist.moments(k_max), k_max),
+        rmse_moments=rmse_moments(true_moments, dist.moments(k_max), k_max),
         rmse_probs=rmse_probs(true_dist, dist),
     )
 
@@ -295,11 +281,13 @@ class ConfigRecord:
         return {label: self.distributions[label].moments(k_max) for label in LABELS}
 
 
-def protocol_part(cfg: TwoIonConfig) -> tuple[TwoTimeProtocol, ConfigRecord]:
-    """The protocol of ``cfg`` and its record without reconstructions: the
-    four distributions and every theorem check, none of which depends on
-    ``n_moments``."""
-    proto = build_protocol(cfg)
+def protocol_part(
+    cfg: TwoIonConfig, channel: QuantumChannel
+) -> tuple[TwoTimeProtocol, ConfigRecord]:
+    """The protocol of ``cfg`` on ``channel`` and its record without
+    reconstructions: the four distributions and every theorem check, none of
+    which depends on ``n_moments``."""
+    proto = build_protocol(cfg, channel)
     dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
     bound = entropy_bound_check(proto)
     return proto, ConfigRecord(
@@ -317,45 +305,39 @@ def protocol_part(cfg: TwoIonConfig) -> tuple[TwoTimeProtocol, ConfigRecord]:
 
 
 def run_config(
-    cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier"), latest: dict | None = None
+    cfg: TwoIonConfig, methods: tuple[str, ...] = ("pinv", "fourier"), part=None
 ) -> ConfigRecord:
     """Run the full pipeline for one configuration.
 
     Builds the channel and computational-basis protocol, enumerates all four
     entropy-production distributions, evaluates every theorem check, and runs
-    the requested reconstruction methods at ``cfg.n_moments``. Chi and the
-    moments of each label are evaluated once and shared by every method.
+    the requested reconstruction methods at ``cfg.n_moments``. Chi, the
+    moments of each label and the true moments are evaluated once and shared
+    by every method.
 
-    A sweep passes ``latest``, a dict holding at most the latest
-    :func:`protocol_part`, keyed by the configuration with ``n_moments`` set
-    to 1: points that differ only in ``n_moments`` share it. Without it
-    everything is computed afresh.
+    A sweep passes ``part``, a callable returning the :func:`protocol_part`
+    that it shares between points differing only in ``n_moments``. Without
+    it the call builds its own channel and protocol part.
     """
-    key = replace(cfg, n_moments=1)
-    part = latest.get(key) if latest is not None else None
-    if part is None:
-        part = protocol_part(cfg)
-        if latest is not None:
-            latest.clear()
-            latest[key] = part
-    proto, base = part
+    proto, base = part() if part is not None else protocol_part(cfg, build_channel(cfg))
     dists = base.distributions
-    dist_conv = dists["A+B"]
-    measured = _measure_moments(proto, ("A", "B", "A-B"), cfg.n_moments) if methods else {}
     bundles: dict[str, ReconstructionBundle] = {}
+    if methods:
+        measured = _measure_moments(proto, ("A", "B", "A-B"), cfg.n_moments)
+        k_max = min(4, max(1, cfg.n_moments - 1))
+        truth = {label: dists[label].moments(k_max) for label in LABELS}
     for method in methods:
         per_label = {
-            label: _recover(*measured[label], dists[label], label, method)
+            label: _recover(*measured[label], dists[label], truth[label], label, method)
             for label in ("A", "B", "A-B")
         }
         conv = convolve_distributions(per_label["A"].dist, per_label["B"].dist)
-        k_max = min(4, max(1, cfg.n_moments - 1))
         bundles[method] = ReconstructionBundle(
             method=method,
             per_label=per_label,
             conv_dist=conv,
-            rmse_probs_conv=rmse_probs(dist_conv, conv),
-            rmse_moments_conv=rmse_moments(dist_conv.moments(k_max), conv.moments(k_max), k_max),
+            rmse_probs_conv=rmse_probs(dists["A+B"], conv),
+            rmse_moments_conv=rmse_moments(truth["A+B"], conv.moments(k_max), k_max),
         )
     return replace(base, config=cfg, distributions=dict(dists), reconstructions=bundles)
 
@@ -393,20 +375,20 @@ class SweepReport:
 
 
 def _run_sweep(cfgs: list[TwoIonConfig], methods) -> tuple[ConfigRecord, ...]:
-    """run_config on each configuration, in chunks no larger than the channel
-    cache, whose Lindblad maps are built (each once, in stacked batches) first.
+    """run_config on each configuration, once every channel of the sweep is
+    built (each distinct Lindblad map once, see :func:`build_channels`).
 
-    Consecutive points that differ only in ``n_moments`` share one protocol
-    part (see :func:`run_config`), so its warnings are raised once for the
-    run of such points, not once per point. Only the latest part is held, and
-    it is released when the sweep returns.
+    Each run of consecutive points that differ only in ``n_moments`` shares
+    one protocol part, built inside the run's first run_config call, so its
+    warnings are raised once per run, not once per point. Only the current
+    run's part is held, and it is released when the sweep returns.
     """
     records = []
-    latest: dict = {}
-    for start in range(0, len(cfgs), CHANNEL_CACHE_SIZE):
-        chunk = cfgs[start : start + CHANNEL_CACHE_SIZE]
-        build_channels(cfg for cfg in chunk if cfg.dynamics == "lindblad")
-        records.extend(run_config(cfg, methods, latest=latest) for cfg in chunk)
+    pairs = zip(cfgs, build_channels(cfgs))
+    for _, run in groupby(pairs, key=lambda pair: replace(pair[0], n_moments=1)):
+        run = list(run)
+        part = cache(partial(protocol_part, *run[0]))
+        records.extend(run_config(cfg, methods, part=part) for cfg, _ in run)
     return tuple(records)
 
 

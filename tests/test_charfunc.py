@@ -268,6 +268,16 @@ class TestMeasurementPath:
                 via_trace = float(moment_generating(proto, label, float(phi)))
                 assert abs(via_measurement - via_trace) <= 1e-10
 
+    def test_composite_only_protocol(self):
+        # A-B reads only obs_fin and the composite table; it used to demand
+        # local observables and raise ValueError here
+        computational = Observable.computational(4)
+        rho0 = DensityMatrix.from_diagonal([0.3, 0.2, 0.4, 0.1])
+        proto = TwoTimeProtocol(rho0, computational, computational, ms_gate(0.3))
+        expected = float(moment_generating(proto, "A-B", 0.3))
+        assert expected == pytest.approx(0.99410, abs=1e-5)
+        assert abs(simulate_measurement_path(proto, "A-B", 0.3) - expected) <= 1e-10
+
     def test_rank_deficient_preparation_flagged(self):
         # A-marginal is pure, so (rho_A_in)^{1-phi} with phi > 1 hits a zero mode
         rho0 = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))

@@ -3,7 +3,6 @@ import gc
 import math
 import warnings
 import weakref
-from collections import OrderedDict
 from dataclasses import replace
 from functools import cached_property
 
@@ -257,17 +256,53 @@ def assert_same_record(a, b, path="record"):
         assert a == b, path
 
 
-def count_protocol_builds(monkeypatch) -> list:
-    built = []
-    original = experiments.protocol_part
+# Short integrations (100 steps) keep the build-counting tests fast.
+QUICK = replace(preset("fig5"), tau=5.0, dt=0.05)
 
-    def counted(cfg):
-        part = original(cfg)
-        built.append(weakref.ref(part[0]))
-        return part
 
-    monkeypatch.setattr(experiments, "protocol_part", counted)
-    return built
+@pytest.fixture
+def builds(monkeypatch):
+    """What the code under test builds, and where. ``batches`` holds the size
+    of each stacked endpoint build and ``maps`` the (phi, gamma) of every map
+    it integrates; ``parts`` holds a weak reference to the protocol of each
+    protocol part. ``batch_runs`` and ``part_runs`` give, for each build, the
+    index of the run_config call it ran inside (None outside any), and
+    ``runs`` counts run_config calls."""
+    log = {"batches": [], "maps": [], "batch_runs": [], "parts": [], "part_runs": [], "runs": 0}
+    depth = []
+    build, part, run = (
+        experiments.kraus_from_lindblad_endpoints,
+        experiments.protocol_part,
+        experiments.run_config,
+    )
+
+    def inside():
+        return log["runs"] - 1 if depth else None
+
+    def counted_build(models, tau, dt):
+        log["batches"].append(len(models))
+        log["batch_runs"].append(inside())
+        log["maps"].extend((m.hamiltonian[0, 3].real * tau, m.dissipators[0][1]) for m in models)
+        return build(models, tau, dt)
+
+    def counted_part(cfg, channel):
+        result = part(cfg, channel)
+        log["parts"].append(weakref.ref(result[0]))
+        log["part_runs"].append(inside())
+        return result
+
+    def counted_run(*args, **kwargs):
+        log["runs"] += 1
+        depth.append(1)
+        try:
+            return run(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(experiments, "kraus_from_lindblad_endpoints", counted_build)
+    monkeypatch.setattr(experiments, "protocol_part", counted_part)
+    monkeypatch.setattr(experiments, "run_config", counted_run)
+    return log
 
 
 class TestSweepSharing:
@@ -283,36 +318,37 @@ class TestSweepSharing:
             alone = run_config(replace(base, n_moments=int(n)), ("pinv", "fourier"))
             assert_same_record(record, alone)
 
-    def test_protocol_part_built_once_per_n_sweep(self, monkeypatch):
-        built = count_protocol_builds(monkeypatch)
-        held = []
-        run = experiments.run_config
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_lindblad_phase_sweep_records_equal_fresh_run_config(self):
+        # batched maps, a repeated phase sharing its map and part
+        points = [0.4, 2.0, 2.0, 5.0]
+        report = sweep_phase(points, QUICK, methods=("pinv", "fourier"))
+        for phi, record in zip(points, report.records):
+            assert_same_record(record, run_config(replace(QUICK, phi=phi), ("pinv", "fourier")))
 
-        def counted_run(*args, **kwargs):
-            record = run(*args, **kwargs)
-            held.append(len(kwargs["latest"]))
-            return record
-
-        monkeypatch.setattr(experiments, "run_config", counted_run)
-        report = sweep_moment_count([2, 5, 9], preset("fig3"), methods=())
-        assert len(built) == 1 and held == [1, 1, 1]
+    def test_protocol_part_built_once_per_n_sweep(self, builds):
+        report = sweep_moment_count([2, 5, 9], QUICK, methods=())
+        assert builds["runs"] == 3
+        assert builds["part_runs"] == [0]  # inside the first run_config call
         assert report.records[0].distributions is not report.records[1].distributions
         sweep_phase([0.1, 0.2, 0.2, 0.1], preset("fig3"), methods=())
-        assert len(built) == 4  # a repeated point shares, a new phase does not
-        assert held == [1] * 7  # only the latest part is held
+        # a repeated point shares, a new phase does not
+        assert builds["part_runs"] == [0, 3, 4, 6]
 
-    def test_protocol_part_released_after_sweep(self, monkeypatch):
-        built = count_protocol_builds(monkeypatch)
+    def test_protocol_part_released_after_sweep(self, builds):
         report = sweep_moment_count([2, 3], preset("fig3"), methods=())
         gc.collect()
-        assert len(report.records) == 2 and len(built) == 1
-        assert built[0]() is None
+        assert len(report.records) == 2 and len(builds["parts"]) == 1
+        assert builds["parts"][0]() is None
 
-    def test_lone_run_config_recomputes(self, monkeypatch):
-        built = count_protocol_builds(monkeypatch)
-        run_config(preset("fig3"), methods=())
-        run_config(replace(preset("fig3"), n_moments=4), methods=())
-        assert len(built) == 2
+    def test_lone_run_config_recomputes(self, builds):
+        # each call integrates its own map and builds its own part
+        experiments.run_config(QUICK, methods=())
+        experiments.run_config(replace(QUICK, n_moments=4), methods=())
+        assert builds["batches"] == [1, 1] and builds["batch_runs"] == [0, 1]
+        assert builds["part_runs"] == [0, 1]
+        experiments.run_config(preset("fig3"), methods=())
+        assert builds["batches"] == [1, 1] and builds["part_runs"] == [0, 1, 2]
 
     def test_protocol_warnings_once_per_n_sweep(self):
         # The backward process of a rank-deficient state reaches initial
@@ -337,78 +373,37 @@ class TestDefaults:
             default_sweep_points("tau")
 
 
-# Short integrations (100 steps) keep the build-counting tests fast.
-QUICK = replace(preset("fig5"), tau=5.0, dt=0.05)
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """Sizes of the stacked endpoint builds, recording whether any of them
-    ran inside a run_config call; starts from an empty channel cache."""
-    monkeypatch.setattr(experiments, "_channel_cache", OrderedDict())
-    log = {"batches": [], "inside_run_config": 0, "gammas": []}
-    depth = []
-    build, run = experiments.kraus_from_lindblad_endpoints, experiments.run_config
-
-    def counted_build(models, tau, dt):
-        log["batches"].append(len(models))
-        log["inside_run_config"] += bool(depth)
-        log["gammas"].extend(m.dissipators[0][1] for m in models)
-        return build(models, tau, dt)
-
-    def counted_run(*args, **kwargs):
-        depth.append(1)
-        try:
-            return run(*args, **kwargs)
-        finally:
-            depth.pop()
-
-    monkeypatch.setattr(experiments, "kraus_from_lindblad_endpoints", counted_build)
-    monkeypatch.setattr(experiments, "run_config", counted_run)
-    return log
-
-
 class TestChannelBuilds:
+    """A sweep integrates each distinct map once, in one stacked batch,
+    before its first run_config call."""
+
     def test_gamma_sweep_is_one_batch(self, builds):
-        report = sweep_gamma(default_sweep_points("gamma"), QUICK, methods=())
+        points = default_sweep_points("gamma")
+        report = sweep_gamma(points, QUICK, methods=())
         assert len(report.records) == 25
-        assert builds["batches"] == [25]
-        assert builds["inside_run_config"] == 0
-        assert len(experiments._channel_cache) == 25
+        assert builds["batches"] == [25] and builds["batch_runs"] == [None]
+        assert builds["maps"] == [(pytest.approx(QUICK.phi), g) for g in points]
 
     def test_moment_count_sweep_builds_its_map_once(self, builds):
         sweep_moment_count([2, 3, 4], QUICK, methods=())
-        sweep_moment_count([5], QUICK, methods=())
-        assert builds["batches"] == [1]
-        assert builds["inside_run_config"] == 0
+        assert builds["batches"] == [1] and builds["batch_runs"] == [None]
+        sweep_moment_count([5], QUICK, methods=())  # nothing is kept between sweeps
+        assert builds["batches"] == [1, 1] and builds["batch_runs"] == [None, None]
 
     def test_phase_sweep_with_dephasing_is_one_batch(self, builds):
         sweep_phase([0.1, 0.2, 0.2, 0.3], QUICK, methods=())
         assert builds["batches"] == [3]  # the repeated phase is one map
+        assert builds["batch_runs"] == [None]
+        assert builds["maps"] == [(pytest.approx(p), QUICK.gamma) for p in (0.1, 0.2, 0.3)]
 
-    def test_sweep_longer_than_the_cache(self, builds, monkeypatch):
-        monkeypatch.setattr(experiments, "CHANNEL_CACHE_SIZE", 4)
-        points = np.linspace(0.0, 1.2, 10)
-        sweep_gamma(points, QUICK, methods=())
-        assert builds["batches"] == [4, 4, 2]
-        assert builds["inside_run_config"] == 0
-        assert builds["gammas"] == list(points)  # each map once
-        assert list(experiments._channel_cache) == [
-            (QUICK.phi, float(g), QUICK.tau, QUICK.step_size) for g in points[-4:]
-        ]
-
-    def test_build_channels_beyond_the_cache(self, builds, monkeypatch):
-        monkeypatch.setattr(experiments, "CHANNEL_CACHE_SIZE", 4)
-        cfgs = [replace(QUICK, gamma=g) for g in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+    def test_build_channels_builds_each_map_once(self, builds):
+        cfgs = [replace(QUICK, gamma=g) for g in (0.1, 0.2, 0.3)]
         built = build_channels(cfgs + cfgs[:1] + [preset("fig3")])
-        assert builds["batches"] == [6]
-        assert len(built) == 8 and built[6] is built[0]
-        assert np.array_equal(built[7].kraus[0], build_channel(preset("fig3")).kraus[0])
-        assert len(experiments._channel_cache) == 4
-        # the four most recent maps are hits, the evicted ones are rebuilt
-        assert all(a is b for a, b in zip(build_channels(cfgs[2:]), built[2:6]))
-        build_channels(cfgs[:2])
-        assert builds["batches"] == [6, 2]
+        assert builds["batches"] == [3]
+        assert len(built) == 5 and built[3] is built[0]
+        assert np.array_equal(built[4].kraus[0], build_channel(preset("fig3")).kraus[0])
+        build_channels(cfgs[:1])  # a new call integrates again
+        assert builds["batches"] == [3, 1]
 
     def test_groups_by_time_and_step(self, builds):
         other = replace(QUICK, dt=0.025)
@@ -418,7 +413,6 @@ class TestChannelBuilds:
     def test_batched_map_is_the_single_map(self, builds):
         cfgs = [replace(QUICK, phi=p, gamma=g) for p, g in ((0.4, 0.0), (2.0, 0.7), (5.0, 1.1))]
         batched = build_channels(cfgs)
-        experiments._channel_cache.clear()
         for cfg, channel in zip(cfgs, batched):
             alone = build_channel(cfg)
             assert channel is not alone
@@ -479,6 +473,22 @@ class TestMomentsOncePerLabel:
                 assert np.array_equal(result.chi, alone.chi)
                 assert np.array_equal(result.dist.probs, alone.dist.probs)
                 assert result.rmse_probs == alone.rmse_probs
+
+    def test_true_moments_once_per_point(self, monkeypatch):
+        # every method scores against the same four true moment vectors
+        cfg = replace(preset("fig3"), n_moments=7)
+        part = experiments.protocol_part(cfg, build_channel(cfg))
+        calls = []
+        original = protocol.EntropyDistribution.moments
+
+        def counted(dist, k_max):
+            calls.append((id(dist), k_max))
+            return original(dist, k_max)
+
+        monkeypatch.setattr(protocol.EntropyDistribution, "moments", counted)
+        record = run_config(cfg, methods=("pinv", "fourier"), part=lambda: part)
+        truth = {id(record.distributions[label]) for label in experiments.LABELS}
+        assert sorted(call for call in calls if call[0] in truth) == sorted((i, 4) for i in truth)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method must be"):
