@@ -18,7 +18,6 @@ from .channels import (
     QuantumChannel,
     TimeReversal,
     apply_channel,
-    kraus_from_lindblad_endpoint,
     kraus_from_lindblad_endpoints,
     lindblad_propagate,
     ms_gate,

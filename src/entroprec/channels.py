@@ -342,14 +342,6 @@ def kraus_from_lindblad_endpoints(
     return tuple(_endpoint_channel(e, d, i) for i, e in enumerate(endpoints))
 
 
-def kraus_from_lindblad_endpoint(
-    model: LindbladModel, tau: float, dt: float
-) -> QuantumChannel:
-    """Kraus form of one endpoint map; see :func:`kraus_from_lindblad_endpoints`."""
-    (channel,) = kraus_from_lindblad_endpoints((model,), tau, dt)
-    return channel
-
-
 def _endpoint_channel(endpoint: np.ndarray, d: int, index: int) -> QuantumChannel:
     """Drift guard and Choi step for one propagated matrix-unit basis of a
     d-level system; ``index`` is the model's position in its batch."""

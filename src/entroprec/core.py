@@ -59,6 +59,16 @@ def _lexicographic_column_order(columns: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _clusters(vals: np.ndarray):
+    """Slices of the runs of descending ``vals`` that share one projector:
+    each run takes every following value within ``CLUSTER_TOL`` of its first."""
+    start = 0
+    for stop in range(1, len(vals) + 1):
+        if stop == len(vals) or vals[start] - vals[stop] > CLUSTER_TOL:
+            yield slice(start, stop)
+            start = stop
+
+
 def spectral_decomposition(matrix) -> SpectralDecomposition:
     """Hermitian eigendecomposition, eigenvalues sorted descending.
 
@@ -70,15 +80,10 @@ def spectral_decomposition(matrix) -> SpectralDecomposition:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-
-    start = 0
-    n = len(vals)
-    for stop in range(1, n + 1):
-        if stop == n or vals[start] - vals[stop] > CLUSTER_TOL:
-            if stop - start > 1:
-                sub = vecs[:, start:stop]
-                vecs[:, start:stop] = sub[:, _lexicographic_column_order(sub)]
-            start = stop
+    for cluster in _clusters(vals):
+        if cluster.stop - cluster.start > 1:
+            sub = vecs[:, cluster]
+            vecs[:, cluster] = sub[:, _lexicographic_column_order(sub)]
     return SpectralDecomposition(vals, vecs)
 
 
@@ -198,14 +203,13 @@ class Observable:
         return cls(tuple(float(i) for i in range(dim)), tuple(projs))
 
     @classmethod
-    def from_basis(cls, vectors: np.ndarray, eigenvalues=None) -> "Observable":
-        """Rank-1 projectors onto the columns of an orthonormal ``vectors``."""
+    def from_basis(cls, vectors: np.ndarray) -> "Observable":
+        """Rank-1 projectors onto the columns of an orthonormal ``vectors``,
+        with eigenvalues 0, 1, ... in column order."""
         v = np.asarray(vectors, dtype=complex)
         n = v.shape[1]
-        if eigenvalues is None:
-            eigenvalues = tuple(float(i) for i in range(n))
         projs = tuple(np.outer(v[:, i], v[:, i].conj()) for i in range(n))
-        return cls(tuple(eigenvalues), projs)
+        return cls(tuple(float(i) for i in range(n)), projs)
 
     @classmethod
     def from_matrix(cls, matrix) -> "Observable":
@@ -213,28 +217,23 @@ class Observable:
         tolerance are merged into a single projector."""
         dec = spectral_decomposition(matrix)
         vals, vecs = dec.eigenvalues, dec.eigenvectors
-        eigenvalues: list[float] = []
-        projectors: list[np.ndarray] = []
-        start = 0
-        n = len(vals)
-        for stop in range(1, n + 1):
-            if stop == n or vals[start] - vals[stop] > CLUSTER_TOL:
-                block = vecs[:, start:stop]
-                projectors.append(block @ block.conj().T)
-                eigenvalues.append(float(np.mean(vals[start:stop])))
-                start = stop
-        return cls(tuple(eigenvalues), tuple(projectors))
+        clusters = list(_clusters(vals))
+        return cls(
+            tuple(float(np.mean(vals[c])) for c in clusters),
+            tuple(vecs[:, c] @ vecs[:, c].conj().T for c in clusters),
+        )
 
     def tensor(self, other: "Observable") -> "Observable":
         """Composite observable with product projectors; outcomes are labelled
         by the pair index ``i * other.n_outcomes + j``."""
-        projs = []
-        labels = []
-        for i, p in enumerate(self.projectors):
-            for j, q in enumerate(other.projectors):
-                projs.append(np.kron(p, q))
-                labels.append(float(i * other.n_outcomes + j))
-        return Observable(tuple(labels), tuple(projs))
+        projs = _product_projectors(self, other)
+        return Observable(tuple(float(i) for i in range(len(projs))), tuple(projs))
+
+
+def _product_projectors(a: Observable, b: Observable) -> np.ndarray:
+    """The projectors of ``a.tensor(b)``, stacked in pair-index order."""
+    products = tensor_product(np.asarray(a.projectors)[:, None], np.asarray(b.projectors)[None, :])
+    return products.reshape(-1, a.dim * b.dim, a.dim * b.dim)
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -51,6 +51,7 @@ from .reconstruct import (
     rmse_moments,
     rmse_probs,
 )
+from .reconstruct import _validate_count
 
 RHO0_DIAG = (6 / 25, 9 / 25, 4 / 25, 6 / 25)
 DEFAULT_TAU = 50.0
@@ -86,8 +87,7 @@ class TwoIonConfig:
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         _validate_step(self.tau, self.step_size)
-        if self.n_moments < 1:
-            raise ValueError("n_moments must be at least 1")
+        _validate_count("n_moments", self.n_moments)
 
     @property
     def omega(self) -> float:
@@ -408,8 +408,11 @@ def sweep_gamma(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
 
 def sweep_moment_count(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:
     """Sweep the number of moment evaluations N; the protocol is fixed, so it
-    is built and checked once and only the reconstruction runs per point."""
-    points = np.asarray(points, dtype=int)
+    is built and checked once and only the reconstruction runs per point.
+    Each point must be an integer (see :func:`chebyshev_nodes`)."""
+    points = list(points)
+    for n in points:
+        _validate_count("N", n)
     records = _run_sweep([replace(cfg, n_moments=int(n)) for n in points], methods)
     return SweepReport("N", np.asarray(points, dtype=float), records)
 

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     Observable,
+    _product_projectors,
     partial_trace,
     relative_entropy,
     spectral_decomposition,
@@ -81,9 +82,7 @@ class TwoTimeProtocol:
                 raise ValueError("local observable dimensions must match the partition")
             for obs, a, b in ((self.obs_in, oa_in, ob_in), (self.obs_fin, oa_fin, ob_fin)):
                 # the projectors of a.tensor(b), without its O(n^2) re-validation
-                products = tensor_product(
-                    np.asarray(a.projectors)[:, None], np.asarray(b.projectors)[None, :]
-                ).reshape(-1, d, d)
+                products = _product_projectors(a, b)
                 if len(products) != obs.n_outcomes or np.max(
                     np.abs(np.subtract(obs.projectors, products))
                 ) > PRODUCT_TOL:
@@ -161,7 +160,7 @@ class TwoTimeProtocol:
         A and B distributions."""
         dists = {label: entropy_samples(table, label) for label, table in self.tables.items()}
         if "A" in dists:
-            dists["A+B"] = convolve_distributions(dists["A"], dists["B"], label="A+B")
+            dists["A+B"] = convolve_distributions(dists["A"], dists["B"])
         return MappingProxyType(dists)
 
 
@@ -211,8 +210,9 @@ class EntropyDistribution:
         return complex(np.sum(self.probs * np.exp(1j * lam * self.support)))
 
 
-def merge_support(values: np.ndarray, masses: np.ndarray, tol: float = SUPPORT_MERGE_TOL):
-    """Aggregate masses whose support values coincide within ``tol``."""
+def merge_support(values: np.ndarray, masses: np.ndarray):
+    """Aggregate masses whose neighbouring support values lie within
+    ``SUPPORT_MERGE_TOL``."""
     order = np.argsort(values)
     values = np.asarray(values, float)[order]
     masses = np.asarray(masses, float)[order]
@@ -220,7 +220,7 @@ def merge_support(values: np.ndarray, masses: np.ndarray, tol: float = SUPPORT_M
     out_mass: list[float] = []
     start = 0
     for stop in range(1, len(values) + 1):
-        if stop == len(values) or values[stop] - values[stop - 1] > tol:
+        if stop == len(values) or values[stop] - values[stop - 1] > SUPPORT_MERGE_TOL:
             chunk = slice(start, stop)
             m = masses[chunk].sum()
             if m > 0:
@@ -233,13 +233,14 @@ def merge_support(values: np.ndarray, masses: np.ndarray, tol: float = SUPPORT_M
 
 
 def convolve_distributions(
-    dist_a: EntropyDistribution, dist_b: EntropyDistribution, label: str = "A+B"
+    dist_a: EntropyDistribution, dist_b: EntropyDistribution
 ) -> EntropyDistribution:
-    """Distribution of the sum of two independent entropy productions."""
+    """Distribution of the sum of two independent entropy productions,
+    labelled ``"A+B"``."""
     sums = (dist_a.support[:, None] + dist_b.support[None, :]).ravel()
     masses = (dist_a.probs[:, None] * dist_b.probs[None, :]).ravel()
     support, probs = merge_support(sums, masses)
-    return EntropyDistribution(support, probs, label)
+    return EntropyDistribution(support, probs, "A+B")
 
 
 @dataclass(frozen=True)
@@ -375,8 +376,8 @@ class EntropyBoundResult(NamedTuple):
     passed: bool
 
 
-def entropy_bound_check(proto: TwoTimeProtocol, tol: float = 1e-10) -> EntropyBoundResult:
-    """Check 0 <= S(rho_fin || rho_tau) <= <sigma>.
+def entropy_bound_check(proto: TwoTimeProtocol) -> EntropyBoundResult:
+    """Check 0 <= S(rho_fin || rho_tau) <= <sigma>, to within 1e-10.
 
     When the final observable commutes with rho_fin the relative entropy must
     additionally vanish (the second measurement leaves the state untouched).
@@ -387,7 +388,7 @@ def entropy_bound_check(proto: TwoTimeProtocol, tol: float = 1e-10) -> EntropyBo
     cross = trace_rho_log_sigma(rho_fin, rho_tau)
     s_rel = -von_neumann_entropy(rho_fin) - cross  # +inf when cross is -inf
     mean_sigma = -cross - von_neumann_entropy(rho_in)
-    passed = -tol <= s_rel <= mean_sigma + tol
+    passed = -1e-10 <= s_rel <= mean_sigma + 1e-10
     obs_mat = proto.obs_fin.matrix()
     commutator = np.max(np.abs(obs_mat @ rho_fin - rho_fin @ obs_mat))
     if commutator <= 1e-10:
@@ -449,15 +450,15 @@ class WitnessResult(NamedTuple):
 
 
 def correlation_witness(
-    dist_ab: EntropyDistribution, dist_conv: EntropyDistribution, k_max: int = 4
+    dist_ab: EntropyDistribution, dist_conv: EntropyDistribution
 ) -> WitnessResult:
-    """Moment gaps |<sigma_AB^k> - <sigma_A+B^k>| for k = 1..k_max.
+    """Moment gaps |<sigma_AB^k> - <sigma_A+B^k>| for k = 1..4.
 
     A nonzero gap certifies that the pre-measurement state was correlated;
     the converse does not hold (local measurements can erase quantum
     correlations).
     """
-    gaps = np.abs(dist_ab.moments(k_max) - dist_conv.moments(k_max))
+    gaps = np.abs(dist_ab.moments(4) - dist_conv.moments(4))
     return WitnessResult(gaps, bool(np.any(gaps > 1e-8)))
 
 

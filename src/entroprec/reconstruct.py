@@ -10,6 +10,7 @@ Moore-Penrose pseudo-inverse against the known support.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -67,15 +68,24 @@ class ParameterGrid:
         return _factor_extended(np.vander(self.nodes.astype(np.longdouble), increasing=True))
 
 
+def _validate_count(name: str, value) -> None:
+    """Refuse a node or moment count that is not an integer of at least 1; a
+    bool is not a count (numpy integers are)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     """Real zeros of the degree-n Chebyshev polynomial mapped to the interval.
 
     phi_k = (phi_min+phi_max)/2 + (phi_max-phi_min)/2 * cos((2k-1) pi / 2n),
     k = 1..n; the nodes descend with k. Equal arguments return one shared,
-    read-only grid, so its Vandermonde elimination is done once.
+    read-only grid, so its Vandermonde elimination is done once. ``n`` must
+    be an integer: the cache would take ``True`` for ``1``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _validate_count("n", n)
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)):
         raise ValueError("phi_min and phi_max must be finite")
     if not phi_min < phi_max:
@@ -134,7 +144,13 @@ class _Elimination(NamedTuple):
 
 
 def _factor_extended(matrix: np.ndarray) -> _Elimination:
-    """Eliminate ``matrix`` in 80-bit arithmetic; see :func:`_solve_extended`."""
+    """Partially pivoted Gaussian elimination of ``matrix`` in 80-bit
+    arithmetic. The pivots and factors depend on the matrix only, so
+    :func:`_solve_factored` replays them on any right-hand sides, each column
+    as it would come out alone. The factorial rescaling from scaled to plain
+    moments amplifies any solve error by k!, so the float64 noise floor of a
+    LAPACK solve would dominate the high moments; 80-bit buys roughly three
+    extra digits."""
     a = matrix.astype(np.longdouble).copy()
     n = a.shape[0]
     pivots, factors = [], []
@@ -154,7 +170,8 @@ def _factor_extended(matrix: np.ndarray) -> _Elimination:
 
 
 def _solve_factored(elim: _Elimination, rhs: np.ndarray) -> np.ndarray:
-    """Replay an elimination on the columns of ``rhs``, then back-substitute."""
+    """Replay an elimination on the columns of ``rhs`` (k right-hand sides as
+    an (n, k) array), then back-substitute."""
     b = rhs.astype(np.longdouble).copy()
     for col, (pivot, factors) in enumerate(zip(elim.pivots, elim.factors)):
         if pivot != col:
@@ -165,19 +182,6 @@ def _solve_factored(elim: _Elimination, rhs: np.ndarray) -> np.ndarray:
     for row in range(a.shape[0] - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
-
-
-def _solve_extended(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Partially pivoted Gaussian elimination in extended precision.
-
-    ``rhs`` holds k right-hand sides as the columns of an (n, k) array. The
-    pivots and factors depend on the matrix only, so all columns share one
-    elimination and each comes out as it would alone. The factorial
-    rescaling from scaled to plain moments amplifies any solve error by k!,
-    so the float64 noise floor of a LAPACK solve would dominate the high
-    moments; 80-bit arithmetic buys roughly three extra digits.
-    """
-    return _solve_factored(_factor_extended(matrix), rhs)
 
 
 def moments_via_vandermonde(grid: ParameterGrid, chi):

@@ -13,7 +13,6 @@ from entroprec import (
     QuantumChannel,
     TimeReversal,
     apply_channel,
-    kraus_from_lindblad_endpoint,
     kraus_from_lindblad_endpoints,
     lindblad_propagate,
     ms_gate,
@@ -204,7 +203,7 @@ class TestLindbladPropagate:
         # step a bare ZeroDivisionError
         model = two_ion_model(0.01, 0.1, 0.1)
         with pytest.raises(ValueError, match=f"{message} must be"):
-            kraus_from_lindblad_endpoint(model, tau, dt)
+            kraus_from_lindblad_endpoints((model,), tau, dt)
         with pytest.raises(ValueError, match=f"{message} must be"):
             lindblad_propagate(model, RHO0, tau, dt)
 
@@ -229,7 +228,7 @@ class TestLindbladPropagate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegratorAccuracyError, match="reduce dt"):
-                kraus_from_lindblad_endpoint(model, 50.0, dt)
+                kraus_from_lindblad_endpoints((model,), 50.0, dt)
 
     @UNSTABLE
     def test_drift_guard_behind_the_stability_check(self, gamma, dt, monkeypatch):
@@ -240,7 +239,7 @@ class TestLindbladPropagate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegratorAccuracyError, match="trace drift"):
-                kraus_from_lindblad_endpoint(model, 50.0, dt)
+                kraus_from_lindblad_endpoints((model,), 50.0, dt)
 
     def test_unstable_endpoint_fails_positivity(self):
         # two steps inside RK4's stability region that still leave a Choi
@@ -248,20 +247,20 @@ class TestLindbladPropagate:
         # completely positive (steps outside the region are refused earlier)
         model = two_ion_model(1.0, 1.0, 1.0)
         with pytest.raises(NonCompletelyPositiveError):
-            kraus_from_lindblad_endpoint(model, 2.0, 1.0)
+            kraus_from_lindblad_endpoints((model,), 2.0, 1.0)
 
 
 class TestLindbladEndpoint:
     def test_zero_time_identity(self):
         model = two_ion_model(0.01, 0.1, 0.1)
-        ch = kraus_from_lindblad_endpoint(model, 0.0, 0.01)
+        (ch,) = kraus_from_lindblad_endpoints((model,), 0.0, 0.01)
         assert len(ch.kraus) == 1
         assert np.max(np.abs(ch.kraus[0] - np.eye(4))) <= 1e-14
 
     def test_unitary_limit_up_to_phase(self):
         phi, tau = math.pi / 7, 50.0
         model = two_ion_model(phi / tau, 0.0, 0.0)
-        ch = kraus_from_lindblad_endpoint(model, tau, tau / 5000)
+        (ch,) = kraus_from_lindblad_endpoints((model,), tau, tau / 5000)
         gate = ms_gate(phi)
         assert len(ch.kraus) == 1
         # compare channel action (phase-free) on matrix units
@@ -275,14 +274,14 @@ class TestLindbladEndpoint:
     def test_cross_validates_against_propagation(self):
         phi, tau, gamma = math.pi / 7, 50.0, 0.2
         model = two_ion_model(phi / tau, gamma, gamma)
-        ch = kraus_from_lindblad_endpoint(model, tau, tau / 5000)
+        (ch,) = kraus_from_lindblad_endpoints((model,), tau, tau / 5000)
         direct = lindblad_propagate(model, RHO0, tau, tau / 5000)
         via_kraus = apply_channel(ch, RHO0)
         assert np.max(np.abs(via_kraus.data - direct.data)) <= 1e-7
 
     def test_cptp_and_unital_defects(self):
         model = two_ion_model(5 * math.pi / 6 / 50.0, 1.2, 1.2)
-        ch = kraus_from_lindblad_endpoint(model, 50.0, 0.01)
+        (ch,) = kraus_from_lindblad_endpoints((model,), 50.0, 0.01)
         assert ch.trace_defect <= 1e-8
         assert ch.unitality_defect <= 1e-8
         assert ch.is_unital
@@ -325,7 +324,7 @@ class TestBatchedEndpoint:
         batch = kraus_from_lindblad_endpoints(models, tau, 0.01)
         assert len(batch) == len(models)
         for model, stacked in zip(models, batch):
-            single = kraus_from_lindblad_endpoint(model, tau, 0.01)
+            (single,) = kraus_from_lindblad_endpoints((model,), tau, 0.01)
             assert len(stacked.kraus) == len(single.kraus)
             for a, b in zip(stacked.kraus, single.kraus):
                 assert np.array_equal(a, b)
@@ -350,7 +349,7 @@ class TestBatchedEndpoint:
     def test_unstable_step_takes_no_step(self, count_steps):
         model = two_ion_model(0.01, 1e6, 1e6)
         with pytest.raises(IntegratorAccuracyError, match="stability region"):
-            kraus_from_lindblad_endpoint(model, 50.0, 0.01)
+            kraus_from_lindblad_endpoints((model,), 50.0, 0.01)
         with pytest.raises(IntegratorAccuracyError, match="stability region"):
             lindblad_propagate(model, RHO0, 50.0, 0.01)
         assert count_steps == []
@@ -366,7 +365,7 @@ class TestBatchedEndpoint:
         # h lambda = -20 on the fastest coherence: RK4 would amplify it
         # 5514-fold per step, so the map is refused before the Choi check
         with pytest.raises(IntegratorAccuracyError, match="5514.33"):
-            kraus_from_lindblad_endpoint(two_ion_model(0.01, 1.0, 1.0), 50.0, 10.0)
+            kraus_from_lindblad_endpoints((two_ion_model(0.01, 1.0, 1.0),), 50.0, 10.0)
         assert count_steps == []
 
     def test_stability_boundary(self):

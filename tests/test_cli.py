@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import entroprec.experiments
-from entroprec.cli import emit_report, main, parse_config
+from entroprec.cli import CHECK_TOLERANCES, emit_report, main, parse_config
 
 
 class TestParseConfig:
@@ -130,6 +130,28 @@ class TestVerifyCommand:
 
     def test_fig4_passes(self, tmp_path):
         assert main(["verify", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+
+    def test_failed_check_is_named(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(CHECK_TOLERANCES, "ift", -1.0)
+        assert main(["verify", "--preset", "fig3", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["pass"] is False
+        assert json.loads(captured.err) == {"failed_checks": ["ift"]}
+
+    def test_runs_no_reconstruction(self, monkeypatch, tmp_path):
+        # verify reports the checks only, so an error in chi, which only the
+        # reconstruction reads, must not turn its verdict into exit code 2
+        def fail(*args):
+            raise ArithmeticError("chi evaluated")
+
+        monkeypatch.setattr(entroprec.experiments, "moment_generating", fail)
+        assert main(["verify", "--preset", "fig3", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert set(report) == {"config", "checks"}
+        assert set(report["checks"]) == {
+            "conditional_equality", "entropy_bound", "ift", "crooks", "subadditivity",
+            "witness", "pass",
+        }
 
 
 class TestSweepCommand:

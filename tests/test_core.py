@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entroprec import core
 from entroprec import (
     DegenerateSupportWarning,
     DensityMatrix,
@@ -145,6 +146,12 @@ class TestRelativeEntropy:
             assert (s <= 1e-10) == close
 
 
+# Neighbours sit 0.6e-10 apart, inside CLUSTER_TOL, but the last value lies
+# 1.2e-10 from the first: a cluster is anchored at its first value, so the
+# spectrum splits into {0, 1} and {2} instead of chaining into one cluster.
+ANCHORED_SPECTRUM = np.array([1.0, 1.0 - 0.6e-10, 1.0 - 1.2e-10])
+
+
 class TestSpectralDecomposition:
     def test_reconstruction_and_order(self, rng):
         for _ in range(10):
@@ -158,6 +165,17 @@ class TestSpectralDecomposition:
         a = spectral_decomposition(m)
         b = spectral_decomposition(m)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    def test_clusters_anchor_at_their_first_value(self):
+        assert list(core._clusters(ANCHORED_SPECTRUM)) == [slice(0, 2), slice(2, 3)]
+        # within {0, 1} the unit vectors are put in lexicographic order; one
+        # cluster of all three would have ordered them (e_2, e_1, e_0)
+        dec = spectral_decomposition(np.diag(ANCHORED_SPECTRUM).astype(complex))
+        assert np.array_equal(np.abs(dec.eigenvectors), np.eye(3)[:, [1, 0, 2]])
+        obs = Observable.from_matrix(np.diag(ANCHORED_SPECTRUM))
+        ranks = [round(np.trace(p).real) for p in obs.projectors]
+        assert ranks == [2, 1]
+        assert np.array_equal(obs.projectors[0], np.diag([1.0, 1.0, 0.0]))
 
 
 class TestDensityMatrixValidation:
@@ -230,3 +248,12 @@ class TestObservable:
         assert joint.n_outcomes == 4
         assert joint.dim == 4
         assert np.allclose(sum(joint.projectors), np.eye(4))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_tensor_projectors_are_kron_bit_for_bit(self, rng, dims):
+        a, b = (Observable.from_basis(random_unitary(d, rng)) for d in dims)
+        joint = a.tensor(b)
+        assert joint.eigenvalues == tuple(float(k) for k in range(dims[0] * dims[1]))
+        for i, p in enumerate(a.projectors):
+            for j, q in enumerate(b.projectors):
+                assert np.array_equal(joint.projectors[i * b.n_outcomes + j], np.kron(p, q))

@@ -53,6 +53,13 @@ class TestConfig:
             with pytest.raises(ValueError, match="dt must be positive"):
                 TwoIonConfig(phi=0.1, gamma=0.2, dynamics=dynamics, dt=dt)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4"], ids=["fraction", "float", "bool", "str"])
+    def test_non_integer_n_moments_refused(self, n):
+        # 2.5 would fail later, inside run_config; True would run as N = 1
+        with pytest.raises(ValueError, match="n_moments must be an integer"):
+            TwoIonConfig(phi=0.3, n_moments=n)
+        assert TwoIonConfig(phi=0.3, n_moments=np.int64(4)).n_moments == 4
+
     def test_omega_consistency(self):
         cfg = TwoIonConfig(phi=math.pi / 7, tau=50.0)
         assert cfg.omega == pytest.approx(math.pi / 7 / 50.0)
@@ -205,6 +212,21 @@ class TestSweepGamma:
 
 
 class TestSweepMomentCount:
+    @pytest.mark.parametrize(
+        "points", [[2.5, 3.9], [2.0, 3.0], [4, True], np.array([2.0, 3.0])],
+        ids=["fractions", "floats", "bool", "float-array"],
+    )
+    def test_non_integer_points_refused(self, points, monkeypatch):
+        # int() would truncate [2.5, 3.9] to N = 2 and 3; refused before any work
+        monkeypatch.setattr(experiments, "build_channels", None)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            sweep_moment_count(points, preset("fig3"), methods=())
+
+    def test_numpy_integer_points_accepted(self):
+        report = sweep_moment_count(np.array([3], dtype=np.int32), preset("fig3"), methods=())
+        assert report.records[0].config.n_moments == 3
+        assert report.points.tolist() == [3.0]
+
     def test_large_n_accurate(self):
         report = sweep_moment_count([16], preset("fig6"), methods=("pinv",))
         assert report.records[0].reconstructions["pinv"].rmse_probs_conv <= 1e-6

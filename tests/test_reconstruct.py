@@ -29,7 +29,8 @@ from entroprec.reconstruct import (
     InfeasibleRecoveryWarning,
     ParameterGrid,
     ReconstructionError,
-    _solve_extended,
+    _factor_extended,
+    _solve_factored,
     _trapezoid,
     divided_differences,
 )
@@ -78,6 +79,17 @@ class TestChebyshevNodes:
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):
             chebyshev_nodes(3, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "n", [2.5, 3.0, True, np.float64(4.0)], ids=["fraction", "float", "bool", "np-float"]
+    )
+    def test_non_integer_n_refused(self, n):
+        # 2.5 would give 3 nodes, one of them the interval end; True must not
+        # reach the cache, where it would find the grid of n = 1
+        chebyshev_nodes(1, -0.5, 1.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            chebyshev_nodes(n, -0.5, 1.0)
+        assert chebyshev_nodes(np.int64(5), -0.5, 1.0) is chebyshev_nodes(5, -0.5, 1.0)
 
     def test_grid_rejects_duplicate_nodes(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -140,9 +152,10 @@ class TestVandermondeMoments:
             stacked = moments_via_vandermonde(grid, chi)
             assert len(stacked) == 3
             v = np.vander(grid.nodes.astype(np.longdouble), increasing=True)
-            columns = _solve_extended(v, chi.T)  # 80-bit, before the float64 cast
+            elim = _factor_extended(v)
+            columns = _solve_factored(elim, chi.T)  # 80-bit, before the float64 cast
             for row, column in zip(chi, columns.T):
-                assert np.array_equal(column, _solve_extended(v, row[:, None])[:, 0])
+                assert np.array_equal(column, _solve_factored(elim, row[:, None])[:, 0])
             for row, mv in zip(chi, stacked):
                 alone = moments_via_vandermonde(grid, row)
                 assert np.array_equal(mv.moments, alone.moments)
@@ -189,7 +202,7 @@ class TestFactorOnce:
         for columns in (1, 3 * 5):  # one label; three labels at five points
             rhs = (1.0 + rng.uniform(-0.1, 0.1, (n, columns))).astype(np.longdouble)
             expected = eliminate_in_place(v, rhs)
-            assert np.array_equal(_solve_extended(v, rhs), expected)
+            assert np.array_equal(_solve_factored(_factor_extended(v), rhs), expected)
             assert np.array_equal(reconstruct._solve_factored(grid.vandermonde, rhs), expected)
             rows = moments_via_vandermonde(grid, rhs.T)
             assert np.array_equal(np.stack([mv.scaled for mv in rows]), expected.T.astype(float))
@@ -211,7 +224,7 @@ class TestFactorOnce:
 
     def test_singular_matrix_refused(self):
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            _solve_extended(np.ones((3, 3)), np.ones((3, 1)))
+            _factor_extended(np.ones((3, 3)))
 
 
 class TestNewtonMoments:
