@@ -15,10 +15,6 @@ UNITAL_TOL = 1e-10
 MAX_TRACE_DRIFT = 1e-6
 CHOI_NEGATIVITY_TOL = 1e-8
 RK4_GROWTH_TOL = 1e-9  # rounding allowance on |R(h lambda)| <= 1
-# Largest stack of generators integrated at once. Larger stacks make every RK4
-# step's temporaries large enough to be served from fresh pages: 64 two-ion
-# maps in one stack ran 1.6x slower per map than two stacks of 32.
-STACK_BYTES = 128 * 1024
 
 
 class IntegratorAccuracyError(RuntimeError):
@@ -250,24 +246,61 @@ def _check_rk4_stability(gens: np.ndarray, tau: float, dt: float) -> None:
 
 
 def _rk4_evolve(gen: np.ndarray, y0: np.ndarray, tau: float, dt: float) -> tuple[np.ndarray, int]:
-    n_full = int(tau / dt + 1e-9)
-    remainder = tau - n_full * dt
-    y = y0.astype(complex)
-    for _ in range(n_full):
-        y = _rk4_step(gen, y, dt)
-    steps = n_full
-    if remainder > 1e-9 * max(dt, 1.0):
-        y = _rk4_step(gen, y, remainder)
-        steps += 1
+    """RK4 from ``y0`` under the dense generator ``gen`` (one matrix, or a
+    stack along the leading axis) up to time ``tau``; returns the endpoint and
+    the number of steps. The arithmetic runs in ``gen``'s precision."""
+    y = np.asarray(y0, dtype=complex).astype(np.result_type(gen, complex), order="C")
+    steps = _rk4_integrate(lambda src, out: np.matmul(gen, src, out=out), y, tau, dt)
     return y, steps
 
 
-def _rk4_step(gen: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = gen @ y
-    k2 = gen @ (y + 0.5 * h * k1)
-    k3 = gen @ (y + 0.5 * h * k2)
-    k4 = gen @ (y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_integrate(apply, y: np.ndarray, tau: float, dt: float) -> int:
+    """Advance ``y`` in place by fixed RK4 steps of ``dt`` up to time ``tau``
+    (a shorter last step takes the remainder) and return the step count.
+    ``apply(src, out)`` writes the generator applied to ``src`` into ``out``,
+    both shaped like ``y``. Every buffer is allocated here, once."""
+    n_full = int(tau / dt + 1e-9)
+    remainder = tau - n_full * dt
+    sizes = [dt] * n_full
+    if remainder > 1e-9 * max(dt, 1.0):
+        sizes.append(remainder)
+    x, *k = (np.empty(y.shape, y.dtype) for _ in range(5))
+    buffers = (y, x, k), tuple(a.view(y.real.dtype) for a in (y, x, *k))
+    for h in sizes:
+        _rk4_step(apply, buffers, h)
+    return len(sizes)
+
+
+def _rk4_step(apply, buffers, h: float) -> None:
+    """One classical RK4 step of size ``h``, in place:
+    y += h/6 (k1 + 2 k2 + 2 k3 + k4), each slope k_i the generator applied to
+    y, y + h/2 k1, y + h/2 k2 and y + h k3 in turn.
+
+    ``buffers`` holds the state ``y``, the stage input ``x`` and the four
+    slopes, then real views of the same arrays. Every product and sum runs in
+    the order of that expression, so the bits are those of evaluating it with
+    temporaries. Scaling by the real ``h`` runs on the real views, cheaper
+    than the complex product with ``h + 0j``. The two differ only on a
+    negative zero part, and none arises: matrix products accumulate from +0.
+    """
+    (y, x, (k1, k2, k3, k4)), (yr, xr, r1, r2, r3, r4) = buffers
+    apply(y, k1)
+    np.multiply(r1, 0.5 * h, out=xr)
+    xr += yr
+    apply(x, k2)
+    np.multiply(r2, 0.5 * h, out=xr)
+    xr += yr
+    apply(x, k3)
+    np.multiply(r3, h, out=xr)
+    xr += yr
+    apply(x, k4)
+    r2 *= 2.0
+    r1 += r2
+    r3 *= 2.0
+    r1 += r3
+    r1 += r4
+    r1 *= h / 6.0
+    yr += r1
 
 
 def lindblad_propagate(
@@ -311,9 +344,10 @@ def kraus_from_lindblad_endpoints(
     that share ``tau`` and ``dt``, one channel per model.
 
     Every model's complete matrix-unit basis is propagated in one stacked
-    integration (in even stacks of at most ``STACK_BYTES`` of generators);
-    numpy applies the same matrix product to each slice, so each map is
-    bit-identical to the one built alone. Each model's Choi matrix is
+    RK4 integration: a batch on its generators' invariant blocks only (see
+    :func:`_block_endpoints`), a lone model densely. Either way each map is
+    bit-identical to the dense integration of the identity under its own
+    generator, so built alone or in any batch. Each model's Choi matrix is
     then eigendecomposed; eigenvalues in [-1e-8, 0) are clipped to zero
     (integration noise) and the spectrum rescaled, anything more negative is a
     genuine complete-positivity failure. A step outside RK4's stability
@@ -333,13 +367,64 @@ def kraus_from_lindblad_endpoints(
         return tuple(QuantumChannel.identity(d) for _ in models)
     gens = np.stack([m.liouvillian for m in models])
     _check_rk4_stability(gens, tau, dt)
-    per_stack = max(1, STACK_BYTES // gens[0].nbytes)
-    eye = np.eye(d * d, dtype=complex)
-    endpoints = []
     with np.errstate(over="ignore", invalid="ignore"):  # judged by the guard below
-        for stack in np.array_split(gens, -(-len(gens) // per_stack)):
-            endpoints.extend(_rk4_evolve(stack, np.broadcast_to(eye, stack.shape), tau, dt)[0])
+        if len(models) == 1:
+            # a lone two-ion product costs its call overhead whatever its
+            # shape, so blocks would only add their copy per stage
+            endpoints = _rk4_evolve(gens, np.eye(d * d, dtype=complex)[None], tau, dt)[0]
+        else:
+            endpoints = _block_endpoints(gens, tau, dt)
     return tuple(_endpoint_channel(e, d, i) for i, e in enumerate(endpoints))
+
+
+def _invariant_blocks(gens: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the subspaces that every generator of the stack leaves
+    invariant: the connected components of the union nonzero pattern, each
+    in ascending order. A dense generator is one block."""
+    n = gens.shape[-1]
+    reach = np.any(gens != 0, axis=0)
+    reach = reach | reach.T | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # paths of length up to 2^bit_length >= n
+        reach = reach @ reach
+    label = reach.argmax(axis=1)  # the smallest index in each one's component
+    return [np.flatnonzero(label == r) for r in np.unique(label)]
+
+
+def _block_endpoints(gens: np.ndarray, tau: float, dt: float) -> np.ndarray:
+    """exp(tau L) by RK4 for each generator L of the stack, the identity
+    propagated only on the generators' invariant blocks.
+
+    With nb blocks padded to size s, each stage is one (nb s, s) @ (s, nb s)
+    product per model: the blocks L_b stacked vertically times the endpoint
+    blocks Y_b side by side. Its diagonal blocks L_b Y_b are the slope; the
+    off-diagonal ones are discarded. BLAS sums each entry over k in index
+    order, and the dense product's extra terms there are exact zeros, so
+    the endpoint is the dense integration's, bit for bit.
+    """
+    m = len(gens)
+    blocks = _invariant_blocks(gens)
+    nb, s = len(blocks), max(map(len, blocks))
+    stacked = np.zeros((m, nb * s, s), dtype=complex)
+    y = np.zeros((m, s, nb, s), dtype=complex)  # y[:, i, b, j] = Y_b[i, j]
+    for b, idx in enumerate(blocks):
+        q = np.arange(idx.size)
+        stacked[:, b * s + q[:, None], q] = gens[:, idx[:, None], idx]
+        y[:, q, b, q] = 1.0
+    product = np.empty((m, nb * s, nb * s), dtype=complex)
+    step = product.strides
+    diagonal = np.lib.stride_tricks.as_strided(
+        product, y.shape, (step[0], step[1], s * (step[1] + step[2]), step[2]), writeable=False
+    )
+
+    def apply(src, out):
+        np.matmul(stacked, src.reshape(m, s, nb * s), out=product)
+        np.copyto(out, diagonal)
+
+    _rk4_integrate(apply, y, tau, dt)
+    endpoints = np.zeros_like(gens)
+    for b, idx in enumerate(blocks):
+        endpoints[:, idx[:, None], idx] = y[:, : idx.size, b, : idx.size]
+    return endpoints
 
 
 def _endpoint_channel(endpoint: np.ndarray, d: int, index: int) -> QuantumChannel:

@@ -119,11 +119,7 @@ def char_function(proto: TwoTimeProtocol, subsystem: str, lam):
     probe_z, initial_z = -1j * stack, 1 + 1j * stack
     if subsystem == "A-B":
         _require_rank_one(proto.obs_in, proto.obs_fin)
-        p_fin = _outcome_probs(
-            proto.obs_fin.projectors,
-            proto.channel.apply_matrix(proto.states.rho_in.astype(np.clongdouble)),
-        )
-        probe, dropped_fin = _powered_state(p_fin, proto.obs_fin.projectors, probe_z)
+        probe, dropped_fin = _powered_state(proto.p_fin_extended, proto.obs_fin.projectors, probe_z)
     elif subsystem in ("A", "B"):
         local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
         own = "AB".index(subsystem)

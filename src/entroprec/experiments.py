@@ -10,6 +10,7 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import groupby
@@ -78,7 +79,12 @@ class TwoIonConfig:
     def __post_init__(self):
         for name in ("phi", "gamma", "tau", "dt"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "dt":
+                continue
+            # a bool is not a real here (numpy floats and integers are)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dynamics not in ("unitary", "lindblad"):
             raise ValueError(f"dynamics must be 'unitary' or 'lindblad', got {self.dynamics!r}")

@@ -123,6 +123,15 @@ class TwoTimeProtocol:
         return states
 
     @cached_property
+    def p_fin_extended(self) -> np.ndarray:
+        """Outcome probabilities of ``obs_fin`` on Phi(rho_in) with the channel
+        applied in 80-bit precision, read-only; the A-B chi probe powers them."""
+        evolved = self.channel.apply_matrix(self.states.rho_in.astype(np.clongdouble))
+        p_fin = _outcome_probs(self.obs_fin.projectors, evolved)
+        p_fin.flags.writeable = False
+        return p_fin
+
+    @cached_property
     def forward(self) -> "JointOutcomeTable":
         """Forward joint table, see :func:`forward_joint`."""
         return forward_joint(self)

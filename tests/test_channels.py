@@ -303,7 +303,8 @@ class TestLindbladEndpoint:
 
 @pytest.fixture
 def count_steps(monkeypatch):
-    """The number of RK4 steps taken while the test runs."""
+    """The number of RK4 steps taken while the test runs: one entry per call
+    of the stepper that every integration runs, dense or on blocks."""
     calls = []
     original = channels._rk4_step
 
@@ -313,6 +314,83 @@ def count_steps(monkeypatch):
 
     monkeypatch.setattr(channels, "_rk4_step", counted)
     return calls
+
+
+def assert_blocks_match_dense(gen, tau, dt=0.01):
+    """The identity propagated on the blocks of ``gen`` and densely, byte for
+    byte equal; returns the endpoint."""
+    dense, _ = channels._rk4_evolve(gen, np.eye(gen.shape[-1], dtype=complex), tau, dt)
+    (blocked,) = channels._block_endpoints(gen[None], tau, dt)
+    assert blocked.tobytes() == dense.tobytes()
+    return blocked
+
+
+def textbook_rk4(gen, y, tau, dt):
+    """RK4 with temporaries, the reference for the in-place stepper."""
+    steps = [dt] * int(tau / dt + 1e-9)
+    if tau - len(steps) * dt > 1e-9 * max(dt, 1.0):
+        steps.append(tau - len(steps) * dt)
+    for h in steps:
+        k1 = gen @ y
+        k2 = gen @ (y + 0.5 * h * k1)
+        k3 = gen @ (y + 0.5 * h * k2)
+        k4 = gen @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def blocks_of(*gens):
+    return [list(b) for b in channels._invariant_blocks(np.stack(gens))]
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_in_place_step_is_the_textbook_expression(dtype):
+    gen = two_ion_model(0.05, 0.2, 0.3).liouvillian.astype(dtype)
+    for y0 in (RHO0.data.reshape(-1), np.eye(16)):
+        y0 = y0.astype(dtype)
+        expected = textbook_rk4(gen, y0, 1.004, 0.01)
+        out, steps = channels._rk4_evolve(gen, y0, 1.004, 0.01)
+        assert steps == 101 and out.dtype == expected.dtype
+        # compared part by part: a clongdouble's padding bytes are arbitrary
+        parts = lambda a: a.view(a.real.dtype)
+        assert np.array_equal(parts(out), parts(expected))
+        assert np.array_equal(np.signbit(parts(out)), np.signbit(parts(expected)))
+
+
+class TestInvariantBlocks:
+    """Each generator's blocks, and its endpoint integrated on them equal to
+    the dense integration byte for byte."""
+
+    def test_dense_generator_is_one_block(self, rng):
+        h = random_density(4, rng).data  # Hermitian, every entry nonzero
+        gen = LindbladModel(h, ()).liouvillian
+        assert blocks_of(gen) == [list(range(16))]
+        assert_blocks_match_dense(gen, 1.0)
+
+    def test_blocks_of_unequal_size(self):
+        # a qutrit whose levels 0 and 1 are coupled and level 2 dephased:
+        # Liouville index 3 i + j of |i><j| splits as {i, j < 2}, {i < 2 = j},
+        # {j < 2 = i} and {|2><2|}
+        h = 0.3 * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+        gen = LindbladModel(h, ((np.diag([0.0, 0.0, 1.0]), 0.4),)).liouvillian
+        assert blocks_of(gen) == [[0, 1, 3, 4], [2, 5], [6, 7], [8]]
+        for tau in (1.0, 1.004):
+            assert_blocks_match_dense(gen, tau)
+
+    def test_all_zero_generator_is_all_singletons(self):
+        gen = two_ion_model(0.0, 0.0, 0.0).liouvillian
+        assert blocks_of(gen) == [[i] for i in range(16)]
+        assert np.array_equal(assert_blocks_match_dense(gen, 1.0), np.eye(16))
+
+    def test_two_ion_blocks_and_their_union(self):
+        # X (x) X couples |00>,|11> and |01>,|10>: four blocks of four; a
+        # stack is split by the union of its patterns
+        coupled = two_ion_model(0.05, 0.2, 0.2).liouvillian
+        four = [[0, 3, 12, 15], [1, 2, 13, 14], [4, 7, 8, 11], [5, 6, 9, 10]]
+        assert blocks_of(coupled) == four
+        diagonal = two_ion_model(0.0, 0.2, 0.2).liouvillian
+        assert len(blocks_of(diagonal)) == 16
+        assert blocks_of(diagonal, coupled) == four
 
 
 class TestBatchedEndpoint:
@@ -329,13 +407,14 @@ class TestBatchedEndpoint:
             for a, b in zip(stacked.kraus, single.kraus):
                 assert np.array_equal(a, b)
 
-    def test_split_stacks_match_one_stack(self, monkeypatch):
-        models = [two_ion_model(0.05, g, g) for g in (0.0, 0.3, 0.6, 0.9, 1.2)]
-        whole = kraus_from_lindblad_endpoints(models, 1.0, 0.01)
-        monkeypatch.setattr(channels, "STACK_BYTES", 2 * models[0].liouvillian.nbytes)
-        split = kraus_from_lindblad_endpoints(models, 1.0, 0.01)  # stacks of 2, 2 and 1
-        for a, b in zip(whole, split):
-            assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
+    def test_64_map_batch_matches_each_map_alone(self, rng):
+        phis = rng.uniform(0.0, 2 * math.pi, 64)
+        gammas = np.concatenate([[0.0], rng.uniform(0.0, 1.2, 63)])
+        models = [two_ion_model(phi, g, g) for phi, g in zip(phis, gammas)]
+        batch = kraus_from_lindblad_endpoints(models, 1.0, 0.01)
+        for model, stacked in zip(models, batch):
+            (single,) = kraus_from_lindblad_endpoints((model,), 1.0, 0.01)
+            assert [e.tobytes() for e in stacked.kraus] == [e.tobytes() for e in single.kraus]
 
     def test_empty_zero_time_and_dimensions(self):
         assert kraus_from_lindblad_endpoints([], 50.0, 0.01) == ()
@@ -353,6 +432,11 @@ class TestBatchedEndpoint:
         with pytest.raises(IntegratorAccuracyError, match="stability region"):
             lindblad_propagate(model, RHO0, 50.0, 0.01)
         assert count_steps == []
+        stable = two_ion_model(0.01, 1.0, 1.0)
+        kraus_from_lindblad_endpoints((stable,), 0.5, 0.01)
+        assert len(count_steps) == 50
+        lindblad_propagate(stable, RHO0, 0.5, 0.01)
+        assert len(count_steps) == 100
 
     def test_unstable_model_in_a_batch_is_named(self, count_steps):
         models = [two_ion_model(0.01, g, g) for g in (0.2, 1.0, 1e6)]
@@ -360,6 +444,8 @@ class TestBatchedEndpoint:
             kraus_from_lindblad_endpoints(models, 50.0, 0.01)
         assert err.value.index == 2
         assert count_steps == []
+        kraus_from_lindblad_endpoints(models[:2], 0.505, 0.01)  # on blocks
+        assert len(count_steps) == 51
 
     def test_coarse_step_refused_before_positivity(self, count_steps):
         # h lambda = -20 on the fastest coherence: RK4 would amplify it
@@ -367,6 +453,8 @@ class TestBatchedEndpoint:
         with pytest.raises(IntegratorAccuracyError, match="5514.33"):
             kraus_from_lindblad_endpoints((two_ion_model(0.01, 1.0, 1.0),), 50.0, 10.0)
         assert count_steps == []
+        kraus_from_lindblad_endpoints((two_ion_model(0.01, 1.0, 1.0),), 50.0, 1.0)
+        assert len(count_steps) == 50
 
     def test_stability_boundary(self):
         # RK4 is stable on the negative real axis down to about -2.785 and on

@@ -60,6 +60,21 @@ class TestConfig:
             TwoIonConfig(phi=0.3, n_moments=n)
         assert TwoIonConfig(phi=0.3, n_moments=np.int64(4)).n_moments == 4
 
+    @pytest.mark.parametrize("value", [True, False, "0.3", 0.3j], ids=repr)
+    @pytest.mark.parametrize("key", ["phi", "gamma", "tau", "dt"])
+    def test_non_real_values_refused(self, key, value):
+        # phi=True used to pass and fail later as "channel not trace
+        # preserving"; phi="0.3" raised a TypeError
+        with pytest.raises(ValueError, match=f"{key} must be a real number"):
+            replace(TwoIonConfig(phi=0.1), **{key: value})
+
+    def test_real_values_accepted(self):
+        cfg = TwoIonConfig(phi=np.float64(0.3), gamma=np.int64(0), tau=np.float32(5.0), dt=0.05)
+        assert cfg.omega == pytest.approx(0.06)
+        assert TwoIonConfig(phi=0.1, dt=None).step_size == 50.0 / 5000  # the default step
+        with pytest.raises(ValueError, match="phi must be a real number"):
+            TwoIonConfig(phi=None)
+
     def test_omega_consistency(self):
         cfg = TwoIonConfig(phi=math.pi / 7, tau=50.0)
         assert cfg.omega == pytest.approx(math.pi / 7 / 50.0)
@@ -447,6 +462,8 @@ class TestChannelBuilds:
         with pytest.raises(IntegratorAccuracyError, match="gamma=1000000.0: RK4 step"):
             sweep_gamma([0.2, 1e6], QUICK, methods=())
         assert steps == []
+        sweep_gamma([0.2, 0.3], QUICK, methods=())  # one batch of 5 / 0.05 steps
+        assert len(steps) == 100
 
     def test_protocols_share_the_qubit_observables(self, monkeypatch):
         def refuse(*args):
@@ -511,6 +528,26 @@ class TestMomentsOncePerLabel:
         record = run_config(cfg, methods=("pinv", "fourier"), part=lambda: part)
         truth = {id(record.distributions[label]) for label in experiments.LABELS}
         assert sorted(call for call in calls if call[0] in truth) == sorted((i, 4) for i in truth)
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_extended_final_probabilities_once_per_protocol(self, monkeypatch):
+        # the A-B chi probe applies the channel to rho_in in 80-bit; an N
+        # sweep shares its protocol, so that happens once, not per point
+        applied = []
+        original = channels.QuantumChannel.apply_matrix
+
+        def counted(channel, m):
+            if m.ndim == 2 and m.dtype == np.clongdouble:
+                applied.append(1)
+            return original(channel, m)
+
+        monkeypatch.setattr(channels.QuantumChannel, "apply_matrix", counted)
+        report = sweep_moment_count(range(2, 17), preset("fig3"), methods=("pinv",))
+        assert len(report.records) == 15
+        assert len(applied) == 1
+        proto = build_protocol(preset("fig3"))
+        assert proto.p_fin_extended is proto.p_fin_extended
+        assert not proto.p_fin_extended.flags.writeable
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method must be"):
