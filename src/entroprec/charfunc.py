@@ -179,7 +179,7 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     _warn_dropped(dropped_in + dropped_ref, 1)
     norm = np.trace(deformed[0]).real
     evolved = proto.channel.apply_matrix(deformed[0] / norm)
-    occupation = _outcome_probs(proto.obs_fin.projectors, evolved)
+    occupation = _outcome_probs(proto.obs_fin.projector_stack, evolved)
     weights = weights.real[0]
     if subsystem != "A-B":
         # occupations of the joint final outcomes (k, l), indexed k * n_b + l

@@ -187,6 +187,13 @@ class Observable:
         """Whether every projector has rank one (trace 1)."""
         return all(abs(np.trace(p).real - 1.0) < 1e-9 for p in self.projectors)
 
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """The projectors as one read-only ``(n_outcomes, dim, dim)`` array."""
+        stack = np.array(self.projectors)
+        stack.flags.writeable = False
+        return stack
+
     def matrix(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for a, p in zip(self.eigenvalues, self.projectors):
@@ -232,7 +239,7 @@ class Observable:
 
 def _product_projectors(a: Observable, b: Observable) -> np.ndarray:
     """The projectors of ``a.tensor(b)``, stacked in pair-index order."""
-    products = tensor_product(np.asarray(a.projectors)[:, None], np.asarray(b.projectors)[None, :])
+    products = tensor_product(a.projector_stack[:, None], b.projector_stack[None, :])
     return products.reshape(-1, a.dim * b.dim, a.dim * b.dim)
 
 

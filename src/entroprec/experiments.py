@@ -10,7 +10,6 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import groupby
@@ -58,6 +57,7 @@ RHO0_DIAG = (6 / 25, 9 / 25, 4 / 25, 6 / 25)
 DEFAULT_TAU = 50.0
 DEFAULT_STEPS = 5000
 LABELS = ("A", "B", "A-B", "A+B")
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,10 @@ class TwoIonConfig:
             value = getattr(self, name)
             if value is None and name == "dt":
                 continue
-            # a bool is not a real here (numpy floats and integers are)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            # Python and numpy ints and floats only: a bool is no real here, and
+            # a Fraction or Decimal would fail later, inside the gate's ufuncs
+            if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+                raise ValueError(f"{name} must be a real number (int or float), got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dynamics not in ("unitary", "lindblad"):

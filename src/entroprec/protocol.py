@@ -84,7 +84,7 @@ class TwoTimeProtocol:
                 # the projectors of a.tensor(b), without its O(n^2) re-validation
                 products = _product_projectors(a, b)
                 if len(products) != obs.n_outcomes or np.max(
-                    np.abs(np.subtract(obs.projectors, products))
+                    np.abs(obs.projector_stack - products)
                 ) > PRODUCT_TOL:
                     raise ValueError("obs_in/obs_fin must be tensor products of bipartite_obs")
             rho_in = self.states.rho_in
@@ -127,7 +127,7 @@ class TwoTimeProtocol:
         """Outcome probabilities of ``obs_fin`` on Phi(rho_in) with the channel
         applied in 80-bit precision, read-only; the A-B chi probe powers them."""
         evolved = self.channel.apply_matrix(self.states.rho_in.astype(np.clongdouble))
-        p_fin = _outcome_probs(self.obs_fin.projectors, evolved)
+        p_fin = _outcome_probs(self.obs_fin.projector_stack, evolved)
         p_fin.flags.writeable = False
         return p_fin
 
@@ -154,7 +154,7 @@ class TwoTimeProtocol:
         n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in self.bipartite_obs)
         p_fwd = fwd.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
         p_in = fwd.p_in.reshape(n_a_in, n_b_in)
-        p_fin = _outcome_probs(self.obs_fin.projectors, self.states.rho_fin)
+        p_fin = _outcome_probs(self.obs_fin.projector_stack, self.states.rho_fin)
         p_fin = p_fin.reshape(n_a_fin, n_b_fin)
         return MappingProxyType({
             "A": JointOutcomeTable(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1)),
@@ -205,8 +205,16 @@ class EntropyDistribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
+    @cached_property
+    def _moment_memo(self) -> dict[int, float]:
+        return {}
+
     def moment(self, k: int) -> float:
-        return float(np.sum(self.probs * self.support**k))
+        """<sigma^k>, computed once per instance and order."""
+        memo = self._moment_memo
+        if k not in memo:
+            memo[k] = float(np.sum(self.probs * self.support**k))
+        return memo[k]
 
     def moments(self, k_max: int) -> np.ndarray:
         return np.array([self.moment(k) for k in range(1, k_max + 1)])
@@ -221,24 +229,32 @@ class EntropyDistribution:
 
 def merge_support(values: np.ndarray, masses: np.ndarray):
     """Aggregate masses whose neighbouring support values lie within
-    ``SUPPORT_MERGE_TOL``."""
+    ``SUPPORT_MERGE_TOL``.
+
+    A cluster takes its total mass and its mass-weighted mean (``np.average``'s
+    ``sum(v * m) / sum(m)``), or its plain mean when it has no mass. Lone
+    values, the common case, get the same arithmetic in one vectorised pass;
+    each larger cluster sums its own slice. ``np.add.reduceat`` would do all
+    clusters at once but rounds its sums differently.
+    """
     order = np.argsort(values)
     values = np.asarray(values, float)[order]
     masses = np.asarray(masses, float)[order]
-    out_vals: list[float] = []
-    out_mass: list[float] = []
-    start = 0
-    for stop in range(1, len(values) + 1):
-        if stop == len(values) or values[stop] - values[stop - 1] > SUPPORT_MERGE_TOL:
-            chunk = slice(start, stop)
-            m = masses[chunk].sum()
-            if m > 0:
-                out_vals.append(float(np.average(values[chunk], weights=masses[chunk])))
-            else:
-                out_vals.append(float(values[chunk].mean()))
-            out_mass.append(float(m))
-            start = stop
-    return np.array(out_vals), np.array(out_mass)
+    # cluster i is values[bounds[i]:bounds[i + 1]]; a gap above the tolerance
+    # between neighbours starts a new one
+    gap = np.ones(values.size + 1, dtype=bool)
+    np.greater(values[1:] - values[:-1], SUPPORT_MERGE_TOL, out=gap[1:-1])
+    bounds = gap.nonzero()[0]
+    # as if each were a cluster of one: a one-element sum is 0 + x, which
+    # turns -0.0 into +0.0
+    out_mass = 0.0 + masses[bounds[:-1]]
+    out_vals = 0.0 + values[bounds[:-1]]
+    np.divide(0.0 + out_vals * out_mass, out_mass, out=out_vals, where=out_mass > 0)
+    for i in np.flatnonzero(bounds[1:] - bounds[:-1] > 1).tolist():
+        chunk = slice(bounds[i], bounds[i + 1])
+        out_mass[i] = m = masses[chunk].sum()
+        out_vals[i] = (values[chunk] * masses[chunk]).sum() / m if m > 0 else values[chunk].mean()
+    return out_vals, out_mass
 
 
 def convolve_distributions(
@@ -285,21 +301,22 @@ class JointOutcomeTable:
 
 
 def _dephase(obs: Observable, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho, dtype=complex)
-    for p in obs.projectors:
-        out += p @ rho @ p
-    return out
+    """sum_m P_m rho P_m; the axis-0 sum adds the terms in outcome order."""
+    stack = obs.projector_stack
+    return np.sum(stack @ rho @ stack, axis=0)
 
 
-def _outcome_probs(projectors, rho: np.ndarray) -> np.ndarray:
-    return np.array([np.trace(p @ rho).real for p in projectors])
+def _outcome_probs(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr[P rho] for each slice P of a projector stack."""
+    return np.trace(projectors @ rho, axis1=-2, axis2=-1).real
 
 
 def _measured_joint(channel: QuantumChannel, rho: np.ndarray, prepare, read) -> np.ndarray:
-    """``table[k, m] = Tr[read_k  Phi(prepare_m rho prepare_m)]``, negatives clipped."""
-    table = np.zeros((len(read), len(prepare)))
-    for m, p_m in enumerate(prepare):
-        table[:, m] = _outcome_probs(read, channel.apply_matrix(p_m @ rho @ p_m))
+    """``table[k, m] = Tr[read_k  Phi(prepare_m rho prepare_m)]``, negatives
+    clipped. ``prepare`` and ``read`` are projector stacks; the channel is
+    applied once, to the stack of prepared states."""
+    evolved = channel.apply_matrix(prepare @ rho @ prepare)
+    table = np.trace(read[:, None] @ evolved, axis1=-2, axis2=-1).real
     return np.clip(table, 0.0, None)
 
 
@@ -309,8 +326,9 @@ def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     ``p_fwd[k, m] = Tr[P_fin_k  Phi(P_in_m rho0 P_in_m)]``.
     """
     rho0 = proto.rho0.data
-    p_fwd = _measured_joint(proto.channel, rho0, proto.obs_in.projectors, proto.obs_fin.projectors)
-    p_in = _outcome_probs(proto.obs_in.projectors, rho0)
+    obs_in, obs_fin = proto.obs_in.projector_stack, proto.obs_fin.projector_stack
+    p_fwd = _measured_joint(proto.channel, rho0, obs_in, obs_fin)
+    p_in = _outcome_probs(obs_in, rho0)
     return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_fwd.sum(axis=1))
 
 
@@ -329,8 +347,8 @@ def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     theta = TimeReversal()
     reversed_channel = time_reversed(proto.channel, theta)
     rho_tau_rev = theta.apply_to_state(proto.states.rho_tau)
-    proj_in_rev = [theta.apply_to_state(p) for p in proto.obs_in.projectors]
-    proj_ref_rev = [theta.apply_to_state(p) for p in proto.obs_fin.projectors]
+    proj_in_rev = theta.apply_to_state(proto.obs_in.projector_stack)
+    proj_ref_rev = theta.apply_to_state(proto.obs_fin.projector_stack)
     p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
     return JointOutcomeTable(p_fwd=p_bwd, p_in=fwd.p_ref, p_ref=fwd.p_in)
 
@@ -342,34 +360,35 @@ def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDi
     pairs landing on a zero-probability reference outcome are split off into
     ``infinite_mass`` with a warning.
     """
-    values: list[float] = []
-    masses: list[float] = []
-    dropped = 0
-    infinite_mass = 0.0
-    n_fin, n_in = table.p_fwd.shape
-    for k in range(n_fin):
-        for m in range(n_in):
-            mass = table.p_fwd[k, m]
-            if mass <= MASS_DROP_TOL:
-                dropped += 1
-                continue
-            if table.p_in[m] <= MASS_DROP_TOL:
-                raise ValueError(
-                    f"inconsistent table: forward mass {mass:.3e} from zero-probability "
-                    f"initial outcome {m}"
-                )
-            if table.p_ref[k] <= MASS_DROP_TOL:
-                infinite_mass += mass
-                continue
-            values.append(math.log(table.p_in[m]) - math.log(table.p_ref[k]))
-            masses.append(mass)
+    p_fwd, p_in, p_ref = table.p_fwd, table.p_in, table.p_ref
+    kept = p_fwd > MASS_DROP_TOL
+    empty_in = kept & (p_in <= MASS_DROP_TOL)
+    if empty_in.any():
+        k, m = np.argwhere(empty_in)[0]
+        raise ValueError(
+            f"inconsistent table: forward mass {p_fwd[k, m]:.3e} from zero-probability "
+            f"initial outcome {m}"
+        )
+    empty_ref = (p_ref <= MASS_DROP_TOL)[:, None]
+    # added up pair by pair in row-major order, like the samples below
+    infinite = np.add.accumulate(p_fwd[kept & empty_ref])
+    infinite_mass = infinite[-1] if infinite.size else 0.0
+    # math.log, not np.log, which may round differently
+    log_in = np.array([math.log(p) if p > MASS_DROP_TOL else math.nan for p in p_in.tolist()])
+    log_ref = np.array([math.log(p) if p > MASS_DROP_TOL else math.nan for p in p_ref.tolist()])
+    # boolean indexing keeps the row-major order, which decides how
+    # merge_support's unstable argsort orders equal samples
+    finite = kept & ~empty_ref
+    values = (log_in - log_ref[:, None])[finite]
+    masses = p_fwd[finite]
+    dropped = p_fwd.size - int(np.count_nonzero(kept))
     if infinite_mass > 0:
         warnings.warn(
             f"absolute irreversibility: mass {infinite_mass:.3e} maps to +inf entropy",
             AbsoluteIrreversibilityWarning,
             stacklevel=2,
         )
-    support, probs = merge_support(np.array(values), np.array(masses))
+    support, probs = merge_support(values, masses)
     return EntropyDistribution(support, probs, label, dropped, infinite_mass)
 
 
@@ -414,13 +433,18 @@ def conditional_equality_deviation(proto: TwoTimeProtocol) -> float:
     return float(np.nanmax(diff))
 
 
-def _mass_at(dist: EntropyDistribution, x: float) -> float:
-    """Probability of the support point of ``dist`` at ``x``; 0 if there is none."""
-    idx = np.searchsorted(dist.support, x)
-    for i in (idx - 1, idx):
-        if 0 <= i < len(dist.support) and abs(dist.support[i] - x) <= SUPPORT_MERGE_TOL:
-            return float(dist.probs[i])
-    return 0.0
+def _masses_at(dist: EntropyDistribution, xs: np.ndarray) -> np.ndarray:
+    """Probability of the support point of ``dist`` at each of ``xs``: its
+    lower neighbour in the support if that lies within ``SUPPORT_MERGE_TOL``,
+    else its upper one, else 0."""
+    support, probs = dist.support, dist.probs
+    if not support.size:
+        return np.zeros(len(xs))
+    idx = np.searchsorted(support, xs)
+    lower, upper = np.maximum(idx - 1, 0), np.minimum(idx, support.size - 1)
+    near_lower = np.abs(support[lower] - xs) <= SUPPORT_MERGE_TOL
+    near_upper = np.abs(support[upper] - xs) <= SUPPORT_MERGE_TOL
+    return np.where(near_lower, probs[lower], np.where(near_upper, probs[upper], 0.0))
 
 
 def crooks_check(proto: TwoTimeProtocol) -> float:
@@ -433,10 +457,11 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
     """
     fwd = proto.distributions["A-B"]
     bwd = entropy_samples(proto.backward)
-    deviation = 0.0
-    for g in np.union1d(fwd.support, -bwd.support):
-        deviation = max(deviation, abs(_mass_at(bwd, -g) - math.exp(-g) * _mass_at(fwd, g)))
-    return deviation
+    grid = np.union1d(fwd.support, -bwd.support)
+    # math.exp, not np.exp: numpy's exp may round differently
+    weights = np.array([math.exp(-g) for g in grid.tolist()])
+    deviations = np.abs(_masses_at(bwd, -grid) - weights * _masses_at(fwd, grid))
+    return float(np.max(deviations, initial=0.0))
 
 
 def _local_observables(proto: TwoTimeProtocol):

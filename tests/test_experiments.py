@@ -4,6 +4,8 @@ import math
 import warnings
 import weakref
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
 from entroprec import channels, cli, experiments, protocol
-from entroprec.experiments import build_channels, default_sweep_points
+from entroprec.experiments import build_channels, default_sweep_points, protocol_part
 from entroprec import reconstruct
 from entroprec.protocol import AbsoluteIrreversibilityWarning
 from entroprec.reconstruct import chebyshev_nodes
@@ -60,11 +62,14 @@ class TestConfig:
             TwoIonConfig(phi=0.3, n_moments=n)
         assert TwoIonConfig(phi=0.3, n_moments=np.int64(4)).n_moments == 4
 
-    @pytest.mark.parametrize("value", [True, False, "0.3", 0.3j], ids=repr)
+    @pytest.mark.parametrize(
+        "value", [True, False, "0.3", 0.3j, Fraction(1, 3), Decimal("0.3")], ids=repr
+    )
     @pytest.mark.parametrize("key", ["phi", "gamma", "tau", "dt"])
     def test_non_real_values_refused(self, key, value):
         # phi=True used to pass and fail later as "channel not trace
-        # preserving"; phi="0.3" raised a TypeError
+        # preserving"; phi="0.3" raised a TypeError, and phi=Fraction(1, 3)
+        # passed and then failed inside ms_gate with a TypeError
         with pytest.raises(ValueError, match=f"{key} must be a real number"):
             replace(TwoIonConfig(phi=0.1), **{key: value})
 
@@ -101,29 +106,46 @@ class TestRunConfig:
 
     def test_builds_tables_once_per_protocol(self, monkeypatch):
         calls = {}
+        running = []  # the counted calls in progress, outermost first
+        applied = []  # the counted calls in progress at each channel application
 
         def count(name, original):
             def counted(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return original(*args, **kwargs)
+                running.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    running.pop()
 
             return counted
+
+        def apply_matrix(channel, m, original=channels.QuantumChannel.apply_matrix):
+            applied.append(tuple(running))
+            return original(channel, m)
 
         for name in ("forward_joint", "backward_joint", "entropy_samples", "_dephase"):
             monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
         states = cached_property(count("states", protocol.TwoTimeProtocol.states.func))
         states.__set_name__(protocol.TwoTimeProtocol, "states")
         monkeypatch.setattr(protocol.TwoTimeProtocol, "states", states)
+        monkeypatch.setattr(experiments, "protocol_part", count("protocol_part", protocol_part))
+        monkeypatch.setattr(channels.QuantumChannel, "apply_matrix", apply_matrix)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
         # one states build dephases twice (rho_in, rho_tau); nothing else does.
         # A, B and A-B are sampled once each; the Crooks check adds the backward one.
         assert calls == {
+            "protocol_part": 1,
             "forward_joint": 1,
             "backward_joint": 1,
             "entropy_samples": 4,
             "states": 1,
             "_dephase": 2,
         }
+        # the protocol part applies the channel once to rho_in and once per
+        # joint table, to the stack of all its prepared states
+        in_part = [stack[-1] for stack in applied if stack[:1] == ("protocol_part",)]
+        assert sorted(in_part) == ["backward_joint", "forward_joint", "states"]
 
     def test_mean_sigma_is_the_bound_value(self):
         record = run_config(preset("fig4"), methods=("pinv",))

@@ -1,8 +1,11 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entroprec import (
     AbsoluteIrreversibilityWarning,
@@ -29,7 +32,17 @@ from entroprec import (
     von_neumann_entropy,
 )
 from entroprec import DegenerateSupportWarning, relative_entropy
-from entroprec.protocol import ProtocolStates, _dephase, merge_support
+from entroprec.channels import TimeReversal, time_reversed
+from entroprec.protocol import (
+    MASS_DROP_TOL,
+    SUPPORT_MERGE_TOL,
+    ProtocolStates,
+    _dephase,
+    _masses_at,
+    _measured_joint,
+    _outcome_probs,
+    merge_support,
+)
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
@@ -601,3 +614,256 @@ class TestDistributionBasics:
         assert dist.moment(1) == pytest.approx(0.0)
         assert dist.moment(2) == pytest.approx(1.0)
         assert dist.mgf(1.0) == pytest.approx(math.cosh(1.0))
+
+
+# Loop references: the measurement layer one outcome (pair) at a time. The
+# stacked implementations must reproduce them bit for bit, so that a record
+# does not depend on which of the two computed it.
+
+
+def loop_dephase(obs, rho):
+    out = np.zeros_like(rho, dtype=complex)
+    for p in obs.projectors:
+        out += p @ rho @ p
+    return out
+
+
+def loop_outcome_probs(projectors, rho):
+    return np.array([np.trace(p @ rho).real for p in projectors])
+
+
+def loop_measured_joint(channel, rho, prepare, read):
+    table = np.zeros((len(read), len(prepare)))
+    for m, p_m in enumerate(prepare):
+        table[:, m] = loop_outcome_probs(read, channel.apply_matrix(p_m @ rho @ p_m))
+    return np.clip(table, 0.0, None)
+
+
+def loop_merge_support(values, masses):
+    order = np.argsort(values)
+    values = np.asarray(values, float)[order]
+    masses = np.asarray(masses, float)[order]
+    out_vals, out_mass = [], []
+    start = 0
+    for stop in range(1, len(values) + 1):
+        if stop == len(values) or values[stop] - values[stop - 1] > SUPPORT_MERGE_TOL:
+            chunk = slice(start, stop)
+            m = masses[chunk].sum()
+            if m > 0:
+                out_vals.append(float(np.average(values[chunk], weights=masses[chunk])))
+            else:
+                out_vals.append(float(values[chunk].mean()))
+            out_mass.append(float(m))
+            start = stop
+    return np.array(out_vals), np.array(out_mass)
+
+
+def loop_entropy_samples(table, label="sigma"):
+    values, masses = [], []
+    dropped, infinite_mass = 0, 0.0
+    n_fin, n_in = table.p_fwd.shape
+    for k in range(n_fin):
+        for m in range(n_in):
+            mass = table.p_fwd[k, m]
+            if mass <= MASS_DROP_TOL:
+                dropped += 1
+                continue
+            if table.p_in[m] <= MASS_DROP_TOL:
+                raise ValueError(
+                    f"inconsistent table: forward mass {mass:.3e} from zero-probability "
+                    f"initial outcome {m}"
+                )
+            if table.p_ref[k] <= MASS_DROP_TOL:
+                infinite_mass += mass
+                continue
+            values.append(math.log(table.p_in[m]) - math.log(table.p_ref[k]))
+            masses.append(mass)
+    support, probs = loop_merge_support(np.array(values), np.array(masses))
+    return EntropyDistribution(support, probs, label, dropped, infinite_mass)
+
+
+def loop_mass_at(dist, x):
+    idx = np.searchsorted(dist.support, x)
+    for i in (idx - 1, idx):
+        if 0 <= i < len(dist.support) and abs(dist.support[i] - x) <= SUPPORT_MERGE_TOL:
+            return float(dist.probs[i])
+    return 0.0
+
+
+def loop_crooks_check(proto):
+    fwd = loop_entropy_samples(proto.forward)
+    bwd = loop_entropy_samples(proto.backward)
+    deviation = 0.0
+    for g in np.union1d(fwd.support, -bwd.support):
+        deviation = max(deviation, abs(loop_mass_at(bwd, -g) - math.exp(-g) * loop_mass_at(fwd, g)))
+    return deviation
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def degenerate_observable(dim, rng):
+    """A random observable whose first eigenvalue has a two-dimensional eigenspace."""
+    u = random_unitary(dim, rng)
+    spectrum = np.concatenate(([0.0, 0.0], np.arange(1.0, dim - 1)))
+    return Observable.from_matrix((u * spectrum) @ u.conj().T)
+
+
+class TestStackedMatchesLoops:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9])
+    def test_dephase_outcome_probs_and_joint(self, rng, dim):
+        for observable in (random_observable, degenerate_observable):
+            for _ in range(5):
+                rho = random_density(dim, rng).data
+                obs_in, obs_fin = observable(dim, rng), observable(dim, rng)
+                channel = random_mixed_unitary_channel(dim, rng)
+                # an axis-0 sum may turn +0 into -0, hence array_equal
+                assert np.array_equal(_dephase(obs_in, rho), loop_dephase(obs_in, rho))
+                for state in (rho, rho.astype(np.clongdouble)):
+                    stacked = _outcome_probs(obs_fin.projector_stack, state)
+                    loop = loop_outcome_probs(obs_fin.projectors, state)
+                    assert stacked.dtype == loop.dtype and np.array_equal(stacked, loop)
+                stacked = _measured_joint(
+                    channel, rho, obs_in.projector_stack, obs_fin.projector_stack
+                )
+                loop = loop_measured_joint(channel, rho, obs_in.projectors, obs_fin.projectors)
+                assert np.array_equal(stacked, loop)
+
+    def test_protocol_tables(self, rng):
+        # the backward table time-reverses the projector stacks, here in a
+        # random basis as well as the computational one
+        for basis in (None, random_unitary(4, rng)):
+            theta = TimeReversal(basis)
+            for _ in range(5):
+                proto = generic_protocol(rng)
+                loop = loop_measured_joint(
+                    proto.channel, proto.rho0.data, proto.obs_in.projectors, proto.obs_fin.projectors
+                )
+                assert np.array_equal(proto.forward.p_fwd, loop)
+                reversed_channel = time_reversed(proto.channel, theta)
+                stacked = _measured_joint(
+                    reversed_channel,
+                    theta.apply_to_state(proto.states.rho_tau),
+                    theta.apply_to_state(proto.obs_fin.projector_stack),
+                    theta.apply_to_state(proto.obs_in.projector_stack),
+                )
+                loop = loop_measured_joint(
+                    reversed_channel,
+                    theta.apply_to_state(proto.states.rho_tau),
+                    [theta.apply_to_state(p) for p in proto.obs_fin.projectors],
+                    [theta.apply_to_state(p) for p in proto.obs_in.projectors],
+                )
+                assert np.array_equal(stacked, loop)
+                if basis is None:
+                    assert np.array_equal(proto.backward.p_fwd, loop)
+
+    def test_entropy_samples(self, rng):
+        # marginals drawn from a few values tie sigma exactly, so the merge
+        # order of equal samples matters; zeroed pairs are dropped
+        for _ in range(200):
+            n_fin, n_in = rng.integers(1, 6, size=2)
+            p_fwd = rng.random((n_fin, n_in)) * (rng.random((n_fin, n_in)) < 0.8)
+            if not p_fwd.any():
+                p_fwd[0, 0] = 1.0
+            p_fwd /= p_fwd.sum()
+            levels = rng.random(3) + 0.01
+            table = JointOutcomeTable(p_fwd, rng.choice(levels, n_in), rng.choice(levels, n_fin))
+            expected, got = loop_entropy_samples(table, "x"), entropy_samples(table, "x")
+            assert same_bits(got.support, expected.support)
+            assert same_bits(got.probs, expected.probs)
+            assert got.dropped_outcomes == expected.dropped_outcomes == np.sum(p_fwd <= 1e-15)
+            assert got.infinite_mass == expected.infinite_mass == 0.0
+            assert got.label == "x"
+
+    def test_zero_initial_probability_raises(self):
+        table = JointOutcomeTable(
+            np.array([[0.25, 0.0, 0.25], [0.0, 0.3, 0.2]]),
+            np.array([0.5, 0.0, 0.5]),
+            np.array([0.5, 0.5]),
+        )
+        with pytest.raises(ValueError) as expected:
+            loop_entropy_samples(table)
+        with pytest.raises(ValueError) as got:
+            entropy_samples(table)
+        assert str(got.value) == str(expected.value)
+        assert "initial outcome 1" in str(got.value)
+
+    def test_zero_reference_probability(self):
+        # three pairs land on the empty reference outcome 1, whose masses sum
+        # to different floats in different orders; one pair carries no mass
+        table = JointOutcomeTable(
+            np.array([[0.15, 0.25, 0.0], [0.1, 0.2, 0.3]]),
+            np.array([0.25, 0.45, 0.3]),
+            np.array([0.4, 0.0]),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = entropy_samples(table)
+        assert [w.category for w in caught] == [AbsoluteIrreversibilityWarning]
+        expected = loop_entropy_samples(table)
+        assert same_bits(got.infinite_mass, expected.infinite_mass)
+        assert got.infinite_mass == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        assert got.dropped_outcomes == expected.dropped_outcomes == 1
+        assert same_bits(got.support, expected.support)
+        assert same_bits(got.probs, expected.probs)
+
+    @settings(max_examples=300)
+    @example([])
+    @example([(-1e-200, [], [1e-200, 0.0, 0.0, 0.0])])  # v * m underflows to -0.0
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-30, 30) | st.sampled_from([0.0, -0.0]),
+                st.lists(st.floats(0, 1e-10, exclude_max=True), max_size=3),
+                st.lists(st.sampled_from([0.0, -0.0]) | st.floats(0, 1), min_size=4, max_size=4),
+            ),
+            max_size=12,
+        )
+    )
+    def test_merge_support(self, clusters):
+        # each drawn value brings up to three more within 1e-10 of it; masses
+        # may be zero, so some clusters fall back to the plain mean
+        values, masses = [], []
+        for value, offsets, cluster_masses in clusters:
+            members = [value] + [value + offset for offset in offsets]
+            values += members
+            masses += cluster_masses[: len(members)]
+        values, masses = np.array(values, dtype=float), np.array(masses, dtype=float)
+        expected, got = loop_merge_support(values, masses), merge_support(values, masses)
+        assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+    def test_crooks_check(self, rng):
+        protos = [section6_protocol(phi) for phi in (0.0, 0.3, math.pi / 7, 2.0)]
+        protos += [generic_protocol(rng, dim) for dim in (2, 3, 4, 5) for _ in range(3)]
+        for proto in protos:
+            assert same_bits(crooks_check(proto), loop_crooks_check(proto))
+
+    def test_crooks_check_with_absolute_irreversibility(self):
+        rho0 = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+        proto = TwoTimeProtocol(rho0, COMP4, COMP4, ms_gate(0.4))
+        with pytest.warns(AbsoluteIrreversibilityWarning):
+            assert same_bits(crooks_check(proto), loop_crooks_check(proto))
+
+    def test_masses_at(self):
+        # 0.75e-10 lies within the tolerance of both 0 and 1.5e-10: the lower
+        # neighbour wins; the others hit one point, fall between two or lie
+        # outside the support
+        dist = EntropyDistribution(np.array([0.0, 1.5e-10, 1.0]), np.array([0.2, 0.3, 0.5]))
+        xs = np.array([-1.0, -5e-11, 0.0, 0.75e-10, 1.5e-10, 2.6e-10, 0.5, 1.0 + 1e-10, 2.0])
+        expected = [loop_mass_at(dist, x) for x in xs]
+        assert same_bits(_masses_at(dist, xs), np.array(expected))
+        assert expected[3] == 0.2
+        empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
+        assert same_bits(_masses_at(empty, xs), np.zeros(len(xs)))
+
+    def test_moment_memo(self, rng):
+        dist = entropy_samples(generic_protocol(rng).forward)
+        other = EntropyDistribution(dist.support, dist.probs[::-1] / dist.probs.sum())
+        for k in (1, 2, 3, 4, 7):
+            fresh = float(np.sum(dist.probs * dist.support**k))
+            assert same_bits(dist.moment(k), fresh)
+            assert same_bits(dist.moment(k), fresh)  # memoised
+            assert same_bits(other.moment(k), float(np.sum(other.probs * other.support**k)))
+        assert same_bits(dist.moments(4), np.array([dist.moment(k) for k in range(1, 5)]))
