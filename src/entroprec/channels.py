@@ -1,4 +1,4 @@
-"""CPTP maps in Kraus form, time reversal, and Lindblad dephasing dynamics."""
+"""CPTP maps as Kraus-operator stacks, time reversal, and Lindblad dynamics."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DensityMatrix, hermiticity_defect
+from .core import DensityMatrix, _square_stack, hermiticity_defect
 
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -34,67 +34,66 @@ class NonCompletelyPositiveError(RuntimeError):
 class QuantumChannel:
     """Trace-preserving quantum map Phi(rho) = sum_u E_u rho E_u^dag.
 
+    ``kraus`` is one read-only ``(n_operators, dim, dim)`` array; the
+    constructor takes any sequence of equal-shape square matrices.
     ``tp_tol`` and ``unital_tol`` bound the accepted deviation of
     sum E^dag E and sum E E^dag from the identity; integrated (non-exact)
     channels carry looser bounds than analytically constructed ones.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     tp_tol: float = TP_TOL
     unital_tol: float = UNITAL_TOL
     trace_defect: float = field(init=False)
     unitality_defect: float = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus)
-        if not ops:
+        if not len(self.kraus):
             raise ValueError("at least one Kraus operator required")
-        dim = ops[0].shape[0]
-        for e in ops:
-            if e.shape != (dim, dim):
-                raise ValueError("Kraus operators must be square and share one dimension")
-        eye = np.eye(dim)
-        tp = sum(e.conj().T @ e for e in ops)
-        unital = sum(e @ e.conj().T for e in ops)
-        trace_defect = float(np.max(np.abs(tp - eye)))
-        unitality_defect = float(np.max(np.abs(unital - eye)))
+        ops = _square_stack(self.kraus, "Kraus operators must be square and share one dimension")
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("Kraus operators must be finite")
+        eye = np.eye(ops.shape[1])
+        adjoints = ops.conj().swapaxes(-1, -2)
+        trace_defect = float(np.max(np.abs((adjoints @ ops).sum(axis=0) - eye)))
+        unitality_defect = float(np.max(np.abs((ops @ adjoints).sum(axis=0) - eye)))
         if trace_defect > self.tp_tol:
             raise ValueError(f"channel not trace preserving: defect {trace_defect:.3e}")
-        for e in ops:
-            e.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "trace_defect", trace_defect)
         object.__setattr__(self, "unitality_defect", unitality_defect)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     @property
     def is_unital(self) -> bool:
         return self.unitality_defect <= self.unital_tol
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Linear action on an arbitrary matrix (no state validation)."""
-        out = np.zeros_like(m, dtype=np.result_type(m, complex))  # keeps clongdouble
-        for e in self.kraus:
-            out += e @ m @ e.conj().T
-        return out
+        """Linear action on a matrix or a stack of them along leading axes, no
+        state validation; clongdouble stays clongdouble. Terms add in order."""
+        n, d = self.kraus.shape[:2]
+        ops = self.kraus.reshape((n,) + (1,) * (np.ndim(m) - 2) + (d, d))
+        return (ops @ m @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
-        return cls((np.eye(dim, dtype=complex),))
+        return cls(np.eye(dim, dtype=complex)[None])
 
     @classmethod
     def unitary(cls, u: np.ndarray) -> "QuantumChannel":
-        return cls((np.asarray(u, dtype=complex),))
+        return cls(np.asarray(u, dtype=complex)[None])
 
     @classmethod
     def mixed_unitary(cls, unitaries, weights) -> "QuantumChannel":
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if w.shape != (len(unitaries),):
+            raise ValueError("one weight per unitary required")
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be a probability vector")
-        return cls(tuple(np.sqrt(wi) * np.asarray(u, complex) for u, wi in zip(unitaries, w)))
+        return cls(np.sqrt(w)[:, None, None] * np.asarray(unitaries, dtype=complex))
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -129,13 +128,6 @@ class TimeReversal:
         u = self.basis
         return u @ np.conj(u.conj().T @ rho @ u) @ u.conj().T
 
-    def reversed_kraus(self, e: np.ndarray) -> np.ndarray:
-        """Theta E^dag Theta^dag; equals E^T for computational-basis conjugation."""
-        if self.basis is None:
-            return np.asarray(e, dtype=complex).T.copy()
-        u = self.basis
-        return u @ np.conj(u.conj().T @ e.conj().T @ u) @ u.conj().T
-
 
 def time_reversed(channel: QuantumChannel, theta: TimeReversal | None = None) -> QuantumChannel:
     """Time-reversed channel with Kraus set Theta E_u^dag Theta^dag.
@@ -146,7 +138,7 @@ def time_reversed(channel: QuantumChannel, theta: TimeReversal | None = None) ->
     if not channel.is_unital:
         raise ValueError("time reversal is only supported for unital channels")
     theta = theta or TimeReversal()
-    kraus = tuple(theta.reversed_kraus(e) for e in channel.kraus)
+    kraus = theta.apply_to_state(channel.kraus.conj().swapaxes(-1, -2))
     # TP defect of the reversal equals the unitality defect of the original.
     return QuantumChannel(kraus, tp_tol=channel.unital_tol, unital_tol=channel.tp_tol)
 
@@ -175,13 +167,14 @@ class LindbladModel:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if hermiticity_defect(h) > 1e-12:
-            raise ValueError("Hamiltonian must be Hermitian")
+        if not (np.all(np.isfinite(h)) and hermiticity_defect(h) <= 1e-12):
+            raise ValueError("Hamiltonian must be finite and Hermitian")
         ops = []
         for l, gamma in self.dissipators:
-            if gamma < 0:
-                raise ValueError("dephasing rates must be nonnegative")
-            ops.append((np.asarray(l, dtype=complex), float(gamma)))
+            l = np.asarray(l, dtype=complex)
+            if not (0 <= gamma < np.inf and np.all(np.isfinite(l))):
+                raise ValueError("jump operators and rates must be finite, rates nonnegative")
+            ops.append((l, float(gamma)))
         h.flags.writeable = False
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(ops))
@@ -450,9 +443,8 @@ def _endpoint_channel(endpoint: np.ndarray, d: int, index: int) -> QuantumChanne
         )
     vals = np.clip(vals, 0.0, None)
     vals *= d / vals.sum()
-    kraus = []
-    for n in range(len(vals) - 1, -1, -1):
-        if vals[n] <= 1e-12:
-            break
-        kraus.append(np.sqrt(vals[n]) * vecs[:, n].reshape(d, d).T)
-    return QuantumChannel(tuple(kraus), tp_tol=1e-8, unital_tol=1e-8)
+    # eigh sorts ascending, and column n of vecs is vec(E_n^T)
+    kept = np.count_nonzero(vals > 1e-12)
+    vals, vecs = vals[::-1][:kept], vecs[:, ::-1][:, :kept]
+    kraus = np.sqrt(vals)[:, None, None] * vecs.T.reshape(kept, d, d).swapaxes(-1, -2)
+    return QuantumChannel(kraus, tp_tol=1e-8, unital_tol=1e-8)

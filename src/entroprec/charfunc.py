@@ -62,11 +62,8 @@ def _powered_state(probs, projectors, z: np.ndarray) -> tuple[np.ndarray, int]:
     precision, and the number of dropped terms; see :func:`_powers`. The only
     place a dephased state is raised to a power."""
     powers, dropped = _powers(probs, z)
-    dim = projectors[0].shape[0]
-    out = np.zeros((powers.shape[0], dim, dim), dtype=np.clongdouble)
-    for power, proj in zip(powers.T, projectors):
-        out += power[:, None, None] * proj.astype(np.clongdouble)
-    return out, dropped
+    terms = powers[:, :, None, None] * np.asarray(projectors, dtype=np.clongdouble)
+    return np.sum(terms, axis=1), dropped
 
 
 def _initial_state(proto: TwoTimeProtocol, subsystem: str, z: np.ndarray):
@@ -179,7 +176,7 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     _warn_dropped(dropped_in + dropped_ref, 1)
     norm = np.trace(deformed[0]).real
     evolved = proto.channel.apply_matrix(deformed[0] / norm)
-    occupation = _outcome_probs(proto.obs_fin.projector_stack, evolved)
+    occupation = _outcome_probs(proto.obs_fin.projectors, evolved)
     weights = weights.real[0]
     if subsystem != "A-B":
         # occupations of the joint final outcomes (k, l), indexed k * n_b + l

@@ -102,6 +102,8 @@ class DensityMatrix:
         m = np.array(self.data, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         defect = hermiticity_defect(m)
         if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {defect:.3e}")
@@ -140,43 +142,60 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), partition)
 
 
+def _square_stack(matrices, message: str) -> np.ndarray:
+    """A read-only complex ``(n, d, d)`` copy of a sequence of equal-shape
+    square matrices; ``ValueError(message)`` for any other shape."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except ValueError:  # matrices of different shapes
+        raise ValueError(message) from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(message)
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True)
 class Observable:
     """Spectral form of a Hermitian observable: distinct eigenvalues plus the
-    matching orthogonal projectors (one projector per distinct eigenvalue)."""
+    matching orthogonal projectors (one projector per distinct eigenvalue).
+
+    ``projectors`` is one read-only ``(n_outcomes, dim, dim)`` array; the
+    constructor takes any sequence of equal-shape square matrices."""
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
+    projectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("one projector per eigenvalue required")
         vals = np.asarray(self.eigenvalues, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("eigenvalues must be finite")
         if len(vals) > 1 and np.min(np.diff(np.sort(vals))) <= 0:
             raise ValueError("eigenvalues must be distinct")
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        dim = projs[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, p in enumerate(projs):
-            if p.shape != (dim, dim):
-                raise ValueError("projectors must share one dimension")
-            if hermiticity_defect(p) > HERMITICITY_TOL:
-                raise ValueError(f"projector {i} not Hermitian")
-            for j, q in enumerate(projs):
-                expect = p if i == j else 0.0
-                if np.max(np.abs(p @ q - expect)) > HERMITICITY_TOL:
-                    raise ValueError(f"projectors {i},{j} not orthogonal/idempotent")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
+        projs = _square_stack(self.projectors, "projectors must share one dimension")
+        if not np.all(np.isfinite(projs)):
+            raise ValueError("projectors must be finite")
+        n, dim = projs.shape[:2]
+        herm = np.max(np.abs(projs - projs.conj().swapaxes(-1, -2)), axis=(1, 2))
+        bad = np.flatnonzero(herm > HERMITICITY_TOL)
+        if bad.size:
+            raise ValueError(f"projector {bad[0]} not Hermitian")
+        # P_i P_j - delta_ij P_i; the first failing pair in row-major order is named
+        products = projs[:, None] @ projs[None, :]
+        products[np.arange(n), np.arange(n)] -= projs
+        bad = np.argwhere(np.max(np.abs(products), axis=(2, 3)) > HERMITICITY_TOL)
+        if bad.size:
+            raise ValueError(f"projectors {bad[0, 0]},{bad[0, 1]} not orthogonal/idempotent")
+        if np.max(np.abs(projs.sum(axis=0) - np.eye(dim))) > HERMITICITY_TOL:
             raise ValueError("projectors do not resolve the identity")
-        for p in projs:
-            p.flags.writeable = False
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in vals))
         object.__setattr__(self, "projectors", projs)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -185,38 +204,26 @@ class Observable:
     @cached_property
     def is_rank_one(self) -> bool:
         """Whether every projector has rank one (trace 1)."""
-        return all(abs(np.trace(p).real - 1.0) < 1e-9 for p in self.projectors)
-
-    @cached_property
-    def projector_stack(self) -> np.ndarray:
-        """The projectors as one read-only ``(n_outcomes, dim, dim)`` array."""
-        stack = np.array(self.projectors)
-        stack.flags.writeable = False
-        return stack
+        traces = np.trace(self.projectors, axis1=1, axis2=2).real
+        return bool(np.all(np.abs(traces - 1.0) < 1e-9))
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, p in zip(self.eigenvalues, self.projectors):
-            out += a * p
-        return out
+        return np.tensordot(self.eigenvalues, self.projectors, axes=1)
 
     @classmethod
     def computational(cls, dim: int) -> "Observable":
-        projs = []
-        for i in range(dim):
-            p = np.zeros((dim, dim), dtype=complex)
-            p[i, i] = 1.0
-            projs.append(p)
-        return cls(tuple(float(i) for i in range(dim)), tuple(projs))
+        projs = np.zeros((dim, dim, dim), dtype=complex)
+        i = np.arange(dim)
+        projs[i, i, i] = 1.0
+        return cls(tuple(float(k) for k in range(dim)), projs)
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "Observable":
         """Rank-1 projectors onto the columns of an orthonormal ``vectors``,
         with eigenvalues 0, 1, ... in column order."""
-        v = np.asarray(vectors, dtype=complex)
-        n = v.shape[1]
-        projs = tuple(np.outer(v[:, i], v[:, i].conj()) for i in range(n))
-        return cls(tuple(float(i) for i in range(n)), projs)
+        v = np.asarray(vectors, dtype=complex).T
+        # the outer products |v_i><v_i| as one broadcast product
+        return cls(tuple(float(i) for i in range(len(v))), v[:, :, None] * v[:, None, :].conj())
 
     @classmethod
     def from_matrix(cls, matrix) -> "Observable":
@@ -225,21 +232,22 @@ class Observable:
         dec = spectral_decomposition(matrix)
         vals, vecs = dec.eigenvalues, dec.eigenvectors
         clusters = list(_clusters(vals))
+        # one product per cluster: a product padded to the largest rounds otherwise
         return cls(
             tuple(float(np.mean(vals[c])) for c in clusters),
-            tuple(vecs[:, c] @ vecs[:, c].conj().T for c in clusters),
+            [vecs[:, c] @ vecs[:, c].conj().T for c in clusters],
         )
 
     def tensor(self, other: "Observable") -> "Observable":
         """Composite observable with product projectors; outcomes are labelled
         by the pair index ``i * other.n_outcomes + j``."""
         projs = _product_projectors(self, other)
-        return Observable(tuple(float(i) for i in range(len(projs))), tuple(projs))
+        return Observable(tuple(float(i) for i in range(len(projs))), projs)
 
 
 def _product_projectors(a: Observable, b: Observable) -> np.ndarray:
     """The projectors of ``a.tensor(b)``, stacked in pair-index order."""
-    products = tensor_product(a.projector_stack[:, None], b.projector_stack[None, :])
+    products = tensor_product(a.projectors[:, None], b.projectors[None, :])
     return products.reshape(-1, a.dim * b.dim, a.dim * b.dim)
 
 
@@ -261,15 +269,15 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """
     if rho.partition is None:
         raise ValueError("partial_trace requires a DensityMatrix with a partition")
-    da, db = rho.partition
-    blocks = rho.data.reshape(da, db, da, db)
-    if keep in ("A", 0):
-        reduced = np.einsum("ijkj->ik", blocks)
-    elif keep in ("B", 1):
-        reduced = np.einsum("ijil->jl", blocks)
-    else:
+    if keep not in ("A", 0, "B", 1):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(reduced)
+    return DensityMatrix(_reduced(rho.data, rho.partition, keep in ("A", 0)))
+
+
+def _reduced(m: np.ndarray, partition: tuple[int, int], keep_a: bool) -> np.ndarray:
+    """Partial trace of a bare bipartite array, keeping A or B; unvalidated."""
+    da, db = partition
+    return np.einsum("ijkj->ik" if keep_a else "ijil->jl", m.reshape(da, db, da, db))
 
 
 def von_neumann_entropy(rho) -> float:

@@ -24,7 +24,7 @@ from .core import (
     DensityMatrix,
     Observable,
     _product_projectors,
-    partial_trace,
+    _reduced,
     relative_entropy,
     spectral_decomposition,
     tensor_product,
@@ -84,13 +84,12 @@ class TwoTimeProtocol:
                 # the projectors of a.tensor(b), without its O(n^2) re-validation
                 products = _product_projectors(a, b)
                 if len(products) != obs.n_outcomes or np.max(
-                    np.abs(obs.projector_stack - products)
+                    np.abs(obs.projectors - products)
                 ) > PRODUCT_TOL:
                     raise ValueError("obs_in/obs_fin must be tensor products of bipartite_obs")
             rho_in = self.states.rho_in
-            state = DensityMatrix(rho_in, self.rho0.partition)
-            product = tensor_product(partial_trace(state, "A").data, partial_trace(state, "B").data)
-            if np.max(np.abs(rho_in - product)) > PRODUCT_TOL:
+            rho_a, rho_b = (_reduced(rho_in, self.rho0.partition, a) for a in (True, False))
+            if np.max(np.abs(rho_in - tensor_product(rho_a, rho_b))) > PRODUCT_TOL:
                 raise ValueError("post-measurement state does not factorise between A and B")
 
     @classmethod
@@ -127,7 +126,7 @@ class TwoTimeProtocol:
         """Outcome probabilities of ``obs_fin`` on Phi(rho_in) with the channel
         applied in 80-bit precision, read-only; the A-B chi probe powers them."""
         evolved = self.channel.apply_matrix(self.states.rho_in.astype(np.clongdouble))
-        p_fin = _outcome_probs(self.obs_fin.projector_stack, evolved)
+        p_fin = _outcome_probs(self.obs_fin.projectors, evolved)
         p_fin.flags.writeable = False
         return p_fin
 
@@ -154,7 +153,7 @@ class TwoTimeProtocol:
         n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in self.bipartite_obs)
         p_fwd = fwd.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
         p_in = fwd.p_in.reshape(n_a_in, n_b_in)
-        p_fin = _outcome_probs(self.obs_fin.projector_stack, self.states.rho_fin)
+        p_fin = _outcome_probs(self.obs_fin.projectors, self.states.rho_fin)
         p_fin = p_fin.reshape(n_a_fin, n_b_fin)
         return MappingProxyType({
             "A": JointOutcomeTable(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1)),
@@ -302,8 +301,7 @@ class JointOutcomeTable:
 
 def _dephase(obs: Observable, rho: np.ndarray) -> np.ndarray:
     """sum_m P_m rho P_m; the axis-0 sum adds the terms in outcome order."""
-    stack = obs.projector_stack
-    return np.sum(stack @ rho @ stack, axis=0)
+    return np.sum(obs.projectors @ rho @ obs.projectors, axis=0)
 
 
 def _outcome_probs(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -326,7 +324,7 @@ def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     ``p_fwd[k, m] = Tr[P_fin_k  Phi(P_in_m rho0 P_in_m)]``.
     """
     rho0 = proto.rho0.data
-    obs_in, obs_fin = proto.obs_in.projector_stack, proto.obs_fin.projector_stack
+    obs_in, obs_fin = proto.obs_in.projectors, proto.obs_fin.projectors
     p_fwd = _measured_joint(proto.channel, rho0, obs_in, obs_fin)
     p_in = _outcome_probs(obs_in, rho0)
     return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_fwd.sum(axis=1))
@@ -347,8 +345,8 @@ def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     theta = TimeReversal()
     reversed_channel = time_reversed(proto.channel, theta)
     rho_tau_rev = theta.apply_to_state(proto.states.rho_tau)
-    proj_in_rev = theta.apply_to_state(proto.obs_in.projector_stack)
-    proj_ref_rev = theta.apply_to_state(proto.obs_fin.projector_stack)
+    proj_in_rev = theta.apply_to_state(proto.obs_in.projectors)
+    proj_ref_rev = theta.apply_to_state(proto.obs_fin.projectors)
     p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
     return JointOutcomeTable(p_fwd=p_bwd, p_in=fwd.p_ref, p_ref=fwd.p_in)
 

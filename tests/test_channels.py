@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -63,6 +64,44 @@ class TestApplyChannel:
     def test_trace_preserving_enforced(self):
         with pytest.raises(ValueError, match="trace"):
             QuantumChannel((np.diag([1.0, 0.5]).astype(complex),))
+
+
+class TestChannelValidation:
+    def test_kraus_is_one_read_only_stack(self):
+        e = np.eye(2, dtype=complex)
+        ch = QuantumChannel([e])
+        assert ch.kraus.shape == (1, 2, 2) and ch.kraus.dtype == complex
+        assert not ch.kraus.flags.writeable
+        assert e.flags.writeable  # the caller's matrices are copied, not frozen
+        for built in (QuantumChannel.identity(3), ms_gate(0.3), time_reversed(ms_gate(0.3))):
+            assert built.kraus.ndim == 3 and not built.kraus.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kraus, message",
+        [
+            ((), "at least one Kraus operator required"),
+            ((np.eye(2), np.eye(3)), "Kraus operators must be square and share one dimension"),
+            ((np.ones((2, 3)),), "Kraus operators must be square and share one dimension"),
+            ((np.diag([1.0, 0.5]),), "channel not trace preserving: defect 7.500e-01"),
+            ((np.full((2, 2), math.nan),), "Kraus operators must be finite"),
+            ((np.diag([1.0, math.inf]),), "Kraus operators must be finite"),
+        ],
+    )
+    def test_each_fault_keeps_its_message(self, kraus, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuantumChannel(kraus)
+
+    def test_non_finite_gate_refused(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            ms_gate(math.nan)
+
+    def test_mixed_unitary_needs_one_weight_per_unitary(self):
+        eye = np.eye(2, dtype=complex)
+        for unitaries, weights in (([eye, PAULI_X, eye], [0.5, 0.5]), ([eye], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="one weight per unitary"):
+                QuantumChannel.mixed_unitary(unitaries, weights)
+        with pytest.raises(ValueError, match="probability vector"):
+            QuantumChannel.mixed_unitary([eye, PAULI_X], [math.nan, 1.0])
 
 
 class TestTimeReversal:
@@ -215,6 +254,15 @@ class TestLindbladPropagate:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="nonnegative"):
             two_ion_model(0.1, -0.1, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_model(self, bad):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            two_ion_model(0.1, bad, 0.1)
+        with pytest.raises(ValueError, match="Hamiltonian must be finite"):
+            LindbladModel(np.diag([bad, 0.0]), ())
+        with pytest.raises(ValueError, match="jump operators and rates must be finite"):
+            LindbladModel(np.zeros((2, 2)), ((np.diag([bad, 0.0]), 0.1),))
 
     UNSTABLE = pytest.mark.parametrize(
         "gamma, dt",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="positive"):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DensityMatrix(m)
+
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="partition"):
             DensityMatrix(np.eye(4, dtype=complex) / 4, partition=(3, 2))
@@ -225,6 +233,38 @@ class TestObservable:
         obs = Observable.computational(2)
         with pytest.raises(ValueError, match="distinct"):
             Observable((1.0, 1.0), obs.projectors)
+
+    def test_projectors_are_one_read_only_stack(self):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        obs = Observable((0.0, 1.0), [p, np.eye(2) - p])
+        assert obs.projectors.shape == (2, 2, 2) and obs.projectors.dtype == complex
+        assert not obs.projectors.flags.writeable
+        assert p.flags.writeable  # the caller's matrices are copied, not frozen
+        for make in (Observable.computational, lambda d: Observable.from_matrix(np.eye(d))):
+            assert not make(3).projectors.flags.writeable
+
+    P0 = np.diag([1.0, 0.0]).astype(complex)
+    P1 = np.diag([0.0, 1.0]).astype(complex)
+    TILTED = np.full((2, 2), 0.5, dtype=complex)
+
+    @pytest.mark.parametrize(
+        "eigenvalues, projectors, message",
+        [
+            ((0.0,), (P0, P1), "one projector per eigenvalue required"),
+            ((1.0, 1.0), (P0, P1), "eigenvalues must be distinct"),
+            ((0.0, 1.0), (P0, np.eye(3)), "projectors must share one dimension"),
+            ((0.0,), (np.ones((2, 3)),), "projectors must share one dimension"),
+            ((0.0, math.nan), (P0, P1), "eigenvalues must be finite"),
+            ((0.0, 1.0), (P0, np.full((2, 2), math.nan)), "projectors must be finite"),
+            ((0.0, 1.0), (P0, np.diag([0.0, 1.0 + 1e-6j])), "projector 1 not Hermitian"),
+            ((0.0, 1.0), (P0, TILTED), "projectors 0,1 not orthogonal/idempotent"),
+            ((0.0, 1.0), (2 * P0, P1), "projectors 0,0 not orthogonal/idempotent"),
+            ((0.0,), (P0,), "projectors do not resolve the identity"),
+        ],
+    )
+    def test_each_fault_keeps_its_message(self, eigenvalues, projectors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Observable(eigenvalues, projectors)
 
     def test_from_matrix_clusters_degenerate(self):
         m = np.diag([1.0, 1.0, 2.0]).astype(complex)

@@ -32,7 +32,7 @@ from entroprec import (
     von_neumann_entropy,
 )
 from entroprec import DegenerateSupportWarning, relative_entropy
-from entroprec.channels import TimeReversal, time_reversed
+from entroprec.channels import TimeReversal, _endpoint_channel, time_reversed
 from entroprec.protocol import (
     MASS_DROP_TOL,
     SUPPORT_MERGE_TOL,
@@ -639,6 +639,37 @@ def loop_measured_joint(channel, rho, prepare, read):
     return np.clip(table, 0.0, None)
 
 
+def loop_apply_matrix(channel, m):
+    # the operator-axis sum starts from its first term, like this loop
+    terms = [e @ m @ e.conj().T for e in channel.kraus]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+def loop_reversed_kraus(channel, theta):
+    """Theta E^dag Theta^dag, one operator at a time (E^T without a basis)."""
+    if theta.basis is None:
+        return np.array([e.T for e in channel.kraus])
+    u = theta.basis
+    return np.array([u @ np.conj(u.conj().T @ e.conj().T @ u) @ u.conj().T for e in channel.kraus])
+
+
+def loop_endpoint_kraus(endpoint, d):
+    """The Choi step of ``_endpoint_channel``, one eigenvector at a time."""
+    choi = endpoint.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    vals = np.clip(vals, 0.0, None)
+    vals *= d / vals.sum()
+    kraus = []
+    for n in range(len(vals) - 1, -1, -1):
+        if vals[n] <= 1e-12:
+            break
+        kraus.append(np.sqrt(vals[n]) * vecs[:, n].reshape(d, d).T)
+    return np.array(kraus)
+
+
 def loop_merge_support(values, masses):
     order = np.argsort(values)
     values = np.asarray(values, float)[order]
@@ -701,7 +732,15 @@ def loop_crooks_check(proto):
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype in (np.longdouble, np.clongdouble):
+        # values and the signs of zeros: the bytes of an 80-bit value include padding
+        return all(
+            np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+            for x, y in ((a.real, b.real), (a.imag, b.imag))
+        )
+    return a.tobytes() == b.tobytes()
 
 
 def degenerate_observable(dim, rng):
@@ -722,12 +761,10 @@ class TestStackedMatchesLoops:
                 # an axis-0 sum may turn +0 into -0, hence array_equal
                 assert np.array_equal(_dephase(obs_in, rho), loop_dephase(obs_in, rho))
                 for state in (rho, rho.astype(np.clongdouble)):
-                    stacked = _outcome_probs(obs_fin.projector_stack, state)
+                    stacked = _outcome_probs(obs_fin.projectors, state)
                     loop = loop_outcome_probs(obs_fin.projectors, state)
                     assert stacked.dtype == loop.dtype and np.array_equal(stacked, loop)
-                stacked = _measured_joint(
-                    channel, rho, obs_in.projector_stack, obs_fin.projector_stack
-                )
+                stacked = _measured_joint(channel, rho, obs_in.projectors, obs_fin.projectors)
                 loop = loop_measured_joint(channel, rho, obs_in.projectors, obs_fin.projectors)
                 assert np.array_equal(stacked, loop)
 
@@ -746,8 +783,8 @@ class TestStackedMatchesLoops:
                 stacked = _measured_joint(
                     reversed_channel,
                     theta.apply_to_state(proto.states.rho_tau),
-                    theta.apply_to_state(proto.obs_fin.projector_stack),
-                    theta.apply_to_state(proto.obs_in.projector_stack),
+                    theta.apply_to_state(proto.obs_fin.projectors),
+                    theta.apply_to_state(proto.obs_in.projectors),
                 )
                 loop = loop_measured_joint(
                     reversed_channel,
@@ -758,6 +795,36 @@ class TestStackedMatchesLoops:
                 assert np.array_equal(stacked, loop)
                 if basis is None:
                     assert np.array_equal(proto.backward.p_fwd, loop)
+
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+    def test_apply_matrix(self, rng, dtype):
+        for dim in (2, 3, 4):
+            for _ in range(5):
+                channel = random_mixed_unitary_channel(dim, rng)
+                states = np.stack([random_density(dim, rng).data for _ in range(3)]).astype(dtype)
+                for m in (states[0], states):
+                    assert same_bits(channel.apply_matrix(m), loop_apply_matrix(channel, m))
+
+    def test_time_reversed(self, rng):
+        for dim in (2, 3, 4):
+            for theta in (TimeReversal(), TimeReversal(random_unitary(dim, rng))):
+                for _ in range(5):
+                    channel = random_mixed_unitary_channel(dim, rng)
+                    stacked = time_reversed(channel, theta).kraus
+                    assert same_bits(stacked, loop_reversed_kraus(channel, theta))
+
+    @pytest.mark.parametrize("n_unitaries", [2, 9], ids=["rank-deficient", "full-rank"])
+    def test_endpoint_channel(self, rng, n_unitaries):
+        # the endpoint matrix of a mixed-unitary channel on a qutrit, as the
+        # RK4 build lays it out: sum_u E_u kron conj(E_u)
+        for _ in range(5):
+            weights = rng.dirichlet(np.ones(n_unitaries))
+            unitaries = [random_unitary(3, rng) for _ in range(n_unitaries)]
+            ops = QuantumChannel.mixed_unitary(unitaries, weights).kraus
+            endpoint = sum(np.kron(e, e.conj()) for e in ops)
+            kraus = _endpoint_channel(endpoint, 3, 0).kraus
+            assert same_bits(kraus, loop_endpoint_kraus(endpoint, 3))
+            assert len(kraus) == n_unitaries  # a full-rank Choi matrix keeps all 9
 
     def test_entropy_samples(self, rng):
         # marginals drawn from a few values tie sigma exactly, so the merge
