@@ -73,7 +73,7 @@ class QuantumChannel:
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action on a matrix or a stack of them along leading axes, no
-        state validation; clongdouble stays clongdouble. Terms add in order."""
+        state validation; extended precision stays extended. Terms add in order."""
         n, d = self.kraus.shape[:2]
         ops = self.kraus.reshape((n,) + (1,) * (np.ndim(m) - 2) + (d, d))
         return (ops @ m @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
@@ -257,8 +257,7 @@ def _rk4_integrate(apply, y: np.ndarray, tau: float, dt: float) -> int:
     sizes = [dt] * n_full
     if remainder > 1e-9 * max(dt, 1.0):
         sizes.append(remainder)
-    x, *k = (np.empty(y.shape, y.dtype) for _ in range(5))
-    buffers = (y, x, k), tuple(a.view(y.real.dtype) for a in (y, x, *k))
+    buffers = (y, *(np.empty(y.shape, y.dtype) for _ in range(5)))
     for h in sizes:
         _rk4_step(apply, buffers, h)
     return len(sizes)
@@ -270,30 +269,27 @@ def _rk4_step(apply, buffers, h: float) -> None:
     y, y + h/2 k1, y + h/2 k2 and y + h k3 in turn.
 
     ``buffers`` holds the state ``y``, the stage input ``x`` and the four
-    slopes, then real views of the same arrays. Every product and sum runs in
-    the order of that expression, so the bits are those of evaluating it with
-    temporaries. Scaling by the real ``h`` runs on the real views, cheaper
-    than the complex product with ``h + 0j``. The two differ only on a
-    negative zero part, and none arises: matrix products accumulate from +0.
+    slopes. Every product and sum runs in the order of that expression, so
+    the bits are those of evaluating it with temporaries.
     """
-    (y, x, (k1, k2, k3, k4)), (yr, xr, r1, r2, r3, r4) = buffers
+    y, x, k1, k2, k3, k4 = buffers
     apply(y, k1)
-    np.multiply(r1, 0.5 * h, out=xr)
-    xr += yr
+    np.multiply(k1, 0.5 * h, out=x)
+    x += y
     apply(x, k2)
-    np.multiply(r2, 0.5 * h, out=xr)
-    xr += yr
+    np.multiply(k2, 0.5 * h, out=x)
+    x += y
     apply(x, k3)
-    np.multiply(r3, h, out=xr)
-    xr += yr
+    np.multiply(k3, h, out=x)
+    x += y
     apply(x, k4)
-    r2 *= 2.0
-    r1 += r2
-    r3 *= 2.0
-    r1 += r3
-    r1 += r4
-    r1 *= h / 6.0
-    yr += r1
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= h / 6.0
+    y += k1
 
 
 def lindblad_propagate(

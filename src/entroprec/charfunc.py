@@ -21,12 +21,11 @@ powers, so they share one zero-outcome convention: a probability at or below
 ``EIGENVALUE_CUTOFF`` contributes nothing, and one
 :class:`DegenerateSupportWarning` per call counts the terms dropped at
 exponents with non-positive real part. The powers, the channel application and
-the trace run in 80-bit precision because the downstream moment extraction
-amplifies evaluation noise factorially. Two steps still round to float64: the
-exponent ``1 + i lam`` is formed in complex128 before it is widened (so
-``1 - phi`` is rounded for real phi), and the A and B states pass through a
-complex128 Kronecker product. Item 1 of ROADMAP.md describes the fix, which
-moves the benchmark's pinned values.
+the trace run in :data:`core.EXTENDED` precision. Two steps still round to
+float64: the exponent ``1 + i lam`` is formed in complex128 before it is
+widened (so ``1 - phi`` is rounded for real phi), and the A and B states pass
+through a complex128 Kronecker product. Item 3 of ROADMAP.md describes the
+fix, which moves the benchmark's pinned values.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, tensor_product
 from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs
 
@@ -49,10 +49,10 @@ def _powers(probs, z: np.ndarray) -> tuple[np.ndarray, int]:
     An outcome at or below ``EIGENVALUE_CUTOFF`` counts as a zero: its power
     is 0, and it counts as dropped at each exponent with ``Re z <= 0``, where
     the power would diverge. Zero is never raised to a power."""
-    p = np.asarray(probs, dtype=np.longdouble)
-    z = np.asarray(z).astype(np.clongdouble)
+    p = np.asarray(probs, dtype=core.EXTENDED)
+    z = np.asarray(z).astype(core.extended_complex())
     kept = p > EIGENVALUE_CUTOFF
-    powers = np.zeros((z.size, p.size), dtype=np.clongdouble)
+    powers = np.zeros((z.size, p.size), dtype=z.dtype)
     powers[:, kept] = np.exp(z[:, None] * np.log(p[kept]))
     return powers, int(np.count_nonzero(~kept) * np.count_nonzero(z.real <= 0))
 
@@ -62,7 +62,7 @@ def _powered_state(probs, projectors, z: np.ndarray) -> tuple[np.ndarray, int]:
     precision, and the number of dropped terms; see :func:`_powers`. The only
     place a dephased state is raised to a power."""
     powers, dropped = _powers(probs, z)
-    terms = powers[:, :, None, None] * np.asarray(projectors, dtype=np.clongdouble)
+    terms = powers[:, :, None, None] * np.asarray(projectors, dtype=powers.dtype)
     return np.sum(terms, axis=1), dropped
 
 
@@ -80,8 +80,8 @@ def _initial_state(proto: TwoTimeProtocol, subsystem: str, z: np.ndarray):
         proto.tables["AB"[other]].p_in, local[other].projectors, np.ones(1)
     )
     order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
-    # tensor_product works in complex128; the channel acts in 80-bit
-    return tensor_product(*(powered, spectator)[::order]).astype(np.clongdouble), dropped
+    # tensor_product works in complex128; the channel acts in extended precision
+    return tensor_product(*(powered, spectator)[::order]).astype(powered.dtype), dropped
 
 
 def _warn_dropped(dropped: int, n_values: int) -> None:
@@ -140,9 +140,9 @@ def moment_generating(proto: TwoTimeProtocol, subsystem: str, phi):
 
     ``phi`` is a scalar or a 1-D array of nodes, evaluated in one stacked
     :func:`char_function` call. Returns an extended-precision real scalar or
-    array; the moment extraction amplifies data rounding, so the values are
-    not narrowed to float64 here. ``ArithmeticError`` reports the node with
-    the largest imaginary residue when any exceeds its tolerance.
+    array, not narrowed to float64 (see :data:`core.EXTENDED`).
+    ``ArithmeticError`` reports the node with the largest imaginary residue
+    when any exceeds its tolerance.
     """
     value = np.asarray(char_function(proto, subsystem, 1j * np.asarray(phi, dtype=float)))
     residue = np.abs(value.imag)
@@ -161,7 +161,7 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     normalisation constant is tracked and folded back in); step 3 combines the
     measured occupation probabilities of the evolved deformed state with
     powers of the step-1 probabilities. The deformed state and the powers
-    follow the operator form's zero-outcome convention and 80-bit arithmetic,
+    follow the operator form's zero-outcome convention and extended precision,
     with one :class:`DegenerateSupportWarning` for the dropped terms.
     """
     if subsystem not in SUBSYSTEMS:

@@ -21,6 +21,17 @@ PSD_TOL = 1e-10
 EIGENVALUE_CUTOFF = 1e-14
 # Eigenvalues closer than this share one projector.
 CLUSTER_TOL = 1e-10
+# The extended-precision type, named nowhere else. Moment k is interpolation
+# coefficient k times k!, so every rounding error of chi and of the Vandermonde
+# or Newton solve reaches it multiplied by up to k!. Those paths read this name
+# at call time, its complex type through extended_complex(). On x86-64 it is
+# 80-bit, three digits more than float64; the README has the platform contract.
+EXTENDED = np.longdouble
+
+
+def extended_complex() -> np.dtype:
+    """The complex type of :data:`EXTENDED`."""
+    return np.result_type(EXTENDED, np.complex64)
 
 
 class DegenerateSupportWarning(UserWarning):

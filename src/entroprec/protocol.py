@@ -25,6 +25,7 @@ from .core import (
     Observable,
     _product_projectors,
     _reduced,
+    extended_complex,
     relative_entropy,
     spectral_decomposition,
     tensor_product,
@@ -124,8 +125,8 @@ class TwoTimeProtocol:
     @cached_property
     def p_fin_extended(self) -> np.ndarray:
         """Outcome probabilities of ``obs_fin`` on Phi(rho_in) with the channel
-        applied in 80-bit precision, read-only; the A-B chi probe powers them."""
-        evolved = self.channel.apply_matrix(self.states.rho_in.astype(np.clongdouble))
+        applied in extended precision, read-only; the A-B chi probe powers them."""
+        evolved = self.channel.apply_matrix(self.states.rho_in.astype(extended_complex()))
         p_fin = _outcome_probs(self.obs_fin.projectors, evolved)
         p_fin.flags.writeable = False
         return p_fin

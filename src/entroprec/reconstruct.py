@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .protocol import EntropyDistribution
 
 ILL_CONDITION_LIMIT = 1e14
@@ -64,8 +65,8 @@ class ParameterGrid:
 
     @cached_property
     def vandermonde(self) -> "_Elimination":
-        """The 80-bit elimination of V[i, k] = phi_i^k, done on first use."""
-        return _factor_extended(np.vander(self.nodes.astype(np.longdouble), increasing=True))
+        """The extended-precision elimination of V[i, k] = phi_i^k, on first use."""
+        return _factor_extended(np.vander(self.nodes.astype(core.EXTENDED), increasing=True))
 
 
 def _validate_count(name: str, value) -> None:
@@ -127,9 +128,16 @@ class MomentVector:
         return self.moments[1:]
 
 
-def _scaling_transform(n: int) -> np.ndarray:
-    # m_k = (-1)^k k! m_tilde_k
-    return np.array([(-1.0) ** k * math.factorial(k) for k in range(n)])
+def _unscaled(scaled: np.ndarray) -> np.ndarray:
+    """The float64 moments m_k = (-1)^k k! m_tilde_k of scaled moments along
+    the last axis; ``OverflowError`` names N when they leave float64's range."""
+    n = scaled.shape[-1]
+    try:
+        factorials = np.array([(-1.0) ** k * math.factorial(k) for k in range(n)])
+        with np.errstate(over="raise"):
+            return (factorials * scaled).astype(float)
+    except (OverflowError, FloatingPointError):
+        raise OverflowError(f"the moments for N = {n} overflow float64") from None
 
 
 class _Elimination(NamedTuple):
@@ -144,14 +152,11 @@ class _Elimination(NamedTuple):
 
 
 def _factor_extended(matrix: np.ndarray) -> _Elimination:
-    """Partially pivoted Gaussian elimination of ``matrix`` in 80-bit
-    arithmetic. The pivots and factors depend on the matrix only, so
-    :func:`_solve_factored` replays them on any right-hand sides, each column
-    as it would come out alone. The factorial rescaling from scaled to plain
-    moments amplifies any solve error by k!, so the float64 noise floor of a
-    LAPACK solve would dominate the high moments; 80-bit buys roughly three
-    extra digits."""
-    a = matrix.astype(np.longdouble).copy()
+    """Partially pivoted Gaussian elimination of ``matrix`` in
+    :data:`core.EXTENDED` precision. The pivots and factors depend on the
+    matrix only, so :func:`_solve_factored` replays them on any right-hand
+    sides, each column as it would come out alone."""
+    a = matrix.astype(core.EXTENDED, order="C")
     n = a.shape[0]
     pivots, factors = [], []
     for col in range(n):
@@ -172,7 +177,7 @@ def _factor_extended(matrix: np.ndarray) -> _Elimination:
 def _solve_factored(elim: _Elimination, rhs: np.ndarray) -> np.ndarray:
     """Replay an elimination on the columns of ``rhs`` (k right-hand sides as
     an (n, k) array), then back-substitute."""
-    b = rhs.astype(np.longdouble).copy()
+    b = rhs.astype(core.EXTENDED, order="C")
     for col, (pivot, factors) in enumerate(zip(elim.pivots, elim.factors)):
         if pivot != col:
             b[[col, pivot]] = b[[pivot, col]]
@@ -193,26 +198,24 @@ def moments_via_vandermonde(grid: ParameterGrid, chi):
     per row. The elimination is the grid's own (:attr:`ParameterGrid.vandermonde`),
     done once per grid and replayed on every call. The condition number of
     the Vandermonde matrix is attached; values above 1e14 set the
-    ``ill_conditioned`` flag. Extended-precision ``chi`` input is honoured
-    (the factorial rescaling amplifies any rounding of the data).
+    ``ill_conditioned`` flag. Extended-precision ``chi`` input is honoured.
     """
-    chi = np.asarray(chi, dtype=np.longdouble)
+    chi = np.asarray(chi, dtype=core.EXTENDED)
     if chi.ndim not in (1, 2) or chi.shape[-1] != grid.n:
         raise ValueError("need one chi value per grid node")
     elim = grid.vandermonde
-    scaled = _solve_factored(elim, np.atleast_2d(chi).T)  # one column per row of chi
-    moments = (_scaling_transform(grid.n)[:, None] * scaled).astype(float)
+    scaled = _solve_factored(elim, np.atleast_2d(chi).T).T  # one row per row of chi
     vectors = tuple(
         MomentVector(m, s, elim.cond, elim.cond > ILL_CONDITION_LIMIT)
-        for m, s in zip(moments.T, scaled.T.astype(float))
+        for m, s in zip(_unscaled(scaled), scaled.astype(float))
     )
     return vectors if chi.ndim == 2 else vectors[0]
 
 
 def divided_differences(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Newton divided-difference coefficients eta_k = [chi(phi_1)..chi(phi_k)]."""
-    coef = np.asarray(values, dtype=np.longdouble).copy()
-    x = np.asarray(nodes, dtype=np.longdouble)
+    coef = np.array(values, dtype=core.EXTENDED)
+    x = np.asarray(nodes, dtype=core.EXTENDED)
     for j in range(1, len(x)):
         coef[j:] = (coef[j:] - coef[j - 1 : -1]) / (x[j:] - x[: -j])
     return coef
@@ -225,63 +228,50 @@ def moments_via_newton(grid: ParameterGrid, chi) -> MomentVector:
     n_k(phi) = prod_{j<k} (phi - phi_j) to monomial coefficients, which are
     exactly the scaled moments of the interpolation problem.
     """
-    chi = np.asarray(chi, dtype=np.longdouble)
+    chi = np.asarray(chi, dtype=core.EXTENDED)
     if chi.shape != (grid.n,):
         raise ValueError("need one chi value per grid node")
     eta = divided_differences(grid.nodes, chi)
-    nodes = grid.nodes.astype(np.longdouble)
-    scaled = np.zeros(grid.n, dtype=np.longdouble)
-    basis = np.array([1.0], dtype=np.longdouble)  # ascending-degree coefficients of n_k
+    nodes = grid.nodes.astype(chi.dtype)
+    scaled = np.zeros(grid.n, dtype=chi.dtype)
+    basis = np.ones(1, dtype=chi.dtype)  # ascending-degree coefficients of n_k
     for k in range(grid.n):
         scaled[: basis.size] += eta[k] * basis
         if k < grid.n - 1:
-            basis = np.convolve(basis, np.array([-nodes[k], 1.0], dtype=np.longdouble))
-    moments = (_scaling_transform(grid.n) * scaled).astype(float)
-    return MomentVector(moments, scaled.astype(float))
+            basis = np.convolve(basis, np.array([-nodes[k], 1.0], dtype=chi.dtype))
+    return MomentVector(_unscaled(scaled), scaled.astype(float))
 
 
-def fourier_reconstruct(
-    moments,
-    support_grid,
-    dmu: float = DEFAULT_DMU,
-    limit_candidates=DEFAULT_LIMITS,
-    label: str = "sigma",
-) -> EntropyDistribution:
+def fourier_reconstruct(moments, support_grid, label: str = "sigma") -> EntropyDistribution:
     """Distribution recovery by truncated inverse Fourier transform.
 
     ``moments`` holds <sigma^k> for k = 0..N-1 (index 0 must be ~1). For each
-    candidate integration limit L the truncated characteristic-function series
+    limit L in ``DEFAULT_LIMITS`` the truncated characteristic-function series
     sum_k <sigma^k> (i mu)^k / k! is integrated over mu in [-L, L] with step
-    ``dmu``, evaluated at the candidate support points and renormalised; the
+    ``DEFAULT_DMU``, evaluated at the support points and renormalised; the
     limit whose recomputed moments best match the input is kept.
 
     The series is E(mu) + i O(mu) with E even and O odd, both real, so the
     integrand Re[series e^{-i s mu}] = E cos(s mu) + O sin(s mu) is even: each
     integral is twice a trapezoid over [0, L]. All limits share the half-line
-    grid mu_i = i dmu and one cos/sin table; each reads its own window. The
-    table is cached per support, step and grid length (see
-    :func:`_fourier_kernel`).
+    grid mu_i = i DEFAULT_DMU and one cos/sin table; each reads its own window.
+    The table is cached per support and grid length (see :func:`_fourier_kernel`).
     """
     m = np.ascontiguousarray(moments, dtype=float)
     if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
         raise ValueError("moments must be a nonempty 1-D array of finite values")
-    if not (math.isfinite(dmu) and dmu > 0):
-        raise ValueError(f"dmu must be positive and finite, got {dmu!r}")
-    limits = np.asarray(limit_candidates, dtype=float)
-    if limits.ndim != 1 or limits.size == 0 or not np.all(np.isfinite(limits) & (limits > 0)):
-        raise ValueError("limit_candidates must be a nonempty sequence of positive limits")
     support = np.sort(np.asarray(support_grid, dtype=float))
     coeffs = np.array([m[k] * 1j**k / math.factorial(k) for k in range(m.size)])
-    ends = np.rint(limits / dmu).astype(int)
-    mu = np.arange(ends.max() + 1) * dmu
+    ends = np.rint(np.array(DEFAULT_LIMITS) / DEFAULT_DMU).astype(int)
+    mu = np.arange(ends.max() + 1) * DEFAULT_DMU
     series = np.polyval(coeffs[::-1], mu)  # real part E, imaginary part O
-    cos, sin = _fourier_kernel(support.tobytes(), dmu, mu.size)
+    cos, sin = _fourier_kernel(support.tobytes(), mu.size)
     integrand = series.real * cos + series.imag * sin
     powers = np.array([support**k for k in range(1, m.size)]).reshape(-1, support.size)
     best_err = None
     best_probs = None
     for end in ends:
-        density = _trapezoid(integrand[:, : end + 1], dx=dmu, axis=1) / np.pi
+        density = _trapezoid(integrand[:, : end + 1], dx=DEFAULT_DMU, axis=1) / np.pi
         total = density.sum()
         if total <= 0:
             continue
@@ -306,11 +296,11 @@ FOURIER_KERNEL_CACHE_SIZE = 3  # one per reconstructed label
 
 
 @lru_cache(maxsize=FOURIER_KERNEL_CACHE_SIZE)
-def _fourier_kernel(support: bytes, dmu: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _fourier_kernel(support: bytes, size: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of the phases s mu_i, one row per support value s (given
-    as float64 bytes) and mu_i = i dmu for i < size, read-only: an N sweep
-    reuses each label's table."""
-    phase = np.outer(np.frombuffer(support), np.arange(size) * dmu)
+    as float64 bytes) and mu_i = i DEFAULT_DMU for i < size, read-only: an N
+    sweep reuses each label's table."""
+    phase = np.outer(np.frombuffer(support), np.arange(size) * DEFAULT_DMU)
     kernel = np.cos(phase), np.sin(phase)
     for table in kernel:
         table.flags.writeable = False

@@ -31,7 +31,9 @@ from entroprec import (
     conditional_equality_deviation,
     entropy_bound_check,
 )
+from entroprec import core, reconstruct
 from entroprec.channels import _rk4_evolve
+from entroprec.charfunc import SUBSYSTEMS, _initial_state, _powered_state, _powers
 from entroprec.experiments import (
     PHI_MIN,
     PHI_MAX,
@@ -44,6 +46,7 @@ from entroprec.experiments import (
     two_ion_model,
 )
 from entroprec.protocol import _dephase
+from entroprec.reconstruct import _solve_factored, divided_differences
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
 UNITARY_PRESETS = ("fig3", "fig6")
@@ -311,3 +314,46 @@ def test_criterion_10_integrator_order():
         + " ratios=" + ",".join(f"{r:.1f}" for r in ratios),
     )
     assert ok
+
+
+@pytest.fixture
+def float64_mode(monkeypatch):
+    """``core.EXTENDED`` patched to float64. The Chebyshev grid cache is
+    cleared on both sides: a cached grid keeps the elimination of the
+    precision it was first solved in."""
+    reconstruct._chebyshev_grid.cache_clear()
+    monkeypatch.setattr(core, "EXTENDED", np.float64)
+    yield
+    reconstruct._chebyshev_grid.cache_clear()
+
+
+@pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+def test_float64_mode_follows_the_one_extended_type(float64_mode, monkeypatch):
+    """Every extended path reads ``core.EXTENDED``: patched to float64, each
+    returns float64 or complex128, and criteria 6 and 7 still pass."""
+    proto = build_protocol(preset("fig3"))
+    grid = chebyshev_nodes(10, PHI_MIN, PHI_MAX)
+    z = 1 - grid.nodes
+    chi = moment_generating(proto, "A", grid.nodes)
+    results = {
+        "_powers": _powers(proto.forward.p_in, z)[0],
+        "_powered_state": _powered_state(proto.forward.p_in, proto.obs_in.projectors, z)[0],
+        **{f"_initial_state {c}": _initial_state(proto, c, z)[0] for c in SUBSYSTEMS},
+        "p_fin_extended": proto.p_fin_extended,
+        "moment_generating": chi,
+        "vandermonde upper": grid.vandermonde.upper,
+        **{f"vandermonde factor {i}": f for i, f in enumerate(grid.vandermonde.factors)},
+        "_solve_factored": _solve_factored(grid.vandermonde, np.eye(grid.n)),
+        "divided_differences": divided_differences(grid.nodes, chi),
+    }
+    with monkeypatch.context() as spy:  # the scaled moments, before narrowing
+        scaled = []
+        unscaled = reconstruct._unscaled
+        spy.setattr(reconstruct, "_unscaled", lambda m: scaled.append(m) or unscaled(m))
+        moments_via_vandermonde(grid, chi)
+        moments_via_newton(grid, chi)
+    results.update({"moments_via_vandermonde": scaled[0], "moments_via_newton": scaled[1]})
+    for name, value in results.items():
+        assert value.dtype in (np.float64, np.complex128), name
+    test_criterion_6_reconstruction_fidelity()
+    test_criterion_7_moment_path_equivalence()

@@ -114,6 +114,15 @@ class TestNumericalFailureExit:
         argv = ["reconstruct", "--preset", "fig3", "--out", str(tmp_path)]
         assert "imaginary residue" in run_quietly(argv, capsys)
 
+    @pytest.mark.parametrize("method", ["pinv", "fourier"])
+    @pytest.mark.parametrize("n", [171, 172])
+    def test_moments_beyond_float64_refused(self, n, method, tmp_path, capsys):
+        # fig3's moment 170 overflows float64 at N = 171; at N = 172 so does 171!
+        out = tmp_path / "out"
+        argv = ["simulate", "--preset", "fig3", "--N", str(n), "--method", method, "--out", str(out)]
+        assert f"N = {n}" in run_quietly(argv, capsys)
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_fig3_passes(self, tmp_path, capsys):
