@@ -73,10 +73,9 @@ class QuantumChannel:
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action on a matrix or a stack of them along leading axes, no
-        state validation; extended precision stays extended. Terms add in order."""
-        n, d = self.kraus.shape[:2]
-        ops = self.kraus.reshape((n,) + (1,) * (np.ndim(m) - 2) + (d, d))
-        return (ops @ m @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+        state validation; extended precision stays extended. Terms add in
+        order. The one-channel case of :func:`apply_kraus`."""
+        return apply_kraus(self.kraus, m)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
@@ -94,6 +93,29 @@ class QuantumChannel:
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be a probability vector")
         return cls(np.sqrt(w)[:, None, None] * np.asarray(unitaries, dtype=complex))
+
+
+def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_u E_u m E_u^dag for a stack of Kraus sets, unvalidated.
+
+    ``kraus`` has shape ``batch + (n, d, d)`` and ``m`` shape
+    ``batch + stack + (d, d)``: slice ``b`` of ``m`` goes through Kraus set
+    ``b``, every matrix of its stack alike. Each term is formed as
+    ``(E_u @ m) @ E_u^dag``, and the terms add in operator order from zero,
+    as a sum over an operator axis would add them, so a batch gives every
+    slice the bits it would get alone. Only one term is held at a time, so
+    the temporaries stay the size of the result. Extended precision stays
+    extended.
+    """
+    m = np.asarray(m)
+    batch = kraus.ndim - 3
+    ops = kraus.reshape(kraus.shape[:-2] + (1,) * (m.ndim - batch - 2) + kraus.shape[-2:])
+    adjoints = ops.conj().swapaxes(-1, -2)
+    out = 0
+    for u in range(kraus.shape[batch]):
+        at = (slice(None),) * batch + (u,)
+        out = out + ops[at] @ m @ adjoints[at]
+    return out
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:

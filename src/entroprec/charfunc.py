@@ -36,48 +36,75 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .channels import apply_kraus
 from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, tensor_product
-from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs
+from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs, _shape_groups, _stack
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
+# (protocol, parameter value) pairs evaluated as one stack. Each pair holds a
+# few extended-precision d x d matrices at a time; larger stacks only raise
+# the peak memory of a sweep, not its speed.
+STACK_PAIRS = 256
 
 
 def _powers(probs, z: np.ndarray) -> tuple[np.ndarray, int]:
-    """p_k^z in extended precision, one row per exponent in ``z`` and one
-    column per outcome, and the number of (outcome, exponent) terms dropped.
-    An outcome at or below ``EIGENVALUE_CUTOFF`` counts as a zero: its power
-    is 0, and it counts as dropped at each exponent with ``Re z <= 0``, where
-    the power would diverge. Zero is never raised to a power."""
+    """p_k^z in extended precision for probabilities ``probs`` of shape
+    ``(..., n)``: shape ``(..., len(z), n)``, one row per exponent in ``z``
+    and one column per outcome, and the number of (outcome, exponent) terms
+    dropped. An outcome at or below ``EIGENVALUE_CUTOFF`` counts as a zero:
+    its power is 0, and it counts as dropped at each exponent with
+    ``Re z <= 0``, where the power would diverge. Zero is never raised to a
+    power."""
     p = np.asarray(probs, dtype=core.EXTENDED)
     z = np.asarray(z).astype(core.extended_complex())
     kept = p > EIGENVALUE_CUTOFF
-    powers = np.zeros((z.size, p.size), dtype=z.dtype)
-    powers[:, kept] = np.exp(z[:, None] * np.log(p[kept]))
+    log_p = np.zeros_like(p)
+    log_p[kept] = np.log(p[kept])
+    powers = np.exp(z[:, None] * np.expand_dims(log_p, -2))
+    powers = np.where(np.expand_dims(kept, -2), powers, 0)
     return powers, int(np.count_nonzero(~kept) * np.count_nonzero(z.real <= 0))
 
 
 def _powered_state(probs, projectors, z: np.ndarray) -> tuple[np.ndarray, int]:
     """The stack sum_k p_k^z P_k, one slice per exponent in ``z``, in extended
-    precision, and the number of dropped terms; see :func:`_powers`. The only
-    place a dephased state is raised to a power."""
+    precision, and the number of dropped terms; see :func:`_powers`. Leading
+    axes of ``probs`` ``(..., n)`` and ``projectors`` ``(..., n, d, d)`` are
+    a batch: the result has shape ``(..., len(z), d, d)``. The only place a
+    dephased state is raised to a power."""
     powers, dropped = _powers(probs, z)
-    terms = powers[:, :, None, None] * np.asarray(projectors, dtype=powers.dtype)
-    return np.sum(terms, axis=1), dropped
+    projectors = np.expand_dims(np.asarray(projectors, dtype=powers.dtype), -4)
+    # the terms add in outcome order from zero, as np.sum over the outcome
+    # axis adds them, without holding every term of every exponent at once
+    state = 0
+    for k in range(powers.shape[-1]):
+        state = state + powers[..., k, None, None] * projectors[..., k, :, :]
+    return state, dropped
 
 
-def _initial_state(proto: TwoTimeProtocol, subsystem: str, z: np.ndarray):
+def _initial_state(protos, subsystem: str, z: np.ndarray):
     """rho_in with the label's factor raised to each power in ``z`` (all of
-    it for ``"A-B"``), in extended precision, and the dropped count. Both
-    factors are powered from their tables' ``p_in``; the spectator at z = 1."""
+    it for ``"A-B"``), in extended precision, one ``(len(z), d, d)`` stack
+    per protocol of one shape group, and the dropped count. Both factors are
+    powered from their tables' ``p_in``; the spectator at z = 1."""
     if subsystem == "A-B":
-        return _powered_state(proto.forward.p_in, proto.obs_in.projectors, z)
-    local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
+        return _powered_state(
+            _stack(protos, lambda p: p.forward.p_in),
+            _stack(protos, lambda p: p.obs_in.projectors),
+            z,
+        )
     own = "AB".index(subsystem)
     other = 1 - own
-    powered, dropped = _powered_state(proto.tables[subsystem].p_in, local[own].projectors, z)
+    # bipartite_obs is (A_in, B_in, A_fin, B_fin)
+    powered, dropped = _powered_state(
+        _stack(protos, lambda p: p.tables[subsystem].p_in),
+        _stack(protos, lambda p: p.bipartite_obs[own].projectors),
+        z,
+    )
     spectator, _ = _powered_state(
-        proto.tables["AB"[other]].p_in, local[other].projectors, np.ones(1)
+        _stack(protos, lambda p: p.tables["AB"[other]].p_in),
+        _stack(protos, lambda p: p.bipartite_obs[other].projectors),
+        np.ones(1),
     )
     order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
     # tensor_product works in complex128; the channel acts in extended precision
@@ -99,40 +126,116 @@ def _require_rank_one(*observables) -> None:
         raise ValueError("chi requires rank-one projective measurements")
 
 
+def _check_subsystem(proto: TwoTimeProtocol, subsystem: str) -> None:
+    """``ValueError`` unless chi of ``subsystem`` is defined on ``proto``:
+    a known label, a bipartite protocol for A and B, rank-one projectors."""
+    if subsystem == "A-B":
+        _require_rank_one(proto.obs_in, proto.obs_fin)
+    elif subsystem in ("A", "B"):
+        local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
+        own = "AB".index(subsystem)
+        _require_rank_one(local[own], local[1 - own], local[own + 2])
+    else:
+        raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
+
+
+def _chi_group(protos, subsystem: str, probe_z: np.ndarray, initial_z: np.ndarray):
+    """G_C at the exponents of every protocol of one shape group, shape
+    ``(len(protos), len(probe_z))``, and the dropped count; one channel
+    application for the whole group."""
+    initial, dropped_in = _initial_state(protos, subsystem, initial_z)
+    evolved = apply_kraus(_stack(protos, lambda p: p.channel.kraus), initial)
+    if subsystem == "A-B":
+        probe, dropped_fin = _powered_state(
+            _stack(protos, lambda p: p.p_fin_extended),
+            _stack(protos, lambda p: p.obs_fin.projectors),
+            probe_z,
+        )
+    else:
+        own = "AB".index(subsystem)
+        probe, dropped_fin = _powered_state(
+            _stack(protos, lambda p: p.tables[subsystem].p_ref),
+            _stack(protos, lambda p: p.bipartite_obs[own + 2].projectors),
+            probe_z,
+        )
+        order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
+        eye = np.eye(protos[0].bipartite_obs[3 - own].dim)
+        probe = tensor_product(*(probe, eye)[::order])
+    return np.trace(probe @ evolved, axis1=-2, axis2=-1), dropped_in + dropped_fin
+
+
+def char_function_stack(protos, subsystem: str, lam):
+    """Characteristic function G_C(lam) of each protocol in ``protos``, via
+    the operator trace form.
+
+    ``lam`` is a scalar or a 1-D array of parameter values. Protocols with
+    equal Kraus and projector shapes are evaluated together, in stacks of
+    powered states of at most ``STACK_PAIRS`` (protocol, parameter value)
+    pairs (one protocol at least), each with one channel application; so the
+    temporaries stop growing with the number of protocols at that cap.
+    Returns an extended-precision complex array of shape
+    ``(len(protos),) + shape of lam``; each row has the bits that
+    :func:`char_function` gives its protocol alone. Every projector involved
+    must be rank one; ``ValueError`` otherwise. One
+    :class:`DegenerateSupportWarning` per call reports the zero-probability
+    outcomes dropped over all protocols and parameter values.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    if lam.ndim > 1:
+        raise ValueError("parameter values must be a scalar or a 1-D array")
+    protos = list(protos)
+    for proto in protos:
+        _check_subsystem(proto, subsystem)
+    stack = lam.reshape(-1)
+    probe_z, initial_z = -1j * stack, 1 + 1j * stack
+    values = np.empty((len(protos), stack.size), dtype=core.extended_complex())
+    dropped = 0
+    size = max(1, STACK_PAIRS // max(1, stack.size))  # protocols per stack
+    for group in _shape_groups(protos):
+        for start in range(0, len(group), size):
+            rows = group[start : start + size]
+            group_protos = [protos[i] for i in rows]
+            values[rows], count = _chi_group(group_protos, subsystem, probe_z, initial_z)
+            dropped += count
+    _warn_dropped(dropped, len(protos) * stack.size)
+    return values.reshape((len(protos),) + lam.shape)
+
+
 def char_function(proto: TwoTimeProtocol, subsystem: str, lam):
     """Characteristic function G_C(lam) evaluated via the operator trace form.
 
     ``lam`` is a scalar or a 1-D array of parameter values; all of them are
     evaluated as one stack of powered states, one channel application per
     stack. Returns an extended-precision complex scalar or array of the same
-    shape. Every projector involved must be rank one; ``ValueError``
-    otherwise. One :class:`DegenerateSupportWarning` per call reports the
-    zero-probability outcomes dropped over all parameter values.
+    shape. The one-protocol case of :func:`char_function_stack`, whose
+    refusals and warning it shares.
     """
-    lam = np.asarray(lam, dtype=complex)
-    if lam.ndim > 1:
-        raise ValueError("parameter values must be a scalar or a 1-D array")
-    stack = lam.reshape(-1)
-    probe_z, initial_z = -1j * stack, 1 + 1j * stack
-    if subsystem == "A-B":
-        _require_rank_one(proto.obs_in, proto.obs_fin)
-        probe, dropped_fin = _powered_state(proto.p_fin_extended, proto.obs_fin.projectors, probe_z)
-    elif subsystem in ("A", "B"):
-        local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
-        own = "AB".index(subsystem)
-        other = 1 - own
-        _require_rank_one(local[own], local[other], local[own + 2])
-        probe, dropped_fin = _powered_state(
-            proto.tables[subsystem].p_ref, local[own + 2].projectors, probe_z
-        )
-        order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
-        probe = tensor_product(*(probe, np.eye(local[other + 2].dim))[::order])
-    else:
-        raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    initial, dropped_in = _initial_state(proto, subsystem, initial_z)
-    _warn_dropped(dropped_in + dropped_fin, stack.size)
-    values = np.trace(probe @ proto.channel.apply_matrix(initial), axis1=-2, axis2=-1)
-    return values.reshape(lam.shape)[()]
+    return char_function_stack([proto], subsystem, lam)[0][()]
+
+
+def _real_values(value: np.ndarray):
+    """The real part of chi values as a fresh extended-precision array;
+    ``ArithmeticError`` reports the value with the largest imaginary residue
+    when any exceeds its tolerance."""
+    value = np.asarray(value)
+    residue = np.abs(value.imag)
+    excess = residue > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real))
+    if np.any(excess):
+        worst = value.imag.flat[int(np.argmax(np.where(excess, residue, -1.0)))]
+        raise ArithmeticError(f"moment-generating value has imaginary residue {worst:.3e}")
+    return value.real.copy()
+
+
+def moment_generating_stack(protos, subsystem: str, phi):
+    """chi_C(phi) = <exp(-phi sigma_C)> of each protocol in ``protos``, for
+    real ``phi`` (a scalar or a 1-D array of nodes), in one
+    :func:`char_function_stack` call. Returns an extended-precision real
+    array of shape ``(len(protos),) + shape of phi``, not narrowed to
+    float64 (see :data:`core.EXTENDED`). ``ArithmeticError`` reports the
+    node with the largest imaginary residue over all protocols when any
+    exceeds its tolerance.
+    """
+    return _real_values(char_function_stack(protos, subsystem, 1j * np.asarray(phi, dtype=float)))
 
 
 def moment_generating(proto: TwoTimeProtocol, subsystem: str, phi):
@@ -140,17 +243,12 @@ def moment_generating(proto: TwoTimeProtocol, subsystem: str, phi):
 
     ``phi`` is a scalar or a 1-D array of nodes, evaluated in one stacked
     :func:`char_function` call. Returns an extended-precision real scalar or
-    array, not narrowed to float64 (see :data:`core.EXTENDED`).
+    array, not narrowed to float64 (see :data:`core.EXTENDED`); the
+    one-protocol case of :func:`moment_generating_stack`.
     ``ArithmeticError`` reports the node with the largest imaginary residue
     when any exceeds its tolerance.
     """
-    value = np.asarray(char_function(proto, subsystem, 1j * np.asarray(phi, dtype=float)))
-    residue = np.abs(value.imag)
-    excess = residue > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(value.real))
-    if np.any(excess):
-        worst = value.imag.flat[int(np.argmax(np.where(excess, residue, -1.0)))]
-        raise ArithmeticError(f"moment-generating value has imaginary residue {worst:.3e}")
-    return value.real.copy()[()]
+    return _real_values(char_function(proto, subsystem, 1j * np.asarray(phi, dtype=float)))[()]
 
 
 def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float) -> float:
@@ -164,22 +262,18 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     follow the operator form's zero-outcome convention and extended precision,
     with one :class:`DegenerateSupportWarning` for the dropped terms.
     """
-    if subsystem not in SUBSYSTEMS:
-        raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    if subsystem == "A-B":
-        _require_rank_one(proto.obs_in, proto.obs_fin)
-    else:
-        oa_in, ob_in, oa_fin, ob_fin = _local_observables(proto)
-        _require_rank_one(oa_in, ob_in, oa_fin if subsystem == "A" else ob_fin)
-    deformed, dropped_in = _initial_state(proto, subsystem, np.array([1.0 - phi]))
+    _check_subsystem(proto, subsystem)
+    deformed, dropped_in = _initial_state([proto], subsystem, np.array([1.0 - phi]))
     weights, dropped_ref = _powers(proto.tables[subsystem].p_ref, np.array([phi]))
     _warn_dropped(dropped_in + dropped_ref, 1)
-    norm = np.trace(deformed[0]).real
-    evolved = proto.channel.apply_matrix(deformed[0] / norm)
+    deformed = deformed[0, 0]
+    norm = np.trace(deformed).real
+    evolved = proto.channel.apply_matrix(deformed / norm)
     occupation = _outcome_probs(proto.obs_fin.projectors, evolved)
     weights = weights.real[0]
     if subsystem != "A-B":
         # occupations of the joint final outcomes (k, l), indexed k * n_b + l
+        _, _, oa_fin, ob_fin = proto.bipartite_obs
         occupation = occupation.reshape(oa_fin.n_outcomes, ob_fin.n_outcomes)
         weights = weights.reshape((-1, 1) if subsystem == "A" else (1, -1))
     return float(norm * np.sum(weights * occupation))

@@ -283,13 +283,16 @@ def emit_report(report: dict, cfg: RunConfig, sweep: SweepReport | None = None) 
             tables.append((f"{cfg.command}_distributions.csv", ["label", "sigma", "prob"], rows))
         if not tables:
             raise ValueError(f"a {cfg.command} report has no CSV form; use --format json")
+    else:
+        # serialised before the directory is made, so a refused report leaves none
+        text = json.dumps(report, indent=2, allow_nan=False)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create output directory {out_dir}: {exc}") from exc
     if cfg.fmt == "json":
         path = out_dir / f"{cfg.command}.json"
-        path.write_text(json.dumps(report, indent=2, allow_nan=False))
+        path.write_text(text)
         return [path]
     for name, header, rows in tables:
         _write_csv(out_dir / name, header, rows)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from itertools import groupby
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .channels import (
     ms_gate,
 )
 from .channels import _validate_step
-from .charfunc import moment_generating
+from .charfunc import moment_generating_stack
 from .core import DensityMatrix, Observable, tensor_product
 from .protocol import (
     EntropyDistribution,
@@ -39,6 +38,7 @@ from .protocol import (
     ift_deviation,
     conditional_equality_deviation,
     entropy_bound_check,
+    stack_tables,
 )
 from .reconstruct import (
     MomentVector,
@@ -208,21 +208,38 @@ def reconstruct_subsystem(
     pseudo-inverse sees at most as many moment rows as there are support
     points; rows beyond that only add factorially amplified extraction noise.
     """
-    measured = _measure_moments(proto, (label,), n_moments)
+    measured = _measure_moments([proto], [(0, n_moments)], (label,))[0, n_moments]
     truth = true_dist.moments(min(4, max(1, n_moments - 1)))
     return _recover(*measured[label], true_dist, truth, label, method)
 
 
 def _measure_moments(
-    proto: TwoTimeProtocol, labels: tuple[str, ...], n_moments: int
-) -> dict[str, tuple[ParameterGrid, np.ndarray, MomentVector]]:
-    """The Chebyshev grid, chi on it and the extracted moments of each label;
-    see :func:`reconstruct_subsystem`. Chi is one stacked call per label on
-    all nodes, and every label's moments come from one shared elimination."""
-    grid = chebyshev_nodes(n_moments, PHI_MIN, PHI_MAX)
-    chis = [moment_generating(proto, label, grid.nodes) for label in labels]
-    moments = moments_via_vandermonde(grid, np.stack(chis))
-    return {label: (grid, chi, mv) for label, chi, mv in zip(labels, chis, moments)}
+    protos: list[TwoTimeProtocol], points, labels: tuple[str, ...] = ("A", "B", "A-B")
+) -> dict[tuple[int, int], dict[str, tuple[ParameterGrid, np.ndarray, MomentVector]]]:
+    """The Chebyshev grid, chi on it and the extracted moments of each label,
+    for each ``(protocol index, N)`` of ``points``; see
+    :func:`reconstruct_subsystem`.
+
+    Chi is one stacked call per label, on every protocol and on the union of
+    the nodes of every grid the points need. The moments of each N come from
+    one shared elimination on all its rows (every label of every protocol).
+    Chi at a node does not depend on the other nodes or protocols, nor a
+    moment on the other rows, so every value has the bits of a lone point.
+    """
+    counts = list(dict.fromkeys(n for _, n in points))
+    grids = [chebyshev_nodes(n, PHI_MIN, PHI_MAX) for n in counts]
+    nodes = np.concatenate([grid.nodes for grid in grids])
+    chis = np.stack([moment_generating_stack(protos, label, nodes) for label in labels], axis=1)
+    measured = {}
+    stop = 0
+    for n, grid in zip(counts, grids):
+        start, stop = stop, stop + n
+        owners = list(dict.fromkeys(i for i, m in points if m == n))
+        rows = chis[owners, :, start:stop]  # (protocol, label, node)
+        moments = iter(moments_via_vandermonde(grid, rows.reshape(-1, n)))
+        for i, chi in zip(owners, rows):
+            measured[i, n] = {label: (grid, c, next(moments)) for label, c in zip(labels, chi)}
+    return measured
 
 
 def _recover(
@@ -288,16 +305,13 @@ class ConfigRecord:
         return {label: self.distributions[label].moments(k_max) for label in LABELS}
 
 
-def protocol_part(
-    cfg: TwoIonConfig, channel: QuantumChannel
-) -> tuple[TwoTimeProtocol, ConfigRecord]:
-    """The protocol of ``cfg`` on ``channel`` and its record without
+def protocol_part(cfg: TwoIonConfig, proto: TwoTimeProtocol) -> ConfigRecord:
+    """The record of ``cfg`` on its protocol ``proto`` without
     reconstructions: the four distributions and every theorem check, none of
     which depends on ``n_moments``."""
-    proto = build_protocol(cfg, channel)
     dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
     bound = entropy_bound_check(proto)
-    return proto, ConfigRecord(
+    return ConfigRecord(
         config=cfg,
         distributions={"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv},
         mean_sigma=bound.mean_sigma,
@@ -322,15 +336,14 @@ def run_config(
     moments of each label and the true moments are evaluated once and shared
     by every method.
 
-    A sweep passes ``part``, a callable returning the :func:`protocol_part`
-    that it shares between points differing only in ``n_moments``. Without
-    it the call builds its own channel and protocol part.
+    A sweep passes ``part``, the point's share of its stacked work (see
+    :func:`_sweep_parts`). Without it the call does the same work for its
+    one point.
     """
-    proto, base = part() if part is not None else protocol_part(cfg, build_channel(cfg))
+    base, measured = (part or _sweep_parts([cfg], methods)[0])()
     dists = base.distributions
     bundles: dict[str, ReconstructionBundle] = {}
     if methods:
-        measured = _measure_moments(proto, ("A", "B", "A-B"), cfg.n_moments)
         k_max = min(4, max(1, cfg.n_moments - 1))
         truth = {label: dists[label].moments(k_max) for label in LABELS}
     for method in methods:
@@ -381,22 +394,52 @@ class SweepReport:
         return out
 
 
-def _run_sweep(cfgs: list[TwoIonConfig], methods) -> tuple[ConfigRecord, ...]:
-    """run_config on each configuration, once every channel of the sweep is
-    built (each distinct Lindblad map once, see :func:`build_channels`).
+def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
+    """The stacked work of a sweep: for each point, a callable returning its
+    :func:`protocol_part` record and the measured moments of each label at
+    its ``n_moments`` (None when no method runs; see :func:`_measure_moments`).
 
-    Each run of consecutive points that differ only in ``n_moments`` shares
-    one protocol part, built inside the run's first run_config call, so its
-    warnings are raised once per run, not once per point. Only the current
-    run's part is held, and it is released when the sweep returns.
+    Points that differ only in ``n_moments`` share one protocol; say there
+    are P protocols. The sweep builds every channel (each distinct Lindblad
+    map once, see :func:`build_channels`) and every protocol, validating each
+    initial state and its observables once. It then builds all states and
+    joint tables with :func:`stack_tables`, and chi and the moments of every
+    point with :func:`_measure_moments`: stacks over the P protocols, with
+    one channel application per group of equal Kraus shapes and one
+    elimination per distinct N. Their temporaries grow with P times the
+    number of chi nodes; chi's stacks stop growing at
+    ``charfunc.STACK_PAIRS`` protocol-node pairs. A protocol's record is
+    built on the first call of any of its points' callables, so its warnings
+    are raised once per protocol.
     """
-    records = []
-    pairs = zip(cfgs, build_channels(cfgs))
-    for _, run in groupby(pairs, key=lambda pair: replace(pair[0], n_moments=1)):
-        run = list(run)
-        part = cache(partial(protocol_part, *run[0]))
-        records.extend(run_config(cfg, methods, part=part) for cfg, _ in run)
-    return tuple(records)
+    channels = {}
+    for cfg, channel in zip(cfgs, build_channels(cfgs)):
+        channels.setdefault(replace(cfg, n_moments=1), channel)
+    protos = []
+    first = {}  # the protocol that validated each initial state
+    for key, channel in channels.items():
+        shared = first.get(key.rho0_diag)
+        protos.append(shared._on_channel(channel) if shared else build_protocol(key, channel))
+        first.setdefault(key.rho0_diag, protos[-1])
+    stack_tables(protos)
+    owner = {key: i for i, key in enumerate(channels)}
+    points = [(owner[replace(cfg, n_moments=1)], cfg.n_moments) for cfg in cfgs]
+    measured = _measure_moments(protos, points) if methods else {}
+    records = [cache(partial(protocol_part, key, proto)) for key, proto in zip(channels, protos)]
+
+    def part(i: int, n: int):
+        return records[i](), measured.get((i, n))
+
+    return [partial(part, i, n) for i, n in points]
+
+
+def _run_sweep(cfgs: list[TwoIonConfig], methods) -> tuple[ConfigRecord, ...]:
+    """run_config on each configuration, once the sweep's stacked work is
+    done (see :func:`_sweep_parts`): one call per point, each reading its
+    own slice. Every record equals a fresh run_config call for its point,
+    and nothing is held after the sweep returns."""
+    parts = _sweep_parts(cfgs, methods)
+    return tuple(run_config(cfg, methods, part=part) for cfg, part in zip(cfgs, parts))
 
 
 def sweep_phase(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepReport:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
@@ -32,7 +32,7 @@ from .core import (
     trace_rho_log_sigma,
     von_neumann_entropy,
 )
-from .channels import QuantumChannel, TimeReversal, time_reversed
+from .channels import QuantumChannel, TimeReversal, apply_kraus, time_reversed
 
 SUPPORT_MERGE_TOL = 1e-10
 MASS_DROP_TOL = 1e-15
@@ -59,9 +59,11 @@ class TwoTimeProtocol:
     ``bipartite_obs`` optionally holds the local observables
     (O_A_in, O_B_in, O_A_fin, O_B_fin); when present, ``rho0`` must carry a
     partition, ``obs_in``/``obs_fin`` must be their tensor products and the
-    post-measurement state must factorise between the subsystems. The protocol
+    post-measurement state must factorise between the subsystems. The
+    post-measurement state is built on construction; the other protocol
     states, the joint tables and the distributions are built once, on first
-    use, and shared by every check and chi evaluation.
+    use (or for many protocols at once by :func:`stack_tables`), and shared
+    by every check and chi evaluation.
     """
 
     rho0: DensityMatrix
@@ -69,11 +71,15 @@ class TwoTimeProtocol:
     obs_fin: Observable
     channel: QuantumChannel
     bipartite_obs: tuple[Observable, Observable, Observable, Observable] | None = None
+    _rho_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.rho0.dim
         if self.obs_in.dim != d or self.obs_fin.dim != d or self.channel.dim != d:
             raise ValueError("state, observables and channel dimensions must agree")
+        rho_in = _dephase(self.obs_in.projectors, self.rho0.data)
+        rho_in.flags.writeable = False
+        object.__setattr__(self, "_rho_in", rho_in)
         if self.bipartite_obs is not None:
             if self.rho0.partition is None:
                 raise ValueError("bipartite observables require a partitioned rho0")
@@ -88,7 +94,6 @@ class TwoTimeProtocol:
                     np.abs(obs.projectors - products)
                 ) > PRODUCT_TOL:
                     raise ValueError("obs_in/obs_fin must be tensor products of bipartite_obs")
-            rho_in = self.states.rho_in
             rho_a, rho_b = (_reduced(rho_in, self.rho0.partition, a) for a in (True, False))
             if np.max(np.abs(rho_in - tensor_product(rho_a, rho_b))) > PRODUCT_TOL:
                 raise ValueError("post-measurement state does not factorise between A and B")
@@ -111,25 +116,27 @@ class TwoTimeProtocol:
             bipartite_obs=(obs_a_in, obs_b_in, obs_a_fin, obs_b_fin),
         )
 
+    def _on_channel(self, channel: QuantumChannel) -> "TwoTimeProtocol":
+        """This protocol on ``channel`` instead: it shares rho0, the
+        observables and rho_in, which this protocol's construction validated,
+        so only the channel's dimension is checked. Nothing built on the old
+        channel is carried over."""
+        if channel.dim != self.rho0.dim:
+            raise ValueError("state, observables and channel dimensions must agree")
+        proto = object.__new__(type(self))
+        vars(proto).update({f.name: getattr(self, f.name) for f in fields(self)}, channel=channel)
+        return proto
+
     @cached_property
     def states(self) -> ProtocolStates:
-        """rho_in, rho_fin and rho_tau; the only place they are built."""
-        rho_in = _dephase(self.obs_in, self.rho0.data)
-        rho_fin = self.channel.apply_matrix(rho_in)
-        rho_fin = (rho_fin + rho_fin.conj().T) / 2.0
-        states = ProtocolStates(rho_in, rho_fin, _dephase(self.obs_fin, rho_fin))
-        for rho in states:
-            rho.flags.writeable = False
-        return states
+        """rho_in, rho_fin and rho_tau, read-only; see :func:`_states`."""
+        return _states([self])[0]
 
     @cached_property
     def p_fin_extended(self) -> np.ndarray:
         """Outcome probabilities of ``obs_fin`` on Phi(rho_in) with the channel
         applied in extended precision, read-only; the A-B chi probe powers them."""
-        evolved = self.channel.apply_matrix(self.states.rho_in.astype(extended_complex()))
-        p_fin = _outcome_probs(self.obs_fin.projectors, evolved)
-        p_fin.flags.writeable = False
-        return p_fin
+        return _p_fin_extended([self])[0]
 
     @cached_property
     def forward(self) -> "JointOutcomeTable":
@@ -148,19 +155,7 @@ class TwoTimeProtocol:
         axis sums of the composite table, whose outcomes are indexed
         ``m * n_b + h`` (see :meth:`Observable.tensor`); their reference
         marginals sum the composite outcome probabilities of ``rho_fin``."""
-        fwd = self.forward
-        if self.bipartite_obs is None:
-            return MappingProxyType({"A-B": fwd})
-        n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in self.bipartite_obs)
-        p_fwd = fwd.p_fwd.reshape(n_a_fin, n_b_fin, n_a_in, n_b_in)
-        p_in = fwd.p_in.reshape(n_a_in, n_b_in)
-        p_fin = _outcome_probs(self.obs_fin.projectors, self.states.rho_fin)
-        p_fin = p_fin.reshape(n_a_fin, n_b_fin)
-        return MappingProxyType({
-            "A": JointOutcomeTable(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1)),
-            "B": JointOutcomeTable(p_fwd.sum(axis=(0, 2)), p_in.sum(axis=0), p_fin.sum(axis=0)),
-            "A-B": fwd,
-        })
+        return _tables([self])[0]
 
     @cached_property
     def distributions(self) -> "MappingProxyType[str, EntropyDistribution]":
@@ -188,12 +183,16 @@ class EntropyDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if support.shape != probs.shape or support.ndim != 1:
             raise ValueError("support and probs must be matching 1-D arrays")
-        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+        if not (np.isfinite(support).all() and np.isfinite(probs).all()):
             raise ValueError("support and probs must be finite")
-        order = np.argsort(support)
-        support = support[order]
-        probs = probs[order]
-        if support.size > 1 and np.min(np.diff(support)) <= SUPPORT_MERGE_TOL:
+        gaps = support[1:] - support[:-1]
+        if (gaps > 0).all():  # already sorted, as merge_support leaves it
+            support, probs = support.copy(), probs.copy()
+        else:
+            order = np.argsort(support)
+            support, probs = support[order], probs[order]
+            gaps = support[1:] - support[:-1]
+        if gaps.size and gaps.min() <= SUPPORT_MERGE_TOL:
             raise ValueError("support entries must stay distinct after merging")
         if probs.size and probs.min() < -1e-12:
             raise ValueError(f"negative probability {probs.min():.3e}")
@@ -213,7 +212,7 @@ class EntropyDistribution:
         """<sigma^k>, computed once per instance and order."""
         memo = self._moment_memo
         if k not in memo:
-            memo[k] = float(np.sum(self.probs * self.support**k))
+            memo[k] = float((self.probs * self.support**k).sum())
         return memo[k]
 
     def moments(self, k_max: int) -> np.ndarray:
@@ -300,23 +299,149 @@ class JointOutcomeTable:
         return self.p_fwd / p_in[None, :]
 
 
-def _dephase(obs: Observable, rho: np.ndarray) -> np.ndarray:
-    """sum_m P_m rho P_m; the axis-0 sum adds the terms in outcome order."""
-    return np.sum(obs.projectors @ rho @ obs.projectors, axis=0)
+def _dephase(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_m P_m rho P_m for a projector stack ``(..., n, d, d)`` and states
+    ``(..., d, d)``; the sum over the outcome axis adds the terms in order."""
+    return np.sum(projectors @ np.expand_dims(rho, -3) @ projectors, axis=-3)
 
 
 def _outcome_probs(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr[P rho] for each slice P of a projector stack."""
-    return np.trace(projectors @ rho, axis1=-2, axis2=-1).real
+    """Tr[P rho] for each slice P of a projector stack ``(..., n, d, d)``, on
+    states ``(..., d, d)``."""
+    return np.trace(projectors @ np.expand_dims(rho, -3), axis1=-2, axis2=-1).real
 
 
-def _measured_joint(channel: QuantumChannel, rho: np.ndarray, prepare, read) -> np.ndarray:
+def _measured_joint(kraus: np.ndarray, rho: np.ndarray, prepare, read) -> np.ndarray:
     """``table[k, m] = Tr[read_k  Phi(prepare_m rho prepare_m)]``, negatives
-    clipped. ``prepare`` and ``read`` are projector stacks; the channel is
-    applied once, to the stack of prepared states."""
-    evolved = channel.apply_matrix(prepare @ rho @ prepare)
-    table = np.trace(read[:, None] @ evolved, axis1=-2, axis2=-1).real
+    clipped, with Phi the Kraus set ``kraus``. ``prepare`` and ``read`` are
+    projector stacks; the channel is applied once, to the stack of prepared
+    states. Leading axes of all four arguments are a batch of tables."""
+    evolved = apply_kraus(kraus, prepare @ np.expand_dims(rho, -3) @ prepare)
+    table = np.trace(
+        np.expand_dims(read, -3) @ np.expand_dims(evolved, -4), axis1=-2, axis2=-1
+    ).real
     return np.clip(table, 0.0, None)
+
+
+def _stack(protos, read) -> np.ndarray:
+    """``read(proto)`` of each protocol, stacked along a new leading axis."""
+    return np.stack([read(proto) for proto in protos])
+
+
+def _shape_groups(protos) -> list[list[int]]:
+    """Indices of ``protos`` grouped by the shapes of their Kraus and
+    projector stacks, in first-seen order. A group stacks without padding:
+    zero Kraus operators would add terms, which can flip the sign of a zero."""
+    groups: dict[tuple, list[int]] = {}
+    for i, proto in enumerate(protos):
+        local = proto.bipartite_obs and tuple(o.projectors.shape for o in proto.bipartite_obs)
+        key = (
+            proto.channel.kraus.shape,
+            proto.obs_in.projectors.shape,
+            proto.obs_fin.projectors.shape,
+            local,
+        )
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _states(protos) -> list[ProtocolStates]:
+    """The :class:`ProtocolStates` of protocols of one shape group: one
+    channel application on the stack of their post-measurement states."""
+    kraus = _stack(protos, lambda p: p.channel.kraus)
+    rho_fin = apply_kraus(kraus, _stack(protos, lambda p: p._rho_in))
+    rho_fin = (rho_fin + rho_fin.conj().swapaxes(-1, -2)) / 2.0
+    rho_tau = _dephase(_stack(protos, lambda p: p.obs_fin.projectors), rho_fin)
+    rho_fin.flags.writeable = rho_tau.flags.writeable = False
+    return [ProtocolStates(p._rho_in, f, t) for p, f, t in zip(protos, rho_fin, rho_tau)]
+
+
+def _p_fin_extended(protos) -> list[np.ndarray]:
+    """:attr:`TwoTimeProtocol.p_fin_extended` of protocols of one shape
+    group, from one extended-precision channel application."""
+    rho_in = _stack(protos, lambda p: p._rho_in).astype(extended_complex())
+    evolved = apply_kraus(_stack(protos, lambda p: p.channel.kraus), rho_in)
+    p_fin = _outcome_probs(_stack(protos, lambda p: p.obs_fin.projectors), evolved)
+    p_fin.flags.writeable = False
+    return list(p_fin)
+
+
+def _forward_tables(protos) -> list["JointOutcomeTable"]:
+    """Forward joint tables of protocols of one shape group, see
+    :func:`forward_joint`; one channel application for all of them."""
+    rho0 = _stack(protos, lambda p: p.rho0.data)
+    proj_in = _stack(protos, lambda p: p.obs_in.projectors)
+    proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
+    p_fwd = _measured_joint(_stack(protos, lambda p: p.channel.kraus), rho0, proj_in, proj_fin)
+    p_in = _outcome_probs(proj_in, rho0)
+    return [JointOutcomeTable(p_fwd=f, p_in=i, p_ref=f.sum(axis=1)) for f, i in zip(p_fwd, p_in)]
+
+
+def _backward_tables(protos) -> list["JointOutcomeTable"]:
+    """Backward joint tables of protocols of one shape group, see
+    :func:`backward_joint`; each channel is reversed on its own (and refused
+    if not unital), then all are applied at once."""
+    theta = TimeReversal()
+    kraus = _stack(protos, lambda p: time_reversed(p.channel, theta).kraus)
+    rho_tau_rev = theta.apply_to_state(_stack(protos, lambda p: p.states.rho_tau))
+    proj_in_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_in.projectors))
+    proj_ref_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_fin.projectors))
+    p_bwd = _measured_joint(kraus, rho_tau_rev, proj_ref_rev, proj_in_rev)
+    return [
+        JointOutcomeTable(p_fwd=b, p_in=p.forward.p_ref, p_ref=p.forward.p_in)
+        for p, b in zip(protos, p_bwd)
+    ]
+
+
+def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
+    """:attr:`TwoTimeProtocol.tables` of protocols of one shape group, from
+    stacked axis sums of their forward tables and final outcome
+    probabilities."""
+    fwd = [proto.forward for proto in protos]
+    if protos[0].bipartite_obs is None:
+        return [MappingProxyType({"A-B": f}) for f in fwd]
+    n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in protos[0].bipartite_obs)
+    p_fwd = np.stack([f.p_fwd for f in fwd]).reshape(-1, n_a_fin, n_b_fin, n_a_in, n_b_in)
+    p_in = np.stack([f.p_in for f in fwd]).reshape(-1, n_a_in, n_b_in)
+    p_fin = _outcome_probs(
+        _stack(protos, lambda p: p.obs_fin.projectors), _stack(protos, lambda p: p.states.rho_fin)
+    ).reshape(-1, n_a_fin, n_b_fin)
+    a = zip(p_fwd.sum(axis=(2, 4)), p_in.sum(axis=2), p_fin.sum(axis=2))
+    b = zip(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1))
+    return [
+        MappingProxyType({"A": JointOutcomeTable(*ta), "B": JointOutcomeTable(*tb), "A-B": f})
+        for ta, tb, f in zip(a, b, fwd)
+    ]
+
+
+# What stack_tables builds, in dependency order: the label tables read the
+# forward table and rho_fin, the backward tables rho_tau and the forward
+# marginals.
+_STACKED = (
+    ("states", _states),
+    ("forward", _forward_tables),
+    ("tables", _tables),
+    ("backward", _backward_tables),
+    ("p_fin_extended", _p_fin_extended),
+)
+
+
+def stack_tables(protos) -> None:
+    """Build the states, the joint tables of every label, the backward tables
+    and :attr:`~TwoTimeProtocol.p_fin_extended` of many protocols at once,
+    and cache each on its protocol as if it had been built on first use.
+
+    Protocols are grouped by the shapes of their Kraus and projector stacks;
+    each group takes one channel application per quantity. Every value has
+    the bits that the one-protocol build gives it. Values a protocol has
+    already built are kept.
+    """
+    for name, build in _STACKED:
+        todo = [proto for proto in protos if name not in vars(proto)]
+        for group in _shape_groups(todo):
+            members = [todo[i] for i in group]
+            for proto, value in zip(members, build(members)):
+                vars(proto)[name] = value
 
 
 def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
@@ -324,11 +449,7 @@ def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
 
     ``p_fwd[k, m] = Tr[P_fin_k  Phi(P_in_m rho0 P_in_m)]``.
     """
-    rho0 = proto.rho0.data
-    obs_in, obs_fin = proto.obs_in.projectors, proto.obs_fin.projectors
-    p_fwd = _measured_joint(proto.channel, rho0, obs_in, obs_fin)
-    p_in = _outcome_probs(obs_in, rho0)
-    return JointOutcomeTable(p_fwd=p_fwd, p_in=p_in, p_ref=p_fwd.sum(axis=1))
+    return _forward_tables([proto])[0]
 
 
 def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
@@ -342,14 +463,7 @@ def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
     ``p_in``, so :func:`entropy_samples` reads ``sigma_bwd = ln p_ref[k] -
     ln p_in[m]`` from it.
     """
-    fwd = proto.forward
-    theta = TimeReversal()
-    reversed_channel = time_reversed(proto.channel, theta)
-    rho_tau_rev = theta.apply_to_state(proto.states.rho_tau)
-    proj_in_rev = theta.apply_to_state(proto.obs_in.projectors)
-    proj_ref_rev = theta.apply_to_state(proto.obs_fin.projectors)
-    p_bwd = _measured_joint(reversed_channel, rho_tau_rev, proj_ref_rev, proj_in_rev)
-    return JointOutcomeTable(p_fwd=p_bwd, p_in=fwd.p_ref, p_ref=fwd.p_in)
+    return _backward_tables([proto])[0]
 
 
 def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDistribution:

@@ -114,11 +114,12 @@ def test_criterion_3_entropy_bound_chain(rng):
     channel = ms_gate(math.pi / 7)
     comp4 = Observable.computational(4)
     rho0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
-    rho_fin = channel.apply_matrix(_dephase(comp4, rho0.data))
+    rho_fin = channel.apply_matrix(_dephase(comp4.projectors, rho0.data))
     special = entropy_bound_check(TwoTimeProtocol(rho0, comp4, Observable.from_matrix(rho_fin), channel))
     from entroprec import von_neumann_entropy
 
-    sigma_expected = von_neumann_entropy(rho_fin) - von_neumann_entropy(_dephase(comp4, rho0.data))
+    rho_in = _dephase(comp4.projectors, rho0.data)
+    sigma_expected = von_neumann_entropy(rho_fin) - von_neumann_entropy(rho_in)
     special_ok = (
         special.relative_entropy <= 1e-10
         and abs(special.mean_sigma - sigma_expected) <= 1e-10
@@ -338,7 +339,7 @@ def test_float64_mode_follows_the_one_extended_type(float64_mode, monkeypatch):
     results = {
         "_powers": _powers(proto.forward.p_in, z)[0],
         "_powered_state": _powered_state(proto.forward.p_in, proto.obs_in.projectors, z)[0],
-        **{f"_initial_state {c}": _initial_state(proto, c, z)[0] for c in SUBSYSTEMS},
+        **{f"_initial_state {c}": _initial_state([proto], c, z)[0] for c in SUBSYSTEMS},
         "p_fin_extended": proto.p_fin_extended,
         "moment_generating": chi,
         "vandermonde upper": grid.vandermonde.upper,

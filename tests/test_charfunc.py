@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from entroprec import (
     simulate_measurement_path,
     tensor_product,
 )
-from entroprec import charfunc
+from entroprec import charfunc, protocol
 from entroprec.charfunc import SUBSYSTEMS, _powered_state
 from entroprec.experiments import PHI_MAX, PHI_MIN, PRESETS, build_protocol, preset
 from entroprec.protocol import TwoTimeProtocol
@@ -29,6 +30,7 @@ from conftest import random_density, random_mixed_unitary_channel
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
 QUBIT_OBS = Observable.computational(2)
+COMP4 = Observable.computational(4)
 
 
 def section6_protocol(phi=math.pi / 7):
@@ -253,6 +255,81 @@ class TestStackedNodes:
         with pytest.warns(DegenerateSupportWarning):
             loop = [moment_generating(proto, "A", phi) for phi in nodes]
         assert np.array_equal(stacked, loop)
+
+
+def dropped_count(caught) -> int:
+    """The dropped-term count that the recorded warnings carry."""
+    return sum(int(re.search(r"dropped (\d+) zero", str(w.message)).group(1)) for w in caught)
+
+
+class TestStackedProtocols:
+    """chi of many protocols in one stacked call: each row equals the
+    one-protocol call bit for bit, and one warning carries the summed count."""
+
+    NODES = np.array([-0.5, 0.25, 1.0, 1.5, 2.0])
+
+    @staticmethod
+    def protocols():
+        # two shape groups (one Kraus operator, two); the second protocol's
+        # A marginal and composite initial state have zero-probability outcomes
+        pure_a = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+        mixed = QuantumChannel.mixed_unitary(
+            [ms_gate(0.3).kraus[0], ms_gate(1.1).kraus[0]], [0.25, 0.75]
+        )
+        return [
+            section6_protocol(0.2),
+            TwoTimeProtocol.bipartite(pure_a, *(QUBIT_OBS,) * 4, ms_gate(0.4)),
+            TwoTimeProtocol.bipartite(RHO0, *(QUBIT_OBS,) * 4, mixed),
+            section6_protocol(2.5),
+        ]
+
+    @pytest.mark.parametrize("stack_pairs", [charfunc.STACK_PAIRS, 7])
+    @pytest.mark.parametrize("label", SUBSYSTEMS)
+    def test_rows_equal_one_protocol_calls(self, label, stack_pairs, monkeypatch):
+        # a small STACK_PAIRS splits each group into stacks of one protocol
+        monkeypatch.setattr(charfunc, "STACK_PAIRS", stack_pairs)
+        protos = self.protocols()
+        assert len(protocol._shape_groups(protos)) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stacked = charfunc.moment_generating_stack(protos, label, self.NODES)
+        assert stacked.dtype == np.longdouble and stacked.shape == (4, self.NODES.size)
+        with warnings.catch_warnings(record=True) as alone_caught:
+            warnings.simplefilter("always")
+            alone = [moment_generating(proto, label, self.NODES) for proto in protos]
+        for row, one in zip(stacked, alone):
+            assert np.array_equal(row, one)
+        assert all(w.category is DegenerateSupportWarning for w in caught + alone_caught)
+        assert len(caught) == (1 if alone_caught else 0)
+        assert dropped_count(caught) == dropped_count(alone_caught)
+        if label != "B":  # B's marginals have no zero outcome
+            assert dropped_count(caught) > 0
+
+    def test_complex_parameters_and_shapes(self, rng):
+        protos = self.protocols()[::2]
+        lam = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-1, 1, 5)
+        for label in SUBSYSTEMS:
+            stacked = charfunc.char_function_stack(protos, label, lam)
+            assert stacked.dtype == np.clongdouble and stacked.shape == (2, 5)
+            for row, proto in zip(stacked, protos):
+                assert np.array_equal(row, char_function(proto, label, lam))
+            scalar = charfunc.char_function_stack(protos, label, 0.3)
+            assert scalar.shape == (2,)
+            assert np.array_equal(scalar, [char_function(proto, label, 0.3) for proto in protos])
+
+    def test_worst_residue_over_all_protocols(self, monkeypatch):
+        fake = (1 + 1j * np.array([[0.0, 3e-3], [-5e-3, 1e-14]])).astype(np.clongdouble)
+        monkeypatch.setattr(charfunc, "char_function_stack", lambda *args: fake)
+        with pytest.raises(ArithmeticError, match=r"residue -5\.000e-03$"):
+            charfunc.moment_generating_stack(self.protocols()[:2], "A", np.array([0.1, 0.2]))
+
+    def test_every_protocol_is_checked(self):
+        protos = self.protocols()
+        composite = TwoTimeProtocol(RHO0, COMP4, COMP4, ms_gate(0.3))
+        with pytest.raises(ValueError, match="no bipartite observables"):
+            charfunc.moment_generating_stack(protos + [composite], "A", self.NODES)
+        with pytest.raises(ValueError, match="subsystem must be one of"):
+            charfunc.moment_generating_stack(protos, "C", self.NODES)
 
 
 class TestMeasurementPath:

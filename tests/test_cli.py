@@ -107,10 +107,10 @@ class TestNumericalFailureExit:
         assert "reduce dt" in run_quietly(argv, capsys)
 
     def test_arithmetic_error(self, monkeypatch, tmp_path, capsys):
-        def imaginary_residue(proto, subsystem, phi):
+        def imaginary_residue(protos, subsystem, phi):
             raise ArithmeticError("moment-generating value has imaginary residue 1.000e-03")
 
-        monkeypatch.setattr(entroprec.experiments, "moment_generating", imaginary_residue)
+        monkeypatch.setattr(entroprec.experiments, "moment_generating_stack", imaginary_residue)
         argv = ["reconstruct", "--preset", "fig3", "--out", str(tmp_path)]
         assert "imaginary residue" in run_quietly(argv, capsys)
 
@@ -153,7 +153,7 @@ class TestVerifyCommand:
         def fail(*args):
             raise ArithmeticError("chi evaluated")
 
-        monkeypatch.setattr(entroprec.experiments, "moment_generating", fail)
+        monkeypatch.setattr(entroprec.experiments, "moment_generating_stack", fail)
         assert main(["verify", "--preset", "fig3", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert set(report) == {"config", "checks"}
@@ -203,6 +203,13 @@ class TestSweepCommand:
         cfg = parse_config(["simulate", "--out", str(tmp_path)])
         with pytest.raises(ValueError, match="JSON"):
             emit_report({"value": math.nan}, cfg)
+
+    def test_refused_report_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "out" / "nested"
+        cfg = parse_config(["simulate", "--out", str(out)])
+        with pytest.raises(ValueError, match="JSON"):
+            emit_report({"x": math.nan}, cfg)
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:

@@ -6,7 +6,6 @@ import weakref
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -120,32 +119,34 @@ class TestRunConfig:
 
             return counted
 
-        def apply_matrix(channel, m, original=channels.QuantumChannel.apply_matrix):
+        def apply_kraus(kraus, m, original=protocol.apply_kraus):
             applied.append(tuple(running))
-            return original(channel, m)
+            return original(kraus, m)
 
-        for name in ("forward_joint", "backward_joint", "entropy_samples", "_dephase"):
+        for name in ("entropy_samples", "_dephase"):
             monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
-        states = cached_property(count("states", protocol.TwoTimeProtocol.states.func))
-        states.__set_name__(protocol.TwoTimeProtocol, "states")
-        monkeypatch.setattr(protocol.TwoTimeProtocol, "states", states)
+        stacked = tuple((name, count(name, build)) for name, build in protocol._STACKED)
+        monkeypatch.setattr(protocol, "_STACKED", stacked)
         monkeypatch.setattr(experiments, "protocol_part", count("protocol_part", protocol_part))
-        monkeypatch.setattr(channels.QuantumChannel, "apply_matrix", apply_matrix)
+        monkeypatch.setattr(protocol, "apply_kraus", apply_kraus)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
-        # one states build dephases twice (rho_in, rho_tau); nothing else does.
-        # A, B and A-B are sampled once each; the Crooks check adds the backward one.
+        # stack_tables builds each quantity once. The protocol dephases rho0
+        # on construction and the states build dephases rho_fin; nothing else
+        # does. A, B and A-B are sampled once each; the Crooks check adds the
+        # backward one.
         assert calls == {
-            "protocol_part": 1,
-            "forward_joint": 1,
-            "backward_joint": 1,
-            "entropy_samples": 4,
             "states": 1,
+            "forward": 1,
+            "tables": 1,
+            "backward": 1,
+            "p_fin_extended": 1,
+            "protocol_part": 1,
+            "entropy_samples": 4,
             "_dephase": 2,
         }
-        # the protocol part applies the channel once to rho_in and once per
-        # joint table, to the stack of all its prepared states
-        in_part = [stack[-1] for stack in applied if stack[:1] == ("protocol_part",)]
-        assert sorted(in_part) == ["backward_joint", "forward_joint", "states"]
+        # one channel application per build that needs one, each to the stack
+        # of all its states; the protocol part only reads what they built
+        assert sorted(applied) == [("backward",), ("forward",), ("p_fin_extended",), ("states",)]
 
     def test_mean_sigma_is_the_bound_value(self):
         record = run_config(preset("fig4"), methods=("pinv",))
@@ -344,9 +345,9 @@ def builds(monkeypatch):
         log["maps"].extend((m.hamiltonian[0, 3].real * tau, m.dissipators[0][1]) for m in models)
         return build(models, tau, dt)
 
-    def counted_part(cfg, channel):
-        result = part(cfg, channel)
-        log["parts"].append(weakref.ref(result[0]))
+    def counted_part(cfg, proto):
+        result = part(cfg, proto)
+        log["parts"].append(weakref.ref(proto))
         log["part_runs"].append(inside())
         return result
 
@@ -365,8 +366,8 @@ def builds(monkeypatch):
 
 
 class TestSweepSharing:
-    """An N sweep builds its protocol part once; every record still equals a
-    fresh run_config call for its point."""
+    """Points on one protocol share its protocol part, built once; every
+    record still equals a fresh run_config call for its point."""
 
     @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
     def test_n_sweep_records_equal_fresh_run_config(self):
@@ -391,8 +392,8 @@ class TestSweepSharing:
         assert builds["part_runs"] == [0]  # inside the first run_config call
         assert report.records[0].distributions is not report.records[1].distributions
         sweep_phase([0.1, 0.2, 0.2, 0.1], preset("fig3"), methods=())
-        # a repeated point shares, a new phase does not
-        assert builds["part_runs"] == [0, 3, 4, 6]
+        # a repeated point shares, wherever it comes; a new phase does not
+        assert builds["part_runs"] == [0, 3, 4]
 
     def test_protocol_part_released_after_sweep(self, builds):
         report = sweep_moment_count([2, 3], preset("fig3"), methods=())
@@ -421,6 +422,67 @@ class TestSweepSharing:
         assert len(found) == 1
         with pytest.warns(AbsoluteIrreversibilityWarning):
             run_config(cfg, methods=())
+
+
+class TestStackedSweeps:
+    """A sweep builds the tables, chi and moments of all its points as
+    stacks; each point still gets one run_config call, and its record equals
+    a fresh run_config call for it, field by field."""
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_fig3_phase_sweep_records_equal_fresh_run_config(self):
+        points = list(default_sweep_points("phi")[::7]) + [1.0, 2.5, 1.0]
+        report = sweep_phase(points, preset("fig3"), methods=("pinv", "fourier"))
+        for phi, record in zip(points, report.records):
+            alone = run_config(replace(preset("fig3"), phi=float(phi)), ("pinv", "fourier"))
+            assert_same_record(record, alone)
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_gamma_sweep_with_two_kraus_counts(self):
+        # gamma = 0 integrates to one Kraus operator, gamma > 0 to more: two
+        # groups, stacked without padding
+        points = [0.0, 0.4, 0.0, 1.1, 0.4]
+        cfgs = [replace(QUICK, gamma=g) for g in points]
+        counts = {len(channel.kraus) for channel in build_channels(cfgs)}
+        assert len(counts) == 2
+        report = sweep_gamma(points, QUICK, methods=("pinv", "fourier"))
+        for cfg, record in zip(cfgs, report.records):
+            assert_same_record(record, run_config(cfg, ("pinv", "fourier")))
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_n_sweep_with_a_repeated_point(self):
+        base = replace(preset("fig4"), tau=5.0, dt=0.05)
+        points = [3, 9, 3, 12]
+        report = sweep_moment_count(points, base, methods=("pinv", "fourier"))
+        for n, record in zip(points, report.records):
+            assert_same_record(record, run_config(replace(base, n_moments=n), ("pinv", "fourier")))
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    @pytest.mark.parametrize(
+        "sweep, points",
+        [
+            (sweep_phase, [0.3, 0.3, 1.2]),
+            (sweep_gamma, [0.0, 0.5]),
+            (sweep_moment_count, [2, 5, 5]),
+        ],
+    )
+    def test_one_run_config_call_per_point(self, builds, sweep, points):
+        report = sweep(points, QUICK, methods=("pinv",))
+        assert builds["runs"] == len(points) == len(report.records)
+
+    def test_stacked_work_precedes_the_first_run_config(self, builds, monkeypatch):
+        # the tables and chi of every point are built once, before any point
+        # runs; each protocol part is built inside the first call that needs it
+        stacks = []
+        original = experiments.stack_tables
+
+        def counted(protos):
+            stacks.append(builds["runs"])
+            return original(protos)
+
+        monkeypatch.setattr(experiments, "stack_tables", counted)
+        sweep_phase([0.4, 2.0, 0.4], preset("fig3"), methods=("pinv",))
+        assert stacks == [0] and builds["part_runs"] == [0, 1]
 
 
 class TestDefaults:
@@ -501,18 +563,18 @@ class TestMomentsOncePerLabel:
     def test_chi_evaluated_once_per_label_and_node(self, monkeypatch):
         # one stacked call per label carries all N nodes
         calls = []
-        original = experiments.moment_generating
+        original = experiments.moment_generating_stack
 
-        def counted(proto, label, phi):
-            calls.append((label, np.array(phi)))
-            return original(proto, label, phi)
+        def counted(protos, label, phi):
+            calls.append((len(protos), label, np.array(phi)))
+            return original(protos, label, phi)
 
-        monkeypatch.setattr(experiments, "moment_generating", counted)
+        monkeypatch.setattr(experiments, "moment_generating_stack", counted)
         cfg = replace(preset("fig3"), n_moments=7)
         record = run_config(cfg, methods=("pinv", "fourier"))
         nodes = chebyshev_nodes(7, experiments.PHI_MIN, experiments.PHI_MAX).nodes
-        assert [label for label, _ in calls] == ["A", "B", "A-B"]
-        assert all(np.array_equal(phi, nodes) for _, phi in calls)
+        assert [(n, label) for n, label, _ in calls] == [(1, "A"), (1, "B"), (1, "A-B")]
+        assert all(np.array_equal(phi, nodes) for _, _, phi in calls)
         pinv, fourier = (record.reconstructions[m].per_label for m in ("pinv", "fourier"))
         for label in ("A", "B", "A-B"):
             assert fourier[label].chi is pinv[label].chi
@@ -538,7 +600,9 @@ class TestMomentsOncePerLabel:
     def test_true_moments_once_per_point(self, monkeypatch):
         # every method scores against the same four true moment vectors
         cfg = replace(preset("fig3"), n_moments=7)
-        part = experiments.protocol_part(cfg, build_channel(cfg))
+        proto = build_protocol(cfg)
+        base = protocol_part(cfg, proto)
+        measured = experiments._measure_moments([proto], [(0, 7)])[0, 7]
         calls = []
         original = protocol.EntropyDistribution.moments
 
@@ -547,7 +611,7 @@ class TestMomentsOncePerLabel:
             return original(dist, k_max)
 
         monkeypatch.setattr(protocol.EntropyDistribution, "moments", counted)
-        record = run_config(cfg, methods=("pinv", "fourier"), part=lambda: part)
+        record = run_config(cfg, methods=("pinv", "fourier"), part=lambda: (base, measured))
         truth = {id(record.distributions[label]) for label in experiments.LABELS}
         assert sorted(call for call in calls if call[0] in truth) == sorted((i, 4) for i in truth)
 
@@ -556,14 +620,14 @@ class TestMomentsOncePerLabel:
         # the A-B chi probe applies the channel to rho_in in 80-bit; an N
         # sweep shares its protocol, so that happens once, not per point
         applied = []
-        original = channels.QuantumChannel.apply_matrix
+        original = protocol.apply_kraus
 
-        def counted(channel, m):
-            if m.ndim == 2 and m.dtype == np.clongdouble:
+        def counted(kraus, m):
+            if m.dtype == np.clongdouble:
                 applied.append(1)
-            return original(channel, m)
+            return original(kraus, m)
 
-        monkeypatch.setattr(channels.QuantumChannel, "apply_matrix", counted)
+        monkeypatch.setattr(protocol, "apply_kraus", counted)
         report = sweep_moment_count(range(2, 17), preset("fig3"), methods=("pinv",))
         assert len(report.records) == 15
         assert len(applied) == 1

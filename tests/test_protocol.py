@@ -41,7 +41,9 @@ from entroprec.protocol import (
     _masses_at,
     _measured_joint,
     _outcome_probs,
+    _shape_groups,
     merge_support,
+    stack_tables,
 )
 from conftest import random_density, random_mixed_unitary_channel, random_observable, random_unitary
 
@@ -127,11 +129,11 @@ class TestForwardJoint:
     def test_states_follow_their_definitions(self, rng):
         proto = generic_protocol(rng)
         rho_in, rho_fin, rho_tau = proto.states
-        evolved = proto.channel.apply_matrix(_dephase(proto.obs_in, proto.rho0.data))
-        assert np.array_equal(rho_in, _dephase(proto.obs_in, proto.rho0.data))
+        evolved = proto.channel.apply_matrix(_dephase(proto.obs_in.projectors, proto.rho0.data))
+        assert np.array_equal(rho_in, _dephase(proto.obs_in.projectors, proto.rho0.data))
         assert np.max(np.abs(rho_fin - evolved)) <= 1e-15
         assert np.array_equal(rho_fin, rho_fin.conj().T)
-        assert np.array_equal(rho_tau, _dephase(proto.obs_fin, rho_fin))
+        assert np.array_equal(rho_tau, _dephase(proto.obs_fin.projectors, rho_fin))
 
     def test_maximally_mixed_uniform_marginal(self, rng):
         proto = TwoTimeProtocol(
@@ -237,8 +239,8 @@ class TestMeanEntropy:
             by_formula = mean_entropy(proto)
             dist = entropy_samples(forward_joint(proto))
             by_samples = dist.moment(1)
-            rho_in = _dephase(proto.obs_in, proto.rho0.data)
-            rho_tau = _dephase(proto.obs_fin, proto.channel.apply_matrix(rho_in))
+            rho_in = _dephase(proto.obs_in.projectors, proto.rho0.data)
+            rho_tau = _dephase(proto.obs_fin.projectors, proto.channel.apply_matrix(rho_in))
             by_entropies = von_neumann_entropy(rho_tau) - von_neumann_entropy(rho_in)
             assert abs(by_formula - by_samples) <= 1e-10
             assert abs(by_formula - by_entropies) <= 1e-10
@@ -258,7 +260,7 @@ class TestEntropyBound:
 
     def test_final_eigenbasis_case(self):
         channel = ms_gate(math.pi / 7)
-        rho_in = _dephase(COMP4, RHO0.data)
+        rho_in = _dephase(COMP4.projectors, RHO0.data)
         rho_fin = channel.apply_matrix(rho_in)
         obs_fin = Observable.from_matrix(rho_fin)
         proto = TwoTimeProtocol(RHO0, COMP4, obs_fin, channel)
@@ -438,7 +440,7 @@ def kronecker_trace_tables(proto):
     the reference marginals are read off rho_fin."""
     oa_in, ob_in, oa_fin, ob_fin = proto.bipartite_obs
     rho0 = proto.rho0.data
-    rho_fin = proto.channel.apply_matrix(_dephase(proto.obs_in, rho0))
+    rho_fin = proto.channel.apply_matrix(_dephase(proto.obs_in.projectors, rho0))
     eye = np.eye(2)
     trace = lambda op, rho: np.trace(op @ rho).real
     read = {
@@ -602,6 +604,20 @@ class TestDistributionBasics:
         assert np.allclose(dist.support, [-1.0, 1.0])
         assert np.allclose(dist.probs, [0.75, 0.25])
 
+    def test_sorted_input_is_copied(self):
+        # an ascending support skips the sort, but the caller's arrays are
+        # still copied, not frozen, and equal values are still refused
+        support, probs = np.array([-1.0, 0.5, 1.0]), np.array([0.25, 0.25, 0.5])
+        dist = EntropyDistribution(support, probs)
+        assert dist.support is not support and dist.probs is not probs
+        assert support.flags.writeable and probs.flags.writeable
+        assert not (dist.support.flags.writeable or dist.probs.flags.writeable)
+        assert np.array_equal(dist.support, support) and np.array_equal(dist.probs, probs)
+        with pytest.raises(ValueError, match="distinct"):
+            EntropyDistribution(np.array([0.0, 0.0, 1.0]), probs)
+        with pytest.raises(ValueError, match="distinct"):
+            EntropyDistribution(np.array([0.0, 5e-11, 1.0]), probs)
+
     def test_merge_support(self):
         values = np.array([0.0, 1e-12, 1.0])
         masses = np.array([0.2, 0.3, 0.5])
@@ -759,12 +775,12 @@ class TestStackedMatchesLoops:
                 obs_in, obs_fin = observable(dim, rng), observable(dim, rng)
                 channel = random_mixed_unitary_channel(dim, rng)
                 # an axis-0 sum may turn +0 into -0, hence array_equal
-                assert np.array_equal(_dephase(obs_in, rho), loop_dephase(obs_in, rho))
+                assert np.array_equal(_dephase(obs_in.projectors, rho), loop_dephase(obs_in, rho))
                 for state in (rho, rho.astype(np.clongdouble)):
                     stacked = _outcome_probs(obs_fin.projectors, state)
                     loop = loop_outcome_probs(obs_fin.projectors, state)
                     assert stacked.dtype == loop.dtype and np.array_equal(stacked, loop)
-                stacked = _measured_joint(channel, rho, obs_in.projectors, obs_fin.projectors)
+                stacked = _measured_joint(channel.kraus, rho, obs_in.projectors, obs_fin.projectors)
                 loop = loop_measured_joint(channel, rho, obs_in.projectors, obs_fin.projectors)
                 assert np.array_equal(stacked, loop)
 
@@ -781,7 +797,7 @@ class TestStackedMatchesLoops:
                 assert np.array_equal(proto.forward.p_fwd, loop)
                 reversed_channel = time_reversed(proto.channel, theta)
                 stacked = _measured_joint(
-                    reversed_channel,
+                    reversed_channel.kraus,
                     theta.apply_to_state(proto.states.rho_tau),
                     theta.apply_to_state(proto.obs_fin.projectors),
                     theta.apply_to_state(proto.obs_in.projectors),
@@ -804,6 +820,41 @@ class TestStackedMatchesLoops:
                 states = np.stack([random_density(dim, rng).data for _ in range(3)]).astype(dtype)
                 for m in (states[0], states):
                     assert same_bits(channel.apply_matrix(m), loop_apply_matrix(channel, m))
+
+    def test_stacked_tables_match_one_protocol_builds(self, rng):
+        # dimensions 2 to 4 and one to four Kraus operators form several
+        # shape groups; each stacked value has the bits of its own build
+        protos = [generic_protocol(rng, dim) for dim in (2, 3, 4) for _ in range(6)]
+        protos += [section6_protocol(phi) for phi in (0.0, 0.3, 2.0)]
+        assert len(_shape_groups(protos)) > 3
+        twins = [
+            TwoTimeProtocol(p.rho0, p.obs_in, p.obs_fin, p.channel, p.bipartite_obs) for p in protos
+        ]
+        stack_tables(twins)
+        for proto, twin in zip(protos, twins):
+            built = vars(twin)  # what stack_tables cached
+            for stacked, alone in zip(built["states"], proto.states):
+                assert same_bits(stacked, alone)
+            assert same_bits(built["p_fin_extended"], proto.p_fin_extended)
+            tables = {"backward": (built["backward"], proto.backward)}
+            tables.update((label, (built["tables"][label], t)) for label, t in proto.tables.items())
+            assert list(built["tables"]) == list(proto.tables)
+            assert built["tables"]["A-B"] is built["forward"]
+            for stacked, alone in tables.values():
+                for field in ("p_fwd", "p_in", "p_ref"):
+                    assert same_bits(getattr(stacked, field), getattr(alone, field))
+
+    def test_protocol_on_another_channel(self, rng):
+        proto = section6_protocol(0.3)
+        proto.forward  # nothing built on the old channel is carried over
+        moved = proto._on_channel(ms_gate(1.1))
+        assert moved.rho0 is proto.rho0 and moved._rho_in is proto._rho_in
+        assert moved.channel is not proto.channel and "forward" not in vars(moved)
+        fresh = section6_protocol(1.1)
+        assert same_bits(moved.forward.p_fwd, fresh.forward.p_fwd)
+        assert same_bits(moved.backward.p_fwd, fresh.backward.p_fwd)
+        with pytest.raises(ValueError, match="dimensions"):
+            proto._on_channel(random_mixed_unitary_channel(2, rng))
 
     def test_time_reversed(self, rng):
         for dim in (2, 3, 4):
