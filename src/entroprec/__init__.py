@@ -29,13 +29,11 @@ from .protocol import (
     JointOutcomeTable,
     ThermoReport,
     TwoTimeProtocol,
-    backward_joint,
     bipartite_distributions,
     convolve_distributions,
     correlation_witness,
     crooks_check,
     entropy_samples,
-    forward_joint,
     ift_deviation,
     mean_entropy,
     second_law_report,

@@ -213,9 +213,13 @@ class LindbladModel:
         d = self.dim
         eye = np.eye(d)
         gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for l, gamma in self.dissipators:
-            m = l.conj().T @ l
-            gen = gen - gamma * (np.kron(eye, m.T) + np.kron(m, eye) - 2.0 * np.kron(l, l.conj()))
+        # a rate that overflows makes the generator non-finite, which every
+        # integration refuses before its first step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l, gamma in self.dissipators:
+                m = l.conj().T @ l
+                dissipator = np.kron(eye, m.T) + np.kron(m, eye) - 2.0 * np.kron(l, l.conj())
+                gen = gen - gamma * dissipator
         return gen
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
@@ -247,9 +251,17 @@ def _check_rk4_stability(gens: np.ndarray, tau: float, dt: float) -> None:
     """Reject generators (one, or a stack along the leading axis) for which
     the largest step taken, h = min(dt, tau), puts an eigenvalue lambda
     outside RK4's stability region |R(h lambda)| <= 1, where
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is the step's growth factor."""
-    z = min(dt, tau) * np.linalg.eigvals(gens).reshape(-1, gens.shape[-1])
-    growth = np.max(np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))), axis=1)
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is the step's growth factor. A
+    generator with a non-finite entry is refused first; a growth factor that
+    overflows counts as unstable."""
+    gens = gens.reshape(-1, *gens.shape[-2:])
+    finite = np.isfinite(gens).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise IntegratorAccuracyError("the generator is not finite; reduce the rates", index=i)
+    z = min(dt, tau) * np.linalg.eigvals(gens)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.max(np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))), axis=1)
     unstable = np.flatnonzero(~(growth <= 1 + RK4_GROWTH_TOL))
     if unstable.size:
         i = int(unstable[0])

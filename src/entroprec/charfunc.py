@@ -121,36 +121,35 @@ def _warn_dropped(dropped: int, n_values: int) -> None:
         )
 
 
-def _require_rank_one(*observables) -> None:
-    if not all(obs.is_rank_one for obs in observables):
-        raise ValueError("chi requires rank-one projective measurements")
-
-
 def _check_subsystem(proto: TwoTimeProtocol, subsystem: str) -> None:
     """``ValueError`` unless chi of ``subsystem`` is defined on ``proto``:
     a known label, a bipartite protocol for A and B, rank-one projectors."""
     if subsystem == "A-B":
-        _require_rank_one(proto.obs_in, proto.obs_fin)
+        observables = (proto.obs_in, proto.obs_fin)
     elif subsystem in ("A", "B"):
         local = _local_observables(proto)  # (A_in, B_in, A_fin, B_fin)
         own = "AB".index(subsystem)
-        _require_rank_one(local[own], local[1 - own], local[own + 2])
+        observables = (local[own], local[1 - own], local[own + 2])
     else:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
+    if not all(obs.is_rank_one for obs in observables):
+        raise ValueError("chi requires rank-one projective measurements")
 
 
 def _chi_group(protos, subsystem: str, probe_z: np.ndarray, initial_z: np.ndarray):
     """G_C at the exponents of every protocol of one shape group, shape
     ``(len(protos), len(probe_z))``, and the dropped count; one channel
     application for the whole group."""
+    kraus = _stack(protos, lambda p: p.channel.kraus)
     initial, dropped_in = _initial_state(protos, subsystem, initial_z)
-    evolved = apply_kraus(_stack(protos, lambda p: p.channel.kraus), initial)
+    evolved = apply_kraus(kraus, initial)
     if subsystem == "A-B":
-        probe, dropped_fin = _powered_state(
-            _stack(protos, lambda p: p.p_fin_extended),
-            _stack(protos, lambda p: p.obs_fin.projectors),
-            probe_z,
-        )
+        # the final outcome probabilities with the channel applied in
+        # extended precision
+        rho_in = _stack(protos, lambda p: p._rho_in).astype(core.extended_complex())
+        proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
+        p_fin = _outcome_probs(proj_fin, apply_kraus(kraus, rho_in))
+        probe, dropped_fin = _powered_state(p_fin, proj_fin, probe_z)
     else:
         own = "AB".index(subsystem)
         probe, dropped_fin = _powered_state(

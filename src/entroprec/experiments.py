@@ -10,6 +10,7 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -225,8 +226,15 @@ def _measure_moments(
     one shared elimination on all its rows (every label of every protocol).
     Chi at a node does not depend on the other nodes or protocols, nor a
     moment on the other rows, so every value has the bits of a lone point.
+    An N whose (N - 1)! exceeds float64's range is refused with
+    ``OverflowError`` before any grid is built: its moments cannot be
+    unscaled (see :func:`reconstruct._unscaled`).
     """
     counts = list(dict.fromkeys(n for _, n in points))
+    for n in counts:
+        # lgamma(n) = ln (n - 1)!, for an n that a float can hold
+        if math.lgamma(min(n, 2**53)) > math.log(sys.float_info.max):
+            raise OverflowError(f"the moments for N = {n} overflow float64")
     grids = [chebyshev_nodes(n, PHI_MIN, PHI_MAX) for n in counts]
     nodes = np.concatenate([grid.nodes for grid in grids])
     chis = np.stack([moment_generating_stack(protos, label, nodes) for label in labels], axis=1)

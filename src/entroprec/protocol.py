@@ -25,7 +25,6 @@ from .core import (
     Observable,
     _product_projectors,
     _reduced,
-    extended_complex,
     relative_entropy,
     spectral_decomposition,
     tensor_product,
@@ -132,21 +131,25 @@ class TwoTimeProtocol:
         """rho_in, rho_fin and rho_tau, read-only; see :func:`_states`."""
         return _states([self])[0]
 
-    @cached_property
-    def p_fin_extended(self) -> np.ndarray:
-        """Outcome probabilities of ``obs_fin`` on Phi(rho_in) with the channel
-        applied in extended precision, read-only; the A-B chi probe powers them."""
-        return _p_fin_extended([self])[0]
-
-    @cached_property
+    @property
     def forward(self) -> "JointOutcomeTable":
-        """Forward joint table, see :func:`forward_joint`."""
-        return forward_joint(self)
+        """Joint outcome table of the forward process, ``tables["A-B"]``:
+        ``p_fwd[k, m] = Tr[P_fin_k  Phi(P_in_m rho0 P_in_m)]``."""
+        return self.tables["A-B"]
 
     @cached_property
     def backward(self) -> "JointOutcomeTable":
-        """Joint table of the backward process, see :func:`backward_joint`."""
-        return backward_joint(self)
+        """Joint outcome table of the backward process, read-only.
+
+        The backward process prepares the reference outcomes and reads the
+        initial ones: its ``p_fwd[m, k] = Tr[~P_in_m  ~Phi(~P_ref_k ~rho_tau
+        ~P_ref_k)]`` with the explicitly time-reversed channel, so that it
+        stays independent of the forward table it is checked against. Its
+        initial marginal is the forward ``p_ref`` and its reference marginal
+        the forward ``p_in``, so :func:`entropy_samples` reads ``sigma_bwd =
+        ln p_ref[k] - ln p_in[m]`` from it.
+        """
+        return _backward_tables([self])[0]
 
     @cached_property
     def tables(self) -> "MappingProxyType[str, JointOutcomeTable]":
@@ -275,8 +278,8 @@ class JointOutcomeTable:
     final outcome ``k``. ``p_in`` and ``p_ref`` are the initial-outcome and
     reference-outcome marginals (the reference state being the final
     post-measurement state). The backward process has a table of the same
-    form, see :func:`backward_joint`. The arrays are read-only: a protocol
-    hands its cached tables to every caller.
+    form (:attr:`TwoTimeProtocol.backward`). The arrays are read-only: a
+    protocol hands its cached tables to every caller.
     """
 
     p_fwd: np.ndarray
@@ -356,19 +359,10 @@ def _states(protos) -> list[ProtocolStates]:
     return [ProtocolStates(p._rho_in, f, t) for p, f, t in zip(protos, rho_fin, rho_tau)]
 
 
-def _p_fin_extended(protos) -> list[np.ndarray]:
-    """:attr:`TwoTimeProtocol.p_fin_extended` of protocols of one shape
-    group, from one extended-precision channel application."""
-    rho_in = _stack(protos, lambda p: p._rho_in).astype(extended_complex())
-    evolved = apply_kraus(_stack(protos, lambda p: p.channel.kraus), rho_in)
-    p_fin = _outcome_probs(_stack(protos, lambda p: p.obs_fin.projectors), evolved)
-    p_fin.flags.writeable = False
-    return list(p_fin)
-
-
 def _forward_tables(protos) -> list["JointOutcomeTable"]:
     """Forward joint tables of protocols of one shape group, see
-    :func:`forward_joint`; one channel application for all of them."""
+    :attr:`TwoTimeProtocol.forward`; one channel application for all of
+    them."""
     rho0 = _stack(protos, lambda p: p.rho0.data)
     proj_in = _stack(protos, lambda p: p.obs_in.projectors)
     proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
@@ -379,8 +373,8 @@ def _forward_tables(protos) -> list["JointOutcomeTable"]:
 
 def _backward_tables(protos) -> list["JointOutcomeTable"]:
     """Backward joint tables of protocols of one shape group, see
-    :func:`backward_joint`; each channel is reversed on its own (and refused
-    if not unital), then all are applied at once."""
+    :attr:`TwoTimeProtocol.backward`; each channel is reversed on its own
+    (and refused if not unital), then all are applied at once."""
     theta = TimeReversal()
     kraus = _stack(protos, lambda p: time_reversed(p.channel, theta).kraus)
     rho_tau_rev = theta.apply_to_state(_stack(protos, lambda p: p.states.rho_tau))
@@ -394,10 +388,10 @@ def _backward_tables(protos) -> list["JointOutcomeTable"]:
 
 
 def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
-    """:attr:`TwoTimeProtocol.tables` of protocols of one shape group, from
-    stacked axis sums of their forward tables and final outcome
+    """:attr:`TwoTimeProtocol.tables` of protocols of one shape group: their
+    forward tables, and stacked axis sums of those and of the final outcome
     probabilities."""
-    fwd = [proto.forward for proto in protos]
+    fwd = _forward_tables(protos)
     if protos[0].bipartite_obs is None:
         return [MappingProxyType({"A-B": f}) for f in fwd]
     n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in protos[0].bipartite_obs)
@@ -414,22 +408,15 @@ def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
     ]
 
 
-# What stack_tables builds, in dependency order: the label tables read the
-# forward table and rho_fin, the backward tables rho_tau and the forward
-# marginals.
-_STACKED = (
-    ("states", _states),
-    ("forward", _forward_tables),
-    ("tables", _tables),
-    ("backward", _backward_tables),
-    ("p_fin_extended", _p_fin_extended),
-)
+# What stack_tables builds, in dependency order: the label tables read
+# rho_fin, the backward tables rho_tau and the forward marginals.
+_STACKED = (("states", _states), ("tables", _tables), ("backward", _backward_tables))
 
 
 def stack_tables(protos) -> None:
-    """Build the states, the joint tables of every label, the backward tables
-    and :attr:`~TwoTimeProtocol.p_fin_extended` of many protocols at once,
-    and cache each on its protocol as if it had been built on first use.
+    """Build the states, the joint tables of every label and the backward
+    tables of many protocols at once, and cache each on its protocol as if
+    it had been built on first use.
 
     Protocols are grouped by the shapes of their Kraus and projector stacks;
     each group takes one channel application per quantity. Every value has
@@ -442,28 +429,6 @@ def stack_tables(protos) -> None:
             members = [todo[i] for i in group]
             for proto, value in zip(members, build(members)):
                 vars(proto)[name] = value
-
-
-def forward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
-    """Joint outcome table of the forward process.
-
-    ``p_fwd[k, m] = Tr[P_fin_k  Phi(P_in_m rho0 P_in_m)]``.
-    """
-    return _forward_tables([proto])[0]
-
-
-def backward_joint(proto: TwoTimeProtocol) -> JointOutcomeTable:
-    """Joint outcome table of the backward process.
-
-    The backward process prepares the reference outcomes and reads the
-    initial ones: its ``p_fwd[m, k] = Tr[~P_in_m  ~Phi(~P_ref_k ~rho_tau
-    ~P_ref_k)]`` with the explicitly time-reversed channel, so that it stays
-    independent of the forward table it is checked against. Its initial
-    marginal is the forward ``p_ref`` and its reference marginal the forward
-    ``p_in``, so :func:`entropy_samples` reads ``sigma_bwd = ln p_ref[k] -
-    ln p_in[m]`` from it.
-    """
-    return _backward_tables([proto])[0]
 
 
 def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDistribution:
@@ -565,8 +530,9 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
 
     The backward distribution is built from the explicitly reversed map, so
     the deviation measures how well the fluctuation relation survives the
-    numerics of the channel representation; see :func:`backward_joint` for
-    its ``sigma_bwd``. The forward distribution is the protocol's A-B one.
+    numerics of the channel representation; see
+    :attr:`TwoTimeProtocol.backward` for its ``sigma_bwd``. The forward
+    distribution is the protocol's A-B one.
     """
     fwd = proto.distributions["A-B"]
     bwd = entropy_samples(proto.backward)

@@ -495,6 +495,20 @@ class TestBatchedEndpoint:
         kraus_from_lindblad_endpoints(models[:2], 0.505, 0.01)  # on blocks
         assert len(count_steps) == 51
 
+    def test_overflowing_generator_or_growth_is_named(self, count_steps):
+        # a rate of 1e308 overflows the generator, one of 1e300 the growth
+        # factor; neither warns (error::RuntimeWarning), each is refused
+        models = [two_ion_model(0.01, g, g) for g in (0.2, 1e308, 1e300)]
+        with pytest.raises(IntegratorAccuracyError, match="not finite") as err:
+            kraus_from_lindblad_endpoints(models, 50.0, 0.01)
+        assert err.value.index == 1
+        with pytest.raises(IntegratorAccuracyError, match="not finite"):
+            lindblad_propagate(models[1], RHO0, 50.0, 0.01)
+        with pytest.raises(IntegratorAccuracyError, match="growth factor nan") as err:
+            kraus_from_lindblad_endpoints(models[::2], 50.0, 0.01)
+        assert err.value.index == 1
+        assert count_steps == []
+
     def test_coarse_step_refused_before_positivity(self, count_steps):
         # h lambda = -20 on the fastest coherence: RK4 would amplify it
         # 5514-fold per step, so the map is refused before the Choi check

@@ -115,13 +115,23 @@ class TestNumericalFailureExit:
         assert "imaginary residue" in run_quietly(argv, capsys)
 
     @pytest.mark.parametrize("method", ["pinv", "fourier"])
-    @pytest.mark.parametrize("n", [171, 172])
+    @pytest.mark.parametrize("n", [171, 172, 10**6])
     def test_moments_beyond_float64_refused(self, n, method, tmp_path, capsys):
-        # fig3's moment 170 overflows float64 at N = 171; at N = 172 so does 171!
+        # fig3's moment 170 overflows float64 at N = 171; at N = 172 so does
+        # 171!, and from there N is refused before any grid is built
         out = tmp_path / "out"
         argv = ["simulate", "--preset", "fig3", "--N", str(n), "--method", method, "--out", str(out)]
         assert f"N = {n}" in run_quietly(argv, capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma", "1e300"), ("--gamma", "1e308"), ("--tau", "1e300")]
+    )
+    def test_out_of_range_rate_or_time_refused(self, flag, value, tmp_path, capsys):
+        # an overflowing generator or growth factor, named by its point
+        argv = ["simulate", "--preset", "fig4", flag, value, "--out", str(tmp_path / "out")]
+        assert run_quietly(argv, capsys).startswith("phi=")
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyCommand:

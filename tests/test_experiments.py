@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
-from entroprec import channels, cli, experiments, protocol
+from entroprec import channels, charfunc, cli, core, experiments, protocol
 from entroprec.experiments import build_channels, default_sweep_points, protocol_part
 from entroprec import reconstruct
 from entroprec.protocol import AbsoluteIrreversibilityWarning
@@ -123,30 +124,38 @@ class TestRunConfig:
             applied.append(tuple(running))
             return original(kraus, m)
 
-        for name in ("entropy_samples", "_dephase"):
+        def chi_apply_kraus(kraus, m, original=charfunc.apply_kraus):
+            chi_applied.append(m.shape)
+            return original(kraus, m)
+
+        chi_applied = []
+        for name in ("entropy_samples", "_dephase", "_forward_tables"):
             monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
         stacked = tuple((name, count(name, build)) for name, build in protocol._STACKED)
         monkeypatch.setattr(protocol, "_STACKED", stacked)
         monkeypatch.setattr(experiments, "protocol_part", count("protocol_part", protocol_part))
         monkeypatch.setattr(protocol, "apply_kraus", apply_kraus)
+        monkeypatch.setattr(charfunc, "apply_kraus", chi_apply_kraus)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
-        # stack_tables builds each quantity once. The protocol dephases rho0
-        # on construction and the states build dephases rho_fin; nothing else
-        # does. A, B and A-B are sampled once each; the Crooks check adds the
-        # backward one.
+        # stack_tables builds each quantity once; the label tables build the
+        # forward table. The protocol dephases rho0 on construction and the
+        # states build dephases rho_fin; nothing else does. A, B and A-B are
+        # sampled once each; the Crooks check adds the backward one.
         assert calls == {
             "states": 1,
-            "forward": 1,
             "tables": 1,
+            "_forward_tables": 1,
             "backward": 1,
-            "p_fin_extended": 1,
             "protocol_part": 1,
             "entropy_samples": 4,
             "_dephase": 2,
         }
         # one channel application per build that needs one, each to the stack
         # of all its states; the protocol part only reads what they built
-        assert sorted(applied) == [("backward",), ("forward",), ("p_fin_extended",), ("states",)]
+        assert sorted(applied) == [("backward",), ("states",), ("tables", "_forward_tables")]
+        # chi applies the channel once per label to its 10 powered states,
+        # and the A-B probe once more, to rho_in
+        assert chi_applied == [(1, 10, 4, 4)] * 3 + [(1, 4, 4)]
 
     def test_mean_sigma_is_the_bound_value(self):
         record = run_config(preset("fig4"), methods=("pinv",))
@@ -559,6 +568,33 @@ class TestChannelBuilds:
         assert proto.bipartite_obs == (experiments.QUBIT_OBS,) * 4
 
 
+class TestOutOfRangeSettings:
+    """Settings whose numbers leave float64 are refused with a typed error
+    before any work they would size."""
+
+    def test_moment_count_beyond_float64_refused_before_any_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(experiments, "chebyshev_nodes", refuse)
+        with pytest.raises(OverflowError, match="^the moments for N = 1000000 overflow float64$"):
+            run_config(replace(preset("fig3"), n_moments=10**6))
+        with pytest.raises(OverflowError, match=f"N = {10**400} "):  # beyond any float
+            run_config(replace(preset("fig3"), n_moments=10**400))
+        with pytest.raises(OverflowError, match="N = 172 "):  # 171! is beyond float64
+            run_config(replace(preset("fig3"), n_moments=172))
+        with pytest.raises(AssertionError, match="grid built"):  # 170! is not
+            run_config(replace(preset("fig3"), n_moments=171))
+
+    @pytest.mark.parametrize("setting", [{"gamma": 1e300}, {"gamma": 1e308}, {"tau": 1e300}])
+    def test_huge_rate_or_time_refused_without_warning(self, setting):
+        # an overflow warning would fail this test first (error::RuntimeWarning)
+        cfg = replace(preset("fig5"), **setting)
+        named = re.escape(f"phi={cfg.phi!r}, gamma={cfg.gamma!r}: ")
+        with pytest.raises(IntegratorAccuracyError, match=named):
+            build_channels([cfg])
+
+
 class TestMomentsOncePerLabel:
     def test_chi_evaluated_once_per_label_and_node(self, monkeypatch):
         # one stacked call per label carries all N nodes
@@ -618,22 +654,39 @@ class TestMomentsOncePerLabel:
     @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
     def test_extended_final_probabilities_once_per_protocol(self, monkeypatch):
         # the A-B chi probe applies the channel to rho_in in 80-bit; an N
-        # sweep shares its protocol, so that happens once, not per point
+        # sweep shares its protocol and evaluates chi of each label in one
+        # stacked call, so that happens once, not per point
         applied = []
-        original = protocol.apply_kraus
+        original = charfunc.apply_kraus
 
         def counted(kraus, m):
-            if m.dtype == np.clongdouble:
-                applied.append(1)
+            applied.append(m.shape)
             return original(kraus, m)
 
-        monkeypatch.setattr(protocol, "apply_kraus", counted)
+        monkeypatch.setattr(charfunc, "apply_kraus", counted)
         report = sweep_moment_count(range(2, 17), preset("fig3"), methods=("pinv",))
         assert len(report.records) == 15
-        assert len(applied) == 1
-        proto = build_protocol(preset("fig3"))
-        assert proto.p_fin_extended is proto.p_fin_extended
-        assert not proto.p_fin_extended.flags.writeable
+        # the union of the 15 grids has 135 nodes
+        assert applied == [(1, 135, 4, 4)] * 3 + [(1, 4, 4)]
+
+    def test_no_extended_channel_application_without_methods(self, monkeypatch):
+        # the 80-bit channel applications all serve chi, which a record
+        # without reconstructions never reads
+        applied = []
+
+        def spy(module):
+            original = module.apply_kraus
+
+            def counted(kraus, m):
+                applied.append(np.asarray(m).dtype)
+                return original(kraus, m)
+
+            monkeypatch.setattr(module, "apply_kraus", counted)
+
+        for module in (channels, protocol, charfunc):
+            spy(module)
+        run_config(preset("fig3"), methods=())
+        assert applied and core.extended_complex() not in applied
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method must be"):

@@ -15,13 +15,11 @@ from entroprec import (
     Observable,
     QuantumChannel,
     TwoTimeProtocol,
-    backward_joint,
     bipartite_distributions,
     convolve_distributions,
     correlation_witness,
     crooks_check,
     entropy_samples,
-    forward_joint,
     ift_deviation,
     mean_entropy,
     ms_gate,
@@ -68,7 +66,7 @@ def generic_protocol(rng, dim=4):
 class TestForwardJoint:
     def test_identity_channel_diagonal(self):
         proto = TwoTimeProtocol(RHO0, COMP4, COMP4, QuantumChannel.identity(4))
-        table = forward_joint(proto)
+        table = proto.forward
         assert np.allclose(table.p_fwd, np.diag([6 / 25, 9 / 25, 4 / 25, 6 / 25]))
         assert np.allclose(table.p_in, [6 / 25, 9 / 25, 4 / 25, 6 / 25])
 
@@ -76,7 +74,7 @@ class TestForwardJoint:
         # independent path: p_fwd[k, m] = |<k|U|m>|^2 p_in[m] for rank-1
         # computational projectors and a single-unitary channel
         proto = section6_protocol()
-        table = forward_joint(proto)
+        table = proto.forward
         u = proto.channel.kraus[0]
         p_in = np.diag(RHO0.data).real
         expected = np.abs(u) ** 2 * p_in[None, :]
@@ -142,7 +140,7 @@ class TestForwardJoint:
             random_observable(4, rng),
             random_mixed_unitary_channel(4, rng),
         )
-        table = forward_joint(proto)
+        table = proto.forward
         assert np.max(np.abs(table.p_in - 0.25)) <= 1e-12
         assert np.max(np.abs(table.p_ref - 0.25)) <= 1e-10
 
@@ -150,7 +148,7 @@ class TestForwardJoint:
 class TestBackwardJoint:
     def test_identity_channel_reversible(self):
         proto = TwoTimeProtocol(RHO0, COMP4, COMP4, QuantumChannel.identity(4))
-        table = backward_joint(proto)
+        table = proto.backward
         assert np.max(np.abs(table.p_fwd - proto.forward.p_fwd.T)) <= 1e-12
         assert np.array_equal(table.p_in, proto.forward.p_ref)
         assert np.array_equal(table.p_ref, proto.forward.p_in)
@@ -169,7 +167,7 @@ class TestBackwardJoint:
         proto = generic_protocol(rng)
         fwd = proto.forward
         shortcut = (fwd.p_fwd / fwd.p_in[None, :] * fwd.p_ref[:, None]).T
-        assert np.max(np.abs(backward_joint(proto).p_fwd - shortcut)) <= 1e-10
+        assert np.max(np.abs(proto.backward.p_fwd - shortcut)) <= 1e-10
 
     def test_backward_samples_read_the_swapped_marginals(self, rng):
         # sigma_bwd = ln p_ref[k] - ln p_in[m] on each backward pair (k -> m),
@@ -184,12 +182,12 @@ class TestBackwardJoint:
 class TestEntropySamples:
     def test_reversible_delta(self):
         proto = TwoTimeProtocol(RHO0, COMP4, COMP4, QuantumChannel.identity(4))
-        dist = entropy_samples(forward_joint(proto))
+        dist = entropy_samples(proto.forward)
         assert np.allclose(dist.support, [0.0])
         assert np.allclose(dist.probs, [1.0])
 
     def test_section6_support_bound(self):
-        dist = entropy_samples(forward_joint(section6_protocol()))
+        dist = entropy_samples(section6_protocol().forward)
         assert len(dist.support) <= 16
 
     def test_two_level_toy(self):
@@ -225,7 +223,7 @@ class TestEntropySamples:
 
     def test_dropped_outcomes_counted(self):
         proto = TwoTimeProtocol(RHO0, COMP4, COMP4, QuantumChannel.identity(4))
-        dist = entropy_samples(forward_joint(proto))
+        dist = entropy_samples(proto.forward)
         assert dist.dropped_outcomes == 12  # off-diagonal pairs carry no mass
 
 
@@ -237,7 +235,7 @@ class TestMeanEntropy:
     def test_three_way_agreement(self, rng):
         for proto in (section6_protocol(), generic_protocol(rng)):
             by_formula = mean_entropy(proto)
-            dist = entropy_samples(forward_joint(proto))
+            dist = entropy_samples(proto.forward)
             by_samples = dist.moment(1)
             rho_in = _dephase(proto.obs_in.projectors, proto.rho0.data)
             rho_tau = _dephase(proto.obs_fin.projectors, proto.channel.apply_matrix(rho_in))
@@ -332,7 +330,7 @@ class TestCrooks:
 class TestIntegralFluctuationTheorem:
     def test_unital_channels(self, rng):
         for _ in range(20):
-            dist = entropy_samples(forward_joint(generic_protocol(rng)))
+            dist = entropy_samples(generic_protocol(rng).forward)
             assert ift_deviation(dist) <= 1e-10
 
 
@@ -835,11 +833,9 @@ class TestStackedMatchesLoops:
             built = vars(twin)  # what stack_tables cached
             for stacked, alone in zip(built["states"], proto.states):
                 assert same_bits(stacked, alone)
-            assert same_bits(built["p_fin_extended"], proto.p_fin_extended)
             tables = {"backward": (built["backward"], proto.backward)}
             tables.update((label, (built["tables"][label], t)) for label, t in proto.tables.items())
             assert list(built["tables"]) == list(proto.tables)
-            assert built["tables"]["A-B"] is built["forward"]
             for stacked, alone in tables.values():
                 for field in ("p_fwd", "p_in", "p_ref"):
                     assert same_bits(getattr(stacked, field), getattr(alone, field))
@@ -849,7 +845,7 @@ class TestStackedMatchesLoops:
         proto.forward  # nothing built on the old channel is carried over
         moved = proto._on_channel(ms_gate(1.1))
         assert moved.rho0 is proto.rho0 and moved._rho_in is proto._rho_in
-        assert moved.channel is not proto.channel and "forward" not in vars(moved)
+        assert moved.channel is not proto.channel and "tables" not in vars(moved)
         fresh = section6_protocol(1.1)
         assert same_bits(moved.forward.p_fwd, fresh.forward.p_fwd)
         assert same_bits(moved.backward.p_fwd, fresh.backward.p_fwd)
