@@ -240,11 +240,13 @@ class PropagationInfo(NamedTuple):
 
 
 def _validate_step(tau: float, dt: float) -> None:
-    """The step checks shared by every entry point that integrates."""
+    """The step checks shared by every entry point that integrates, before any work."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
+    if tau / dt > 2**53:
+        raise ValueError(f"tau={tau!r} and dt={dt!r} make {tau / dt:.6g} steps, more than 2**53")
 
 
 def _check_rk4_stability(gens: np.ndarray, tau: float, dt: float) -> None:
@@ -253,7 +255,7 @@ def _check_rk4_stability(gens: np.ndarray, tau: float, dt: float) -> None:
     outside RK4's stability region |R(h lambda)| <= 1, where
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is the step's growth factor. A
     generator with a non-finite entry is refused first; a growth factor that
-    overflows counts as unstable."""
+    overflows counts as unstable, and the message says so."""
     gens = gens.reshape(-1, *gens.shape[-2:])
     finite = np.isfinite(gens).all(axis=(1, 2))
     if not finite.all():
@@ -265,9 +267,10 @@ def _check_rk4_stability(gens: np.ndarray, tau: float, dt: float) -> None:
     unstable = np.flatnonzero(~(growth <= 1 + RK4_GROWTH_TOL))
     if unstable.size:
         i = int(unstable[0])
+        factor = f"{growth[i]:.6g} per step" if np.isfinite(growth[i]) else "overflows float64"
         raise IntegratorAccuracyError(
             f"RK4 step {min(dt, tau)!r} is outside the stability region "
-            f"(growth factor {float(growth[i]):.6g} per step); reduce dt",
+            f"(growth factor {factor}); reduce the rates or the time step",
             index=i,
         )
 
@@ -288,13 +291,11 @@ def _rk4_integrate(apply, y: np.ndarray, tau: float, dt: float) -> int:
     both shaped like ``y``. Every buffer is allocated here, once."""
     n_full = int(tau / dt + 1e-9)
     remainder = tau - n_full * dt
-    sizes = [dt] * n_full
-    if remainder > 1e-9 * max(dt, 1.0):
-        sizes.append(remainder)
+    steps = n_full + (remainder > 1e-9 * max(dt, 1.0))
     buffers = (y, *(np.empty(y.shape, y.dtype) for _ in range(5)))
-    for h in sizes:
-        _rk4_step(apply, buffers, h)
-    return len(sizes)
+    for k in range(steps):
+        _rk4_step(apply, buffers, dt if k < n_full else remainder)
+    return steps
 
 
 def _rk4_step(apply, buffers, h: float) -> None:
@@ -433,14 +434,12 @@ def _block_endpoints(gens: np.ndarray, tau: float, dt: float) -> np.ndarray:
         q = np.arange(idx.size)
         stacked[:, b * s + q[:, None], q] = gens[:, idx[:, None], idx]
         y[:, q, b, q] = 1.0
-    product = np.empty((m, nb * s, nb * s), dtype=complex)
-    step = product.strides
-    diagonal = np.lib.stride_tricks.as_strided(
-        product, y.shape, (step[0], step[1], s * (step[1] + step[2]), step[2]), writeable=False
-    )
+    product = np.empty((m, nb, s, nb, s), dtype=complex)
+    flat = product.reshape(m, nb * s, nb * s)
+    diagonal = np.einsum("mbibj->mibj", product)  # a view: diagonal[:, i, b, j] = (L_b Y_b)[i, j]
 
     def apply(src, out):
-        np.matmul(stacked, src.reshape(m, s, nb * s), out=product)
+        np.matmul(stacked, src.reshape(m, s, nb * s), out=flat)
         np.copyto(out, diagonal)
 
     _rk4_integrate(apply, y, tau, dt)

@@ -28,14 +28,12 @@ from pathlib import Path
 from .experiments import (
     PRESETS,
     SWEEP_COLUMNS,
+    SWEEPS,
     SweepReport,
     TwoIonConfig,
     default_sweep_points,
     preset,
     run_config,
-    sweep_gamma,
-    sweep_moment_count,
-    sweep_phase,
 )
 
 
@@ -173,7 +171,7 @@ def _simulate_report(cfg: RunConfig) -> dict:
     table = record.moments_table()
     return {
         "config": cfg.echo(),
-        "mean_sigma": record.mean_sigma,
+        "mean_sigma": record.entropy_bound.mean_sigma,
         "moments": {label: [float(v) for v in table[label]] for label in table},
         "distributions": {
             label: _dist_payload(dist) for label, dist in record.distributions.items()
@@ -336,14 +334,7 @@ def _run(cfg: RunConfig) -> int:
         print(json.dumps({"failed_checks": failed}), file=sys.stderr)
         return 1
 
-    # sweep
-    points = default_sweep_points(cfg.axis)
-    if cfg.axis == "phi":
-        sweep = sweep_phase(points, cfg.ion, methods=(cfg.method,))
-    elif cfg.axis == "gamma":
-        sweep = sweep_gamma(points, cfg.ion, methods=(cfg.method,))
-    else:
-        sweep = sweep_moment_count(points, cfg.ion, methods=(cfg.method,))
+    sweep = SWEEPS[cfg.axis](default_sweep_points(cfg.axis), cfg.ion, methods=(cfg.method,))
     report = {"config": cfg.echo(), "axis": cfg.axis, "rows": sweep.rows()}
     emit_report(report, cfg, sweep=sweep)
     return 0

@@ -10,7 +10,6 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -226,15 +225,9 @@ def _measure_moments(
     one shared elimination on all its rows (every label of every protocol).
     Chi at a node does not depend on the other nodes or protocols, nor a
     moment on the other rows, so every value has the bits of a lone point.
-    An N whose (N - 1)! exceeds float64's range is refused with
-    ``OverflowError`` before any grid is built: its moments cannot be
-    unscaled (see :func:`reconstruct._unscaled`).
+    :func:`chebyshev_nodes` refuses an N whose moments overflow float64.
     """
     counts = list(dict.fromkeys(n for _, n in points))
-    for n in counts:
-        # lgamma(n) = ln (n - 1)!, for an n that a float can hold
-        if math.lgamma(min(n, 2**53)) > math.log(sys.float_info.max):
-            raise OverflowError(f"the moments for N = {n} overflow float64")
     grids = [chebyshev_nodes(n, PHI_MIN, PHI_MAX) for n in counts]
     nodes = np.concatenate([grid.nodes for grid in grids])
     chis = np.stack([moment_generating_stack(protos, label, nodes) for label in labels], axis=1)
@@ -300,7 +293,6 @@ class ConfigRecord:
 
     config: TwoIonConfig
     distributions: dict[str, EntropyDistribution]
-    mean_sigma: float
     conditional_equality_deviation: float
     entropy_bound: EntropyBoundResult
     crooks_deviation: float
@@ -318,13 +310,11 @@ def protocol_part(cfg: TwoIonConfig, proto: TwoTimeProtocol) -> ConfigRecord:
     reconstructions: the four distributions and every theorem check, none of
     which depends on ``n_moments``."""
     dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
-    bound = entropy_bound_check(proto)
     return ConfigRecord(
         config=cfg,
         distributions={"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv},
-        mean_sigma=bound.mean_sigma,
         conditional_equality_deviation=conditional_equality_deviation(proto),
-        entropy_bound=bound,
+        entropy_bound=entropy_bound_check(proto),
         crooks_deviation=crooks_check(proto),
         ift_deviation=ift_deviation(dist_ab),
         subadditivity_gap=dist_a.moment(1) + dist_b.moment(1) - dist_ab.moment(1),
@@ -473,6 +463,9 @@ def sweep_moment_count(points, cfg: TwoIonConfig, methods=("pinv",)) -> SweepRep
         _validate_count("N", n)
     records = _run_sweep([replace(cfg, n_moments=int(n)) for n in points], methods)
     return SweepReport("N", np.asarray(points, dtype=float), records)
+
+
+SWEEPS = {"phi": sweep_phase, "gamma": sweep_gamma, "N": sweep_moment_count}
 
 
 def default_sweep_points(axis: str) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .protocol import EntropyDistribution
+from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution
 
 ILL_CONDITION_LIMIT = 1e14
 TIKHONOV_LAMBDA = 1e-12
@@ -52,6 +53,7 @@ class ParameterGrid:
             raise ValueError("nodes must be a nonempty 1-D array of finite values")
         if not (math.isfinite(self.phi_min) and math.isfinite(self.phi_max)):
             raise ValueError("phi_min and phi_max must be finite")
+        _require_float64_moments(nodes.size)
         if np.min(np.abs(np.subtract.outer(nodes, nodes) + np.eye(nodes.size))) == 0.0:
             raise ValueError("nodes must be distinct")
         if nodes.min() < self.phi_min - 1e-12 or nodes.max() > self.phi_max + 1e-12:
@@ -78,15 +80,23 @@ def _validate_count(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+def _require_float64_moments(n: int) -> None:
+    """Refuse with ``OverflowError`` an N whose moments, scaled by up to
+    (N - 1)! = exp(lgamma(N)), overflow float64; lgamma reads N capped at 2**53."""
+    if math.lgamma(min(n, 2**53)) > math.log(sys.float_info.max):
+        raise OverflowError(f"the moments for N = {n} overflow float64")
+
+
 def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     """Real zeros of the degree-n Chebyshev polynomial mapped to the interval.
 
     phi_k = (phi_min+phi_max)/2 + (phi_max-phi_min)/2 * cos((2k-1) pi / 2n),
     k = 1..n; the nodes descend with k. Equal arguments return one shared,
     read-only grid, so its Vandermonde elimination is done once. ``n`` must
-    be an integer: the cache would take ``True`` for ``1``.
+    be an integer (the cache would take ``True`` for ``1``) below 172.
     """
     _validate_count("n", n)
+    _require_float64_moments(n)
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)):
         raise ValueError("phi_min and phi_max must be finite")
     if not phi_min < phi_max:
@@ -324,10 +334,8 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
     s = np.asarray(support, dtype=float)
     if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
         raise ValueError("support must be a nonempty 1-D array of finite values")
-    if s.size > 1:
-        gaps = np.abs(np.subtract.outer(s, s))[~np.eye(s.size, dtype=bool)]
-        if gaps.min() <= 1e-10:
-            raise ValueError("support contains coincident values; merge them first")
+    if s.size > 1 and np.diff(np.sort(s)).min() <= SUPPORT_MERGE_TOL:
+        raise ValueError("support contains coincident values; merge them first")
     # A support value at exactly zero has an all-zero column: the moment rows
     # carry no information on its mass, which is fixed by normalisation alone.
     zero = np.abs(s) <= 1e-12
@@ -369,9 +377,8 @@ def rmse_moments(true_moments, recon_moments, n_max: int) -> float:
 
 def rmse_probs(true_dist: EntropyDistribution, recon_dist: EntropyDistribution) -> float:
     """Root mean square reconstruction deviation over the aligned support."""
-    if true_dist.support.size != recon_dist.support.size or np.max(
-        np.abs(true_dist.support - recon_dist.support)
-    ) > 1e-10:
+    true, recon = true_dist.support, recon_dist.support
+    if true.size != recon.size or np.max(np.abs(true - recon)) > SUPPORT_MERGE_TOL:
         raise ValueError("distribution supports do not align")
     residuals = np.abs(true_dist.probs - recon_dist.probs)
     return float(np.sqrt(np.sum(residuals**2) / residuals.size))

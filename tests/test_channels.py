@@ -20,7 +20,7 @@ from entroprec import (
     time_reversed,
 )
 from entroprec import channels
-from entroprec.experiments import two_ion_model
+from entroprec.experiments import TwoIonConfig, two_ion_model
 from conftest import random_density, random_mixed_unitary_channel, random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -275,7 +275,7 @@ class TestLindbladPropagate:
         model = two_ion_model(0.01, gamma, gamma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegratorAccuracyError, match="reduce dt"):
+            with pytest.raises(IntegratorAccuracyError, match="reduce the rates or the time step"):
                 kraus_from_lindblad_endpoints((model,), 50.0, dt)
 
     @UNSTABLE
@@ -504,10 +504,31 @@ class TestBatchedEndpoint:
         assert err.value.index == 1
         with pytest.raises(IntegratorAccuracyError, match="not finite"):
             lindblad_propagate(models[1], RHO0, 50.0, 0.01)
-        with pytest.raises(IntegratorAccuracyError, match="growth factor nan") as err:
+        overflowed = re.escape("(growth factor overflows float64)")
+        with pytest.raises(IntegratorAccuracyError, match=overflowed) as err:
             kraus_from_lindblad_endpoints(models[::2], 50.0, 0.01)
         assert err.value.index == 1
         assert count_steps == []
+
+    def test_step_count_beyond_float64_refused_first(self, count_steps, monkeypatch):
+        # a count float64 cannot hold is refused before the generator is
+        # checked or any step is taken, by every entry point that integrates
+        def refuse(*args):
+            raise AssertionError("generator checked")
+
+        monkeypatch.setattr(channels, "_check_rk4_stability", refuse)
+        model = two_ion_model(1e-300, 0.0, 0.0)
+        refused = re.escape("tau=1e+300 and dt=1.0 make 1e+300 steps, more than 2**53")
+        with pytest.raises(ValueError, match=refused):
+            kraus_from_lindblad_endpoints([model], 1e300, 1.0)
+        with pytest.raises(ValueError, match=refused):
+            lindblad_propagate(model, RHO0, 1e300, 1.0)
+        with pytest.raises(ValueError, match=refused):
+            TwoIonConfig(phi=0.1, tau=1e300, dt=1.0, dynamics="lindblad")
+        assert count_steps == []
+        channels._validate_step(2.0**53, 1.0)  # the largest count accepted
+        with pytest.raises(ValueError, match="more than 2"):
+            channels._validate_step(2.0**53, 1.0 - 2**-53)
 
     def test_coarse_step_refused_before_positivity(self, count_steps):
         # h lambda = -20 on the fastest coherence: RK4 would amplify it

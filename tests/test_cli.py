@@ -104,7 +104,8 @@ class TestWrongTypeInput:
 class TestNumericalFailureExit:
     def test_unstable_lindblad_step(self, tmp_path, capsys):
         argv = ["simulate", "--dynamics", "lindblad", "--gamma", "1e6", "--out", str(tmp_path)]
-        assert "reduce dt" in run_quietly(argv, capsys)
+        # the CLI sets no dt (its step is tau / 5000), so the advice names none
+        assert "reduce the rates or the time step" in run_quietly(argv, capsys)
 
     def test_arithmetic_error(self, monkeypatch, tmp_path, capsys):
         def imaginary_residue(protos, subsystem, phi):
@@ -208,6 +209,24 @@ class TestSweepCommand:
         assert len(report["rows"]) == 15
         for row in report["rows"]:
             assert math.isfinite(row["rmse_moments"]) and math.isfinite(row["rmse_probs"])
+
+    @pytest.mark.parametrize(
+        "axis, preset, rows", [("phi", "fig3", 64), ("gamma", "fig5", 25), ("N", "fig3", 15)]
+    )
+    def test_each_axis_runs_its_sweep(self, axis, preset, rows, monkeypatch, tmp_path):
+        sweep = entroprec.experiments.SWEEPS[axis]
+        calls = []
+
+        def counted(points, cfg, methods):
+            calls.append(len(points))
+            return sweep(points, cfg, methods=methods)
+
+        monkeypatch.setitem(entroprec.experiments.SWEEPS, axis, counted)
+        argv = ["sweep", "--axis", axis, "--preset", preset, "--method", "fourier"]
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path)]) == 0
+        assert calls == [rows]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == rows + 1 and lines[0].startswith(f"{axis},")
 
     def test_nan_is_not_written_as_json(self, tmp_path):
         cfg = parse_config(["simulate", "--out", str(tmp_path)])

@@ -157,10 +157,6 @@ class TestRunConfig:
         # and the A-B probe once more, to rho_in
         assert chi_applied == [(1, 10, 4, 4)] * 3 + [(1, 4, 4)]
 
-    def test_mean_sigma_is_the_bound_value(self):
-        record = run_config(preset("fig4"), methods=("pinv",))
-        assert record.mean_sigma == record.entropy_bound.mean_sigma
-
     def test_determinism(self):
         a = run_config(preset("fig3"), methods=("pinv",))
         b = run_config(preset("fig3"), methods=("pinv",))
@@ -576,7 +572,7 @@ class TestOutOfRangeSettings:
         def refuse(*args):
             raise AssertionError("grid built")
 
-        monkeypatch.setattr(experiments, "chebyshev_nodes", refuse)
+        monkeypatch.setattr(reconstruct, "_chebyshev_grid", refuse)
         with pytest.raises(OverflowError, match="^the moments for N = 1000000 overflow float64$"):
             run_config(replace(preset("fig3"), n_moments=10**6))
         with pytest.raises(OverflowError, match=f"N = {10**400} "):  # beyond any float

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,29 @@ class TestChebyshevNodes:
         with pytest.raises(ValueError, match="n must be an integer"):
             chebyshev_nodes(n, -0.5, 1.0)
         assert chebyshev_nodes(np.int64(5), -0.5, 1.0) is chebyshev_nodes(5, -0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [172, 10**6, 10**400], ids=["172", "1e6", "1e400"])
+    def test_count_beyond_float64_refused_before_any_node(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nodes computed")
+
+        monkeypatch.setattr(reconstruct, "_chebyshev_grid", refuse)
+        with pytest.raises(OverflowError, match=f"^the moments for N = {n} overflow float64$"):
+            chebyshev_nodes(n, PHI_MIN, PHI_MAX)
+        with pytest.raises(AssertionError, match="nodes computed"):
+            chebyshev_nodes(171, PHI_MIN, PHI_MAX)
+
+    def test_grid_beyond_float64_refused_before_its_distinctness_check(self):
+        # the check forms an N x N array: 32 MB here, 8 TB at N = 10^6
+        nodes = np.linspace(PHI_MIN, PHI_MAX, 2000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match="^the moments for N = 2000 overflow float64$"):
+                ParameterGrid(PHI_MIN, PHI_MAX, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * nodes.nbytes
 
     def test_grid_rejects_duplicate_nodes(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -256,10 +280,17 @@ class TestNewtonMoments:
 
     @pytest.mark.parametrize("extract", [moments_via_vandermonde, moments_via_newton])
     def test_overflow_names_n(self, extract):
-        # 171! is beyond float64, whatever the data
-        grid = chebyshev_nodes(172, PHI_MIN, PHI_MAX)
-        with pytest.raises(OverflowError, match="N = 172"):
-            extract(grid, np.ones(172))
+        # 171! is beyond float64, whatever the data: no 172-node grid exists,
+        # and 172 scaled moments are refused
+        refused = "^the moments for N = 172 overflow float64$"
+        with pytest.raises(OverflowError, match=refused):
+            ParameterGrid(PHI_MIN, PHI_MAX, np.linspace(PHI_MIN, PHI_MAX, 172))
+        with pytest.raises(OverflowError, match=refused):
+            reconstruct._unscaled(np.ones((3, 172)))
+        # at N = 171 the data decide: <sigma^170> = 100^170 is beyond float64
+        grid = chebyshev_nodes(171, PHI_MIN, PHI_MAX)
+        with pytest.raises(OverflowError, match="N = 171 "):
+            extract(grid, np.exp(-100.0 * grid.nodes))
 
 
 class TestVandermondeDeterminant:
