@@ -22,6 +22,8 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -315,14 +317,14 @@ def main(argv=None) -> int:
 
 def _run(cfg: RunConfig) -> int:
     if cfg.command in ("simulate", "reconstruct"):
-        report = _simulate_report(cfg)
+        report, raised = _recording_warnings(lambda: _simulate_report(cfg))
         if cfg.command == "reconstruct":
             report = {
                 "config": report["config"],
                 "reconstruction": report["reconstruction"],
                 "moments": report["moments"],
             }
-        emit_report(report, cfg)
+        emit_report({**report, "warnings": raised}, cfg)
         return 0
 
     if cfg.command == "verify":
@@ -334,10 +336,40 @@ def _run(cfg: RunConfig) -> int:
         print(json.dumps({"failed_checks": failed}), file=sys.stderr)
         return 1
 
-    sweep = SWEEPS[cfg.axis](default_sweep_points(cfg.axis), cfg.ion, methods=(cfg.method,))
-    report = {"config": cfg.echo(), "axis": cfg.axis, "rows": sweep.rows()}
+    points = default_sweep_points(cfg.axis)
+    sweep, raised = _recording_warnings(
+        lambda: SWEEPS[cfg.axis](points, cfg.ion, methods=(cfg.method,))
+    )
+    report = {"config": cfg.echo(), "axis": cfg.axis, "rows": sweep.rows(), "warnings": raised}
     emit_report(report, cfg, sweep=sweep)
     return 0
+
+
+def _recording_warnings(run):
+    """``run()`` and the report entries of the warnings it raised: each
+    distinct category and message once, in first-seen order, with the number
+    of times it was raised. Every raise of a ``UserWarning`` (the base of
+    the package's own warnings) is counted; other categories keep the
+    active filters. Afterwards each distinct warning is passed once to the
+    active filters, which show it as the run would have, also when the run
+    fails."""
+    raised = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                result = run()
+            finally:
+                raised = list(caught)
+    finally:
+        distinct = {(w.category, str(w.message), w.filename, w.lineno): w for w in raised}
+        for w in distinct.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    counts = Counter((w.category.__name__, str(w.message)) for w in raised)
+    return result, [
+        {"category": category, "message": message, "count": count}
+        for (category, message), count in counts.items()
+    ]
 
 
 if __name__ == "__main__":

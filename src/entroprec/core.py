@@ -291,11 +291,26 @@ def _reduced(m: np.ndarray, partition: tuple[int, int], keep_a: bool) -> np.ndar
     return np.einsum("ijkj->ik" if keep_a else "ijil->jl", m.reshape(da, db, da, db))
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -Tr[rho ln rho] in nats, with 0 * ln 0 = 0."""
+def _log_support(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ln vals`` where ``vals`` exceeds ``EIGENVALUE_CUTOFF`` and 0 elsewhere,
+    with the mask of the values kept."""
+    kept = vals > EIGENVALUE_CUTOFF
+    return np.log(np.where(kept, vals, 1.0)), kept
+
+
+def _one_or_stack(values: np.ndarray):
+    """A float for a single matrix's value, the array for a stack's."""
+    return float(values) if values.ndim == 0 else values
+
+
+def von_neumann_entropy(rho):
+    """Entropy -Tr[rho ln rho] in nats, with 0 * ln 0 = 0.
+
+    ``rho`` is one matrix (the result is a float) or a stack ``(..., d, d)``
+    (one value per matrix, the same as each alone)."""
     vals = np.linalg.eigvalsh(_as_matrix(rho))
-    vals = vals[vals > EIGENVALUE_CUTOFF]
-    return float(-np.sum(vals * np.log(vals)))
+    logs, kept = _log_support(vals)
+    return _one_or_stack(-np.sum(np.where(kept, vals * logs, 0.0), axis=-1))
 
 
 def relative_entropy(nu, mu) -> float:
@@ -312,20 +327,25 @@ def relative_entropy(nu, mu) -> float:
     return term1 - term2
 
 
-def trace_rho_log_sigma(rho, sigma) -> float:
-    """Tr[rho ln sigma] over the support of sigma; -inf when rho leaks outside."""
+def trace_rho_log_sigma(rho, sigma):
+    """Tr[rho ln sigma] over the support of sigma; -inf when rho leaks outside.
+
+    ``rho`` and ``sigma`` are matrices (the result is a float) or stacks
+    ``(..., d, d)`` (one value per pair, the same as each alone). A pair
+    whose ``rho`` puts weight above 1e-12 on a zero mode of ``sigma`` gives
+    -inf and one :class:`DegenerateSupportWarning`, naming its largest such
+    weight."""
     rho_m = _as_matrix(rho)
-    dec = spectral_decomposition(sigma)
-    weights = np.einsum("ij,ji->i", dec.eigenvectors.conj().T @ rho_m, dec.eigenvectors).real
-    total = 0.0
-    for q, w in zip(dec.eigenvalues, weights):
-        if q > EIGENVALUE_CUTOFF:
-            total += w * math.log(q)
-        elif w > 1e-12:
-            warnings.warn(
-                f"support violation: weight {w:.3e} on a zero mode",
-                DegenerateSupportWarning,
-                stacklevel=3,
-            )
-            return -math.inf
-    return total
+    vals, vecs = np.linalg.eigh(_as_matrix(sigma))
+    # <v_i| rho |v_i> for each eigenvector v_i of sigma
+    weights = np.einsum("...ij,...ji->...i", vecs.conj().swapaxes(-1, -2) @ rho_m, vecs).real
+    logs, kept = _log_support(vals)
+    total = np.sum(np.where(kept, weights * logs, 0.0), axis=-1)
+    leaked = np.max(np.where(kept, 0.0, weights), axis=-1, initial=0.0)
+    for weight in np.ravel(leaked)[np.ravel(leaked) > 1e-12].tolist():
+        warnings.warn(
+            f"support violation: weight {weight:.3e} on a zero mode",
+            DegenerateSupportWarning,
+            stacklevel=3,
+        )
+    return _one_or_stack(np.where(leaked > 1e-12, -math.inf, total))

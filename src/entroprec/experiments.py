@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
-
 import numpy as np
 
 from .channels import (
@@ -32,12 +30,13 @@ from .protocol import (
     TwoTimeProtocol,
     WitnessResult,
     bipartite_distributions,
+    conditional_equality_deviations,
     convolve_distributions,
-    correlation_witness,
-    crooks_check,
-    ift_deviation,
-    conditional_equality_deviation,
-    entropy_bound_check,
+    correlation_witnesses,
+    crooks_checks,
+    entropy_bound_checks,
+    ift_deviations,
+    stack_moments,
     stack_tables,
 )
 from .reconstruct import (
@@ -47,9 +46,9 @@ from .reconstruct import (
     chebyshev_nodes,
     fourier_reconstruct,
     moments_via_vandermonde,
-    pseudoinverse_reconstruct,
-    rmse_moments,
-    rmse_probs,
+    pseudoinverse_stack,
+    rmse_moments_stack,
+    rmse_probs_stack,
 )
 from .reconstruct import _validate_count
 
@@ -209,8 +208,14 @@ def reconstruct_subsystem(
     points; rows beyond that only add factorially amplified extraction noise.
     """
     measured = _measure_moments([proto], [(0, n_moments)], (label,))[0, n_moments]
-    truth = true_dist.moments(min(4, max(1, n_moments - 1)))
-    return _recover(*measured[label], true_dist, truth, label, method)
+    truth = true_dist.moments(_scored_moments(n_moments))
+    return _recover([(*measured[label], true_dist, truth, label)], method)[0]
+
+
+def _scored_moments(n_moments: int) -> int:
+    """How many leading moments a recovery from ``n_moments`` chi values is
+    scored on: up to four, and at least one."""
+    return min(4, max(1, n_moments - 1))
 
 
 def _measure_moments(
@@ -243,37 +248,33 @@ def _measure_moments(
     return measured
 
 
-def _recover(
-    grid: ParameterGrid,
-    chi: np.ndarray,
-    moments: MomentVector,
-    true_dist: EntropyDistribution,
-    true_moments: np.ndarray,
-    label: str,
-    method: str,
-) -> ReconstructionResult:
-    """One recovery method applied to measured moments, scored against the
-    true distribution and its leading ``true_moments``; see
-    :func:`reconstruct_subsystem`."""
+def _recover(items, method: str) -> list[ReconstructionResult]:
+    """One recovery method applied to measured moments, for each item
+    ``(grid, chi, moments, true_dist, true_moments, label)``, scored against
+    the true distribution and its leading ``true_moments``; see
+    :func:`reconstruct_subsystem`. The pinv recoveries of all items are one
+    :func:`pseudoinverse_stack` call."""
     if method == "pinv":
-        n_rows = min(moments.nontrivial.size, true_dist.support.size)
-        dist = pseudoinverse_reconstruct(
-            moments.nontrivial[:n_rows], true_dist.support, label
+        dists = pseudoinverse_stack(
+            (m.nontrivial[: min(m.nontrivial.size, true.support.size)], true.support, label)
+            for _, _, m, true, _, label in items
         )
     elif method == "fourier":
-        dist = fourier_reconstruct(moments.moments, true_dist.support, label=label)
+        dists = [
+            fourier_reconstruct(moments.moments, true.support, label=label)
+            for _, _, moments, true, _, label in items
+        ]
     else:
         raise ValueError(f"method must be 'pinv' or 'fourier', got {method!r}")
-    k_max = true_moments.size
-    return ReconstructionResult(
-        grid=grid,
-        chi=chi,
-        moments=moments,
-        method=method,
-        dist=dist,
-        rmse_moments=rmse_moments(true_moments, dist.moments(k_max), k_max),
-        rmse_probs=rmse_probs(true_dist, dist),
+    stack_moments(dists, range(1, max(truth.size for *_, truth, _ in items) + 1))
+    errors_m = rmse_moments_stack(
+        (truth, dist.moments(truth.size), truth.size) for (*_, truth, _), dist in zip(items, dists)
     )
+    errors_p = rmse_probs_stack((true, dist) for (*_, true, _, _), dist in zip(items, dists))
+    return [
+        ReconstructionResult(grid, chi, moments, method, dist, *errors)
+        for (grid, chi, moments, *_), dist, *errors in zip(items, dists, errors_m, errors_p)
+    ]
 
 
 @dataclass(frozen=True)
@@ -305,22 +306,40 @@ class ConfigRecord:
         return {label: self.distributions[label].moments(k_max) for label in LABELS}
 
 
-def protocol_part(cfg: TwoIonConfig, proto: TwoTimeProtocol) -> ConfigRecord:
-    """The record of ``cfg`` on its protocol ``proto`` without
+def protocol_parts(cfgs, protos) -> list[ConfigRecord]:
+    """The record of each configuration on its protocol, without
     reconstructions: the four distributions and every theorem check, none of
-    which depends on ``n_moments``."""
-    dist_a, dist_b, dist_ab, dist_conv = bipartite_distributions(proto)
-    return ConfigRecord(
-        config=cfg,
-        distributions={"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv},
-        conditional_equality_deviation=conditional_equality_deviation(proto),
-        entropy_bound=entropy_bound_check(proto),
-        crooks_deviation=crooks_check(proto),
-        ift_deviation=ift_deviation(dist_ab),
-        subadditivity_gap=dist_a.moment(1) + dist_b.moment(1) - dist_ab.moment(1),
-        witness=correlation_witness(dist_ab, dist_conv),
-        reconstructions={},
+    which depends on ``n_moments``. Each check runs once over all the
+    protocols (see :func:`protocol.entropy_bound_checks` and its
+    neighbours), and the first four moments of every distribution come from
+    one :func:`protocol.stack_moments` call; each value equals its
+    one-protocol computation."""
+    protos = list(protos)
+    dists = [bipartite_distributions(proto) for proto in protos]
+    stack_moments([dist for four in dists for dist in four], range(1, 5))
+    dists_ab, dists_conv = [d[2] for d in dists], [d[3] for d in dists]
+    checks = zip(
+        conditional_equality_deviations(protos),
+        entropy_bound_checks(protos),
+        crooks_checks(protos),
+        ift_deviations(dists_ab),
+        correlation_witnesses(dists_ab, dists_conv),
     )
+    return [
+        ConfigRecord(
+            config=cfg,
+            distributions={"A": dist_a, "B": dist_b, "A-B": dist_ab, "A+B": dist_conv},
+            conditional_equality_deviation=conditional,
+            entropy_bound=bound,
+            crooks_deviation=crooks,
+            ift_deviation=ift,
+            subadditivity_gap=dist_a.moment(1) + dist_b.moment(1) - dist_ab.moment(1),
+            witness=witness,
+            reconstructions={},
+        )
+        for cfg, (dist_a, dist_b, dist_ab, dist_conv), (conditional, bound, crooks, ift, witness)
+        in zip(cfgs, dists, checks)
+    ]
 
 
 def run_config(
@@ -334,30 +353,15 @@ def run_config(
     moments of each label and the true moments are evaluated once and shared
     by every method.
 
-    A sweep passes ``part``, the point's share of its stacked work (see
-    :func:`_sweep_parts`). Without it the call does the same work for its
-    one point.
+    A sweep passes ``part``, the point's share of its stacked work: its
+    :func:`protocol_parts` record and its reconstruction bundle by each
+    method (see :func:`_sweep_parts`). Without it the call does the same work
+    for its one point.
     """
-    base, measured = (part or _sweep_parts([cfg], methods)[0])()
-    dists = base.distributions
-    bundles: dict[str, ReconstructionBundle] = {}
-    if methods:
-        k_max = min(4, max(1, cfg.n_moments - 1))
-        truth = {label: dists[label].moments(k_max) for label in LABELS}
-    for method in methods:
-        per_label = {
-            label: _recover(*measured[label], dists[label], truth[label], label, method)
-            for label in ("A", "B", "A-B")
-        }
-        conv = convolve_distributions(per_label["A"].dist, per_label["B"].dist)
-        bundles[method] = ReconstructionBundle(
-            method=method,
-            per_label=per_label,
-            conv_dist=conv,
-            rmse_probs_conv=rmse_probs(dists["A+B"], conv),
-            rmse_moments_conv=rmse_moments(truth["A+B"], conv.moments(k_max), k_max),
-        )
-    return replace(base, config=cfg, distributions=dict(dists), reconstructions=bundles)
+    base, bundles = part or _sweep_parts([cfg], methods)[0]
+    return replace(
+        base, config=cfg, distributions=dict(base.distributions), reconstructions=dict(bundles)
+    )
 
 
 SWEEP_COLUMNS = (
@@ -393,26 +397,31 @@ class SweepReport:
 
 
 def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
-    """The stacked work of a sweep: for each point, a callable returning its
-    :func:`protocol_part` record and the measured moments of each label at
-    its ``n_moments`` (None when no method runs; see :func:`_measure_moments`).
+    """The stacked work of a sweep: for each point, its :func:`protocol_parts`
+    record and its :class:`ReconstructionBundle` by each method at its
+    ``n_moments`` (``{method: bundle}``, empty when no method runs).
 
     Points that differ only in ``n_moments`` share one protocol; say there
     are P protocols. The sweep builds every channel (each distinct Lindblad
     map once, see :func:`build_channels`) and every protocol, validating each
     initial state and its observables once. It then builds all states and
-    joint tables with :func:`stack_tables`, and chi and the moments of every
+    joint tables with :func:`stack_tables`, the records with their theorem
+    checks with :func:`protocol_parts`, and chi and the moments of every
     point with :func:`_measure_moments`: stacks over the P protocols, with
     one channel application per group of equal Kraus shapes and one
-    elimination per distinct N. Their temporaries grow with P times the
-    number of chi nodes; chi's stacks stop growing at
+    elimination per distinct N. Last come the bundles (see :func:`_bundles`):
+    one call of :func:`_recover` per method for every (point, label), the
+    pinv ones as one :func:`reconstruct.pseudoinverse_stack`, whose
+    right-hand sides stay per item (a stacked product rounds differently),
+    then the convolutions of the recovered A and B. Their temporaries grow
+    with P times the number of chi nodes; chi's stacks stop growing at
     ``charfunc.STACK_PAIRS`` protocol-node pairs. A protocol's record is
-    built on the first call of any of its points' callables, so its warnings
-    are raised once per protocol.
+    built once, so its warnings are raised once per protocol.
     """
+    keys = [replace(cfg, n_moments=1) for cfg in cfgs]
     channels = {}
-    for cfg, channel in zip(cfgs, build_channels(cfgs)):
-        channels.setdefault(replace(cfg, n_moments=1), channel)
+    for key, channel in zip(keys, build_channels(cfgs)):
+        channels.setdefault(key, channel)
     protos = []
     first = {}  # the protocol that validated each initial state
     for key, channel in channels.items():
@@ -420,21 +429,48 @@ def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
         protos.append(shared._on_channel(channel) if shared else build_protocol(key, channel))
         first.setdefault(key.rho0_diag, protos[-1])
     stack_tables(protos)
+    records = protocol_parts(channels, protos)
     owner = {key: i for i, key in enumerate(channels)}
-    points = [(owner[replace(cfg, n_moments=1)], cfg.n_moments) for cfg in cfgs]
-    measured = _measure_moments(protos, points) if methods else {}
-    records = [cache(partial(protocol_part, key, proto)) for key, proto in zip(channels, protos)]
+    points = [(owner[key], cfg.n_moments) for key, cfg in zip(keys, cfgs)]
+    bundles = _bundles(records, _measure_moments(protos, points), methods) if methods else {}
+    return [(records[i], bundles.get((i, n), {})) for i, n in points]
 
-    def part(i: int, n: int):
-        return records[i](), measured.get((i, n))
 
-    return [partial(part, i, n) for i, n in points]
+def _bundles(records, measured, methods) -> dict:
+    """The :class:`ReconstructionBundle` of each method for each point
+    ``(protocol index, N)`` of ``measured``, scored against the protocol
+    parts ``records``: one :func:`_recover` call per method for every
+    (point, label), then the convolutions of the recovered A and B and their
+    scores, with the true moments of each point computed once."""
+    points = list(measured)
+    items = []
+    for i, n in points:
+        for label, (grid, chi, moments) in measured[i, n].items():
+            true = records[i].distributions[label]
+            items.append((grid, chi, moments, true, true.moments(_scored_moments(n)), label))
+    true_conv = [records[i].distributions["A+B"] for i, _ in points]
+    truths = [true.moments(_scored_moments(n)) for true, (_, n) in zip(true_conv, points)]
+    bundles = {point: {} for point in points}
+    for method in methods:
+        results = iter(_recover(items, method))
+        per_point = [{label: next(results) for label in measured[point]} for point in points]
+        convs = [convolve_distributions(r["A"].dist, r["B"].dist) for r in per_point]
+        stack_moments(convs, range(1, max(truth.size for truth in truths) + 1))
+        errors_p = rmse_probs_stack(zip(true_conv, convs))
+        errors_m = rmse_moments_stack(
+            (truth, conv.moments(truth.size), truth.size) for truth, conv in zip(truths, convs)
+        )
+        for point, per_label, conv, error_p, error_m in zip(
+            points, per_point, convs, errors_p, errors_m
+        ):
+            bundles[point][method] = ReconstructionBundle(method, per_label, conv, error_p, error_m)
+    return bundles
 
 
 def _run_sweep(cfgs: list[TwoIonConfig], methods) -> tuple[ConfigRecord, ...]:
     """run_config on each configuration, once the sweep's stacked work is
     done (see :func:`_sweep_parts`): one call per point, each reading its
-    own slice. Every record equals a fresh run_config call for its point,
+    own share. Every record equals a fresh run_config call for its point,
     and nothing is held after the sweep returns."""
     parts = _sweep_parts(cfgs, methods)
     return tuple(run_config(cfg, methods, part=part) for cfg, part in zip(cfgs, parts))

@@ -212,14 +212,19 @@ class EntropyDistribution:
         return {}
 
     def moment(self, k: int) -> float:
-        """<sigma^k>, computed once per instance and order."""
-        memo = self._moment_memo
-        if k not in memo:
-            memo[k] = float((self.probs * self.support**k).sum())
-        return memo[k]
+        """<sigma^k>, computed once per instance and order (see
+        :func:`stack_moments`)."""
+        if k not in self._moment_memo:
+            stack_moments([self], (k,))
+        return self._moment_memo[k]
 
     def moments(self, k_max: int) -> np.ndarray:
-        return np.array([self.moment(k) for k in range(1, k_max + 1)])
+        """<sigma^k> for k = 1..k_max."""
+        orders = range(1, k_max + 1)
+        memo = self._moment_memo
+        if not memo.keys() >= set(orders):
+            stack_moments([self], orders)
+        return np.array([memo[k] for k in orders])
 
     def mgf(self, phi: float) -> float:
         """<exp(-phi sigma)>."""
@@ -227,6 +232,27 @@ class EntropyDistribution:
 
     def char_fn(self, lam: complex) -> complex:
         return complex(np.sum(self.probs * np.exp(1j * lam * self.support)))
+
+
+def stack_moments(dists, orders) -> None:
+    """Memoise <sigma^k> = sum(probs * support**k) of each distribution for
+    each k of ``orders``, where it is not memoised yet: the powers and
+    products of all of them on their padded rows, and one row sum per
+    support size (see :func:`_row_sums`), so each value has the bits of its
+    own 1-D sum."""
+    orders = tuple(orders)
+    wanted = set(orders)
+    todo = [d for d in dists if not d._moment_memo.keys() >= wanted]
+    if not todo:
+        return
+    supports = _padded([d.support for d in todo], 0.0)
+    terms = _padded([d.probs for d in todo], 0.0)[:, None, :] * np.stack(
+        [supports**k for k in orders], axis=1
+    )
+    sums = _row_sums(terms, np.array([d.support.size for d in todo]))
+    for dist, values in zip(todo, sums.tolist()):
+        for k, value in zip(orders, values):
+            dist._moment_memo.setdefault(k, value)
 
 
 def merge_support(values: np.ndarray, masses: np.ndarray):
@@ -296,11 +322,6 @@ class JointOutcomeTable:
         if abs(self.p_fwd.sum() - 1.0) > 1e-10:
             raise ValueError(f"joint table sums to {self.p_fwd.sum()!r}")
 
-    def conditional_fwd(self) -> np.ndarray:
-        """p(final k | initial m); columns with p_in ~ 0 are set to NaN."""
-        p_in = np.where(self.p_in > MASS_DROP_TOL, self.p_in, np.nan)
-        return self.p_fwd / p_in[None, :]
-
 
 def _dephase(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_m P_m rho P_m for a projector stack ``(..., n, d, d)`` and states
@@ -331,21 +352,50 @@ def _stack(protos, read) -> np.ndarray:
     return np.stack([read(proto) for proto in protos])
 
 
+def _groups(items, key) -> list[list[int]]:
+    """Indices of ``items`` grouped by ``key(item)``, in first-seen order."""
+    groups: dict[object, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    return list(groups.values())
+
+
 def _shape_groups(protos) -> list[list[int]]:
     """Indices of ``protos`` grouped by the shapes of their Kraus and
     projector stacks, in first-seen order. A group stacks without padding:
     zero Kraus operators would add terms, which can flip the sign of a zero."""
-    groups: dict[tuple, list[int]] = {}
-    for i, proto in enumerate(protos):
+
+    def key(proto):
         local = proto.bipartite_obs and tuple(o.projectors.shape for o in proto.bipartite_obs)
-        key = (
+        return (
             proto.channel.kraus.shape,
             proto.obs_in.projectors.shape,
             proto.obs_fin.projectors.shape,
             local,
         )
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+
+    return _groups(protos, key)
+
+
+def _padded(rows, fill: float) -> np.ndarray:
+    """1-D arrays as the rows of one ``(len(rows), K)`` array, K the length
+    of the longest (at least 1), each padded with ``fill``."""
+    out = np.full((len(rows), max(1, max((len(r) for r in rows), default=0))), fill)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sums of the first ``counts[i]`` entries along the last axis of
+    each ``terms[i]``, as ``.sum()`` of that slice alone gives them: rows of
+    one length are summed together along their contiguous last axis, which
+    keeps each row's pairwise order."""
+    sums = np.empty(terms.shape[:-1])
+    for n in np.unique(counts).tolist():
+        rows = counts == n
+        sums[rows] = np.ascontiguousarray(terms[rows, ..., :n]).sum(axis=-1)
+    return sums
 
 
 def _states(protos) -> list[ProtocolStates]:
@@ -487,42 +537,78 @@ def entropy_bound_check(proto: TwoTimeProtocol) -> EntropyBoundResult:
 
     When the final observable commutes with rho_fin the relative entropy must
     additionally vanish (the second measurement leaves the state untouched).
+    The one-protocol case of :func:`entropy_bound_checks`.
     """
-    rho_in, rho_fin, rho_tau = proto.states
-    # Tr[rho_fin ln rho_tau] enters both sides; the relative entropy is
-    # relative_entropy(rho_fin, rho_tau) and the mean is mean_entropy(proto)
-    cross = trace_rho_log_sigma(rho_fin, rho_tau)
-    s_rel = -von_neumann_entropy(rho_fin) - cross  # +inf when cross is -inf
-    mean_sigma = -cross - von_neumann_entropy(rho_in)
-    passed = -1e-10 <= s_rel <= mean_sigma + 1e-10
-    obs_mat = proto.obs_fin.matrix()
-    commutator = np.max(np.abs(obs_mat @ rho_fin - rho_fin @ obs_mat))
-    if commutator <= 1e-10:
-        passed = passed and s_rel <= 1e-10
-    return EntropyBoundResult(float(s_rel), float(mean_sigma), bool(passed))
+    return entropy_bound_checks([proto])[0]
+
+
+def entropy_bound_checks(protos) -> list[EntropyBoundResult]:
+    """:func:`entropy_bound_check` of each protocol, with the entropies of
+    all protocols of one state dimension taken from one stacked
+    eigendecomposition each (see :func:`core.trace_rho_log_sigma`). Each
+    result equals the one-protocol check; a support violation warns once per
+    protocol."""
+    results: list = [None] * len(protos)
+    for group in _groups(protos, lambda p: p.states.rho_fin.shape):
+        members = [protos[i] for i in group]
+        rho_in, rho_fin, rho_tau = (np.stack(s) for s in zip(*(p.states for p in members)))
+        # Tr[rho_fin ln rho_tau] enters both sides; the relative entropy is
+        # relative_entropy(rho_fin, rho_tau) and the mean is mean_entropy(proto)
+        cross = trace_rho_log_sigma(rho_fin, rho_tau)
+        s_rel = -von_neumann_entropy(rho_fin) - cross  # +inf where cross is -inf
+        mean_sigma = -cross - von_neumann_entropy(rho_in)
+        passed = (-1e-10 <= s_rel) & (s_rel <= mean_sigma + 1e-10)
+        matrices = {id(p.obs_fin): p.obs_fin.matrix() for p in members}
+        obs = np.stack([matrices[id(p.obs_fin)] for p in members])
+        commutator = np.max(np.abs(obs @ rho_fin - rho_fin @ obs), axis=(1, 2))
+        passed &= (commutator > 1e-10) | (s_rel <= 1e-10)
+        for i, *result in zip(group, s_rel.tolist(), mean_sigma.tolist(), passed.tolist()):
+            results[i] = EntropyBoundResult(*result)
+    return results
 
 
 def conditional_equality_deviation(proto: TwoTimeProtocol) -> float:
     """Max |p(fin k | in m) - p(in m | ref k)| with both sides computed
-    independently (forward table vs explicitly reversed map)."""
-    diff = np.abs(proto.forward.conditional_fwd() - proto.backward.conditional_fwd().T)
-    if np.all(np.isnan(diff)):
-        return 0.0
-    return float(np.nanmax(diff))
+    independently (forward table vs explicitly reversed map); 0 when no
+    conditional is defined. The one-protocol case of
+    :func:`conditional_equality_deviations`."""
+    return conditional_equality_deviations([proto])[0]
 
 
-def _masses_at(dist: EntropyDistribution, xs: np.ndarray) -> np.ndarray:
-    """Probability of the support point of ``dist`` at each of ``xs``: its
-    lower neighbour in the support if that lies within ``SUPPORT_MERGE_TOL``,
-    else its upper one, else 0."""
-    support, probs = dist.support, dist.probs
-    if not support.size:
-        return np.zeros(len(xs))
-    idx = np.searchsorted(support, xs)
-    lower, upper = np.maximum(idx - 1, 0), np.minimum(idx, support.size - 1)
-    near_lower = np.abs(support[lower] - xs) <= SUPPORT_MERGE_TOL
-    near_upper = np.abs(support[upper] - xs) <= SUPPORT_MERGE_TOL
-    return np.where(near_lower, probs[lower], np.where(near_upper, probs[upper], 0.0))
+def conditional_equality_deviations(protos) -> list[float]:
+    """:func:`conditional_equality_deviation` of each protocol, one stacked
+    pass per table shape. A conditional on an initial outcome of probability
+    ~0 is undefined (NaN) and left out of the maximum."""
+    out = [0.0] * len(protos)
+    for group in _groups(protos, lambda p: p.forward.p_fwd.shape):
+        conditionals = []
+        for tables in ([protos[i].forward for i in group], [protos[i].backward for i in group]):
+            p_fwd, p_in = np.stack([t.p_fwd for t in tables]), np.stack([t.p_in for t in tables])
+            conditionals.append(p_fwd / np.where(p_in > MASS_DROP_TOL, p_in, np.nan)[:, None, :])
+        fwd, bwd = conditionals
+        diff = np.abs(fwd - bwd.swapaxes(1, 2)).reshape(len(group), -1)
+        # fmax skips NaN; a row of NaN only stays NaN
+        deviations = np.nan_to_num(np.fmax.reduce(diff, axis=1), nan=0.0)
+        for i, deviation in zip(group, deviations.tolist()):
+            out[i] = deviation
+    return out
+
+
+def _masses_at(dists, xs: np.ndarray) -> np.ndarray:
+    """Probability of the support point of ``dists[i]`` at each ``xs[i, j]``:
+    its lower neighbour in the support if that lies within
+    ``SUPPORT_MERGE_TOL``, else its upper one, else 0."""
+    supports = _padded([d.support for d in dists], np.inf)
+    probs = _padded([d.probs for d in dists], 0.0)
+    counts = np.array([d.support.size for d in dists])
+    # np.searchsorted on each row: the number of support values below x
+    idx = np.count_nonzero(supports[:, None, :] < xs[:, :, None], axis=-1)
+    lower = np.maximum(idx - 1, 0)
+    upper = np.minimum(idx, np.maximum(counts - 1, 0)[:, None])
+    at = lambda a, i: np.take_along_axis(a, i, axis=1)
+    near_lower = np.abs(at(supports, lower) - xs) <= SUPPORT_MERGE_TOL
+    near_upper = np.abs(at(supports, upper) - xs) <= SUPPORT_MERGE_TOL
+    return np.where(near_lower, at(probs, lower), np.where(near_upper, at(probs, upper), 0.0))
 
 
 def crooks_check(proto: TwoTimeProtocol) -> float:
@@ -532,15 +618,25 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
     the deviation measures how well the fluctuation relation survives the
     numerics of the channel representation; see
     :attr:`TwoTimeProtocol.backward` for its ``sigma_bwd``. The forward
-    distribution is the protocol's A-B one.
+    distribution is the protocol's A-B one. G runs over the union of the
+    forward support and the negated backward one. The one-protocol case of
+    :func:`crooks_checks`.
     """
-    fwd = proto.distributions["A-B"]
-    bwd = entropy_samples(proto.backward)
-    grid = np.union1d(fwd.support, -bwd.support)
+    return crooks_checks([proto])[0]
+
+
+def crooks_checks(protos) -> list[float]:
+    """:func:`crooks_check` of each protocol. The backward distributions are
+    sampled one protocol at a time; the lookups and the maximum run once on
+    the padded rows of all of them. A row holds G with repeats, which leave
+    the maximum unchanged, and padding of +inf, which weighs 0."""
+    fwd = [proto.distributions["A-B"] for proto in protos]
+    bwd = [entropy_samples(proto.backward) for proto in protos]
+    grid = _padded([np.concatenate((f.support, -b.support)) for f, b in zip(fwd, bwd)], np.inf)
     # math.exp, not np.exp: numpy's exp may round differently
-    weights = np.array([math.exp(-g) for g in grid.tolist()])
+    weights = np.array([math.exp(-g) for g in grid.ravel().tolist()]).reshape(grid.shape)
     deviations = np.abs(_masses_at(bwd, -grid) - weights * _masses_at(fwd, grid))
-    return float(np.max(deviations, initial=0.0))
+    return np.max(deviations, axis=1, initial=0.0).tolist()
 
 
 def _local_observables(proto: TwoTimeProtocol):
@@ -569,10 +665,18 @@ def correlation_witness(
 
     A nonzero gap certifies that the pre-measurement state was correlated;
     the converse does not hold (local measurements can erase quantum
-    correlations).
+    correlations). The one-pair case of :func:`correlation_witnesses`.
     """
-    gaps = np.abs(dist_ab.moments(4) - dist_conv.moments(4))
-    return WitnessResult(gaps, bool(np.any(gaps > 1e-8)))
+    return correlation_witnesses([dist_ab], [dist_conv])[0]
+
+
+def correlation_witnesses(dists_ab, dists_conv) -> list[WitnessResult]:
+    """:func:`correlation_witness` of each pair, with the moments of all the
+    distributions from one :func:`stack_moments` call."""
+    stack_moments([*dists_ab, *dists_conv], range(1, 5))
+    table = lambda dists: np.array([dist.moments(4) for dist in dists])
+    gaps = np.abs(table(dists_ab) - table(dists_conv))
+    return [WitnessResult(row, bool(np.any(row > 1e-8))) for row in gaps]
 
 
 @dataclass(frozen=True)
@@ -628,5 +732,16 @@ def second_law_report(
 
 
 def ift_deviation(dist: EntropyDistribution) -> float:
-    """|<exp(-sigma)> - 1|: the integral fluctuation theorem residual."""
-    return abs(dist.mgf(1.0) - 1.0)
+    """|<exp(-sigma)> - 1|: the integral fluctuation theorem residual. The
+    one-distribution case of :func:`ift_deviations`."""
+    return ift_deviations([dist])[0]
+
+
+def ift_deviations(dists) -> list[float]:
+    """:func:`ift_deviation` of each distribution: one exponential on the
+    padded rows of all of them, and each <exp(-sigma)> summed as
+    :meth:`EntropyDistribution.mgf` sums it (see :func:`_row_sums`)."""
+    supports = _padded([d.support for d in dists], 0.0)
+    terms = _padded([d.probs for d in dists], 0.0) * np.exp(-1.0 * supports)
+    mgf = _row_sums(terms, np.array([d.support.size for d in dists]))
+    return np.abs(mgf - 1.0).tolist()

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution
+from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution, _groups, _padded, _row_sums
 
 ILL_CONDITION_LIMIT = 1e14
 TIKHONOV_LAMBDA = 1e-12
@@ -322,12 +322,63 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
 
     ``moments`` holds <sigma^k> for k = 1..N. The power matrix (rows = powers,
     columns = support points) is inverted through its normal equations; a
-    1e-12 Tikhonov diagonal is added when they are numerically singular.
-    Masses in [-1e-8, 0) are clipped to zero and the result renormalised.
-    The moments are copied to contiguous memory first: a strided ``b`` takes
-    a different BLAS kernel and, through the nearly singular normal
-    equations, visibly different masses.
+    1e-12 Tikhonov diagonal is added when they are numerically singular
+    (condition number above 1e12, or not finite). A support value at exactly
+    zero has an all-zero column: its mass is fixed by normalisation alone.
+    Masses in [-1e-8, 0) are clipped to zero and the result renormalised;
+    masses further below zero are clipped too, with an
+    :class:`InfeasibleRecoveryWarning`. The moments are copied to contiguous
+    memory first: a strided ``b`` takes a different BLAS kernel and, through
+    the nearly singular normal equations, visibly different masses. The
+    one-item case of :func:`pseudoinverse_stack`.
     """
+    return pseudoinverse_stack([(moments, support, label)])[0]
+
+
+def pseudoinverse_stack(items) -> list[EntropyDistribution]:
+    """:func:`pseudoinverse_reconstruct` of each ``(moments, support, label)``
+    item, in order, each with the bits (and the warning) of its lone call.
+
+    Items of equal row count and active support size (nonzero support
+    values) form one group: its Gram products, the singular values that
+    decide the Tikhonov diagonal and its solves are each one stacked call.
+    The right-hand sides ``powers.T @ b`` are formed per item, because a
+    stacked product takes another BLAS kernel and rounds differently.
+    """
+    systems = [_pinv_system(*item) for item in items]
+    solved: list = [None] * len(systems)
+    for group in _groups(systems, lambda sys: sys[2].shape):
+        powers = np.stack([systems[i][2] for i in group])
+        k = powers.shape[2]
+        if k == 0:  # every support value is zero
+            for i in group:
+                solved[i] = np.zeros(0)
+            continue
+        gram = powers.swapaxes(1, 2) @ powers
+        singular_values = np.linalg.svd(gram, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = singular_values[:, 0] / singular_values[:, -1]
+        singular = ~np.isfinite(cond) | (cond > 1e12)
+        gram = np.where(singular[:, None, None], gram + TIKHONOV_LAMBDA * np.eye(k), gram)
+        rhs = np.stack([systems[i][2].T @ systems[i][0] for i in group])
+        for i, x in zip(group, np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]):
+            solved[i] = x
+    dists = []
+    for (_, s, _, label), x in zip(systems, solved):
+        if x.size and x.min() < -1e-8:
+            warnings.warn(
+                f"least-squares masses down to {x.min():.3e}; projecting onto "
+                "the simplex (too few moments for this support?)",
+                InfeasibleRecoveryWarning,
+                stacklevel=2,
+            )
+        dists.append(_pinv_distribution(s, x, label))
+    return dists
+
+
+def _pinv_system(moments, support, label):
+    """The validated ``(b, support, powers, label)`` of one pinv item:
+    ``powers[k, j] = s_j^(k + 1)`` over the nonzero support values s_j."""
     b = np.ascontiguousarray(moments, dtype=float)
     if b.ndim != 1 or not np.all(np.isfinite(b)):
         raise ValueError("moments must be a 1-D array of finite values")
@@ -336,26 +387,17 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
         raise ValueError("support must be a nonempty 1-D array of finite values")
     if s.size > 1 and np.diff(np.sort(s)).min() <= SUPPORT_MERGE_TOL:
         raise ValueError("support contains coincident values; merge them first")
-    # A support value at exactly zero has an all-zero column: the moment rows
-    # carry no information on its mass, which is fixed by normalisation alone.
-    zero = np.abs(s) <= 1e-12
-    active = ~zero
-    powers = s[None, active] ** np.arange(1, b.size + 1)[:, None]
-    gram = powers.T @ powers
-    cond = np.linalg.cond(gram) if gram.size else 0.0
-    if not np.isfinite(cond) or cond > 1e12:
-        gram = gram + TIKHONOV_LAMBDA * np.eye(gram.shape[0])
-    solved = np.linalg.solve(gram, powers.T @ b) if gram.size else np.zeros(0)
-    if solved.size and solved.min() < -1e-8:
-        warnings.warn(
-            f"least-squares masses down to {solved.min():.3e}; projecting onto "
-            "the simplex (too few moments for this support?)",
-            InfeasibleRecoveryWarning,
-            stacklevel=2,
-        )
+    active = np.abs(s) > 1e-12
+    return b, s, s[None, active] ** np.arange(1, b.size + 1)[:, None], label
+
+
+def _pinv_distribution(s: np.ndarray, solved: np.ndarray, label: str) -> EntropyDistribution:
+    """The distribution on support ``s`` from the least-squares masses of
+    its nonzero values."""
     solved = np.clip(solved, 0.0, None)
+    zero = np.abs(s) <= 1e-12
     probs = np.zeros(s.size)
-    probs[active] = solved
+    probs[~zero] = solved
     if np.any(zero):
         probs[zero] = max(0.0, 1.0 - solved.sum()) / zero.sum()
     total = probs.sum()
@@ -367,21 +409,48 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
 
 
 def rmse_moments(true_moments, recon_moments, n_max: int) -> float:
-    """Root mean square error over the first ``n_max`` moments (k starts at 1)."""
-    t = np.asarray(true_moments, dtype=float)
-    r = np.asarray(recon_moments, dtype=float)
-    if t.size < n_max or r.size < n_max:
-        raise ValueError("need at least n_max moments on both sides")
-    return float(np.sqrt(np.sum(np.abs(t[:n_max] - r[:n_max]) ** 2) / n_max))
+    """Root mean square error over the first ``n_max`` moments (k starts at
+    1). The one-item case of :func:`rmse_moments_stack`."""
+    return rmse_moments_stack([(true_moments, recon_moments, n_max)])[0]
+
+
+def rmse_moments_stack(items) -> list[float]:
+    """:func:`rmse_moments` of each ``(true_moments, recon_moments, n_max)``
+    item, each with the bits of its lone call (see :func:`_root_mean_squares`)."""
+    rows = []
+    for true_moments, recon_moments, n_max in items:
+        t = np.asarray(true_moments, dtype=float)
+        r = np.asarray(recon_moments, dtype=float)
+        if t.size < n_max or r.size < n_max:
+            raise ValueError("need at least n_max moments on both sides")
+        rows.append(t[:n_max] - r[:n_max])
+    return _root_mean_squares(rows)
 
 
 def rmse_probs(true_dist: EntropyDistribution, recon_dist: EntropyDistribution) -> float:
-    """Root mean square reconstruction deviation over the aligned support."""
-    true, recon = true_dist.support, recon_dist.support
-    if true.size != recon.size or np.max(np.abs(true - recon)) > SUPPORT_MERGE_TOL:
-        raise ValueError("distribution supports do not align")
-    residuals = np.abs(true_dist.probs - recon_dist.probs)
-    return float(np.sqrt(np.sum(residuals**2) / residuals.size))
+    """Root mean square reconstruction deviation over the aligned support.
+    The one-pair case of :func:`rmse_probs_stack`."""
+    return rmse_probs_stack([(true_dist, recon_dist)])[0]
+
+
+def rmse_probs_stack(pairs) -> list[float]:
+    """:func:`rmse_probs` of each ``(true_dist, recon_dist)`` pair, each with
+    the bits of its lone call (see :func:`_root_mean_squares`)."""
+    rows = []
+    for true_dist, recon_dist in pairs:
+        true, recon = true_dist.support, recon_dist.support
+        if true.size != recon.size or np.max(np.abs(true - recon)) > SUPPORT_MERGE_TOL:
+            raise ValueError("distribution supports do not align")
+        rows.append(true_dist.probs - recon_dist.probs)
+    return _root_mean_squares(rows)
+
+
+def _root_mean_squares(rows) -> list[float]:
+    """sqrt(sum(|x|^2) / n) of each 1-D row x of n values, on the padded rows
+    of all of them; each row is summed as its own 1-D sum."""
+    counts = np.array([len(row) for row in rows])
+    squares = np.abs(_padded(rows, 0.0)) ** 2
+    return np.sqrt(_row_sums(squares, counts) / counts).tolist()
 
 
 @dataclass(frozen=True)

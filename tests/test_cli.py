@@ -331,3 +331,54 @@ class TestSimulateCommand:
         code = main(["simulate", "--preset", "fig3", "--out", str(blocker / "sub")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestWarningsInReports:
+    """The JSON reports of simulate, reconstruct and sweep list the warnings
+    their run raised; the CSV columns stay as they were."""
+
+    def test_sweep_lists_what_the_library_raises(self, tmp_path):
+        argv = ["sweep", "--axis", "N", "--preset", "fig4", "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        entries = json.loads((tmp_path / "sweep.json").read_text())["warnings"]
+        assert all(list(entry) == ["category", "message", "count"] for entry in entries)
+        assert all(isinstance(entry["count"], int) and entry["count"] >= 1 for entry in entries)
+        # every raise is counted, as a direct call of the sweep records them
+        cfg = parse_config(argv)
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            entroprec.experiments.sweep_moment_count(
+                entroprec.experiments.default_sweep_points("N"), cfg.ion, methods=("pinv",)
+            )
+        counts = {}
+        for w in raised:
+            key = (w.category.__name__, str(w.message))
+            counts[key] = counts.get(key, 0) + 1
+        assert {(e["category"], e["message"]): e["count"] for e in entries} == counts
+        assert {e["category"] for e in entries} == {"InfeasibleRecoveryWarning"}
+        assert sum(counts.values()) > len(entries) == 3
+        # each distinct warning is still shown once
+        assert sorted(str(w.message) for w in shown) == sorted(e["message"] for e in entries)
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_simulate_and_reconstruct_reports(self, tmp_path):
+        reports = {}
+        for command, n in (("simulate", "10"), ("reconstruct", "3")):
+            out = tmp_path / command
+            assert main([command, "--preset", "fig3", "--N", n, "--out", str(out)]) == 0
+            reports[command] = json.loads((out / f"{command}.json").read_text())
+            assert list(reports[command])[-1] == "warnings"
+        assert reports["simulate"]["warnings"] == []
+        # three moments leave the pinv masses of this support infeasible
+        entries = reports["reconstruct"]["warnings"]
+        assert entries and {e["category"] for e in entries} == {"InfeasibleRecoveryWarning"}
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_csv_reports_unchanged(self, tmp_path):
+        argv = ["sweep", "--axis", "N", "--preset", "fig4", "--format", "csv"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+        header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
+        assert header == ["N"] + list(entroprec.experiments.SWEEP_COLUMNS)

@@ -14,7 +14,7 @@ import pytest
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
 from entroprec import channels, charfunc, cli, core, experiments, protocol
-from entroprec.experiments import build_channels, default_sweep_points, protocol_part
+from entroprec.experiments import build_channels, default_sweep_points, protocol_parts
 from entroprec import reconstruct
 from entroprec.protocol import AbsoluteIrreversibilityWarning
 from entroprec.reconstruct import chebyshev_nodes
@@ -133,7 +133,7 @@ class TestRunConfig:
             monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
         stacked = tuple((name, count(name, build)) for name, build in protocol._STACKED)
         monkeypatch.setattr(protocol, "_STACKED", stacked)
-        monkeypatch.setattr(experiments, "protocol_part", count("protocol_part", protocol_part))
+        monkeypatch.setattr(experiments, "protocol_parts", count("protocol_parts", protocol_parts))
         monkeypatch.setattr(protocol, "apply_kraus", apply_kraus)
         monkeypatch.setattr(charfunc, "apply_kraus", chi_apply_kraus)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
@@ -146,7 +146,7 @@ class TestRunConfig:
             "tables": 1,
             "_forward_tables": 1,
             "backward": 1,
-            "protocol_part": 1,
+            "protocol_parts": 1,
             "entropy_samples": 4,
             "_dephase": 2,
         }
@@ -330,14 +330,15 @@ def builds(monkeypatch):
     """What the code under test builds, and where. ``batches`` holds the size
     of each stacked endpoint build and ``maps`` the (phi, gamma) of every map
     it integrates; ``parts`` holds a weak reference to the protocol of each
-    protocol part. ``batch_runs`` and ``part_runs`` give, for each build, the
-    index of the run_config call it ran inside (None outside any), and
-    ``runs`` counts run_config calls."""
+    protocol part (a :func:`protocol_parts` call builds one per protocol).
+    ``batch_runs`` and ``part_runs`` give, for each build, the index of the
+    run_config call it ran inside (None outside any), and ``runs`` counts
+    run_config calls."""
     log = {"batches": [], "maps": [], "batch_runs": [], "parts": [], "part_runs": [], "runs": 0}
     depth = []
     build, part, run = (
         experiments.kraus_from_lindblad_endpoints,
-        experiments.protocol_part,
+        experiments.protocol_parts,
         experiments.run_config,
     )
 
@@ -350,10 +351,11 @@ def builds(monkeypatch):
         log["maps"].extend((m.hamiltonian[0, 3].real * tau, m.dissipators[0][1]) for m in models)
         return build(models, tau, dt)
 
-    def counted_part(cfg, proto):
-        result = part(cfg, proto)
-        log["parts"].append(weakref.ref(proto))
-        log["part_runs"].append(inside())
+    def counted_parts(cfgs, protos):
+        protos = list(protos)
+        result = part(cfgs, protos)
+        log["parts"].extend(weakref.ref(proto) for proto in protos)
+        log["part_runs"].extend(inside() for _ in protos)
         return result
 
     def counted_run(*args, **kwargs):
@@ -365,7 +367,7 @@ def builds(monkeypatch):
             depth.pop()
 
     monkeypatch.setattr(experiments, "kraus_from_lindblad_endpoints", counted_build)
-    monkeypatch.setattr(experiments, "protocol_part", counted_part)
+    monkeypatch.setattr(experiments, "protocol_parts", counted_parts)
     monkeypatch.setattr(experiments, "run_config", counted_run)
     return log
 
@@ -392,13 +394,14 @@ class TestSweepSharing:
             assert_same_record(record, run_config(replace(QUICK, phi=phi), ("pinv", "fourier")))
 
     def test_protocol_part_built_once_per_n_sweep(self, builds):
+        # the stacked pass builds each protocol's part, before any run_config call
         report = sweep_moment_count([2, 5, 9], QUICK, methods=())
         assert builds["runs"] == 3
-        assert builds["part_runs"] == [0]  # inside the first run_config call
+        assert builds["part_runs"] == [None]
         assert report.records[0].distributions is not report.records[1].distributions
         sweep_phase([0.1, 0.2, 0.2, 0.1], preset("fig3"), methods=())
         # a repeated point shares, wherever it comes; a new phase does not
-        assert builds["part_runs"] == [0, 3, 4]
+        assert builds["part_runs"] == [None] * 3
 
     def test_protocol_part_released_after_sweep(self, builds):
         report = sweep_moment_count([2, 3], preset("fig3"), methods=())
@@ -476,18 +479,26 @@ class TestStackedSweeps:
         assert builds["runs"] == len(points) == len(report.records)
 
     def test_stacked_work_precedes_the_first_run_config(self, builds, monkeypatch):
-        # the tables and chi of every point are built once, before any point
-        # runs; each protocol part is built inside the first call that needs it
+        # the tables, protocol parts, chi and recoveries of every point are
+        # built once, before any point runs
         stacks = []
         original = experiments.stack_tables
+        recover = experiments._recover
 
         def counted(protos):
             stacks.append(builds["runs"])
             return original(protos)
 
+        def counted_recover(items, method):
+            items = list(items)
+            stacks.append((builds["runs"], len(items), method))
+            return recover(items, method)
+
         monkeypatch.setattr(experiments, "stack_tables", counted)
+        monkeypatch.setattr(experiments, "_recover", counted_recover)
         sweep_phase([0.4, 2.0, 0.4], preset("fig3"), methods=("pinv",))
-        assert stacks == [0] and builds["part_runs"] == [0, 1]
+        # two protocols, three labels each, one recovery call
+        assert stacks == [0, (0, 6, "pinv")] and builds["part_runs"] == [None, None]
 
 
 class TestDefaults:
@@ -632,20 +643,21 @@ class TestMomentsOncePerLabel:
     def test_true_moments_once_per_point(self, monkeypatch):
         # every method scores against the same four true moment vectors
         cfg = replace(preset("fig3"), n_moments=7)
-        proto = build_protocol(cfg)
-        base = protocol_part(cfg, proto)
-        measured = experiments._measure_moments([proto], [(0, 7)])[0, 7]
-        calls = []
-        original = protocol.EntropyDistribution.moments
+        scored = []
+        original = experiments.rmse_moments_stack
 
-        def counted(dist, k_max):
-            calls.append((id(dist), k_max))
-            return original(dist, k_max)
+        def spy(items):
+            items = list(items)
+            scored.extend(truth for truth, _, _ in items)
+            return original(items)
 
-        monkeypatch.setattr(protocol.EntropyDistribution, "moments", counted)
-        record = run_config(cfg, methods=("pinv", "fourier"), part=lambda: (base, measured))
-        truth = {id(record.distributions[label]) for label in experiments.LABELS}
-        assert sorted(call for call in calls if call[0] in truth) == sorted((i, 4) for i in truth)
+        monkeypatch.setattr(experiments, "rmse_moments_stack", spy)
+        record = run_config(cfg, methods=("pinv", "fourier"))
+        # A, B and A-B, then A+B, by pinv and then by Fourier
+        assert len(scored) == 8
+        assert all(a is b for a, b in zip(scored[:4], scored[4:]))
+        for truth, label in zip(scored, experiments.LABELS):
+            assert np.array_equal(truth, record.distributions[label].moments(4))
 
     @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
     def test_extended_final_probabilities_once_per_protocol(self, monkeypatch):

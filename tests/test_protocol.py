@@ -29,6 +29,14 @@ from entroprec import (
     entropy_bound_check,
     von_neumann_entropy,
 )
+from entroprec.protocol import (
+    conditional_equality_deviations,
+    correlation_witnesses,
+    crooks_checks,
+    entropy_bound_checks,
+    ift_deviations,
+    stack_moments,
+)
 from entroprec import DegenerateSupportWarning, relative_entropy
 from entroprec.channels import TimeReversal, _endpoint_channel, time_reversed
 from entroprec.protocol import (
@@ -967,10 +975,16 @@ class TestStackedMatchesLoops:
         dist = EntropyDistribution(np.array([0.0, 1.5e-10, 1.0]), np.array([0.2, 0.3, 0.5]))
         xs = np.array([-1.0, -5e-11, 0.0, 0.75e-10, 1.5e-10, 2.6e-10, 0.5, 1.0 + 1e-10, 2.0])
         expected = [loop_mass_at(dist, x) for x in xs]
-        assert same_bits(_masses_at(dist, xs), np.array(expected))
+        assert same_bits(_masses_at([dist], xs[None])[0], np.array(expected))
         assert expected[3] == 0.2
         empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
-        assert same_bits(_masses_at(empty, xs), np.zeros(len(xs)))
+        assert same_bits(_masses_at([empty], xs[None]), np.zeros((1, len(xs))))
+        # rows of different support sizes, padded into one stack
+        short = EntropyDistribution(np.array([0.5]), np.array([1.0]))
+        stacked = _masses_at([empty, dist, short], np.stack([xs, xs, -xs]))
+        assert same_bits(stacked[1], np.array(expected))
+        assert same_bits(stacked[2], np.array([loop_mass_at(short, -x) for x in xs]))
+        assert same_bits(stacked[0], np.zeros(len(xs)))
 
     def test_moment_memo(self, rng):
         dist = entropy_samples(generic_protocol(rng).forward)
@@ -981,3 +995,129 @@ class TestStackedMatchesLoops:
             assert same_bits(dist.moment(k), fresh)  # memoised
             assert same_bits(other.moment(k), float(np.sum(other.probs * other.support**k)))
         assert same_bits(dist.moments(4), np.array([dist.moment(k) for k in range(1, 5)]))
+
+
+def support_violation():
+    """States with rho_fin outside the support of rho_tau; no dephasing
+    produces this, so the states are handed over directly."""
+    rho_fin = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho_tau = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    return SimpleNamespace(states=ProtocolStates(rho_fin, rho_fin, rho_tau), obs_fin=COMP4)
+
+
+def mixed_protocols(rng):
+    """Protocols of several dimensions and shapes: phi = 0 leaves rho_tau
+    degenerate (RHO0's 6/25 twice) with a commuting final observable, the
+    final eigenbasis observable commutes too, and a rank-deficient rho0 has
+    zero-probability initial outcomes and absolute irreversibility."""
+    channel = ms_gate(math.pi / 7)
+    rho_fin = channel.apply_matrix(_dephase(COMP4.projectors, RHO0.data))
+    rank_deficient = DensityMatrix.from_diagonal([0.5, 0.5, 0.0, 0.0], partition=(2, 2))
+    protos = [section6_protocol(phi) for phi in (0.0, 0.3, math.pi / 7, 2.0)]
+    protos += [generic_protocol(rng, dim) for dim in (2, 3, 4, 2) for _ in range(2)]
+    protos.insert(3, TwoTimeProtocol(RHO0, COMP4, Observable.from_matrix(rho_fin), channel))
+    protos.insert(6, TwoTimeProtocol(rank_deficient, COMP4, COMP4, ms_gate(0.4)))
+    return protos
+
+
+def loop_conditional_deviation(proto):
+    fwd, bwd = proto.forward, proto.backward
+    deviation = None
+    for k in range(fwd.p_fwd.shape[0]):
+        for m in range(fwd.p_fwd.shape[1]):
+            if fwd.p_in[m] > MASS_DROP_TOL and bwd.p_in[k] > MASS_DROP_TOL:
+                gap = abs(fwd.p_fwd[k, m] / fwd.p_in[m] - bwd.p_fwd[m, k] / bwd.p_in[k])
+                deviation = gap if deviation is None else max(deviation, gap)
+    return 0.0 if deviation is None else deviation
+
+
+def quietly(check, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return check(*args)
+
+
+class TestStackedChecks:
+    """Each stacked check equals the one-protocol check of every item."""
+
+    def test_entropy_bound(self, rng):
+        protos = mixed_protocols(rng)
+        protos[2:2] = [support_violation()]
+        protos.append(support_violation())
+        degenerate = np.linalg.eigvalsh(protos[0].states.rho_tau)
+        assert np.sum(np.abs(degenerate - 6 / 25) <= 1e-15) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stacked = entropy_bound_checks(protos)
+        # one warning per violating protocol
+        assert [w.category for w in caught] == [DegenerateSupportWarning] * 2
+        for proto, result in zip(protos, stacked):
+            alone = quietly(entropy_bound_check, proto)
+            assert same_bits(result.relative_entropy, alone.relative_entropy)
+            assert same_bits(result.mean_sigma, alone.mean_sigma)
+            assert result.passed is alone.passed
+        assert stacked[2] == stacked[-1] == (math.inf, math.inf, False)
+        for commuting in (0, 4):  # the relative entropy vanishes
+            assert stacked[commuting].passed and stacked[commuting].relative_entropy <= 1e-10
+        assert sum(result.passed for result in stacked) == len(protos) - 2
+
+    def test_conditional_equality(self, rng):
+        protos = mixed_protocols(rng)
+        stacked = conditional_equality_deviations(protos)
+        for proto, value in zip(protos, stacked):
+            assert same_bits(value, conditional_equality_deviation(proto))
+            assert same_bits(value, loop_conditional_deviation(proto))
+        # the equality needs rank-one observables; the final eigenbasis
+        # observable has a two-dimensional eigenspace
+        assert stacked[3] == 0.5
+        assert all(value <= 1e-10 for i, value in enumerate(stacked) if i != 3)
+
+    def test_crooks(self, rng):
+        protos = mixed_protocols(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stacked = crooks_checks(protos)
+        assert [w.category for w in caught] == [AbsoluteIrreversibilityWarning]
+        for proto, value in zip(protos, stacked):
+            assert same_bits(value, quietly(loop_crooks_check, proto))
+            assert same_bits(value, quietly(crooks_check, proto))
+
+    def test_ift_witness_and_moments(self, rng):
+        dists = [d for p in mixed_protocols(rng) for d in quietly(lambda: p.distributions).values()]
+        dists.append(EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0))
+        expected = [abs(float(np.sum(d.probs * np.exp(-1.0 * d.support))) - 1.0) for d in dists]
+        assert all(same_bits(a, b) for a, b in zip(ift_deviations(dists), expected))
+        assert all(same_bits(ift_deviation(d), e) for d, e in zip(dists, expected))
+        stack_moments(dists, range(1, 6))
+        for dist in dists:
+            for k in range(1, 6):
+                assert same_bits(dist.moment(k), float((dist.probs * dist.support**k).sum()))
+        pairs = [(p.distributions["A-B"], p.distributions["A+B"]) for p in mixed_protocols(rng)
+                 if p.bipartite_obs is not None]
+        stacked = correlation_witnesses(*zip(*pairs))
+        for (ab, conv), result in zip(pairs, stacked):
+            alone = correlation_witness(ab, conv)
+            assert same_bits(result.moment_gaps, alone.moment_gaps)
+            assert result.distinct is alone.distinct
+
+    def test_default_phase_sweep_warns_as_before(self):
+        # the counts of the one-protocol checks: a rank-deficient rho0 meets
+        # absolute irreversibility at 62 of the 64 phases, and chi warns
+        # once per label for the whole sweep
+        from dataclasses import replace
+
+        from entroprec.experiments import default_sweep_points, preset, sweep_phase
+
+        points = default_sweep_points("phi")
+        rank_deficient = {AbsoluteIrreversibilityWarning: 62, DegenerateSupportWarning: 2}
+        for rho0, expected in (
+            (preset("fig3").rho0_diag, {}),
+            ((0.6, 0.4, 0.0, 0.0), rank_deficient),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sweep_phase(points, replace(preset("fig3"), rho0_diag=rho0), methods=("pinv",))
+            counts = {}
+            for w in caught:
+                counts[w.category] = counts.get(w.category, 0) + 1
+            assert counts == expected

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from entroprec import (
     rmse_probs,
 )
 from entroprec.protocol import TwoTimeProtocol
-from entroprec import reconstruct
+from entroprec import experiments, reconstruct
 from entroprec.reconstruct import (
     DEFAULT_DMU,
     DEFAULT_LIMITS,
@@ -35,7 +37,7 @@ from entroprec.reconstruct import (
     _trapezoid,
     divided_differences,
 )
-from entroprec.experiments import PHI_MIN, PHI_MAX, build_protocol, preset
+from entroprec.experiments import PHI_MIN, PHI_MAX, build_protocol, preset, run_config
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
 QUBIT_OBS = Observable.computational(2)
@@ -504,6 +506,77 @@ class TestPseudoinverse:
             dist = dists[label]
             rec = pseudoinverse_reconstruct(dist.moments(4), dist.support, label)
             assert rmse_probs(dist, rec) <= 1e-10
+
+
+def loop_pseudoinverse(moments, support, label):
+    """One recovery as a lone call made it before the stacked solve: the
+    Tikhonov decision from np.linalg.cond of the item's own Gram matrix."""
+    b = np.ascontiguousarray(moments, dtype=float)
+    s = np.asarray(support, dtype=float)
+    zero = np.abs(s) <= 1e-12
+    powers = s[None, ~zero] ** np.arange(1, b.size + 1)[:, None]
+    gram = powers.T @ powers
+    cond = np.linalg.cond(gram) if gram.size else 0.0
+    if not np.isfinite(cond) or cond > 1e12:
+        gram = gram + reconstruct.TIKHONOV_LAMBDA * np.eye(gram.shape[0])
+    solved = np.linalg.solve(gram, powers.T @ b) if gram.size else np.zeros(0)
+    solved = np.clip(solved, 0.0, None)
+    probs = np.zeros(s.size)
+    probs[~zero] = solved
+    if np.any(zero):
+        probs[zero] = max(0.0, 1.0 - solved.sum()) / zero.sum()
+    total = probs.sum()
+    probs = np.full(s.size, 1.0 / s.size) if total <= 1e-15 else probs / total
+    return EntropyDistribution(s, probs, label)
+
+
+class TestPseudoinverseStack:
+    def test_mixed_batch_matches_lone_calls(self):
+        # fig3 at phi = 0.0019 puts cond(P^T P) near 1e22: the Tikhonov
+        # branch; its A-B support holds an exact zero. Items of equal shape
+        # stack together, whichever branch each takes.
+        items = []
+        for phi in (0.0019, 0.3, 1.1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InfeasibleRecoveryWarning)
+                record = run_config(replace(preset("fig3"), phi=phi), methods=())
+            measured = experiments._measure_moments([build_protocol(record.config)], [(0, 10)])
+            for label, (_, _, moments) in measured[0, 10].items():
+                support = record.distributions[label].support
+                for rows in (support.size, 2):
+                    items.append((moments.nontrivial[:rows], support, label))
+        moments, support, _ = tikhonov = items[4]  # phi = 0.0019, A-B, all rows
+        items.insert(3, ([0.3], [-1.0, -0.3, 0.4, 1.2], "negative"))
+        items.insert(7, ([0.0, 0.0, 0.0], [0.0], "zero"))
+        items.append(([0.05, 0.3], [-0.5, 0.0, 0.5, 1.0], "negative-with-zero"))
+        assert any(item is tikhonov for item in items)
+        assert np.min(np.abs(support)) == 0.0
+        kept = support[np.abs(support) > 1e-12]
+        powers = kept[None, :] ** np.arange(1, len(moments) + 1)[:, None]
+        assert np.linalg.cond(powers.T @ powers) > 1e15
+        assert len({(len(m), int(np.sum(np.abs(s) > 1e-12))) for m, s, _ in items}) >= 5
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stacked = reconstruct.pseudoinverse_stack(items)
+        lone_warnings = []
+        for item, dist in zip(items, stacked):
+            with warnings.catch_warnings(record=True) as alone_caught:
+                warnings.simplefilter("always")
+                alone = pseudoinverse_reconstruct(*item)
+            lone_warnings += alone_caught
+            for expected in (alone, loop_pseudoinverse(*item)):
+                assert dist.support.tobytes() == expected.support.tobytes()
+                assert dist.probs.tobytes() == expected.probs.tobytes()
+                assert dist.label == expected.label
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (w.category, str(w.message)) for w in lone_warnings
+        ]
+        # the two hand-made negative items and some of the two-row ones warn
+        assert len(caught) > 2 and {w.category for w in caught} == {InfeasibleRecoveryWarning}
+
+    def test_empty_batch(self):
+        assert reconstruct.pseudoinverse_stack([]) == []
 
 
 class TestRmseMetrics:
