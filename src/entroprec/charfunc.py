@@ -39,6 +39,7 @@ from . import core
 from .channels import apply_kraus
 from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, tensor_product
 from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs, _shape_groups, _stack
+from .protocol import _one_or_many, _require_rank_one
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
@@ -132,8 +133,7 @@ def _check_subsystem(proto: TwoTimeProtocol, subsystem: str) -> None:
         observables = (local[own], local[1 - own], local[own + 2])
     else:
         raise ValueError(f"subsystem must be one of {SUBSYSTEMS}, got {subsystem!r}")
-    if not all(obs.is_rank_one for obs in observables):
-        raise ValueError("chi requires rank-one projective measurements")
+    _require_rank_one(*observables)
 
 
 def _chi_group(protos, subsystem: str, probe_z: np.ndarray, initial_z: np.ndarray):
@@ -163,26 +163,26 @@ def _chi_group(protos, subsystem: str, probe_z: np.ndarray, initial_z: np.ndarra
     return np.trace(probe @ evolved, axis1=-2, axis2=-1), dropped_in + dropped_fin
 
 
-def char_function_stack(protos, subsystem: str, lam):
-    """Characteristic function G_C(lam) of each protocol in ``protos``, via
-    the operator trace form.
+def char_function(protos, subsystem: str, lam):
+    """Characteristic function G_C(lam) evaluated via the operator trace form.
 
-    ``lam`` is a scalar or a 1-D array of parameter values. Protocols with
-    equal Kraus and projector shapes are evaluated together, in stacks of
-    powered states of at most ``STACK_PAIRS`` (protocol, parameter value)
-    pairs (one protocol at least), each with one channel application; so the
-    temporaries stop growing with the number of protocols at that cap.
-    Returns an extended-precision complex array of shape
-    ``(len(protos),) + shape of lam``; each row has the bits that
-    :func:`char_function` gives its protocol alone. Every projector involved
-    must be rank one; ``ValueError`` otherwise. One
+    ``protos`` is one protocol or a list or tuple of them (see
+    :func:`protocol._one_or_many`), ``lam`` a scalar or a 1-D array of
+    parameter values. Protocols with equal Kraus and projector shapes are
+    evaluated together, in stacks of powered states of at most
+    ``STACK_PAIRS`` (protocol, parameter value) pairs (one protocol at
+    least), each with one channel application; so the temporaries stop
+    growing with the number of protocols at that cap. Returns an
+    extended-precision complex scalar or array shaped like ``lam``, or for
+    many protocols one such row each, with the bits of its lone call. Every
+    projector involved must be rank one; ``ValueError`` otherwise. One
     :class:`DegenerateSupportWarning` per call reports the zero-probability
     outcomes dropped over all protocols and parameter values.
     """
+    protos, many = _one_or_many(protos)
     lam = np.asarray(lam, dtype=complex)
     if lam.ndim > 1:
         raise ValueError("parameter values must be a scalar or a 1-D array")
-    protos = list(protos)
     for proto in protos:
         _check_subsystem(proto, subsystem)
     stack = lam.reshape(-1)
@@ -197,19 +197,8 @@ def char_function_stack(protos, subsystem: str, lam):
             values[rows], count = _chi_group(group_protos, subsystem, probe_z, initial_z)
             dropped += count
     _warn_dropped(dropped, len(protos) * stack.size)
-    return values.reshape((len(protos),) + lam.shape)
-
-
-def char_function(proto: TwoTimeProtocol, subsystem: str, lam):
-    """Characteristic function G_C(lam) evaluated via the operator trace form.
-
-    ``lam`` is a scalar or a 1-D array of parameter values; all of them are
-    evaluated as one stack of powered states, one channel application per
-    stack. Returns an extended-precision complex scalar or array of the same
-    shape. The one-protocol case of :func:`char_function_stack`, whose
-    refusals and warning it shares.
-    """
-    return char_function_stack([proto], subsystem, lam)[0][()]
+    values = values.reshape((len(protos),) + lam.shape)
+    return values if many else values[0][()]
 
 
 def _real_values(value: np.ndarray):
@@ -225,29 +214,16 @@ def _real_values(value: np.ndarray):
     return value.real.copy()
 
 
-def moment_generating_stack(protos, subsystem: str, phi):
-    """chi_C(phi) = <exp(-phi sigma_C)> of each protocol in ``protos``, for
-    real ``phi`` (a scalar or a 1-D array of nodes), in one
-    :func:`char_function_stack` call. Returns an extended-precision real
-    array of shape ``(len(protos),) + shape of phi``, not narrowed to
-    float64 (see :data:`core.EXTENDED`). ``ArithmeticError`` reports the
-    node with the largest imaginary residue over all protocols when any
-    exceeds its tolerance.
-    """
-    return _real_values(char_function_stack(protos, subsystem, 1j * np.asarray(phi, dtype=float)))
-
-
-def moment_generating(proto: TwoTimeProtocol, subsystem: str, phi):
+def moment_generating(protos, subsystem: str, phi):
     """chi_C(phi) = G_C(i phi) = <exp(-phi sigma_C)> for real phi.
 
-    ``phi`` is a scalar or a 1-D array of nodes, evaluated in one stacked
-    :func:`char_function` call. Returns an extended-precision real scalar or
-    array, not narrowed to float64 (see :data:`core.EXTENDED`); the
-    one-protocol case of :func:`moment_generating_stack`.
+    One :func:`char_function` call on one protocol or many and on a scalar
+    or 1-D array of nodes, answered in the same kind and shape in extended
+    precision, not narrowed to float64 (see :data:`core.EXTENDED`).
     ``ArithmeticError`` reports the node with the largest imaginary residue
-    when any exceeds its tolerance.
+    over all protocols when any exceeds its tolerance.
     """
-    return _real_values(char_function(proto, subsystem, 1j * np.asarray(phi, dtype=float)))[()]
+    return _real_values(char_function(protos, subsystem, 1j * np.asarray(phi, dtype=float)))[()]
 
 
 def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float) -> float:

@@ -22,7 +22,7 @@ from .channels import (
     ms_gate,
 )
 from .channels import _validate_step
-from .charfunc import moment_generating_stack
+from .charfunc import moment_generating
 from .core import DensityMatrix, Observable, tensor_product
 from .protocol import (
     EntropyDistribution,
@@ -30,12 +30,12 @@ from .protocol import (
     TwoTimeProtocol,
     WitnessResult,
     bipartite_distributions,
-    conditional_equality_deviations,
+    conditional_equality_deviation,
     convolve_distributions,
-    correlation_witnesses,
-    crooks_checks,
-    entropy_bound_checks,
-    ift_deviations,
+    correlation_witness,
+    crooks_check,
+    entropy_bound_check,
+    ift_deviation,
     stack_moments,
     stack_tables,
 )
@@ -235,7 +235,7 @@ def _measure_moments(
     counts = list(dict.fromkeys(n for _, n in points))
     grids = [chebyshev_nodes(n, PHI_MIN, PHI_MAX) for n in counts]
     nodes = np.concatenate([grid.nodes for grid in grids])
-    chis = np.stack([moment_generating_stack(protos, label, nodes) for label in labels], axis=1)
+    chis = np.stack([moment_generating(protos, label, nodes) for label in labels], axis=1)
     measured = {}
     stop = 0
     for n, grid in zip(counts, grids):
@@ -302,15 +302,15 @@ class ConfigRecord:
     witness: WitnessResult
     reconstructions: dict[str, ReconstructionBundle]
 
-    def moments_table(self, k_max: int = 4) -> dict[str, np.ndarray]:
-        return {label: self.distributions[label].moments(k_max) for label in LABELS}
+    def moments_table(self) -> dict[str, np.ndarray]:
+        return {label: self.distributions[label].moments(4) for label in LABELS}
 
 
 def protocol_parts(cfgs, protos) -> list[ConfigRecord]:
     """The record of each configuration on its protocol, without
     reconstructions: the four distributions and every theorem check, none of
     which depends on ``n_moments``. Each check runs once over all the
-    protocols (see :func:`protocol.entropy_bound_checks` and its
+    protocols (see :func:`protocol.entropy_bound_check` and its
     neighbours), and the first four moments of every distribution come from
     one :func:`protocol.stack_moments` call; each value equals its
     one-protocol computation."""
@@ -319,11 +319,11 @@ def protocol_parts(cfgs, protos) -> list[ConfigRecord]:
     stack_moments([dist for four in dists for dist in four], range(1, 5))
     dists_ab, dists_conv = [d[2] for d in dists], [d[3] for d in dists]
     checks = zip(
-        conditional_equality_deviations(protos),
-        entropy_bound_checks(protos),
-        crooks_checks(protos),
-        ift_deviations(dists_ab),
-        correlation_witnesses(dists_ab, dists_conv),
+        conditional_equality_deviation(protos),
+        entropy_bound_check(protos),
+        crooks_check(protos),
+        ift_deviation(dists_ab),
+        correlation_witness(dists_ab, dists_conv),
     )
     return [
         ConfigRecord(

@@ -520,40 +520,43 @@ def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDi
     return EntropyDistribution(support, probs, label, dropped, infinite_mass)
 
 
-def mean_entropy(proto: TwoTimeProtocol) -> float:
-    """Mean entropy production <sigma> = -Tr[rho_fin ln rho_tau] - S(rho_in)."""
-    rho_in, rho_fin, rho_tau = proto.states
-    return -trace_rho_log_sigma(rho_fin, rho_tau) - von_neumann_entropy(rho_in)
-
-
 class EntropyBoundResult(NamedTuple):
     relative_entropy: float
     mean_sigma: float
     passed: bool
 
 
-def entropy_bound_check(proto: TwoTimeProtocol) -> EntropyBoundResult:
+def _one_or_many(items) -> tuple[list, bool]:
+    """The items as a list, and whether they are many: a list or tuple is
+    many, anything else is one. Each theorem check and chi answer in kind."""
+    if isinstance(items, (list, tuple)):
+        return list(items), True
+    return [items], False
+
+
+def _require_rank_one(*observables: Observable) -> None:
+    """``ValueError`` unless every projector of ``observables`` has rank one."""
+    if not all(obs.is_rank_one for obs in observables):
+        raise ValueError("the observables must be rank-one projective measurements")
+
+
+def entropy_bound_check(protos):
     """Check 0 <= S(rho_fin || rho_tau) <= <sigma>, to within 1e-10.
 
     When the final observable commutes with rho_fin the relative entropy must
     additionally vanish (the second measurement leaves the state untouched).
-    The one-protocol case of :func:`entropy_bound_checks`.
+    One protocol or a list or tuple of them (see :func:`_one_or_many`); the
+    entropies of each state dimension come from one stacked
+    eigendecomposition (see :func:`core.trace_rho_log_sigma`), with the bits
+    of a lone call. A support violation warns once per protocol.
     """
-    return entropy_bound_checks([proto])[0]
-
-
-def entropy_bound_checks(protos) -> list[EntropyBoundResult]:
-    """:func:`entropy_bound_check` of each protocol, with the entropies of
-    all protocols of one state dimension taken from one stacked
-    eigendecomposition each (see :func:`core.trace_rho_log_sigma`). Each
-    result equals the one-protocol check; a support violation warns once per
-    protocol."""
+    protos, many = _one_or_many(protos)
     results: list = [None] * len(protos)
     for group in _groups(protos, lambda p: p.states.rho_fin.shape):
         members = [protos[i] for i in group]
         rho_in, rho_fin, rho_tau = (np.stack(s) for s in zip(*(p.states for p in members)))
         # Tr[rho_fin ln rho_tau] enters both sides; the relative entropy is
-        # relative_entropy(rho_fin, rho_tau) and the mean is mean_entropy(proto)
+        # relative_entropy(rho_fin, rho_tau)
         cross = trace_rho_log_sigma(rho_fin, rho_tau)
         s_rel = -von_neumann_entropy(rho_fin) - cross  # +inf where cross is -inf
         mean_sigma = -cross - von_neumann_entropy(rho_in)
@@ -564,21 +567,28 @@ def entropy_bound_checks(protos) -> list[EntropyBoundResult]:
         passed &= (commutator > 1e-10) | (s_rel <= 1e-10)
         for i, *result in zip(group, s_rel.tolist(), mean_sigma.tolist(), passed.tolist()):
             results[i] = EntropyBoundResult(*result)
-    return results
+    return results if many else results[0]
 
 
-def conditional_equality_deviation(proto: TwoTimeProtocol) -> float:
+def mean_entropy(proto: TwoTimeProtocol) -> float:
+    """Mean entropy production <sigma> = -Tr[rho_fin ln rho_tau] - S(rho_in),
+    as :func:`entropy_bound_check` states it."""
+    return entropy_bound_check(proto).mean_sigma
+
+
+def conditional_equality_deviation(protos):
     """Max |p(fin k | in m) - p(in m | ref k)| with both sides computed
     independently (forward table vs explicitly reversed map); 0 when no
-    conditional is defined. The one-protocol case of
-    :func:`conditional_equality_deviations`."""
-    return conditional_equality_deviations([proto])[0]
+    conditional is defined. A conditional on an initial outcome of
+    probability ~0 is undefined (NaN) and left out of the maximum.
 
-
-def conditional_equality_deviations(protos) -> list[float]:
-    """:func:`conditional_equality_deviation` of each protocol, one stacked
-    pass per table shape. A conditional on an initial outcome of probability
-    ~0 is undefined (NaN) and left out of the maximum."""
+    It holds for rank-one observables only; any other is refused with
+    ``ValueError`` before any work. One protocol or a list or tuple of them
+    (see :func:`_one_or_many`), in one stacked pass per table shape.
+    """
+    protos, many = _one_or_many(protos)
+    for proto in protos:
+        _require_rank_one(proto.obs_in, proto.obs_fin)
     out = [0.0] * len(protos)
     for group in _groups(protos, lambda p: p.forward.p_fwd.shape):
         conditionals = []
@@ -591,7 +601,7 @@ def conditional_equality_deviations(protos) -> list[float]:
         deviations = np.nan_to_num(np.fmax.reduce(diff, axis=1), nan=0.0)
         for i, deviation in zip(group, deviations.tolist()):
             out[i] = deviation
-    return out
+    return out if many else out[0]
 
 
 def _masses_at(dists, xs: np.ndarray) -> np.ndarray:
@@ -611,7 +621,7 @@ def _masses_at(dists, xs: np.ndarray) -> np.ndarray:
     return np.where(near_lower, at(probs, lower), np.where(near_upper, at(probs, upper), 0.0))
 
 
-def crooks_check(proto: TwoTimeProtocol) -> float:
+def crooks_check(protos):
     """Max deviation |Prob(sigma_bwd = -G) - exp(-G) Prob(sigma = G)|.
 
     The backward distribution is built from the explicitly reversed map, so
@@ -619,24 +629,23 @@ def crooks_check(proto: TwoTimeProtocol) -> float:
     numerics of the channel representation; see
     :attr:`TwoTimeProtocol.backward` for its ``sigma_bwd``. The forward
     distribution is the protocol's A-B one. G runs over the union of the
-    forward support and the negated backward one. The one-protocol case of
-    :func:`crooks_checks`.
+    forward support and the negated backward one.
+
+    One protocol or a list or tuple of them (see :func:`_one_or_many`). The
+    backward distributions are sampled one protocol at a time; the lookups
+    and the maximum run once on the padded rows of all of them. A row holds
+    G with repeats, which leave the maximum unchanged, and padding of +inf,
+    which weighs 0.
     """
-    return crooks_checks([proto])[0]
-
-
-def crooks_checks(protos) -> list[float]:
-    """:func:`crooks_check` of each protocol. The backward distributions are
-    sampled one protocol at a time; the lookups and the maximum run once on
-    the padded rows of all of them. A row holds G with repeats, which leave
-    the maximum unchanged, and padding of +inf, which weighs 0."""
+    protos, many = _one_or_many(protos)
     fwd = [proto.distributions["A-B"] for proto in protos]
     bwd = [entropy_samples(proto.backward) for proto in protos]
     grid = _padded([np.concatenate((f.support, -b.support)) for f, b in zip(fwd, bwd)], np.inf)
     # math.exp, not np.exp: numpy's exp may round differently
     weights = np.array([math.exp(-g) for g in grid.ravel().tolist()]).reshape(grid.shape)
     deviations = np.abs(_masses_at(bwd, -grid) - weights * _masses_at(fwd, grid))
-    return np.max(deviations, axis=1, initial=0.0).tolist()
+    out = np.max(deviations, axis=1, initial=0.0).tolist()
+    return out if many else out[0]
 
 
 def _local_observables(proto: TwoTimeProtocol):
@@ -658,25 +667,24 @@ class WitnessResult(NamedTuple):
     distinct: bool
 
 
-def correlation_witness(
-    dist_ab: EntropyDistribution, dist_conv: EntropyDistribution
-) -> WitnessResult:
+def correlation_witness(dist_ab, dist_conv):
     """Moment gaps |<sigma_AB^k> - <sigma_A+B^k>| for k = 1..4.
 
     A nonzero gap certifies that the pre-measurement state was correlated;
     the converse does not hold (local measurements can erase quantum
-    correlations). The one-pair case of :func:`correlation_witnesses`.
+    correlations). One pair of distributions or two lists or tuples of them,
+    paired in order (see :func:`_one_or_many`), with the moments of all of
+    them from one :func:`stack_moments` call.
     """
-    return correlation_witnesses([dist_ab], [dist_conv])[0]
-
-
-def correlation_witnesses(dists_ab, dists_conv) -> list[WitnessResult]:
-    """:func:`correlation_witness` of each pair, with the moments of all the
-    distributions from one :func:`stack_moments` call."""
+    dists_ab, many = _one_or_many(dist_ab)
+    dists_conv, _ = _one_or_many(dist_conv)
+    if len(dists_ab) != len(dists_conv):
+        raise ValueError("dist_ab and dist_conv must pair up one to one")
     stack_moments([*dists_ab, *dists_conv], range(1, 5))
     table = lambda dists: np.array([dist.moments(4) for dist in dists])
     gaps = np.abs(table(dists_ab) - table(dists_conv))
-    return [WitnessResult(row, bool(np.any(row > 1e-8))) for row in gaps]
+    out = [WitnessResult(row, bool(np.any(row > 1e-8))) for row in gaps]
+    return out if many else out[0]
 
 
 @dataclass(frozen=True)
@@ -731,17 +739,15 @@ def second_law_report(
     )
 
 
-def ift_deviation(dist: EntropyDistribution) -> float:
-    """|<exp(-sigma)> - 1|: the integral fluctuation theorem residual. The
-    one-distribution case of :func:`ift_deviations`."""
-    return ift_deviations([dist])[0]
-
-
-def ift_deviations(dists) -> list[float]:
-    """:func:`ift_deviation` of each distribution: one exponential on the
-    padded rows of all of them, and each <exp(-sigma)> summed as
-    :meth:`EntropyDistribution.mgf` sums it (see :func:`_row_sums`)."""
+def ift_deviation(dists):
+    """|<exp(-sigma)> - 1|: the integral fluctuation theorem residual, of
+    one distribution or a list or tuple of them (see :func:`_one_or_many`):
+    one exponential on the padded rows of all of them, and each
+    <exp(-sigma)> summed as :meth:`EntropyDistribution.mgf` sums it (see
+    :func:`_row_sums`)."""
+    dists, many = _one_or_many(dists)
     supports = _padded([d.support for d in dists], 0.0)
     terms = _padded([d.probs for d in dists], 0.0) * np.exp(-1.0 * supports)
     mgf = _row_sums(terms, np.array([d.support.size for d in dists]))
-    return np.abs(mgf - 1.0).tolist()
+    out = np.abs(mgf - 1.0).tolist()
+    return out if many else out[0]

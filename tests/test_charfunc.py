@@ -292,7 +292,7 @@ class TestStackedProtocols:
         assert len(protocol._shape_groups(protos)) == 2
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stacked = charfunc.moment_generating_stack(protos, label, self.NODES)
+            stacked = charfunc.moment_generating(protos, label, self.NODES)
         assert stacked.dtype == np.longdouble and stacked.shape == (4, self.NODES.size)
         with warnings.catch_warnings(record=True) as alone_caught:
             warnings.simplefilter("always")
@@ -309,27 +309,49 @@ class TestStackedProtocols:
         protos = self.protocols()[::2]
         lam = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-1, 1, 5)
         for label in SUBSYSTEMS:
-            stacked = charfunc.char_function_stack(protos, label, lam)
+            stacked = charfunc.char_function(protos, label, lam)
             assert stacked.dtype == np.clongdouble and stacked.shape == (2, 5)
             for row, proto in zip(stacked, protos):
                 assert np.array_equal(row, char_function(proto, label, lam))
-            scalar = charfunc.char_function_stack(protos, label, 0.3)
+            scalar = charfunc.char_function(protos, label, 0.3)
             assert scalar.shape == (2,)
             assert np.array_equal(scalar, [char_function(proto, label, 0.3) for proto in protos])
 
     def test_worst_residue_over_all_protocols(self, monkeypatch):
         fake = (1 + 1j * np.array([[0.0, 3e-3], [-5e-3, 1e-14]])).astype(np.clongdouble)
-        monkeypatch.setattr(charfunc, "char_function_stack", lambda *args: fake)
+        monkeypatch.setattr(charfunc, "char_function", lambda *args: fake)
         with pytest.raises(ArithmeticError, match=r"residue -5\.000e-03$"):
-            charfunc.moment_generating_stack(self.protocols()[:2], "A", np.array([0.1, 0.2]))
+            charfunc.moment_generating(self.protocols()[:2], "A", np.array([0.1, 0.2]))
 
     def test_every_protocol_is_checked(self):
         protos = self.protocols()
         composite = TwoTimeProtocol(RHO0, COMP4, COMP4, ms_gate(0.3))
         with pytest.raises(ValueError, match="no bipartite observables"):
-            charfunc.moment_generating_stack(protos + [composite], "A", self.NODES)
+            charfunc.moment_generating(protos + [composite], "A", self.NODES)
         with pytest.raises(ValueError, match="subsystem must be one of"):
-            charfunc.moment_generating_stack(protos, "C", self.NODES)
+            charfunc.moment_generating(protos, "C", self.NODES)
+
+    def test_one_or_many(self):
+        # one protocol answers with a value shaped like the parameters, a
+        # list or tuple with one such row per protocol
+        protos = self.protocols()
+        cases = ((char_function, 0.3 + 0.1j), (moment_generating, self.NODES))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSupportWarning)
+            for fn, value in cases:
+                for label in SUBSYSTEMS:
+                    alone = fn(protos[1], label, value)
+                    listed = fn([protos[1]], label, value)
+                    assert np.shape(alone) == np.shape(value)
+                    assert listed.shape == (1,) + np.shape(value) and listed.dtype == alone.dtype
+                    assert np.array_equal(listed[0], alone)
+                    assert np.array_equal(fn(tuple(protos), label, value), fn(protos, label, value))
+
+    def test_lone_call_warning_names_the_caller(self):
+        # the second protocol's A marginal has a zero-probability outcome
+        with pytest.warns(DegenerateSupportWarning) as caught:
+            char_function(self.protocols()[1], "A", 2j)
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestMeasurementPath:

@@ -111,7 +111,7 @@ class TestNumericalFailureExit:
         def imaginary_residue(protos, subsystem, phi):
             raise ArithmeticError("moment-generating value has imaginary residue 1.000e-03")
 
-        monkeypatch.setattr(entroprec.experiments, "moment_generating_stack", imaginary_residue)
+        monkeypatch.setattr(entroprec.experiments, "moment_generating", imaginary_residue)
         argv = ["reconstruct", "--preset", "fig3", "--out", str(tmp_path)]
         assert "imaginary residue" in run_quietly(argv, capsys)
 
@@ -164,7 +164,7 @@ class TestVerifyCommand:
         def fail(*args):
             raise ArithmeticError("chi evaluated")
 
-        monkeypatch.setattr(entroprec.experiments, "moment_generating_stack", fail)
+        monkeypatch.setattr(entroprec.experiments, "moment_generating", fail)
         assert main(["verify", "--preset", "fig3", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert set(report) == {"config", "checks"}

@@ -606,13 +606,13 @@ class TestMomentsOncePerLabel:
     def test_chi_evaluated_once_per_label_and_node(self, monkeypatch):
         # one stacked call per label carries all N nodes
         calls = []
-        original = experiments.moment_generating_stack
+        original = experiments.moment_generating
 
         def counted(protos, label, phi):
             calls.append((len(protos), label, np.array(phi)))
             return original(protos, label, phi)
 
-        monkeypatch.setattr(experiments, "moment_generating_stack", counted)
+        monkeypatch.setattr(experiments, "moment_generating", counted)
         cfg = replace(preset("fig3"), n_moments=7)
         record = run_config(cfg, methods=("pinv", "fourier"))
         nodes = chebyshev_nodes(7, experiments.PHI_MIN, experiments.PHI_MAX).nodes
