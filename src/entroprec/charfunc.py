@@ -24,7 +24,7 @@ exponents with non-positive real part. The powers, the channel application and
 the trace run in :data:`core.EXTENDED` precision. Two steps still round to
 float64: the exponent ``1 + i lam`` is formed in complex128 before it is
 widened (so ``1 - phi`` is rounded for real phi), and the A and B states pass
-through a complex128 Kronecker product. Item 3 of ROADMAP.md describes the
+through a complex128 Kronecker product. Item 4 of ROADMAP.md describes the
 fix, which moves the benchmark's pinned values.
 """
 

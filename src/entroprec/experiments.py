@@ -272,7 +272,7 @@ def _recover(items, method: str) -> list[ReconstructionResult]:
     )
     errors_p = rmse_probs_stack((true, dist) for (*_, true, _, _), dist in zip(items, dists))
     return [
-        ReconstructionResult(grid, chi, moments, method, dist, *errors)
+        ReconstructionResult(grid, chi, moments, dist, *errors)
         for (grid, chi, moments, *_), dist, *errors in zip(items, dists, errors_m, errors_p)
     ]
 
@@ -281,7 +281,6 @@ def _recover(items, method: str) -> list[ReconstructionResult]:
 class ReconstructionBundle:
     """Per-method reconstructions of A, B, A-B plus the A+B convolution."""
 
-    method: str
     per_label: dict[str, ReconstructionResult]
     conv_dist: EntropyDistribution
     rmse_probs_conv: float
@@ -463,7 +462,7 @@ def _bundles(records, measured, methods) -> dict:
         for point, per_label, conv, error_p, error_m in zip(
             points, per_point, convs, errors_p, errors_m
         ):
-            bundles[point][method] = ReconstructionBundle(method, per_label, conv, error_p, error_m)
+            bundles[point][method] = ReconstructionBundle(per_label, conv, error_p, error_m)
     return bundles
 
 

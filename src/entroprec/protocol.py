@@ -227,7 +227,8 @@ class EntropyDistribution:
         return np.array([memo[k] for k in orders])
 
     def mgf(self, phi: float) -> float:
-        """<exp(-phi sigma)>."""
+        """<exp(-phi sigma)> by numpy's pairwise sum, an oracle for chi at a
+        tolerance; :func:`ift_deviation` sums by the running-sum rule."""
         return float(np.sum(self.probs * np.exp(-phi * self.support)))
 
     def char_fn(self, lam: complex) -> complex:
@@ -237,51 +238,44 @@ class EntropyDistribution:
 def stack_moments(dists, orders) -> None:
     """Memoise <sigma^k> = sum(probs * support**k) of each distribution for
     each k of ``orders``, where it is not memoised yet: the powers and
-    products of all of them on their padded rows, and one row sum per
-    support size (see :func:`_row_sums`), so each value has the bits of its
-    own 1-D sum."""
+    products of all of them on their concatenated rows, and one running sum
+    per distribution and order (see :func:`_concatenated`)."""
     orders = tuple(orders)
     wanted = set(orders)
     todo = [d for d in dists if not d._moment_memo.keys() >= wanted]
     if not todo:
         return
-    supports = _padded([d.support for d in todo], 0.0)
-    terms = _padded([d.probs for d in todo], 0.0)[:, None, :] * np.stack(
-        [supports**k for k in orders], axis=1
-    )
-    sums = _row_sums(terms, np.array([d.support.size for d in todo]))
-    for dist, values in zip(todo, sums.tolist()):
+    support, row = _concatenated([d.support for d in todo])
+    probs, _ = _concatenated([d.probs for d in todo])
+    terms = np.stack([probs * support**k for k in orders])
+    # the sums of order j fill bins j * P .. j * P + P - 1, P = len(todo)
+    bins = row + len(todo) * np.arange(len(orders))[:, None]
+    sums = np.bincount(bins.ravel(), terms.ravel(), len(orders) * len(todo))
+    for dist, values in zip(todo, sums.reshape(len(orders), len(todo)).T.tolist()):
         for k, value in zip(orders, values):
-            dist._moment_memo.setdefault(k, value)
+            # float: with no entry at all, bincount counts in integers
+            dist._moment_memo.setdefault(k, float(value))
 
 
 def merge_support(values: np.ndarray, masses: np.ndarray):
     """Aggregate masses whose neighbouring support values lie within
     ``SUPPORT_MERGE_TOL``.
 
-    A cluster takes its total mass and its mass-weighted mean (``np.average``'s
-    ``sum(v * m) / sum(m)``), or its plain mean when it has no mass. Lone
-    values, the common case, get the same arithmetic in one vectorised pass;
-    each larger cluster sums its own slice. ``np.add.reduceat`` would do all
-    clusters at once but rounds its sums differently.
+    A cluster takes its total mass and its mass-weighted mean
+    ``sum(v * m) / sum(m)``, or its plain mean when it has no mass. Each sum
+    is a running sum over the cluster in support order (see
+    :func:`_concatenated`).
     """
     order = np.argsort(values)
     values = np.asarray(values, float)[order]
     masses = np.asarray(masses, float)[order]
-    # cluster i is values[bounds[i]:bounds[i + 1]]; a gap above the tolerance
-    # between neighbours starts a new one
-    gap = np.ones(values.size + 1, dtype=bool)
-    np.greater(values[1:] - values[:-1], SUPPORT_MERGE_TOL, out=gap[1:-1])
-    bounds = gap.nonzero()[0]
-    # as if each were a cluster of one: a one-element sum is 0 + x, which
-    # turns -0.0 into +0.0
-    out_mass = 0.0 + masses[bounds[:-1]]
-    out_vals = 0.0 + values[bounds[:-1]]
-    np.divide(0.0 + out_vals * out_mass, out_mass, out=out_vals, where=out_mass > 0)
-    for i in np.flatnonzero(bounds[1:] - bounds[:-1] > 1).tolist():
-        chunk = slice(bounds[i], bounds[i + 1])
-        out_mass[i] = m = masses[chunk].sum()
-        out_vals[i] = (values[chunk] * masses[chunk]).sum() / m if m > 0 else values[chunk].mean()
+    if not values.size:
+        return values, masses
+    # a gap above the tolerance between neighbours starts a new cluster
+    cluster = np.concatenate(([0], np.cumsum(values[1:] - values[:-1] > SUPPORT_MERGE_TOL)))
+    out_mass = np.bincount(cluster, masses)
+    out_vals = np.bincount(cluster, values) / np.bincount(cluster)
+    np.divide(np.bincount(cluster, values * masses), out_mass, out=out_vals, where=out_mass > 0)
     return out_vals, out_mass
 
 
@@ -386,16 +380,13 @@ def _padded(rows, fill: float) -> np.ndarray:
     return out
 
 
-def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sums of the first ``counts[i]`` entries along the last axis of
-    each ``terms[i]``, as ``.sum()`` of that slice alone gives them: rows of
-    one length are summed together along their contiguous last axis, which
-    keeps each row's pairwise order."""
-    sums = np.empty(terms.shape[:-1])
-    for n in np.unique(counts).tolist():
-        rows = counts == n
-        sums[rows] = np.ascontiguousarray(terms[rows, ..., :n]).sum(axis=-1)
-    return sums
+def _concatenated(rows) -> tuple[np.ndarray, np.ndarray]:
+    """1-D arrays end to end, and the index of the row each entry comes
+    from. ``np.bincount(index, values, len(rows))`` then sums each row's
+    values one by one, in order, from zero, whatever the other rows hold;
+    numpy's own ``.sum()`` does the same below 8 terms."""
+    index = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    return np.concatenate([np.empty(0), *rows]), index
 
 
 def _states(protos) -> list[ProtocolStates]:
@@ -742,12 +733,11 @@ def second_law_report(
 def ift_deviation(dists):
     """|<exp(-sigma)> - 1|: the integral fluctuation theorem residual, of
     one distribution or a list or tuple of them (see :func:`_one_or_many`):
-    one exponential on the padded rows of all of them, and each
-    <exp(-sigma)> summed as :meth:`EntropyDistribution.mgf` sums it (see
-    :func:`_row_sums`)."""
+    one exponential on the concatenated rows of all of them, and each
+    <exp(-sigma)> a running sum over its row (see :func:`_concatenated`)."""
     dists, many = _one_or_many(dists)
-    supports = _padded([d.support for d in dists], 0.0)
-    terms = _padded([d.probs for d in dists], 0.0) * np.exp(-1.0 * supports)
-    mgf = _row_sums(terms, np.array([d.support.size for d in dists]))
+    support, row = _concatenated([d.support for d in dists])
+    probs, _ = _concatenated([d.probs for d in dists])
+    mgf = np.bincount(row, probs * np.exp(-1.0 * support), len(dists))
     out = np.abs(mgf - 1.0).tolist()
     return out if many else out[0]

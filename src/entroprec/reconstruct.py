@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution, _groups, _padded, _row_sums
+from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution, _concatenated, _groups
 
 ILL_CONDITION_LIMIT = 1e14
 TIKHONOV_LAMBDA = 1e-12
@@ -127,10 +127,6 @@ class MomentVector:
         # depends on the memory layout of the moments it reads
         object.__setattr__(self, "moments", np.ascontiguousarray(self.moments, dtype=float))
         object.__setattr__(self, "scaled", np.ascontiguousarray(self.scaled, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.moments.size
 
     @property
     def nontrivial(self) -> np.ndarray:
@@ -446,11 +442,12 @@ def rmse_probs_stack(pairs) -> list[float]:
 
 
 def _root_mean_squares(rows) -> list[float]:
-    """sqrt(sum(|x|^2) / n) of each 1-D row x of n values, on the padded rows
-    of all of them; each row is summed as its own 1-D sum."""
-    counts = np.array([len(row) for row in rows])
-    squares = np.abs(_padded(rows, 0.0)) ** 2
-    return np.sqrt(_row_sums(squares, counts) / counts).tolist()
+    """sqrt(sum(|x|^2) / n) of each 1-D row x of n values, on the
+    concatenated rows of all of them; each sum is a running sum over its row
+    (see :func:`protocol._concatenated`)."""
+    values, row = _concatenated(rows)
+    sums = np.bincount(row, np.abs(values) ** 2, len(rows))
+    return np.sqrt(sums / [len(r) for r in rows]).tolist()
 
 
 @dataclass(frozen=True)
@@ -462,7 +459,6 @@ class ReconstructionResult:
     grid: ParameterGrid
     chi: np.ndarray
     moments: MomentVector
-    method: str
     dist: EntropyDistribution
     rmse_moments: float | None = None
     rmse_probs: float | None = None

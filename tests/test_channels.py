@@ -65,6 +65,16 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="trace"):
             QuantumChannel((np.diag([1.0, 0.5]).astype(complex),))
 
+    def test_trace_drift_beyond_budget_refused(self):
+        # sum E^dag E = I + eps * (all ones) keeps every entry within a 1e-3
+        # budget, but takes |+><+| to trace 1 + 2 eps
+        eps = 9e-4
+        plus, minus = np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)
+        kraus = np.outer(minus, minus) + math.sqrt(1 + 2 * eps) * np.outer(plus, plus)
+        channel = QuantumChannel(kraus[None].astype(complex), tp_tol=1e-3)
+        with pytest.raises(ValueError, match="trace drifted"):
+            apply_channel(channel, DensityMatrix.pure(plus))
+
 
 class TestChannelValidation:
     def test_kraus_is_one_read_only_stack(self):
@@ -245,6 +255,11 @@ class TestLindbladPropagate:
             kraus_from_lindblad_endpoints((model,), tau, dt)
         with pytest.raises(ValueError, match=f"{message} must be"):
             lindblad_propagate(model, RHO0, tau, dt)
+
+    def test_state_dimension_checked(self):
+        model = two_ion_model(0.01, 0.1, 0.1)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            lindblad_propagate(model, DensityMatrix.maximally_mixed(2), 1.0, 0.1)
 
     def test_unstable_step_raises(self):
         model = two_ion_model(0.01, 1e6, 1e6)

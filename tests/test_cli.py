@@ -54,6 +54,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="cannot read"):
             parse_config(["simulate", "--config", str(path)])
 
+    @pytest.mark.parametrize(
+        "argv, code", [(["--help"], 0), (["simulate", "--bogus"], 2)], ids=["help", "unknown-flag"]
+    )
+    def test_parser_exit_is_returned(self, argv, code, capsys):
+        assert main(argv) == code
+
 
 def run_quietly(argv, capsys):
     """Run the CLI expecting exit 2 with one JSON error line and no warnings."""

@@ -93,6 +93,12 @@ class TestPartialTrace:
             partial_trace(rho, "A")
 
 
+    @pytest.mark.parametrize("keep", ["C", 2, "AB"])
+    def test_rejects_unknown_factor(self, keep):
+        rho = DensityMatrix.maximally_mixed(4, partition=(2, 2))
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B'"):
+            partial_trace(rho, keep)
+
 class TestVonNeumannEntropy:
     def test_pure_state(self, rng):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -200,6 +206,11 @@ class TestDensityMatrixValidation:
         m[0, 1] = bad
         with pytest.raises(ValueError, match="entries must be finite"):
             DensityMatrix(m)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(np.ones(shape) / 2)
 
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="partition"):

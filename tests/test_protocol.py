@@ -32,6 +32,7 @@ from entroprec import (
 from entroprec.protocol import EntropyBoundResult, stack_moments
 from entroprec import DegenerateSupportWarning, relative_entropy
 from entroprec.channels import TimeReversal, _endpoint_channel, time_reversed
+from entroprec.reconstruct import rmse_probs_stack
 from entroprec.protocol import (
     MASS_DROP_TOL,
     SUPPORT_MERGE_TOL,
@@ -144,6 +145,15 @@ class TestForwardJoint:
         table = proto.forward
         assert np.max(np.abs(table.p_in - 0.25)) <= 1e-12
         assert np.max(np.abs(table.p_ref - 0.25)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "p_fwd, message",
+        [([[0.6, -0.1], [0.3, 0.2]], "nonnegative"), ([[0.5, 0.1], [0.3, 0.2]], "sums to")],
+        ids=["negative", "unnormalised"],
+    )
+    def test_table_validated(self, p_fwd, message):
+        with pytest.raises(ValueError, match=message):
+            JointOutcomeTable(np.array(p_fwd), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
 class TestBackwardJoint:
@@ -411,6 +421,26 @@ class TestBipartite:
                 rho0, proto.obs_in, proto.obs_in, QuantumChannel.identity(6), proto.bipartite_obs
             )
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((RHO0, QUBIT_OBS, COMP4, ms_gate(0.3)), "dimensions must agree"),
+            ((RHO0, COMP4, COMP4, QuantumChannel.identity(2)), "dimensions must agree"),
+            (
+                (DensityMatrix(RHO0.data), COMP4, COMP4, ms_gate(0.3), (QUBIT_OBS,) * 4),
+                "require a partitioned rho0",
+            ),
+            (
+                (RHO0, COMP4, COMP4, ms_gate(0.3), (COMP4, QUBIT_OBS, QUBIT_OBS, QUBIT_OBS)),
+                "must match the partition",
+            ),
+        ],
+        ids=["observable-dim", "channel-dim", "no-partition", "local-dim"],
+    )
+    def test_mismatched_parts_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TwoTimeProtocol(*args)
+
     def test_non_product_state_rejected(self):
         correlated = DensityMatrix.from_diagonal([0.5, 0.0, 0.0, 0.5], partition=(2, 2))
         with pytest.raises(ValueError, match="factorise"):
@@ -594,6 +624,15 @@ class TestDistributionBasics:
         with pytest.raises(ValueError, match="finite"):
             EntropyDistribution(np.array(support), np.array(probs))
 
+    @pytest.mark.parametrize(
+        "support, probs",
+        [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[0.5, 0.5]])],
+        ids=["unequal-lengths", "two-dimensional"],
+    )
+    def test_shapes_checked(self, support, probs):
+        with pytest.raises(ValueError, match="matching 1-D arrays"):
+            EntropyDistribution(np.array(support), np.array(probs))
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             EntropyDistribution(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
@@ -685,6 +724,15 @@ def loop_endpoint_kraus(endpoint, d):
     return np.array(kraus)
 
 
+def running_sum(terms) -> float:
+    """The terms added one by one, in order, from 0.0: the rule of every sum
+    over a distribution's support or a cluster of it."""
+    total = 0.0
+    for term in np.asarray(terms, dtype=float).tolist():
+        total += term
+    return total
+
+
 def loop_merge_support(values, masses):
     order = np.argsort(values)
     values = np.asarray(values, float)[order]
@@ -694,12 +742,12 @@ def loop_merge_support(values, masses):
     for stop in range(1, len(values) + 1):
         if stop == len(values) or values[stop] - values[stop - 1] > SUPPORT_MERGE_TOL:
             chunk = slice(start, stop)
-            m = masses[chunk].sum()
+            m = running_sum(masses[chunk])
             if m > 0:
-                out_vals.append(float(np.average(values[chunk], weights=masses[chunk])))
+                out_vals.append(running_sum(values[chunk] * masses[chunk]) / m)
             else:
-                out_vals.append(float(values[chunk].mean()))
-            out_mass.append(float(m))
+                out_vals.append(running_sum(values[chunk]) / (stop - start))
+            out_mass.append(m)
             start = stop
     return np.array(out_vals), np.array(out_mass)
 
@@ -983,10 +1031,10 @@ class TestStackedMatchesLoops:
         dist = entropy_samples(generic_protocol(rng).forward)
         other = EntropyDistribution(dist.support, dist.probs[::-1] / dist.probs.sum())
         for k in (1, 2, 3, 4, 7):
-            fresh = float(np.sum(dist.probs * dist.support**k))
+            fresh = running_sum(dist.probs * dist.support**k)
             assert same_bits(dist.moment(k), fresh)
             assert same_bits(dist.moment(k), fresh)  # memoised
-            assert same_bits(other.moment(k), float(np.sum(other.probs * other.support**k)))
+            assert same_bits(other.moment(k), running_sum(other.probs * other.support**k))
         assert same_bits(dist.moments(4), np.array([dist.moment(k) for k in range(1, 5)]))
 
 
@@ -1136,13 +1184,13 @@ class TestStackedChecks:
     def test_ift_witness_and_moments(self, rng):
         dists = [d for p in mixed_protocols(rng) for d in quietly(lambda: p.distributions).values()]
         dists.append(EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0))
-        expected = [abs(float(np.sum(d.probs * np.exp(-1.0 * d.support))) - 1.0) for d in dists]
+        expected = [abs(running_sum(d.probs * np.exp(-1.0 * d.support)) - 1.0) for d in dists]
         assert all(same_bits(a, b) for a, b in zip(ift_deviation(dists), expected))
         assert all(same_bits(ift_deviation(d), e) for d, e in zip(dists, expected))
         stack_moments(dists, range(1, 6))
         for dist in dists:
             for k in range(1, 6):
-                assert same_bits(dist.moment(k), float((dist.probs * dist.support**k).sum()))
+                assert same_bits(dist.moment(k), running_sum(dist.probs * dist.support**k))
         pairs = [(p.distributions["A-B"], p.distributions["A+B"]) for p in mixed_protocols(rng)
                  if p.bipartite_obs is not None]
         stacked = correlation_witness(*zip(*pairs))
@@ -1150,6 +1198,31 @@ class TestStackedChecks:
             alone = correlation_witness(ab, conv)
             assert same_bits(result.moment_gaps, alone.moment_gaps)
             assert result.distinct is alone.distinct
+
+    def test_sums_are_running_sums(self):
+        # 16 support points, where numpy's pairwise .sum() rounds each of
+        # these sums differently from a running sum; a row's sums keep their
+        # bits alone and stacked between a shorter row and an empty one
+        rng = np.random.default_rng(16)
+        support = np.sort(rng.uniform(-3, 3, 16))
+        probs, other = (p / p.sum() for p in rng.random((2, 16)))
+        terms = [probs * support**k for k in range(1, 5)]
+        terms += [probs * np.exp(-1.0 * support), np.abs(probs - other) ** 2]
+        assert all(running_sum(t) != t.sum() for t in terms)
+        for stacked in (False, True):
+            long = EntropyDistribution(support, probs)
+            short = EntropyDistribution(np.array([-1.0, 0.2, 2.0]), np.array([0.2, 0.3, 0.5]))
+            empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
+            dists, pairs, at = [long], [(long, EntropyDistribution(support, other))], 0
+            if stacked:
+                dists, pairs, at = [short, long, empty], [(short, short), *pairs], 1
+            stack_moments(dists, range(1, 5))
+            assert same_bits(long.moments(4), np.array([running_sum(t) for t in terms[:4]]))
+            assert same_bits(ift_deviation(dists)[at], abs(running_sum(terms[4]) - 1.0))
+            expected = math.sqrt(running_sum(terms[5]) / 16)
+            assert same_bits(rmse_probs_stack(pairs)[at], expected)
+        lone_empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
+        assert same_bits(lone_empty.moments(4), np.zeros(4))
 
     def test_default_phase_sweep_warns_as_before(self):
         # the counts of the one-protocol checks: a rank-deficient rho0 meets

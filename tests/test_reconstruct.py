@@ -130,6 +130,11 @@ class TestChebyshevNodes:
         with pytest.raises(ValueError, match="finite"):
             ParameterGrid(*bounds, np.array(nodes))
 
+    @pytest.mark.parametrize("nodes", [[-0.5, 0.5], [0.5, 1.5]], ids=["below", "above"])
+    def test_grid_rejects_nodes_outside_its_interval(self, nodes):
+        with pytest.raises(ValueError, match="inside"):
+            ParameterGrid(0.0, 1.0, np.array(nodes))
+
     @pytest.mark.parametrize(
         "bounds", [(-0.5, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-0.5, np.nan)]
     )
@@ -271,6 +276,11 @@ class TestNewtonMoments:
         assert eta[1] == pytest.approx(-2.0)
         result = moments_via_newton(grid, chi)
         assert result.scaled[1] == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5)])
+    def test_chi_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="one chi value per grid node"):
+            moments_via_newton(chebyshev_nodes(5, 0.0, 1.0), np.ones(shape))
 
     def test_agrees_with_vandermonde(self, proto):
         grid = chebyshev_nodes(10, PHI_MIN, PHI_MAX)
@@ -492,6 +502,13 @@ class TestPseudoinverse:
     def test_underdetermined_warns(self):
         with pytest.warns(InfeasibleRecoveryWarning):
             pseudoinverse_reconstruct([0.3], [-1.0, -0.3, 0.4, 1.2])
+
+    def test_no_mass_left_gives_uniform(self):
+        # both least-squares masses are -1, so clipping leaves no mass, and
+        # no zero support value takes the rest
+        with pytest.warns(InfeasibleRecoveryWarning):
+            dist = pseudoinverse_reconstruct([-1.5, -1.25], [0.5, 1.0])
+        assert np.array_equal(dist.probs, [0.5, 0.5])
 
     def test_zero_support_point_mass_from_normalisation(self, proto, dists):
         # the composite distribution carries an exact zero in its support;
