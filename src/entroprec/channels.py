@@ -37,8 +37,11 @@ class QuantumChannel:
     ``kraus`` is one read-only ``(n_operators, dim, dim)`` array; the
     constructor takes any sequence of equal-shape square matrices.
     ``tp_tol`` and ``unital_tol`` bound the accepted deviation of
-    sum E^dag E and sum E E^dag from the identity; integrated (non-exact)
-    channels carry looser bounds than analytically constructed ones.
+    sum E^dag E and sum E E^dag from the identity, as its largest absolute
+    row sum; integrated (non-exact) channels carry looser bounds than
+    analytically constructed ones. That norm bounds the spectral one, so a
+    channel within ``tp_tol`` keeps |Tr Phi(rho) - 1| <= ``tp_tol`` on
+    every state.
     """
 
     kraus: np.ndarray
@@ -55,8 +58,8 @@ class QuantumChannel:
             raise ValueError("Kraus operators must be finite")
         eye = np.eye(ops.shape[1])
         adjoints = ops.conj().swapaxes(-1, -2)
-        trace_defect = float(np.max(np.abs((adjoints @ ops).sum(axis=0) - eye)))
-        unitality_defect = float(np.max(np.abs((ops @ adjoints).sum(axis=0) - eye)))
+        defect = lambda gram: float(np.max(np.sum(np.abs(gram.sum(axis=0) - eye), axis=-1)))
+        trace_defect, unitality_defect = defect(adjoints @ ops), defect(ops @ adjoints)
         if trace_defect > self.tp_tol:
             raise ValueError(f"channel not trace preserving: defect {trace_defect:.3e}")
         object.__setattr__(self, "kraus", ops)
@@ -120,14 +123,15 @@ def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Evolve a state through the channel; the output trace is re-pinned to 1
-    after checking it stayed within the channel's trace-preservation budget."""
+    after checking it stayed within the channel's trace-preservation budget,
+    which the channel's validation guarantees up to rounding."""
     if rho.dim != channel.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, channel {channel.dim}")
     out = channel.apply_matrix(rho.data)
     out = (out + out.conj().T) / 2.0
     tr = np.trace(out).real
     if abs(tr - 1.0) > max(channel.tp_tol, 1e-12):
-        raise ValueError(f"trace drifted to {tr!r} under channel application")
+        raise ValueError(f"trace drifted to {float(tr)!r} under channel application")
     return DensityMatrix(out / tr, rho.partition)
 
 
@@ -350,7 +354,7 @@ def lindblad_propagate(
     drift = abs(np.trace(out).real - 1.0)
     if not drift <= MAX_TRACE_DRIFT:  # catches NaN from an unstable step size
         raise IntegratorAccuracyError(
-            f"trace drift {drift!r} exceeds {MAX_TRACE_DRIFT}; reduce dt"
+            f"trace drift {float(drift)!r} exceeds {MAX_TRACE_DRIFT}; reduce dt"
         )
     defect = hermiticity_defect(out)
     out = (out + out.conj().T) / 2.0

@@ -120,7 +120,7 @@ class DensityMatrix:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {defect:.3e}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
+            raise ValueError(f"trace must be 1, got {float(tr)!r}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")

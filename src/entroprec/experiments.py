@@ -47,10 +47,9 @@ from .reconstruct import (
     fourier_reconstruct,
     moments_via_vandermonde,
     pseudoinverse_stack,
-    rmse_moments_stack,
-    rmse_probs_stack,
+    rmse_probs,
 )
-from .reconstruct import _validate_count
+from .reconstruct import _root_mean_squares, _validate_count
 
 RHO0_DIAG = (6 / 25, 9 / 25, 4 / 25, 6 / 25)
 DEFAULT_TAU = 50.0
@@ -208,8 +207,7 @@ def reconstruct_subsystem(
     points; rows beyond that only add factorially amplified extraction noise.
     """
     measured = _measure_moments([proto], [(0, n_moments)], (label,))[0, n_moments]
-    truth = true_dist.moments(_scored_moments(n_moments))
-    return _recover([(*measured[label], true_dist, truth, label)], method)[0]
+    return _recover([(*measured[label], true_dist, _scored_moments(n_moments), label)], method)[0]
 
 
 def _scored_moments(n_moments: int) -> int:
@@ -250,10 +248,10 @@ def _measure_moments(
 
 def _recover(items, method: str) -> list[ReconstructionResult]:
     """One recovery method applied to measured moments, for each item
-    ``(grid, chi, moments, true_dist, true_moments, label)``, scored against
-    the true distribution and its leading ``true_moments``; see
-    :func:`reconstruct_subsystem`. The pinv recoveries of all items are one
-    :func:`pseudoinverse_stack` call."""
+    ``(grid, chi, moments, true_dist, scored, label)``, scored by
+    :func:`_scores` against the true distribution on its leading ``scored``
+    moments; see :func:`reconstruct_subsystem`. The pinv recoveries of all
+    items are one :func:`pseudoinverse_stack` call."""
     if method == "pinv":
         dists = pseudoinverse_stack(
             (m.nontrivial[: min(m.nontrivial.size, true.support.size)], true.support, label)
@@ -266,15 +264,24 @@ def _recover(items, method: str) -> list[ReconstructionResult]:
         ]
     else:
         raise ValueError(f"method must be 'pinv' or 'fourier', got {method!r}")
-    stack_moments(dists, range(1, max(truth.size for *_, truth, _ in items) + 1))
-    errors_m = rmse_moments_stack(
-        (truth, dist.moments(truth.size), truth.size) for (*_, truth, _), dist in zip(items, dists)
-    )
-    errors_p = rmse_probs_stack((true, dist) for (*_, true, _, _), dist in zip(items, dists))
+    scores = _scores([item[3] for item in items], dists, [item[4] for item in items])
     return [
-        ReconstructionResult(grid, chi, moments, dist, *errors)
-        for (grid, chi, moments, *_), dist, *errors in zip(items, dists, errors_m, errors_p)
+        ReconstructionResult(grid, chi, moments, dist, *score)
+        for (grid, chi, moments, *_), dist, score in zip(items, dists, scores)
     ]
+
+
+def _scores(trues, dists, counts) -> list[tuple[float, float]]:
+    """The moment and probability RMSEs of each of ``dists`` against its true
+    distribution, paired in order: over its leading ``count`` moments (see
+    :func:`_scored_moments`) and over the aligned supports (see
+    :func:`reconstruct.rmse_probs`). Each value has the bits of its lone
+    computation."""
+    stack_moments([*trues, *dists], range(1, max(counts, default=0) + 1))
+    errors_m = _root_mean_squares(
+        [true.moments(k) - dist.moments(k) for true, dist, k in zip(trues, dists, counts)]
+    )
+    return list(zip(errors_m, rmse_probs(trues, dists)))
 
 
 @dataclass(frozen=True)
@@ -431,7 +438,8 @@ def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
     records = protocol_parts(channels, protos)
     owner = {key: i for i, key in enumerate(channels)}
     points = [(owner[key], cfg.n_moments) for key, cfg in zip(keys, cfgs)]
-    bundles = _bundles(records, _measure_moments(protos, points), methods) if methods else {}
+    measured = _measure_moments(protos, points) if methods and points else {}
+    bundles = _bundles(records, measured, methods)
     return [(records[i], bundles.get((i, n), {})) for i, n in points]
 
 
@@ -439,28 +447,23 @@ def _bundles(records, measured, methods) -> dict:
     """The :class:`ReconstructionBundle` of each method for each point
     ``(protocol index, N)`` of ``measured``, scored against the protocol
     parts ``records``: one :func:`_recover` call per method for every
-    (point, label), then the convolutions of the recovered A and B and their
-    scores, with the true moments of each point computed once."""
+    (point, label), then the convolutions of the recovered A and B, scored
+    by :func:`_scores` like the recoveries."""
     points = list(measured)
-    items = []
-    for i, n in points:
-        for label, (grid, chi, moments) in measured[i, n].items():
-            true = records[i].distributions[label]
-            items.append((grid, chi, moments, true, true.moments(_scored_moments(n)), label))
+    items = [
+        (*measured[i, n][label], records[i].distributions[label], _scored_moments(n), label)
+        for i, n in points
+        for label in measured[i, n]
+    ]
     true_conv = [records[i].distributions["A+B"] for i, _ in points]
-    truths = [true.moments(_scored_moments(n)) for true, (_, n) in zip(true_conv, points)]
+    counts = [_scored_moments(n) for _, n in points]
     bundles = {point: {} for point in points}
     for method in methods:
         results = iter(_recover(items, method))
         per_point = [{label: next(results) for label in measured[point]} for point in points]
         convs = [convolve_distributions(r["A"].dist, r["B"].dist) for r in per_point]
-        stack_moments(convs, range(1, max(truth.size for truth in truths) + 1))
-        errors_p = rmse_probs_stack(zip(true_conv, convs))
-        errors_m = rmse_moments_stack(
-            (truth, conv.moments(truth.size), truth.size) for truth, conv in zip(truths, convs)
-        )
-        for point, per_label, conv, error_p, error_m in zip(
-            points, per_point, convs, errors_p, errors_m
+        for point, per_label, conv, (error_m, error_p) in zip(
+            points, per_point, convs, _scores(true_conv, convs, counts)
         ):
             bundles[point][method] = ReconstructionBundle(per_label, conv, error_p, error_m)
     return bundles

@@ -201,7 +201,7 @@ class EntropyDistribution:
             raise ValueError(f"negative probability {probs.min():.3e}")
         total = probs.sum() + self.infinite_mass
         if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}")
+            raise ValueError(f"probabilities sum to {float(total)!r}")
         support.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "support", support)
@@ -314,7 +314,7 @@ class JointOutcomeTable:
         if self.p_fwd.min() < -1e-12:
             raise ValueError("joint probabilities must be nonnegative")
         if abs(self.p_fwd.sum() - 1.0) > 1e-10:
-            raise ValueError(f"joint table sums to {self.p_fwd.sum()!r}")
+            raise ValueError(f"joint table sums to {float(self.p_fwd.sum())!r}")
 
 
 def _dephase(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -369,15 +369,6 @@ def _shape_groups(protos) -> list[list[int]]:
         )
 
     return _groups(protos, key)
-
-
-def _padded(rows, fill: float) -> np.ndarray:
-    """1-D arrays as the rows of one ``(len(rows), K)`` array, K the length
-    of the longest (at least 1), each padded with ``fill``."""
-    out = np.full((len(rows), max(1, max((len(r) for r in rows), default=0))), fill)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
 
 
 def _concatenated(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -595,23 +586,6 @@ def conditional_equality_deviation(protos):
     return out if many else out[0]
 
 
-def _masses_at(dists, xs: np.ndarray) -> np.ndarray:
-    """Probability of the support point of ``dists[i]`` at each ``xs[i, j]``:
-    its lower neighbour in the support if that lies within
-    ``SUPPORT_MERGE_TOL``, else its upper one, else 0."""
-    supports = _padded([d.support for d in dists], np.inf)
-    probs = _padded([d.probs for d in dists], 0.0)
-    counts = np.array([d.support.size for d in dists])
-    # np.searchsorted on each row: the number of support values below x
-    idx = np.count_nonzero(supports[:, None, :] < xs[:, :, None], axis=-1)
-    lower = np.maximum(idx - 1, 0)
-    upper = np.minimum(idx, np.maximum(counts - 1, 0)[:, None])
-    at = lambda a, i: np.take_along_axis(a, i, axis=1)
-    near_lower = np.abs(at(supports, lower) - xs) <= SUPPORT_MERGE_TOL
-    near_upper = np.abs(at(supports, upper) - xs) <= SUPPORT_MERGE_TOL
-    return np.where(near_lower, at(probs, lower), np.where(near_upper, at(probs, upper), 0.0))
-
-
 def crooks_check(protos):
     """Max deviation |Prob(sigma_bwd = -G) - exp(-G) Prob(sigma = G)|.
 
@@ -620,22 +594,26 @@ def crooks_check(protos):
     numerics of the channel representation; see
     :attr:`TwoTimeProtocol.backward` for its ``sigma_bwd``. The forward
     distribution is the protocol's A-B one. G runs over the union of the
-    forward support and the negated backward one.
+    forward support and the negated backward one: :func:`merge_support`
+    takes the values ``(sigma, -sigma_bwd)`` with the masses
+    ``(exp(-sigma) P(sigma), -P_bwd(sigma_bwd))``, so each G within
+    ``SUPPORT_MERGE_TOL`` of both sides merges into one signed mass, and the
+    deviation is the largest |merged mass|.
 
-    One protocol or a list or tuple of them (see :func:`_one_or_many`). The
-    backward distributions are sampled one protocol at a time; the lookups
-    and the maximum run once on the padded rows of all of them. A row holds
-    G with repeats, which leave the maximum unchanged, and padding of +inf,
-    which weighs 0.
+    One protocol or a list or tuple of them (see :func:`_one_or_many`).
     """
     protos, many = _one_or_many(protos)
-    fwd = [proto.distributions["A-B"] for proto in protos]
-    bwd = [entropy_samples(proto.backward) for proto in protos]
-    grid = _padded([np.concatenate((f.support, -b.support)) for f, b in zip(fwd, bwd)], np.inf)
-    # math.exp, not np.exp: numpy's exp may round differently
-    weights = np.array([math.exp(-g) for g in grid.ravel().tolist()]).reshape(grid.shape)
-    deviations = np.abs(_masses_at(bwd, -grid) - weights * _masses_at(fwd, grid))
-    out = np.max(deviations, axis=1, initial=0.0).tolist()
+    out = []
+    for proto in protos:
+        fwd = proto.distributions["A-B"]
+        bwd = entropy_samples(proto.backward)
+        # math.exp, not np.exp: numpy's exp may round differently
+        weights = np.array([math.exp(-g) for g in fwd.support.tolist()])
+        _, masses = merge_support(
+            np.concatenate((fwd.support, -bwd.support)),
+            np.concatenate((weights * fwd.probs, -bwd.probs)),
+        )
+        out.append(float(np.max(np.abs(masses), initial=0.0)))
     return out if many else out[0]
 
 

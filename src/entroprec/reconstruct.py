@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution, _concatenated, _groups
+from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution, _concatenated, _groups, _one_or_many
 
 ILL_CONDITION_LIMIT = 1e14
 TIKHONOV_LAMBDA = 1e-12
@@ -261,12 +261,14 @@ def fourier_reconstruct(moments, support_grid, label: str = "sigma") -> EntropyD
     integrand Re[series e^{-i s mu}] = E cos(s mu) + O sin(s mu) is even: each
     integral is twice a trapezoid over [0, L]. All limits share the half-line
     grid mu_i = i DEFAULT_DMU and one cos/sin table; each reads its own window.
-    The table is cached per support and grid length (see :func:`_fourier_kernel`).
+    The table is cached per support and grid length (see :func:`_fourier_kernel`),
+    once the support has passed the pinv recovery's check (see
+    :func:`_validated_support`).
     """
     m = np.ascontiguousarray(moments, dtype=float)
     if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
         raise ValueError("moments must be a nonempty 1-D array of finite values")
-    support = np.sort(np.asarray(support_grid, dtype=float))
+    support = np.sort(_validated_support(support_grid))
     coeffs = np.array([m[k] * 1j**k / math.factorial(k) for k in range(m.size)])
     ends = np.rint(np.array(DEFAULT_LIMITS) / DEFAULT_DMU).astype(int)
     mu = np.arange(ends.max() + 1) * DEFAULT_DMU
@@ -378,13 +380,21 @@ def _pinv_system(moments, support, label):
     b = np.ascontiguousarray(moments, dtype=float)
     if b.ndim != 1 or not np.all(np.isfinite(b)):
         raise ValueError("moments must be a 1-D array of finite values")
+    s = _validated_support(support)
+    active = np.abs(s) > 1e-12
+    return b, s, s[None, active] ** np.arange(1, b.size + 1)[:, None], label
+
+
+def _validated_support(support) -> np.ndarray:
+    """``support`` as a float64 array; ``ValueError`` unless it is a nonempty
+    1-D array of finite values, no two within ``SUPPORT_MERGE_TOL``. Both
+    recoveries check their support by it before any work."""
     s = np.asarray(support, dtype=float)
     if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
         raise ValueError("support must be a nonempty 1-D array of finite values")
     if s.size > 1 and np.diff(np.sort(s)).min() <= SUPPORT_MERGE_TOL:
         raise ValueError("support contains coincident values; merge them first")
-    active = np.abs(s) > 1e-12
-    return b, s, s[None, active] ** np.arange(1, b.size + 1)[:, None], label
+    return s
 
 
 def _pinv_distribution(s: np.ndarray, solved: np.ndarray, label: str) -> EntropyDistribution:
@@ -406,39 +416,32 @@ def _pinv_distribution(s: np.ndarray, solved: np.ndarray, label: str) -> Entropy
 
 def rmse_moments(true_moments, recon_moments, n_max: int) -> float:
     """Root mean square error over the first ``n_max`` moments (k starts at
-    1). The one-item case of :func:`rmse_moments_stack`."""
-    return rmse_moments_stack([(true_moments, recon_moments, n_max)])[0]
+    1), by the row rule of :func:`_root_mean_squares`."""
+    t = np.asarray(true_moments, dtype=float)
+    r = np.asarray(recon_moments, dtype=float)
+    if t.size < n_max or r.size < n_max:
+        raise ValueError("need at least n_max moments on both sides")
+    return _root_mean_squares([t[:n_max] - r[:n_max]])[0]
 
 
-def rmse_moments_stack(items) -> list[float]:
-    """:func:`rmse_moments` of each ``(true_moments, recon_moments, n_max)``
-    item, each with the bits of its lone call (see :func:`_root_mean_squares`)."""
+def rmse_probs(true_dist, recon_dist):
+    """Root mean square deviation of the recovered probabilities from the
+    true ones over their aligned supports. One pair of distributions or two
+    lists or tuples of them, paired in order (see
+    :func:`protocol._one_or_many`); each value has the bits of its lone call
+    (see :func:`_root_mean_squares`)."""
+    trues, many = _one_or_many(true_dist)
+    recons, _ = _one_or_many(recon_dist)
+    if len(trues) != len(recons):
+        raise ValueError("true_dist and recon_dist must pair up one to one")
     rows = []
-    for true_moments, recon_moments, n_max in items:
-        t = np.asarray(true_moments, dtype=float)
-        r = np.asarray(recon_moments, dtype=float)
-        if t.size < n_max or r.size < n_max:
-            raise ValueError("need at least n_max moments on both sides")
-        rows.append(t[:n_max] - r[:n_max])
-    return _root_mean_squares(rows)
-
-
-def rmse_probs(true_dist: EntropyDistribution, recon_dist: EntropyDistribution) -> float:
-    """Root mean square reconstruction deviation over the aligned support.
-    The one-pair case of :func:`rmse_probs_stack`."""
-    return rmse_probs_stack([(true_dist, recon_dist)])[0]
-
-
-def rmse_probs_stack(pairs) -> list[float]:
-    """:func:`rmse_probs` of each ``(true_dist, recon_dist)`` pair, each with
-    the bits of its lone call (see :func:`_root_mean_squares`)."""
-    rows = []
-    for true_dist, recon_dist in pairs:
-        true, recon = true_dist.support, recon_dist.support
+    for t, r in zip(trues, recons):
+        true, recon = t.support, r.support
         if true.size != recon.size or np.max(np.abs(true - recon)) > SUPPORT_MERGE_TOL:
             raise ValueError("distribution supports do not align")
-        rows.append(true_dist.probs - recon_dist.probs)
-    return _root_mean_squares(rows)
+        rows.append(t.probs - r.probs)
+    out = _root_mean_squares(rows)
+    return out if many else out[0]
 
 
 def _root_mean_squares(rows) -> list[float]:

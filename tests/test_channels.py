@@ -8,7 +8,9 @@ from scipy.linalg import expm
 
 from entroprec import (
     DensityMatrix,
+    EntropyDistribution,
     IntegratorAccuracyError,
+    JointOutcomeTable,
     LindbladModel,
     NonCompletelyPositiveError,
     QuantumChannel,
@@ -67,13 +69,73 @@ class TestApplyChannel:
 
     def test_trace_drift_beyond_budget_refused(self):
         # sum E^dag E = I + eps * (all ones) keeps every entry within a 1e-3
-        # budget, but takes |+><+| to trace 1 + 2 eps
-        eps = 9e-4
-        plus, minus = np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)
-        kraus = np.outer(minus, minus) + math.sqrt(1 + 2 * eps) * np.outer(plus, plus)
-        channel = QuantumChannel(kraus[None].astype(complex), tp_tol=1e-3)
-        with pytest.raises(ValueError, match="trace drifted"):
-            apply_channel(channel, DensityMatrix.pure(plus))
+        # budget, but takes |+><+| to trace 1 + 2 eps; its row sums, 2 eps,
+        # exceed the budget, so the channel is refused before it applies
+        with pytest.raises(ValueError, match="channel not trace preserving: defect 1.800e-03"):
+            QuantumChannel(ones_defect_kraus(9e-4), tp_tol=1e-3)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_channel_inside_its_bound_applies_to_every_state(self, rng, dim):
+        # sum E^dag E = I + D, D Hermitian with largest absolute row sum just
+        # inside tp_tol: the trace moves by Tr[D rho], at most lambda_max(D)
+        # (reached on D's top eigenvector), which that row sum bounds
+        if dim == 2:
+            defect = np.ones((2, 2))  # lambda_max equals the row sum
+        else:
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            defect = z + z.conj().T
+        defect *= 0.999e-3 / np.max(np.sum(np.abs(defect), axis=1))
+        values, vectors = np.linalg.eigh(np.eye(dim) + defect)
+        channel = QuantumChannel([(vectors * np.sqrt(values)) @ vectors.conj().T], tp_tol=1e-3)
+        assert 0.99e-3 < channel.trace_defect <= 1e-3
+        top = DensityMatrix.pure(vectors[:, -1])
+        for rho in [top] + [random_density(dim, rng) for _ in range(20)]:
+            apply_channel(channel, rho)
+
+
+def ones_defect_kraus(eps):
+    """One qubit Kraus operator E with E^dag E = I + eps * (all ones)."""
+    plus, minus = np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)
+    kraus = np.outer(minus, minus) + math.sqrt(1 + 2 * eps) * np.outer(plus, plus)
+    return kraus[None].astype(complex)
+
+
+def drifted_application(monkeypatch):
+    # validated within 1e-2, then held to a 1e-3 budget: a validated channel
+    # reaches this guard through rounding only
+    channel = QuantumChannel(ones_defect_kraus(9e-4), tp_tol=1e-2)
+    object.__setattr__(channel, "tp_tol", 1e-3)
+    apply_channel(channel, DensityMatrix.pure(np.array([1.0, 1.0])))
+
+
+def drifted_propagation(monkeypatch):
+    # a step outside RK4's stability region, let past the check before it
+    monkeypatch.setattr(channels, "_check_rk4_stability", lambda *args: None)
+    lindblad_propagate(two_ion_model(0.01, 2.0, 2.0), RHO0, 50.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda _: DensityMatrix(0.6 * np.eye(2)), "trace must be 1, got 1.2"),
+        (
+            lambda _: JointOutcomeTable(np.full((2, 2), 0.3), np.full(2, 0.5), np.full(2, 0.5)),
+            "joint table sums to 1.2",
+        ),
+        (
+            lambda _: EntropyDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.6])),
+            "probabilities sum to 1.1",
+        ),
+        (drifted_application, "trace drifted to 1.001"),
+        (drifted_propagation, "trace drift [0-9]"),
+    ],
+    ids=["density-trace", "table-sum", "distribution-sum", "channel-drift", "propagation-drift"],
+)
+def test_refusals_print_bare_numbers(refused, message, monkeypatch):
+    # numpy 2 prints a numpy scalar's repr as np.float64(...)
+    with pytest.raises((ValueError, IntegratorAccuracyError)) as caught:
+        refused(monkeypatch)
+    assert re.search(message, str(caught.value)) and "np." not in str(caught.value)
 
 
 class TestChannelValidation:

@@ -478,6 +478,14 @@ class TestStackedSweeps:
         report = sweep(points, QUICK, methods=("pinv",))
         assert builds["runs"] == len(points) == len(report.records)
 
+    @pytest.mark.parametrize("sweep", [sweep_phase, sweep_gamma, sweep_moment_count])
+    def test_no_points_give_an_empty_report(self, sweep):
+        # nothing to stack: no protocol, no Crooks row and no moment grid
+        for methods in ((), ("pinv", "fourier")):
+            report = sweep([], QUICK, methods=methods)
+            assert report.records == () and report.points.size == 0 and report.rows() == []
+        assert protocol.crooks_check([]) == []
+
     def test_stacked_work_precedes_the_first_run_config(self, builds, monkeypatch):
         # the tables, protocol parts, chi and recoveries of every point are
         # built once, before any point runs
@@ -641,23 +649,23 @@ class TestMomentsOncePerLabel:
                 assert result.rmse_probs == alone.rmse_probs
 
     def test_true_moments_once_per_point(self, monkeypatch):
-        # every method scores against the same four true moment vectors
+        # every method scores against the same four true distributions, the
+        # record's own, on their first four moments
         cfg = replace(preset("fig3"), n_moments=7)
         scored = []
-        original = experiments.rmse_moments_stack
+        original = experiments._scores
 
-        def spy(items):
-            items = list(items)
-            scored.extend(truth for truth, _, _ in items)
-            return original(items)
+        def spy(trues, dists, counts):
+            scored.extend(zip(trues, counts))
+            return original(trues, dists, counts)
 
-        monkeypatch.setattr(experiments, "rmse_moments_stack", spy)
+        monkeypatch.setattr(experiments, "_scores", spy)
         record = run_config(cfg, methods=("pinv", "fourier"))
         # A, B and A-B, then A+B, by pinv and then by Fourier
         assert len(scored) == 8
-        assert all(a is b for a, b in zip(scored[:4], scored[4:]))
-        for truth, label in zip(scored, experiments.LABELS):
-            assert np.array_equal(truth, record.distributions[label].moments(4))
+        for (true, count), label in zip(scored, experiments.LABELS * 2):
+            assert true is record.distributions[label] and count == 4
+            assert np.array_equal(true.moments(count), record.distributions[label].moments(4))
 
     @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
     def test_extended_final_probabilities_once_per_protocol(self, monkeypatch):

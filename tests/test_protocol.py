@@ -32,13 +32,12 @@ from entroprec import (
 from entroprec.protocol import EntropyBoundResult, stack_moments
 from entroprec import DegenerateSupportWarning, relative_entropy
 from entroprec.channels import TimeReversal, _endpoint_channel, time_reversed
-from entroprec.reconstruct import rmse_probs_stack
+from entroprec.reconstruct import rmse_probs
 from entroprec.protocol import (
     MASS_DROP_TOL,
     SUPPORT_MERGE_TOL,
     ProtocolStates,
     _dephase,
-    _masses_at,
     _measured_joint,
     _outcome_probs,
     _shape_groups,
@@ -336,6 +335,40 @@ class TestCrooks:
         proto = TwoTimeProtocol(rho0, COMP4, COMP4, ms_gate(0.4))
         with pytest.warns(AbsoluteIrreversibilityWarning):
             assert crooks_check(proto) <= 1e-15
+
+    @staticmethod
+    def deviation(fwd_support, fwd_probs, p_in, p_ref):
+        """crooks_check of a protocol-like object with this forward A-B
+        distribution and a one-row backward table: sigma_bwd = ln p_in[m] -
+        ln p_ref[0], with mass p_in[m]."""
+        fwd = EntropyDistribution(np.array(fwd_support), np.array(fwd_probs))
+        backward = JointOutcomeTable(np.array([p_in]), np.array(p_in), np.array(p_ref))
+        return crooks_check(SimpleNamespace(distributions={"A-B": fwd}, backward=backward))
+
+    def test_points_within_the_merge_tolerance_are_one_g(self):
+        # sigma_bwd = -ln 2 with mass 1 and a forward point 5e-11 above ln 2:
+        # one G, whose masses cancel down to |exp(-g) - 1| (apart, the
+        # deviation would be the whole backward mass, 1)
+        g = math.log(2.0) + 5e-11
+        assert self.deviation([g], [1.0], [1.0], [2.0]) == abs(math.exp(-g) - 1.0)
+
+    def test_unmatched_points_on_either_side(self):
+        # backward values ln 0.25 and ln 0.75 (masses 0.25 and 0.75); the
+        # forward point -ln 0.25 matches the first, 5 and -3 match nothing.
+        # In the first call the backward-only G = -ln 0.75 decides (0.75
+        # against 0.2 at ln 4 and exp(-5) 0.8 at 5), in the second the
+        # forward-only G = -3
+        p_in = [0.25, 0.75]
+        assert self.deviation([-math.log(0.25), 5.0], [0.2, 0.8], p_in, [1.0]) == 0.75
+        deviation = self.deviation([-3.0, -math.log(0.25)], [0.2, 0.8], p_in, [1.0])
+        assert deviation == math.exp(3.0) * 0.2
+
+    def test_all_backward_mass_infinite(self):
+        # every backward pair lands on a reference outcome of probability 0:
+        # no finite sigma_bwd, so each G weighs exp(-G) P(G)
+        with pytest.warns(AbsoluteIrreversibilityWarning):
+            deviation = self.deviation([0.5, 1.0], [0.4, 0.6], [1.0], [0.0])
+        assert deviation == math.exp(-0.5) * 0.4
 
 
 class TestIntegralFluctuationTheorem:
@@ -1009,24 +1042,6 @@ class TestStackedMatchesLoops:
         with pytest.warns(AbsoluteIrreversibilityWarning):
             assert same_bits(crooks_check(proto), loop_crooks_check(proto))
 
-    def test_masses_at(self):
-        # 0.75e-10 lies within the tolerance of both 0 and 1.5e-10: the lower
-        # neighbour wins; the others hit one point, fall between two or lie
-        # outside the support
-        dist = EntropyDistribution(np.array([0.0, 1.5e-10, 1.0]), np.array([0.2, 0.3, 0.5]))
-        xs = np.array([-1.0, -5e-11, 0.0, 0.75e-10, 1.5e-10, 2.6e-10, 0.5, 1.0 + 1e-10, 2.0])
-        expected = [loop_mass_at(dist, x) for x in xs]
-        assert same_bits(_masses_at([dist], xs[None])[0], np.array(expected))
-        assert expected[3] == 0.2
-        empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
-        assert same_bits(_masses_at([empty], xs[None]), np.zeros((1, len(xs))))
-        # rows of different support sizes, padded into one stack
-        short = EntropyDistribution(np.array([0.5]), np.array([1.0]))
-        stacked = _masses_at([empty, dist, short], np.stack([xs, xs, -xs]))
-        assert same_bits(stacked[1], np.array(expected))
-        assert same_bits(stacked[2], np.array([loop_mass_at(short, -x) for x in xs]))
-        assert same_bits(stacked[0], np.zeros(len(xs)))
-
     def test_moment_memo(self, rng):
         dist = entropy_samples(generic_protocol(rng).forward)
         other = EntropyDistribution(dist.support, dist.probs[::-1] / dist.probs.sum())
@@ -1101,6 +1116,8 @@ class TestOneOrMany:
             ift_deviation: [(p.distributions["A-B"],) for p in protos],
             correlation_witness: [(p.distributions["A-B"], p.distributions["A+B"])
                                   for p in protos[:2]],
+            rmse_probs: [(d, EntropyDistribution(d.support, (d.probs + 1 / d.probs.size) / 2))
+                         for d in (p.distributions["A-B"] for p in protos)],
         }
 
     def test_one_item_list_has_the_bits_of_the_lone_call(self, rng):
@@ -1130,6 +1147,18 @@ class TestOneOrMany:
         dists = section6_protocol(0.3).distributions
         with pytest.raises(ValueError, match="pair up"):
             correlation_witness([dists["A-B"]] * 2, [dists["A+B"]])
+
+    def test_rmse_pairs_must_match_and_align(self):
+        dists = section6_protocol(0.3).distributions
+        with pytest.raises(ValueError, match="pair up"):
+            rmse_probs([dists["A"]] * 2, [dists["A"]])
+        # one misaligned pair in a list refuses the whole call
+        with pytest.raises(ValueError, match="align"):
+            rmse_probs([dists["A"], dists["A"]], [dists["A"], dists["A-B"]])
+
+    def test_empty_list_gives_an_empty_list(self, rng):
+        for check, calls in self.cases(rng).items():
+            assert check(*([] for _ in calls[0])) == []
 
 
 class TestStackedChecks:
@@ -1213,14 +1242,15 @@ class TestStackedChecks:
             long = EntropyDistribution(support, probs)
             short = EntropyDistribution(np.array([-1.0, 0.2, 2.0]), np.array([0.2, 0.3, 0.5]))
             empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
-            dists, pairs, at = [long], [(long, EntropyDistribution(support, other))], 0
+            recovered = EntropyDistribution(support, other)
+            dists, trues, recons, at = [long], [long], [recovered], 0
             if stacked:
-                dists, pairs, at = [short, long, empty], [(short, short), *pairs], 1
+                dists, trues, recons, at = [short, long, empty], [short, long], [short, recovered], 1
             stack_moments(dists, range(1, 5))
             assert same_bits(long.moments(4), np.array([running_sum(t) for t in terms[:4]]))
             assert same_bits(ift_deviation(dists)[at], abs(running_sum(terms[4]) - 1.0))
             expected = math.sqrt(running_sum(terms[5]) / 16)
-            assert same_bits(rmse_probs_stack(pairs)[at], expected)
+            assert same_bits(rmse_probs(trues, recons)[at], expected)
         lone_empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
         assert same_bits(lone_empty.moments(4), np.zeros(4))
 

@@ -400,6 +400,27 @@ class TestFourierReconstruct:
         with pytest.raises(ValueError):
             fourier_reconstruct(np.array(moments), [-0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ([0.0, np.inf], "finite values"),
+            ([np.nan], "finite values"),
+            ([], "nonempty"),
+            ([[-0.5, 0.5]], "1-D"),
+            ([0.5, 0.5 + 1e-11], "coincident"),
+        ],
+        ids=["inf", "nan", "empty", "2-D", "coincident"],
+    )
+    def test_rejects_the_supports_pinv_rejects(self, support, message):
+        # refused by the one support check of both recoveries, before any
+        # kernel is built and cached
+        reconstruct._fourier_kernel.cache_clear()
+        cases = ((fourier_reconstruct, [1.0, 0.1, 0.3]), (pseudoinverse_reconstruct, [0.1, 0.3]))
+        for recover, moments in cases:
+            with pytest.raises(ValueError, match=message):
+                recover(np.array(moments), np.array(support))
+        assert reconstruct._fourier_kernel.cache_info().misses == 0
+
     def test_delta_at_zero(self):
         moments = np.zeros(8)
         moments[0] = 1.0
