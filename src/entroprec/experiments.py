@@ -461,7 +461,9 @@ def _bundles(records, measured, methods) -> dict:
     for method in methods:
         results = iter(_recover(items, method))
         per_point = [{label: next(results) for label in measured[point]} for point in points]
-        convs = [convolve_distributions(r["A"].dist, r["B"].dist) for r in per_point]
+        convs = convolve_distributions(
+            [r["A"].dist for r in per_point], [r["B"].dist for r in per_point]
+        )
         for point, per_label, conv, (error_m, error_p) in zip(
             points, per_point, convs, _scores(true_conv, convs, counts)
         ):

@@ -164,16 +164,17 @@ class TwoTimeProtocol:
     def distributions(self) -> "MappingProxyType[str, EntropyDistribution]":
         """Entropy-production distribution of each of :attr:`tables`,
         read-only; a bipartite protocol adds ``"A+B"``, the convolution of the
-        A and B distributions."""
-        dists = {label: entropy_samples(table, label) for label, table in self.tables.items()}
-        if "A" in dists:
-            dists["A+B"] = convolve_distributions(dists["A"], dists["B"])
-        return MappingProxyType(dists)
+        A and B distributions. See :func:`_distributions`."""
+        return _distributions([self])[0]
 
 
 @dataclass(frozen=True)
 class EntropyDistribution:
-    """Discrete distribution of entropy-production values (nats)."""
+    """Discrete distribution of entropy-production values (nats).
+
+    The constructor checks one distribution as :func:`_checked_rows` checks
+    many, and keeps sorted, read-only copies of the support and the
+    probabilities; :func:`_distributions_from_rows` builds many at once."""
 
     support: np.ndarray
     probs: np.ndarray
@@ -186,24 +187,9 @@ class EntropyDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if support.shape != probs.shape or support.ndim != 1:
             raise ValueError("support and probs must be matching 1-D arrays")
-        if not (np.isfinite(support).all() and np.isfinite(probs).all()):
-            raise ValueError("support and probs must be finite")
-        gaps = support[1:] - support[:-1]
-        if (gaps > 0).all():  # already sorted, as merge_support leaves it
-            support, probs = support.copy(), probs.copy()
-        else:
-            order = np.argsort(support)
-            support, probs = support[order], probs[order]
-            gaps = support[1:] - support[:-1]
-        if gaps.size and gaps.min() <= SUPPORT_MERGE_TOL:
-            raise ValueError("support entries must stay distinct after merging")
-        if probs.size and probs.min() < -1e-12:
-            raise ValueError(f"negative probability {probs.min():.3e}")
-        total = probs.sum() + self.infinite_mass
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {float(total)!r}")
-        support.flags.writeable = False
-        probs.flags.writeable = False
+        (support,), (probs,) = _checked_rows(
+            support, probs, np.array([support.size]), [self.infinite_mass]
+        )
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
@@ -257,6 +243,98 @@ def stack_moments(dists, orders) -> None:
             dist._moment_memo.setdefault(k, float(value))
 
 
+def _checked_rows(support, probs, counts, infinite) -> tuple[list, list]:
+    """The support and probabilities of each of many distributions, given
+    as concatenated rows of ``counts[i]`` entries, checked in one pass on all
+    rows: finite values; each support sorted (see :func:`_row_order`) with
+    neighbours more than ``SUPPORT_MERGE_TOL`` apart; no probability below
+    -1e-12; and each row's probabilities, a running sum (see
+    :func:`_concatenated`), plus its ``infinite[i]`` within 1e-10 of 1.
+
+    The first check that fails raises ``ValueError`` on its first failing
+    row, which the message names when there are several rows. Returns the
+    sorted rows as read-only copies."""
+    n_rows = len(counts)
+    row = np.repeat(np.arange(n_rows), counts)
+
+    def check(flags, rows, message):
+        if flags.any():
+            i = int(rows[np.argmax(flags)])
+            raise ValueError(message(i) if n_rows == 1 else f"row {i}: {message(i)}")
+
+    finite = np.isfinite(support) & np.isfinite(probs)
+    check(~finite, row, lambda i: "support and probs must be finite")
+    inner = row[1:] == row[:-1]  # neighbours within one row
+    gaps = support[1:] - support[:-1]
+    if (gaps[inner] > 0).all():  # already sorted, as merges leave it
+        support, probs = support.copy(), probs.copy()
+    else:
+        order = _row_order(support, counts)
+        support, probs = support[order], probs[order]
+        gaps = support[1:] - support[:-1]
+    distinct = lambda i: "support entries must stay distinct after merging"
+    check(inner & (gaps <= SUPPORT_MERGE_TOL), row[1:], distinct)
+    check(probs < -1e-12, row, lambda i: f"negative probability {probs[row == i].min():.3e}")
+    total = np.bincount(row, probs, n_rows) + np.asarray(infinite)
+    check(np.abs(total - 1.0) > 1e-10, np.arange(n_rows),
+          lambda i: f"probabilities sum to {float(total[i])!r}")
+    support.flags.writeable = probs.flags.writeable = False
+    stops = np.cumsum(counts).tolist()
+    bounds = list(zip([0, *stops], stops))
+    return [support[a:b] for a, b in bounds], [probs[a:b] for a, b in bounds]
+
+
+def _distributions_from_rows(support, probs, row, labels, dropped, infinite) -> list:
+    """An :class:`EntropyDistribution` of each row of the concatenated
+    ``support`` and ``probs``, ``row`` giving each entry's row in
+    nondecreasing order; ``labels``, ``dropped`` and ``infinite`` hold each
+    row's other fields. All rows are checked in one :func:`_checked_rows`
+    pass, so no constructor runs."""
+    counts = np.bincount(row, minlength=len(labels))
+    supports, probs = _checked_rows(support, probs, counts, infinite)
+    out = []
+    for s, p, label, n, mass in zip(supports, probs, labels, dropped, infinite):
+        dist = object.__new__(EntropyDistribution)
+        vars(dist).update(support=s, probs=p, label=label, dropped_outcomes=n, infinite_mass=mass)
+        out.append(dist)
+    return out
+
+
+def _row_order(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The permutation that sorts each row of the concatenated ``values``
+    (row i holding ``counts[i]`` entries) in place, by numpy's default
+    argsort, as a lone argsort of the row orders it: rows of one length take
+    one 2-D argsort. Equal values keep that sort's order, which sets the
+    order in which a merged cluster's sums run; a stable sort would change
+    it."""
+    order = np.arange(values.size)
+    starts = np.cumsum(counts) - counts
+    for length in set(counts.tolist()) - {0, 1}:
+        first = starts[counts == length, None]
+        slots = first + np.arange(length)
+        order[slots] = first + np.argsort(values[slots], axis=1)
+    return order
+
+
+def _merged_rows(values: np.ndarray, masses: np.ndarray, row: np.ndarray, n_rows: int):
+    """:func:`merge_support` of each of ``n_rows`` rows at once, given as
+    concatenated ``values`` and ``masses`` with the nondecreasing ``row`` of
+    each entry: each row is sorted by :func:`_row_order`, a row change or a
+    gap above the tolerance between neighbours starts a new cluster, and each
+    sum is one ``np.bincount``. Returns the merged values and masses and the
+    row of each; each row has the bits of its lone merge."""
+    order = _row_order(values, np.bincount(row, minlength=n_rows))
+    values, masses = values[order], masses[order]
+    if not values.size:
+        return values, masses, row
+    starts = (values[1:] - values[:-1] > SUPPORT_MERGE_TOL) | (row[1:] != row[:-1])
+    cluster = np.concatenate(([0], np.cumsum(starts)))
+    out_mass = np.bincount(cluster, masses)
+    out_vals = np.bincount(cluster, values) / np.bincount(cluster)
+    np.divide(np.bincount(cluster, values * masses), out_mass, out=out_vals, where=out_mass > 0)
+    return out_vals, out_mass, row[np.concatenate(([True], starts))]
+
+
 def merge_support(values: np.ndarray, masses: np.ndarray):
     """Aggregate masses whose neighbouring support values lie within
     ``SUPPORT_MERGE_TOL``.
@@ -264,30 +342,47 @@ def merge_support(values: np.ndarray, masses: np.ndarray):
     A cluster takes its total mass and its mass-weighted mean
     ``sum(v * m) / sum(m)``, or its plain mean when it has no mass. Each sum
     is a running sum over the cluster in support order (see
-    :func:`_concatenated`).
+    :func:`_concatenated`). The one-row case of :func:`_merged_rows`.
     """
-    order = np.argsort(values)
-    values = np.asarray(values, float)[order]
-    masses = np.asarray(masses, float)[order]
-    if not values.size:
-        return values, masses
-    # a gap above the tolerance between neighbours starts a new cluster
-    cluster = np.concatenate(([0], np.cumsum(values[1:] - values[:-1] > SUPPORT_MERGE_TOL)))
-    out_mass = np.bincount(cluster, masses)
-    out_vals = np.bincount(cluster, values) / np.bincount(cluster)
-    np.divide(np.bincount(cluster, values * masses), out_mass, out=out_vals, where=out_mass > 0)
+    values = np.asarray(values, dtype=float)
+    row = np.zeros(values.size, dtype=int)
+    out_vals, out_mass, _ = _merged_rows(values, np.asarray(masses, dtype=float), row, 1)
     return out_vals, out_mass
 
 
-def convolve_distributions(
-    dist_a: EntropyDistribution, dist_b: EntropyDistribution
-) -> EntropyDistribution:
+def _grids(shapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For grids of the given ``(rows, columns)`` shapes, laid end to end in
+    row-major order: the grid, row and column of each entry."""
+    shapes = np.array(shapes, dtype=int).reshape(-1, 2)
+    sizes = shapes[:, 0] * shapes[:, 1]
+    grid = np.repeat(np.arange(len(shapes)), sizes)
+    flat = np.arange(grid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    columns = shapes[grid, 1]
+    return grid, flat // columns, flat % columns
+
+
+def convolve_distributions(dist_a, dist_b):
     """Distribution of the sum of two independent entropy productions,
-    labelled ``"A+B"``."""
-    sums = (dist_a.support[:, None] + dist_b.support[None, :]).ravel()
-    masses = (dist_a.probs[:, None] * dist_b.probs[None, :]).ravel()
-    support, probs = merge_support(sums, masses)
-    return EntropyDistribution(support, probs, "A+B")
+    labelled ``"A+B"``. One pair of distributions or two lists or tuples of
+    them, paired in order (see :func:`_one_or_many`): the sums of every pair
+    are merged by one :func:`_merged_rows` call, with the bits of a lone
+    convolution."""
+    dists_a, many = _one_or_many(dist_a)
+    dists_b, _ = _one_or_many(dist_b)
+    if len(dists_a) != len(dists_b):
+        raise ValueError("dist_a and dist_b must pair up one to one")
+    support_a, row_a = _concatenated([d.support for d in dists_a])
+    support_b, row_b = _concatenated([d.support for d in dists_b])
+    probs_a, _ = _concatenated([d.probs for d in dists_a])
+    probs_b, _ = _concatenated([d.probs for d in dists_b])
+    n = len(dists_a)
+    counts_a, counts_b = np.bincount(row_a, minlength=n), np.bincount(row_b, minlength=n)
+    pair, i, j = _grids(np.stack((counts_a, counts_b), axis=1))
+    i += (np.cumsum(counts_a) - counts_a)[pair]
+    j += (np.cumsum(counts_b) - counts_b)[pair]
+    merged = _merged_rows(support_a[i] + support_b[j], probs_a[i] * probs_b[j], pair, n)
+    out = _distributions_from_rows(*merged, ["A+B"] * n, [0] * n, [0.0] * n)
+    return out if many else out[0]
 
 
 @dataclass(frozen=True)
@@ -311,6 +406,9 @@ class JointOutcomeTable:
             array = np.array(getattr(self, name), dtype=float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        n_fin, n_in = self.p_fwd.shape if self.p_fwd.ndim == 2 else (-1, -1)
+        if self.p_in.shape != (n_in,) or self.p_ref.shape != (n_fin,):
+            raise ValueError("p_fwd must be (n_fin, n_in), with n_in p_in and n_fin p_ref values")
         if self.p_fwd.min() < -1e-12:
             raise ValueError("joint probabilities must be nonnegative")
         if abs(self.p_fwd.sum() - 1.0) > 1e-10:
@@ -440,20 +538,39 @@ def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
     ]
 
 
+def _distributions(protos) -> list["MappingProxyType[str, EntropyDistribution]"]:
+    """:attr:`TwoTimeProtocol.distributions` of many protocols: one
+    :func:`_samples` pass over every table of every protocol, then one
+    :func:`convolve_distributions` call for the bipartite ones."""
+    samples = iter(_samples([item for p in protos for item in p.tables.items()]))
+    dists = [{label: next(samples) for label in proto.tables} for proto in protos]
+    pairs = [d for d in dists if "A" in d]
+    convs = convolve_distributions([d["A"] for d in pairs], [d["B"] for d in pairs])
+    for d, conv in zip(pairs, convs):
+        d["A+B"] = conv
+    return [MappingProxyType(d) for d in dists]
+
+
 # What stack_tables builds, in dependency order: the label tables read
-# rho_fin, the backward tables rho_tau and the forward marginals.
-_STACKED = (("states", _states), ("tables", _tables), ("backward", _backward_tables))
+# rho_fin, the distributions the label tables, and the backward tables
+# rho_tau and the forward marginals.
+_STACKED = (
+    ("states", _states),
+    ("tables", _tables),
+    ("distributions", _distributions),
+    ("backward", _backward_tables),
+)
 
 
 def stack_tables(protos) -> None:
-    """Build the states, the joint tables of every label and the backward
-    tables of many protocols at once, and cache each on its protocol as if
-    it had been built on first use.
+    """Build the states, the joint tables and distributions of every label
+    and the backward tables of many protocols at once, and cache each on its
+    protocol as if it had been built on first use.
 
     Protocols are grouped by the shapes of their Kraus and projector stacks;
-    each group takes one channel application per quantity. Every value has
-    the bits that the one-protocol build gives it. Values a protocol has
-    already built are kept.
+    each group takes one channel application per quantity and one sampling
+    pass. Every value has the bits that the one-protocol build gives it.
+    Values a protocol has already built are kept.
     """
     for name, build in _STACKED:
         todo = [proto for proto in protos if name not in vars(proto)]
@@ -463,43 +580,63 @@ def stack_tables(protos) -> None:
                 vars(proto)[name] = value
 
 
-def entropy_samples(table: JointOutcomeTable, label: str = "sigma") -> EntropyDistribution:
+def entropy_samples(tables, label: str = "sigma"):
     """Entropy-production distribution from a forward outcome table.
 
     Outcome pairs with forward mass below 1e-15 are dropped (and counted);
     pairs landing on a zero-probability reference outcome are split off into
-    ``infinite_mass`` with a warning.
+    ``infinite_mass`` with a warning. One table or a list or tuple of them
+    (see :func:`_one_or_many`), each labelled ``label``, sampled in one
+    :func:`_samples` pass with the bits of a lone call.
     """
-    p_fwd, p_in, p_ref = table.p_fwd, table.p_in, table.p_ref
+    tables, many = _one_or_many(tables)
+    out = _samples([(label, table) for table in tables])
+    return out if many else out[0]
+
+
+def _samples(labelled) -> list[EntropyDistribution]:
+    """:func:`entropy_samples` of each ``(label, table)`` item, in order: the
+    samples of all tables on their concatenated pairs, one merge by
+    :func:`_merged_rows`, and one check of all distributions. The warnings
+    come in table order; an inconsistent table is refused before any."""
+    tables = [table for _, table in labelled]
+    n = len(tables)
+    p_fwd, _ = _concatenated([t.p_fwd.ravel() for t in tables])
+    # each table's marginals, p_in then p_ref; pair (k, m) reads p_in[m], p_ref[k]
+    marginals, _ = _concatenated([p for t in tables for p in (t.p_in, t.p_ref)])
+    shapes = np.array([t.p_fwd.shape for t in tables], dtype=int).reshape(-1, 2)
+    table, k, m = _grids(shapes)
+    sizes = shapes.sum(axis=1)  # marginal entries of each table
+    start = (np.cumsum(sizes) - sizes)[table]
+    at_in, at_ref = start + m, start + shapes[table, 1] + k
     kept = p_fwd > MASS_DROP_TOL
-    empty_in = kept & (p_in <= MASS_DROP_TOL)
+    empty_in = kept & (marginals[at_in] <= MASS_DROP_TOL)
     if empty_in.any():
-        k, m = np.argwhere(empty_in)[0]
+        first = int(np.argmax(empty_in))
         raise ValueError(
-            f"inconsistent table: forward mass {p_fwd[k, m]:.3e} from zero-probability "
-            f"initial outcome {m}"
+            f"inconsistent table: forward mass {p_fwd[first]:.3e} from zero-probability "
+            f"initial outcome {m[first]}"
         )
-    empty_ref = (p_ref <= MASS_DROP_TOL)[:, None]
+    empty_ref = marginals[at_ref] <= MASS_DROP_TOL
     # added up pair by pair in row-major order, like the samples below
-    infinite = np.add.accumulate(p_fwd[kept & empty_ref])
-    infinite_mass = infinite[-1] if infinite.size else 0.0
+    infinite = np.bincount(table[kept & empty_ref], p_fwd[kept & empty_ref], n)
+    infinite = [mass if mass > 0 else 0.0 for mass in infinite]
+    dropped = np.bincount(table[~kept], minlength=n).tolist()
     # math.log, not np.log, which may round differently
-    log_in = np.array([math.log(p) if p > MASS_DROP_TOL else math.nan for p in p_in.tolist()])
-    log_ref = np.array([math.log(p) if p > MASS_DROP_TOL else math.nan for p in p_ref.tolist()])
-    # boolean indexing keeps the row-major order, which decides how
-    # merge_support's unstable argsort orders equal samples
+    logs = np.array([math.log(p) if p > MASS_DROP_TOL else math.nan for p in marginals.tolist()])
+    # boolean indexing keeps the row-major order, which decides how the
+    # unstable argsort of _row_order orders equal samples
     finite = kept & ~empty_ref
-    values = (log_in - log_ref[:, None])[finite]
-    masses = p_fwd[finite]
-    dropped = p_fwd.size - int(np.count_nonzero(kept))
-    if infinite_mass > 0:
-        warnings.warn(
-            f"absolute irreversibility: mass {infinite_mass:.3e} maps to +inf entropy",
-            AbsoluteIrreversibilityWarning,
-            stacklevel=2,
-        )
-    support, probs = merge_support(values, masses)
-    return EntropyDistribution(support, probs, label, dropped, infinite_mass)
+    values = logs[at_in[finite]] - logs[at_ref[finite]]
+    for mass in infinite:
+        if mass > 0:
+            warnings.warn(
+                f"absolute irreversibility: mass {mass:.3e} maps to +inf entropy",
+                AbsoluteIrreversibilityWarning,
+                stacklevel=3,
+            )
+    merged = _merged_rows(values, p_fwd[finite], table[finite], n)
+    return _distributions_from_rows(*merged, [label for label, _ in labelled], dropped, infinite)
 
 
 class EntropyBoundResult(NamedTuple):
@@ -594,26 +731,41 @@ def crooks_check(protos):
     numerics of the channel representation; see
     :attr:`TwoTimeProtocol.backward` for its ``sigma_bwd``. The forward
     distribution is the protocol's A-B one. G runs over the union of the
-    forward support and the negated backward one: :func:`merge_support`
-    takes the values ``(sigma, -sigma_bwd)`` with the masses
-    ``(exp(-sigma) P(sigma), -P_bwd(sigma_bwd))``, so each G within
+    forward support and the negated backward one: a protocol's row of
+    :func:`_merged_rows` holds the values ``(sigma, -sigma_bwd)`` with the
+    masses ``(exp(-sigma) P(sigma), -P_bwd(sigma_bwd))``, so each G within
     ``SUPPORT_MERGE_TOL`` of both sides merges into one signed mass, and the
     deviation is the largest |merged mass|.
 
-    One protocol or a list or tuple of them (see :func:`_one_or_many`).
+    One protocol or a list or tuple of them (see :func:`_one_or_many`): the
+    backward distributions of all of them come from one
+    :func:`entropy_samples` call, and all rows are merged in one call.
     """
     protos, many = _one_or_many(protos)
-    out = []
-    for proto in protos:
-        fwd = proto.distributions["A-B"]
-        bwd = entropy_samples(proto.backward)
-        # math.exp, not np.exp: numpy's exp may round differently
-        weights = np.array([math.exp(-g) for g in fwd.support.tolist()])
-        _, masses = merge_support(
-            np.concatenate((fwd.support, -bwd.support)),
-            np.concatenate((weights * fwd.probs, -bwd.probs)),
-        )
-        out.append(float(np.max(np.abs(masses), initial=0.0)))
+    fwd = [proto.distributions["A-B"] for proto in protos]
+    bwd = entropy_samples([proto.backward for proto in protos])
+    fwd_support, fwd_row = _concatenated([d.support for d in fwd])
+    fwd_probs, _ = _concatenated([d.probs for d in fwd])
+    bwd_support, bwd_row = _concatenated([d.support for d in bwd])
+    bwd_probs, _ = _concatenated([d.probs for d in bwd])
+    # math.exp, not np.exp: numpy's exp may round differently
+    weights = np.array([math.exp(-g) for g in fwd_support.tolist()])
+    # each protocol's row holds its forward entries, then its negated
+    # backward ones: an entry moves past the other side's earlier rows
+    n = len(protos)
+    n_fwd, n_bwd = np.bincount(fwd_row, minlength=n), np.bincount(bwd_row, minlength=n)
+    at = np.concatenate((
+        np.arange(fwd_row.size) + (np.cumsum(n_bwd) - n_bwd)[fwd_row],
+        np.arange(bwd_row.size) + np.cumsum(n_fwd)[bwd_row],
+    ))
+    values, masses = np.empty(at.size), np.empty(at.size)
+    values[at] = np.concatenate((fwd_support, -bwd_support))
+    masses[at] = np.concatenate((weights * fwd_probs, -bwd_probs))
+    row = np.repeat(np.arange(n), n_fwd + n_bwd)
+    _, merged, merged_row = _merged_rows(values, masses, row, n)
+    out = np.zeros(n)
+    np.maximum.at(out, merged_row, np.abs(merged))
+    out = out.tolist()
     return out if many else out[0]
 
 

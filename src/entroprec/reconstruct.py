@@ -20,7 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .protocol import SUPPORT_MERGE_TOL, EntropyDistribution, _concatenated, _groups, _one_or_many
+from .protocol import (
+    SUPPORT_MERGE_TOL,
+    EntropyDistribution,
+    _concatenated,
+    _distributions_from_rows,
+    _groups,
+    _one_or_many,
+)
 
 ILL_CONDITION_LIMIT = 1e14
 TIKHONOV_LAMBDA = 1e-12
@@ -341,7 +348,9 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
     values) form one group: its Gram products, the singular values that
     decide the Tikhonov diagonal and its solves are each one stacked call.
     The right-hand sides ``powers.T @ b`` are formed per item, because a
-    stacked product takes another BLAS kernel and rounds differently.
+    stacked product takes another BLAS kernel and rounds differently. The
+    distributions are checked and built in one pass (see
+    :func:`protocol._distributions_from_rows`).
     """
     systems = [_pinv_system(*item) for item in items]
     solved: list = [None] * len(systems)
@@ -361,8 +370,8 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
         rhs = np.stack([systems[i][2].T @ systems[i][0] for i in group])
         for i, x in zip(group, np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]):
             solved[i] = x
-    dists = []
-    for (_, s, _, label), x in zip(systems, solved):
+    probs = []
+    for (_, s, _, _), x in zip(systems, solved):
         if x.size and x.min() < -1e-8:
             warnings.warn(
                 f"least-squares masses down to {x.min():.3e}; projecting onto "
@@ -370,8 +379,11 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
                 InfeasibleRecoveryWarning,
                 stacklevel=2,
             )
-        dists.append(_pinv_distribution(s, x, label))
-    return dists
+        probs.append(_pinv_probs(s, x))
+    support, row = _concatenated([s for _, s, _, _ in systems])
+    labels = [label for *_, label in systems]
+    n = len(systems)
+    return _distributions_from_rows(support, _concatenated(probs)[0], row, labels, [0] * n, [0.0] * n)
 
 
 def _pinv_system(moments, support, label):
@@ -397,8 +409,8 @@ def _validated_support(support) -> np.ndarray:
     return s
 
 
-def _pinv_distribution(s: np.ndarray, solved: np.ndarray, label: str) -> EntropyDistribution:
-    """The distribution on support ``s`` from the least-squares masses of
+def _pinv_probs(s: np.ndarray, solved: np.ndarray) -> np.ndarray:
+    """The probabilities on support ``s`` from the least-squares masses of
     its nonzero values."""
     solved = np.clip(solved, 0.0, None)
     zero = np.abs(s) <= 1e-12
@@ -411,7 +423,7 @@ def _pinv_distribution(s: np.ndarray, solved: np.ndarray, label: str) -> Entropy
         probs = np.full(s.size, 1.0 / s.size)
     else:
         probs = probs / total
-    return EntropyDistribution(s, probs, label)
+    return probs
 
 
 def rmse_moments(true_moments, recon_moments, n_max: int) -> float:
@@ -437,6 +449,8 @@ def rmse_probs(true_dist, recon_dist):
     rows = []
     for t, r in zip(trues, recons):
         true, recon = t.support, r.support
+        if true.size == recon.size == 0:
+            raise ValueError("no finite support to compare: both distributions are empty")
         if true.size != recon.size or np.max(np.abs(true - recon)) > SUPPORT_MERGE_TOL:
             raise ValueError("distribution supports do not align")
         rows.append(t.probs - r.probs)

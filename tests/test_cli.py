@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entroprec.experiments
+from entroprec import cli
 from entroprec.cli import CHECK_TOLERANCES, emit_report, main, parse_config
 
 
@@ -388,3 +394,64 @@ class TestWarningsInReports:
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
         header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
         assert header == ["N"] + list(entroprec.experiments.SWEEP_COLUMNS)
+
+
+# Values that stress each boundary of a setting: signed zeros, tiny and huge
+# magnitudes, non-finite values, values argparse reads as a flag, and text.
+FUZZ_REALS = ["0", "-0.0", "-1", "0.5", "1e-12", "1e300", "-1e300", "1e6",
+              "inf", "-inf", "nan", "abc"]
+FUZZ_COUNTS = ["-3", "0", "1", "2", "10", "170", "171", "172", "1.5", "abc"]
+
+
+@st.composite
+def cli_calls(draw):
+    """A command line: a command, a preset or none, and a few settings drawn
+    from the values above. Sweeps run only along N, whose 15 points share
+    one protocol; a phi or gamma sweep of Lindblad maps would take seconds."""
+    command = draw(st.sampled_from(["simulate", "reconstruct", "verify", "sweep"]))
+    argv = [command]
+    if command == "sweep":
+        argv += ["--axis", "N"]
+    name = draw(st.sampled_from([None, *sorted(entroprec.experiments.PRESETS)]))
+    if name is not None:
+        argv += ["--preset", name]
+    for flag in draw(st.lists(st.sampled_from(["--phi", "--gamma", "--tau", "--N"]),
+                              unique=True, max_size=3)):
+        argv += [flag, draw(st.sampled_from(FUZZ_COUNTS if flag == "--N" else FUZZ_REALS))]
+    for flag, values in (("--dynamics", ["unitary", "lindblad"]), ("--method", ["pinv", "fourier"]),
+                         ("--format", ["json", "csv"])):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+class TestInputContract:
+    @settings(max_examples=60)
+    @example(["simulate", "--preset", "fig3", "--gamma", "abc"])
+    @example(["simulate", "--preset", "fig3", "--tau", "-inf"])
+    @example(["simulate", "--preset", "fig3", "--N", "1.5"])
+    @example(["simulate", "--phi", "nan"])
+    @example(["reconstruct", "--N", "171"])
+    @given(cli_calls())
+    def test_every_input_exits_0_1_or_2(self, argv):
+        # nothing raises past main; an exit 2 prints one JSON error line,
+        # unless argparse itself refused the command line (its usage text)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli._build_parser().parse_args(argv)
+            usage_error = False
+        except SystemExit:
+            usage_error = True
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([*argv, "--out", out])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if usage_error:
+            assert code == 2 and lines[0].startswith("usage: entroprec")
+        elif code == 2:
+            errors = [json.loads(line) for line in lines if line.startswith("{")]
+            assert len(errors) == 1 and list(errors[0]) == ["error"]
+            assert isinstance(errors[0]["error"], str) and errors[0]["error"]

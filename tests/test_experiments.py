@@ -138,16 +138,18 @@ class TestRunConfig:
         monkeypatch.setattr(charfunc, "apply_kraus", chi_apply_kraus)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
         # stack_tables builds each quantity once; the label tables build the
-        # forward table. The protocol dephases rho0 on construction and the
-        # states build dephases rho_fin; nothing else does. A, B and A-B are
-        # sampled once each; the Crooks check adds the backward one.
+        # forward table, and the distributions sample A, B and A-B in one
+        # pass. The protocol dephases rho0 on construction and the states
+        # build dephases rho_fin; nothing else does. The one entropy_samples
+        # call is the Crooks check's, on the backward table.
         assert calls == {
             "states": 1,
             "tables": 1,
             "_forward_tables": 1,
+            "distributions": 1,
             "backward": 1,
             "protocol_parts": 1,
-            "entropy_samples": 4,
+            "entropy_samples": 1,
             "_dephase": 2,
         }
         # one channel application per build that needs one, each to the stack
@@ -444,6 +446,29 @@ class TestStackedSweeps:
         for phi, record in zip(points, report.records):
             alone = run_config(replace(preset("fig3"), phi=float(phi)), ("pinv", "fourier"))
             assert_same_record(record, alone)
+
+    @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
+    def test_rank_deficient_phase_sweep_warns_per_protocol(self):
+        # the Crooks check's backward samples of a rank-deficient state carry
+        # infinite mass at most phases: the sweep warns once per protocol,
+        # as each fresh run_config call does, in point order
+        cfg = replace(preset("fig3"), rho0_diag=(0.6, 0.4, 0.0, 0.0))
+        points = default_sweep_points("phi")
+        irreversible = lambda caught: [
+            str(w.message) for w in caught if w.category is AbsoluteIrreversibilityWarning
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = sweep_phase(points, cfg, methods=("pinv",))
+        expected = []
+        for phi, record in zip(points, report.records):
+            with warnings.catch_warnings(record=True) as alone_caught:
+                warnings.simplefilter("always")
+                alone = run_config(replace(cfg, phi=float(phi)), ("pinv",))
+            assert len(irreversible(alone_caught)) <= 1
+            expected += irreversible(alone_caught)
+            assert_same_record(record, alone)
+        assert irreversible(caught) == expected and len(expected) == 62
 
     @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
     def test_gamma_sweep_with_two_kraus_counts(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -39,6 +40,10 @@ from entroprec.protocol import (
     ProtocolStates,
     _dephase,
     _measured_joint,
+    _checked_rows,
+    _concatenated,
+    _distributions_from_rows,
+    _merged_rows,
     _outcome_probs,
     _shape_groups,
     merge_support,
@@ -147,8 +152,14 @@ class TestForwardJoint:
 
     @pytest.mark.parametrize(
         "p_fwd, message",
-        [([[0.6, -0.1], [0.3, 0.2]], "nonnegative"), ([[0.5, 0.1], [0.3, 0.2]], "sums to")],
-        ids=["negative", "unnormalised"],
+        [
+            ([[0.6, -0.1], [0.3, 0.2]], "nonnegative"),
+            ([[0.5, 0.1], [0.3, 0.2]], "sums to"),
+            # the marginals must index the table's axes, which sampling reads them by
+            ([[0.5, 0.1, 0.1], [0.1, 0.1, 0.1]], "n_in p_in"),
+            ([0.5, 0.5], "n_in p_in"),
+        ],
+        ids=["negative", "unnormalised", "marginal-mismatch", "one-dimensional"],
     )
     def test_table_validated(self, p_fwd, message):
         with pytest.raises(ValueError, match=message):
@@ -696,6 +707,49 @@ class TestDistributionBasics:
         assert len(support) == 2
         assert probs[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "support, probs, message",
+        [
+            ([0.0, np.nan], [0.5, 0.5], "support and probs must be finite"),
+            ([1.0, 0.0, 1.0], [0.2, 0.3, 0.5], "support entries must stay distinct after merging"),
+            ([0.0, 1.0], [-0.1, 1.1], "negative probability -1.000e-01"),
+            ([2.0, 1.0, 0.0], [0.4, 0.4, 0.4], "probabilities sum to 1.2000000000000002"),
+        ],
+        ids=["finite", "distinct", "negative", "sum"],
+    )
+    def test_rows_checked_at_once_name_the_first_failing_row(self, support, probs, message):
+        # the constructor is the one-row case; among many rows the first
+        # failing one is named, with the same message
+        with pytest.raises(ValueError) as alone:
+            EntropyDistribution(np.array(support), np.array(probs))
+        assert str(alone.value) == message
+        good = ([1.0, -1.0], [0.25, 0.75])
+        rows = [good, (support, probs), good, (support, probs)]
+        values, row = _concatenated([np.array(s, dtype=float) for s, _ in rows])
+        masses, _ = _concatenated([np.array(p, dtype=float) for _, p in rows])
+        with pytest.raises(ValueError) as many:
+            _checked_rows(values, masses, np.bincount(row), [0.0] * 4)
+        assert str(many.value) == f"row 1: {message}"
+
+    def test_rows_build_as_the_constructor_builds(self, rng):
+        # unsorted, sorted, empty and partly infinite rows: each distribution
+        # has the fields and bits of its constructor call, and no row's
+        # arrays can be written
+        rows = [(rng.permutation(5) - 2.0, rng.dirichlet(np.ones(5)), 0.0),
+                (np.array([]), np.array([]), 1.0),
+                (np.array([-0.5, 0.5, 3.0]), np.array([0.1, 0.2, 0.3]), 0.4),
+                (np.array([2.0, -2.0]), np.array([0.5, 0.5]), 0.0)]
+        values, row = _concatenated([s for s, _, _ in rows])
+        masses, _ = _concatenated([p for _, p, _ in rows])
+        labels, dropped, infinite = ["a", "b", "c", "d"], [0, 3, 1, 2], [m for *_, m in rows]
+        built = _distributions_from_rows(values, masses, row, labels, dropped, infinite)
+        for dist, (s, p, m), label, n in zip(built, rows, labels, dropped):
+            alone = EntropyDistribution(s, p, label, n, m)
+            assert same_result(dist, alone)
+            assert not (dist.support.flags.writeable or dist.probs.flags.writeable)
+            assert same_bits(dist.moments(3), alone.moments(3))
+        assert _distributions_from_rows(np.empty(0), np.empty(0), row[:0], [], [], []) == []
+
     def test_mgf_and_moments(self):
         dist = EntropyDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert dist.moment(1) == pytest.approx(0.0)
@@ -973,6 +1027,32 @@ class TestStackedMatchesLoops:
             assert got.infinite_mass == expected.infinite_mass == 0.0
             assert got.label == "x"
 
+    def test_entropy_samples_of_many_tables(self, rng):
+        # 2x2 and 4x4 tables around an all-infinite one, two of them with
+        # some infinite mass; marginals drawn from two values tie samples
+        # exactly. One call has each table's bits and warns in table order.
+        def table(n, empty_ref=()):
+            p_fwd = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
+            p_fwd[[0, *empty_ref], 0] += 0.1  # mass on every emptied reference outcome
+            levels = rng.random(2) + 0.01
+            p_ref = rng.choice(levels, n)
+            p_ref[list(empty_ref)] = 0.0
+            return JointOutcomeTable(p_fwd / p_fwd.sum(), rng.choice(levels, n), p_ref)
+
+        all_infinite = JointOutcomeTable(np.full((2, 2), 0.25), [0.5, 0.5], [0.0, 0.0])
+        tables = [table(2), table(4, [0]), all_infinite, table(2, [1]), table(4), table(4)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = entropy_samples(tables, "x")
+        with warnings.catch_warnings(record=True) as lone:
+            warnings.simplefilter("always")
+            for t in tables:
+                entropy_samples(t, "x")
+        assert [str(w.message) for w in caught] == [str(w.message) for w in lone]
+        assert len(caught) == 3 and got[2].support.size == 0 and got[2].infinite_mass == 1.0
+        for t, dist in zip(tables, got):
+            assert same_result(dist, loop_entropy_samples(t, "x"))
+
     def test_zero_initial_probability_raises(self):
         table = JointOutcomeTable(
             np.array([[0.25, 0.0, 0.25], [0.0, 0.3, 0.2]]),
@@ -1029,6 +1109,41 @@ class TestStackedMatchesLoops:
         values, masses = np.array(values, dtype=float), np.array(masses, dtype=float)
         expected, got = loop_merge_support(values, masses), merge_support(values, masses)
         assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+    @settings(max_examples=200)
+    @example([])
+    @example([[]])
+    # exact 2-, 3- and 4-way ties around an empty row
+    @example([[(1.5, 0.1), (1.5, 0.2)], [], [(1.5, 0.3), (-0.0, 0.1), (1.5, 0.2), (1.5, 0.4)],
+              [(0.0, 0.1), (0.0, 0.2), (0.0, 0.3), (0.0, 0.4), (1.5, 0.0)]])
+    # neighbours exactly SUPPORT_MERGE_TOL apart merge; 2 * tol apart do not
+    @example([[(0.0, 0.5), (SUPPORT_MERGE_TOL, 0.5), (3 * SUPPORT_MERGE_TOL, 0.1)],
+              [(-SUPPORT_MERGE_TOL, 0.2), (0.0, 0.0), (SUPPORT_MERGE_TOL, 0.3)]])
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([-SUPPORT_MERGE_TOL, 0.0, -0.0, SUPPORT_MERGE_TOL,
+                                     2 * SUPPORT_MERGE_TOL, 1.5, -2.25]) | st.floats(-30, 30),
+                    st.sampled_from([0.0, -0.0]) | st.floats(0, 1),
+                ),
+                max_size=20,
+            ),
+            max_size=8,
+        )
+    )
+    def test_merged_rows(self, rows):
+        # many rows of mixed lengths merged at once: each row has the bits
+        # of its own loop merge
+        arrays = [np.array(r, dtype=float).reshape(-1, 2) for r in rows]
+        values, row = _concatenated([a[:, 0] for a in arrays])
+        masses, _ = _concatenated([a[:, 1] for a in arrays])
+        merged_values, merged_masses, merged_row = _merged_rows(values, masses, row, len(rows))
+        assert np.all(np.diff(merged_row) >= 0)
+        for i, a in enumerate(arrays):
+            expected = loop_merge_support(a[:, 0], a[:, 1])
+            assert same_bits(merged_values[merged_row == i], expected[0])
+            assert same_bits(merged_masses[merged_row == i], expected[1])
 
     def test_crooks_check(self, rng):
         protos = [section6_protocol(phi) for phi in (0.0, 0.3, math.pi / 7, 2.0)]
@@ -1095,7 +1210,11 @@ def quietly(check, *args):
 
 def same_result(a, b) -> bool:
     """Whether two check results hold the same bits, field by field for the
-    named-tuple results."""
+    named-tuple results and distributions."""
+    if isinstance(a, EntropyDistribution):
+        return type(b) is EntropyDistribution and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
     if isinstance(a, tuple):
         return type(a) is type(b) and all(same_bits(x, y) for x, y in zip(a, b, strict=True))
     return same_bits(a, b)
@@ -1118,6 +1237,9 @@ class TestOneOrMany:
                                   for p in protos[:2]],
             rmse_probs: [(d, EntropyDistribution(d.support, (d.probs + 1 / d.probs.size) / 2))
                          for d in (p.distributions["A-B"] for p in protos)],
+            entropy_samples: [(t,) for p in protos for t in (p.forward, p.backward)],
+            convolve_distributions: [(p.distributions["A"], p.distributions["B"])
+                                     for p in protos[:2]],
         }
 
     def test_one_item_list_has_the_bits_of_the_lone_call(self, rng):
@@ -1147,6 +1269,8 @@ class TestOneOrMany:
         dists = section6_protocol(0.3).distributions
         with pytest.raises(ValueError, match="pair up"):
             correlation_witness([dists["A-B"]] * 2, [dists["A+B"]])
+        with pytest.raises(ValueError, match="pair up"):
+            convolve_distributions([dists["A"]] * 2, [dists["B"]])
 
     def test_rmse_pairs_must_match_and_align(self):
         dists = section6_protocol(0.3).distributions

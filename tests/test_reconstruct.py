@@ -647,6 +647,17 @@ class TestRmseMetrics:
         with pytest.raises(ValueError, match="align"):
             rmse_probs(d1, d2)
 
+    def test_empty_distributions_refused(self):
+        # all mass infinite: nothing finite to compare, alone or in a list
+        empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
+        dist = EntropyDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="no finite support to compare"):
+            rmse_probs(empty, empty)
+        with pytest.raises(ValueError, match="no finite support to compare"):
+            rmse_probs([dist, empty], [dist, empty])
+        with pytest.raises(ValueError, match="align"):
+            rmse_probs(empty, dist)
+
 
 class TestEndToEnd:
     def test_exact_chi_reproduces_distribution(self, dists):
