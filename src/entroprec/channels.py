@@ -371,17 +371,18 @@ def kraus_from_lindblad_endpoints(
     """Kraus forms of the endpoint maps rho(0) -> rho(tau) of several models
     that share ``tau`` and ``dt``, one channel per model.
 
-    Every model's complete matrix-unit basis is propagated in one stacked
-    RK4 integration: a batch on its generators' invariant blocks only (see
-    :func:`_block_endpoints`), a lone model densely. Either way each map is
-    bit-identical to the dense integration of the identity under its own
-    generator, so built alone or in any batch. Each model's Choi matrix is
-    then eigendecomposed; eigenvalues in [-1e-8, 0) are clipped to zero
-    (integration noise) and the spectrum rescaled, anything more negative is a
-    genuine complete-positivity failure. A step outside RK4's stability
-    region raises :class:`IntegratorAccuracyError` before any step is taken; a
-    non-finite endpoint, or a trace drift beyond 1e-6 in any propagated
-    matrix unit, raises it afterwards. The error's ``index`` names the model.
+    Every model's complete matrix-unit basis is propagated by RK4 on its
+    generator's invariant blocks only, each distinct block once, in one
+    stacked integration per padded block size (see :func:`_block_endpoints`);
+    a lone model is the one-model batch. A map's bits depend on its own
+    generator alone, so it is byte-identical built alone or in any batch.
+    Each model's Choi matrix is then eigendecomposed; eigenvalues in
+    [-1e-8, 0) are clipped to zero (integration noise) and the spectrum
+    rescaled, anything more negative is a genuine complete-positivity
+    failure. A step outside RK4's stability region raises
+    :class:`IntegratorAccuracyError` before any step is taken; a non-finite
+    endpoint, or a trace drift beyond 1e-6 in any propagated matrix unit,
+    raises it afterwards. The error's ``index`` names the model.
     A negative ``tau`` or nonpositive ``dt`` is a ``ValueError``.
     """
     _validate_step(tau, dt)
@@ -396,12 +397,7 @@ def kraus_from_lindblad_endpoints(
     gens = np.stack([m.liouvillian for m in models])
     _check_rk4_stability(gens, tau, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # judged by the guard below
-        if len(models) == 1:
-            # a lone two-ion product costs its call overhead whatever its
-            # shape, so blocks would only add their copy per stage
-            endpoints = _rk4_evolve(gens, np.eye(d * d, dtype=complex)[None], tau, dt)[0]
-        else:
-            endpoints = _block_endpoints(gens, tau, dt)
+        endpoints = _block_endpoints(gens, tau, dt)
     return tuple(_endpoint_channel(e, d, i) for i, e in enumerate(endpoints))
 
 
@@ -420,36 +416,36 @@ def _invariant_blocks(gens: np.ndarray) -> list[np.ndarray]:
 
 def _block_endpoints(gens: np.ndarray, tau: float, dt: float) -> np.ndarray:
     """exp(tau L) by RK4 for each generator L of the stack, the identity
-    propagated only on the generators' invariant blocks.
+    propagated only on L's own invariant blocks, each padded with zeros to
+    L's largest block size s.
 
-    With nb blocks padded to size s, each stage is one (nb s, s) @ (s, nb s)
-    product per model: the blocks L_b stacked vertically times the endpoint
-    blocks Y_b side by side. Its diagonal blocks L_b Y_b are the slope; the
-    off-diagonal ones are discarded. BLAS sums each entry over k in index
-    order, and the dense product's extra terms there are exact zeros, so
-    the endpoint is the dense integration's, bit for bit.
+    Blocks equal byte for byte (so the sign of a zero counts) at equal s
+    are integrated once, and the endpoint is written to each of them. The
+    distinct blocks of each s are one (blocks, s, s) stack, one BLAS
+    product per block and stage, so a map's bits depend on its own
+    generator alone: built alone or in any batch, byte for byte. Where BLAS
+    sums each entry over k in index order, as it does for the two-ion
+    models, the endpoint is also the dense integration's, bit for bit: the
+    dense product's extra terms are exact zeros.
     """
-    m = len(gens)
-    blocks = _invariant_blocks(gens)
-    nb, s = len(blocks), max(map(len, blocks))
-    stacked = np.zeros((m, nb * s, s), dtype=complex)
-    y = np.zeros((m, s, nb, s), dtype=complex)  # y[:, i, b, j] = Y_b[i, j]
-    for b, idx in enumerate(blocks):
-        q = np.arange(idx.size)
-        stacked[:, b * s + q[:, None], q] = gens[:, idx[:, None], idx]
-        y[:, q, b, q] = 1.0
-    product = np.empty((m, nb, s, nb, s), dtype=complex)
-    flat = product.reshape(m, nb * s, nb * s)
-    diagonal = np.einsum("mbibj->mibj", product)  # a view: diagonal[:, i, b, j] = (L_b Y_b)[i, j]
-
-    def apply(src, out):
-        np.matmul(stacked, src.reshape(m, s, nb * s), out=flat)
-        np.copyto(out, diagonal)
-
-    _rk4_integrate(apply, y, tau, dt)
+    by_size: dict[int, dict] = {}  # s -> {block bytes: [(model, indices)]}
+    for i, gen in enumerate(gens):
+        blocks = _invariant_blocks(gen[None])
+        distinct = by_size.setdefault(max(map(len, blocks)), {})
+        for idx in blocks:
+            distinct.setdefault(gen[idx[:, None], idx].tobytes(), []).append((i, idx))
     endpoints = np.zeros_like(gens)
-    for b, idx in enumerate(blocks):
-        endpoints[:, idx[:, None], idx] = y[:, : idx.size, b, : idx.size]
+    for s, distinct in by_size.items():
+        groups = list(distinct.values())
+        blocks = np.zeros((len(groups), s, s), dtype=complex)
+        y = np.zeros_like(blocks)
+        for block, start, ((i, idx), *_) in zip(blocks, y, groups):
+            block[: idx.size, : idx.size] = gens[i][idx[:, None], idx]
+            start[range(idx.size), range(idx.size)] = 1.0
+        _rk4_integrate(lambda src, out: np.matmul(blocks, src, out=out), y, tau, dt)
+        for block, members in zip(y, groups):
+            for i, idx in members:
+                endpoints[i, idx[:, None], idx] = block[: idx.size, : idx.size]
     return endpoints
 
 

@@ -394,7 +394,8 @@ class JointOutcomeTable:
     reference-outcome marginals (the reference state being the final
     post-measurement state). The backward process has a table of the same
     form (:attr:`TwoTimeProtocol.backward`). The arrays are read-only: a
-    protocol hands its cached tables to every caller.
+    protocol hands its cached tables to every caller. The constructor checks
+    one table as :func:`_joint_tables` checks many.
     """
 
     p_fwd: np.ndarray
@@ -402,17 +403,34 @@ class JointOutcomeTable:
     p_ref: np.ndarray
 
     def __post_init__(self):
-        for name in ("p_fwd", "p_in", "p_ref"):
-            array = np.array(getattr(self, name), dtype=float)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        n_fin, n_in = self.p_fwd.shape if self.p_fwd.ndim == 2 else (-1, -1)
-        if self.p_in.shape != (n_in,) or self.p_ref.shape != (n_fin,):
-            raise ValueError("p_fwd must be (n_fin, n_in), with n_in p_in and n_fin p_ref values")
-        if self.p_fwd.min() < -1e-12:
-            raise ValueError("joint probabilities must be nonnegative")
-        if abs(self.p_fwd.sum() - 1.0) > 1e-10:
-            raise ValueError(f"joint table sums to {float(self.p_fwd.sum())!r}")
+        stacks = (np.asarray(getattr(self, f.name), dtype=float)[None] for f in fields(self))
+        (table,) = _joint_tables(*stacks)
+        vars(self).update(vars(table))
+
+
+def _joint_tables(p_fwd, p_in, p_ref) -> list[JointOutcomeTable]:
+    """A :class:`JointOutcomeTable` of each row of the stacks ``p_fwd``
+    ``(P, n_fin, n_in)``, ``p_in`` ``(P, n_in)`` and ``p_ref`` ``(P, n_fin)``,
+    checked in one pass, so no constructor runs: the marginals must index
+    the table's axes, no entry may fall below -1e-12 and each table must sum
+    to 1 within 1e-10. The first check that fails raises ``ValueError``. The
+    rows are views of read-only float copies of the stacks."""
+    p_fwd, p_in, p_ref = stacks = [np.array(a, dtype=float) for a in (p_fwd, p_in, p_ref)]
+    n_fin, n_in = p_fwd.shape[1:] if p_fwd.ndim == 3 else (-1, -1)
+    if p_in.shape != (len(p_fwd), n_in) or p_ref.shape != (len(p_fwd), n_fin):
+        raise ValueError("p_fwd must be (n_fin, n_in), with n_in p_in and n_fin p_ref values")
+    if (p_fwd < -1e-12).any():
+        raise ValueError("joint probabilities must be nonnegative")
+    total = p_fwd.reshape(len(p_fwd), -1).sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"joint table sums to {float(total[np.argmax(off)])!r}")
+    for stack in stacks:
+        stack.flags.writeable = False
+    out = [object.__new__(JointOutcomeTable) for _ in p_fwd]
+    for table, f, i, r in zip(out, *stacks):
+        vars(table).update(p_fwd=f, p_in=i, p_ref=r)
+    return out
 
 
 def _dephase(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -497,8 +515,7 @@ def _forward_tables(protos) -> list["JointOutcomeTable"]:
     proj_in = _stack(protos, lambda p: p.obs_in.projectors)
     proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
     p_fwd = _measured_joint(_stack(protos, lambda p: p.channel.kraus), rho0, proj_in, proj_fin)
-    p_in = _outcome_probs(proj_in, rho0)
-    return [JointOutcomeTable(p_fwd=f, p_in=i, p_ref=f.sum(axis=1)) for f, i in zip(p_fwd, p_in)]
+    return _joint_tables(p_fwd, _outcome_probs(proj_in, rho0), p_fwd.sum(axis=2))
 
 
 def _backward_tables(protos) -> list["JointOutcomeTable"]:
@@ -511,10 +528,9 @@ def _backward_tables(protos) -> list["JointOutcomeTable"]:
     proj_in_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_in.projectors))
     proj_ref_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_fin.projectors))
     p_bwd = _measured_joint(kraus, rho_tau_rev, proj_ref_rev, proj_in_rev)
-    return [
-        JointOutcomeTable(p_fwd=b, p_in=p.forward.p_ref, p_ref=p.forward.p_in)
-        for p, b in zip(protos, p_bwd)
-    ]
+    return _joint_tables(
+        p_bwd, _stack(protos, lambda p: p.forward.p_ref), _stack(protos, lambda p: p.forward.p_in)
+    )
 
 
 def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
@@ -530,12 +546,9 @@ def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
     p_fin = _outcome_probs(
         _stack(protos, lambda p: p.obs_fin.projectors), _stack(protos, lambda p: p.states.rho_fin)
     ).reshape(-1, n_a_fin, n_b_fin)
-    a = zip(p_fwd.sum(axis=(2, 4)), p_in.sum(axis=2), p_fin.sum(axis=2))
-    b = zip(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1))
-    return [
-        MappingProxyType({"A": JointOutcomeTable(*ta), "B": JointOutcomeTable(*tb), "A-B": f})
-        for ta, tb, f in zip(a, b, fwd)
-    ]
+    a = _joint_tables(p_fwd.sum(axis=(2, 4)), p_in.sum(axis=2), p_fin.sum(axis=2))
+    b = _joint_tables(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1))
+    return [MappingProxyType({"A": ta, "B": tb, "A-B": f}) for ta, tb, f in zip(a, b, fwd)]
 
 
 def _distributions(protos) -> list["MappingProxyType[str, EntropyDistribution]"]:

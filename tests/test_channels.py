@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from entroprec import (
@@ -22,7 +24,7 @@ from entroprec import (
     time_reversed,
 )
 from entroprec import channels
-from entroprec.experiments import TwoIonConfig, two_ion_model
+from entroprec.experiments import PRESETS, TwoIonConfig, two_ion_model
 from conftest import random_density, random_mixed_unitary_channel, random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -516,6 +518,104 @@ class TestInvariantBlocks:
         diagonal = two_ion_model(0.0, 0.2, 0.2).liouvillian
         assert len(blocks_of(diagonal)) == 16
         assert blocks_of(diagonal, coupled) == four
+
+
+@pytest.fixture
+def integrated_blocks(monkeypatch):
+    """The number of blocks in each stack that an RK4 integration advances
+    while the test runs."""
+    counts = []
+    original = channels._rk4_integrate
+
+    def spy(apply, y, tau, dt):
+        counts.append(len(y))
+        return original(apply, y, tau, dt)
+
+    monkeypatch.setattr(channels, "_rk4_integrate", spy)
+    return counts
+
+
+@st.composite
+def dephasing_batches(draw) -> list[LindbladModel]:
+    """1-6 models of one dimension 2-4, each a real symmetric Hamiltonian
+    and a dephasing projector on every level. Entries and rates come from
+    small sets, so blocks repeat within and across models, and also differ."""
+    d = draw(st.integers(2, 4))
+    entries, rates = st.sampled_from([0.0, 0.3, -0.7]), st.sampled_from([0.0, 0.1, 0.4])
+
+    def model():
+        h = np.zeros((d, d))
+        for i, j in zip(*np.triu_indices(d)):
+            h[i, j] = h[j, i] = draw(entries)
+        return LindbladModel(h, tuple((np.diag(level), draw(rates)) for level in np.eye(d)))
+
+    return [model() for _ in range(draw(st.integers(1, 6)))]
+
+
+class TestDistinctBlocks:
+    """Each distinct block is integrated once, and a map does not depend on
+    the batch it is built in."""
+
+    def test_fig5_gamma_batch_integrates_two_blocks_per_model(self, integrated_blocks):
+        # the X (x) X coupling pairs the four blocks of each model; without
+        # dephasing all four are equal
+        fig5 = PRESETS["fig5"]
+        models = [two_ion_model(fig5.phi / fig5.tau, g, g) for g in (0.2, 0.7, 1.2, 0.0)]
+        kraus_from_lindblad_endpoints(models, 0.5, 0.01)
+        assert integrated_blocks == [2 * 3 + 1]
+
+    def test_unequal_rates(self, integrated_blocks):
+        # the pairs survive unequal rates; uncoupled, the 16 singletons take
+        # four values
+        for omega, blocks in ((0.05, 2), (0.0, 4)):
+            kraus_from_lindblad_endpoints([two_ion_model(omega, 0.2, 0.3)], 0.5, 0.01)
+            assert integrated_blocks.pop() == blocks
+
+    def test_blocks_apart_by_the_sign_of_a_zero_are_both_integrated(self, integrated_blocks):
+        # blocks {0, 1} and {2, 3}, equal but for the sign of their first entry
+        block = np.array([[0.0, 0.5], [0.5, -0.2]], dtype=complex)
+        gen = np.zeros((4, 4), dtype=complex)
+        gen[:2, :2] = gen[2:, 2:] = block
+        (same,) = channels._block_endpoints(gen[None], 0.5, 0.01)
+        gen[2, 2] = -0.0
+        (signed,) = channels._block_endpoints(gen[None], 0.5, 0.01)
+        assert integrated_blocks == [1, 2]
+        assert np.array_equal(same, signed)
+
+    def test_equal_blocks_apart_at_unequal_padding(self, rng, integrated_blocks):
+        # the 2 x 2 block x sits beside a 3 x 3 block in one generator and
+        # beside 2 x 2 ones in the other; each copy is padded to its own
+        # generator's largest block, so the batch integrates it twice and
+        # gives the second generator the bits it gets alone
+        x, y, z = (0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                   for n in (2, 2, 3))
+        first, second = np.zeros((2, 6, 6), dtype=complex)
+        first[:3, :3], first[3:5, 3:5], first[5, 5] = z, x, -0.1
+        second[:2, :2], second[2:4, 2:4], second[4:, 4:] = x, y, x
+        batch = channels._block_endpoints(np.stack([first, second]), 0.5, 0.01)
+        assert integrated_blocks == [3, 2]
+        for gen, endpoint in zip((first, second), batch):
+            assert endpoint.tobytes() == channels._block_endpoints(gen[None], 0.5, 0.01).tobytes()
+
+    @settings(max_examples=60)
+    @given(dephasing_batches())
+    def test_batch_matches_lone_builds_and_dense(self, models):
+        # byte for byte: every endpoint and Kraus set of a batch equals the
+        # model's lone build. To rounding: the dense integration, since BLAS
+        # need not sum a product entry in index order for every shape
+        # (OpenBLAS does not for some drawn qutrit and ququart generators);
+        # byte equality with it is tested on fixed generators in
+        # TestInvariantBlocks.
+        tau, dt = 0.205, 0.01
+        gens = np.stack([m.liouvillian for m in models])
+        endpoints = channels._block_endpoints(gens, tau, dt)
+        batch = kraus_from_lindblad_endpoints(models, tau, dt)
+        for model, gen, endpoint, stacked in zip(models, gens, endpoints, batch):
+            assert endpoint.tobytes() == channels._block_endpoints(gen[None], tau, dt).tobytes()
+            (single,) = kraus_from_lindblad_endpoints([model], tau, dt)
+            assert stacked.kraus.tobytes() == single.kraus.tobytes()
+            dense, _ = channels._rk4_evolve(gen, np.eye(len(gen), dtype=complex), tau, dt)
+            assert np.max(np.abs(endpoint - dense)) <= 1e-14
 
 
 class TestBatchedEndpoint:

@@ -863,21 +863,17 @@ def loop_entropy_samples(table, label="sigma"):
     return EntropyDistribution(support, probs, label, dropped, infinite_mass)
 
 
-def loop_mass_at(dist, x):
-    idx = np.searchsorted(dist.support, x)
-    for i in (idx - 1, idx):
-        if 0 <= i < len(dist.support) and abs(dist.support[i] - x) <= SUPPORT_MERGE_TOL:
-            return float(dist.probs[i])
-    return 0.0
-
-
 def loop_crooks_check(proto):
+    """The deviation as crooks_check defines it: each forward mass weighted
+    by exp(-sigma) at its own sigma, each negated backward value carrying
+    -P_bwd, values within SUPPORT_MERGE_TOL merged by the loop merge, and the
+    largest |merged mass|."""
     fwd = loop_entropy_samples(proto.forward)
     bwd = loop_entropy_samples(proto.backward)
-    deviation = 0.0
-    for g in np.union1d(fwd.support, -bwd.support):
-        deviation = max(deviation, abs(loop_mass_at(bwd, -g) - math.exp(-g) * loop_mass_at(fwd, g)))
-    return deviation
+    weighted = [math.exp(-g) * p for g, p in zip(fwd.support.tolist(), fwd.probs.tolist())]
+    values = np.concatenate((fwd.support, -bwd.support))
+    _, merged = loop_merge_support(values, np.concatenate((weighted, -bwd.probs)))
+    return float(np.max(np.abs(merged), initial=0.0))
 
 
 def same_bits(a, b) -> bool:
