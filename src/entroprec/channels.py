@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DensityMatrix, _square_stack, hermiticity_defect
+from .core import DensityMatrix, _first_fault, _groups, _one_or_many, _square_stack, hermiticity_defect
 
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -54,17 +54,8 @@ class QuantumChannel:
         if not len(self.kraus):
             raise ValueError("at least one Kraus operator required")
         ops = _square_stack(self.kraus, "Kraus operators must be square and share one dimension")
-        if not np.all(np.isfinite(ops)):
-            raise ValueError("Kraus operators must be finite")
-        eye = np.eye(ops.shape[1])
-        adjoints = ops.conj().swapaxes(-1, -2)
-        defect = lambda gram: float(np.max(np.sum(np.abs(gram.sum(axis=0) - eye), axis=-1)))
-        trace_defect, unitality_defect = defect(adjoints @ ops), defect(ops @ adjoints)
-        if trace_defect > self.tp_tol:
-            raise ValueError(f"channel not trace preserving: defect {trace_defect:.3e}")
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "trace_defect", trace_defect)
-        object.__setattr__(self, "unitality_defect", unitality_defect)
+        (checked,) = _checked_channels([ops], [self.tp_tol], [self.unital_tol])
+        vars(self).update(vars(checked))
 
     @property
     def dim(self) -> int:
@@ -96,6 +87,55 @@ class QuantumChannel:
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be a probability vector")
         return cls(np.sqrt(w)[:, None, None] * np.asarray(unitaries, dtype=complex))
+
+
+def _checked_channels(kraus_sets, tp_tols, unital_tols) -> list[QuantumChannel]:
+    """A :class:`QuantumChannel` of each complex ``(n, d, d)`` Kraus set, in
+    order, with its own ``tp_tol`` and ``unital_tol``, checked as the
+    constructor checks one: finite operators, then the defects of
+    sum E^dag E and sum E E^dag from the identity, refused beyond
+    ``tp_tol``. The first set that fails, in order, raises the
+    constructor's ``ValueError``.
+
+    Sets of one shape are checked as one stack: each operator's products on
+    their own and the sum over operators in order, so every defect has the
+    bits of its lone check. Each channel keeps a read-only C-contiguous view
+    of its group's stack. The one place a channel is built unchecked.
+    """
+    n = len(kraus_sets)
+    finite = np.ones(n, dtype=bool)
+    trace_defect, unitality_defect = np.zeros(n), np.zeros(n)
+    groups = _groups(kraus_sets, np.shape)
+    stacks = [np.stack([kraus_sets[i] for i in group]) for group in groups]
+    for group, stack in zip(groups, stacks):
+        stack.flags.writeable = False
+        ok = np.isfinite(stack).all(axis=(1, 2, 3))
+        ops = stack[ok]  # no defect of a non-finite set
+        eye = np.eye(stack.shape[-1])
+        adjoints = ops.conj().swapaxes(-1, -2)
+        defect = lambda gram: np.max(np.sum(np.abs(gram.sum(axis=1) - eye), axis=-1), axis=-1)
+        at = np.asarray(group)[ok]
+        finite[group] = ok
+        trace_defect[at], unitality_defect[at] = defect(adjoints @ ops), defect(ops @ adjoints)
+    fault = _first_fault([
+        (~finite, lambda i: "Kraus operators must be finite"),
+        (trace_defect > np.asarray(tp_tols, dtype=float),
+         lambda i: f"channel not trace preserving: defect {trace_defect[i]:.3e}"),
+    ])
+    if fault:
+        raise ValueError(fault[1])
+    out: list = [None] * n
+    for group, stack in zip(groups, stacks):
+        for i, ops in zip(group, stack):
+            channel = out[i] = object.__new__(QuantumChannel)
+            vars(channel).update(
+                kraus=ops,
+                tp_tol=tp_tols[i],
+                unital_tol=unital_tols[i],
+                trace_defect=float(trace_defect[i]),
+                unitality_defect=float(unitality_defect[i]),
+            )
+    return out
 
 
 def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -155,18 +195,26 @@ class TimeReversal:
         return u @ np.conj(u.conj().T @ rho @ u) @ u.conj().T
 
 
-def time_reversed(channel: QuantumChannel, theta: TimeReversal | None = None) -> QuantumChannel:
+def time_reversed(channel, theta: TimeReversal | None = None):
     """Time-reversed channel with Kraus set Theta E_u^dag Theta^dag.
 
     Defined here only for unital channels, whose identity fixed point makes
-    the reversed map trace preserving.
+    the reversed map trace preserving. One channel, or a list or tuple of
+    them answered with a list (see :func:`core._one_or_many`): the first
+    channel that is not unital is refused before any work, and the reversed
+    sets are checked in one :func:`_checked_channels` pass, each with the
+    bits of its lone reversal.
     """
-    if not channel.is_unital:
+    channels, many = _one_or_many(channel)
+    if not all(c.is_unital for c in channels):
         raise ValueError("time reversal is only supported for unital channels")
     theta = theta or TimeReversal()
-    kraus = theta.apply_to_state(channel.kraus.conj().swapaxes(-1, -2))
+    kraus = [theta.apply_to_state(c.kraus.conj().swapaxes(-1, -2)) for c in channels]
     # TP defect of the reversal equals the unitality defect of the original.
-    return QuantumChannel(kraus, tp_tol=channel.unital_tol, unital_tol=channel.tp_tol)
+    out = _checked_channels(
+        kraus, [c.unital_tol for c in channels], [c.tp_tol for c in channels]
+    )
+    return out if many else out[0]
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -174,10 +222,19 @@ PAULI_XX = np.kron(PAULI_X, PAULI_X)
 PAULI_X.flags.writeable = PAULI_XX.flags.writeable = False
 
 
-def ms_gate(phi: float) -> QuantumChannel:
-    """Partial Moelmer-Soerensen entangling gate exp(-i phi X (x) X) on two qubits."""
-    u = np.cos(phi) * np.eye(4, dtype=complex) - 1j * np.sin(phi) * PAULI_XX
-    return QuantumChannel.unitary(u)
+def ms_gate(phi):
+    """Partial Moelmer-Soerensen entangling gate exp(-i phi X (x) X) on two qubits.
+
+    One phase, or a list or tuple of them answered with a list (see
+    :func:`core._one_or_many`): the gates are one broadcast stack, checked
+    in one pass, each with the bits of its lone build.
+    """
+    phis, many = _one_or_many(phi)
+    angles = np.asarray(phis, dtype=float)[:, None, None]
+    with np.errstate(invalid="ignore"):  # an infinite phase is refused below
+        u = np.cos(angles) * np.eye(4, dtype=complex) - 1j * np.sin(angles) * PAULI_XX
+    out = _checked_channels(u[:, None], [TP_TOL] * len(phis), [UNITAL_TOL] * len(phis))
+    return out if many else out[0]
 
 
 @dataclass(frozen=True)
@@ -376,10 +433,10 @@ def kraus_from_lindblad_endpoints(
     stacked integration per padded block size (see :func:`_block_endpoints`);
     a lone model is the one-model batch. A map's bits depend on its own
     generator alone, so it is byte-identical built alone or in any batch.
-    Each model's Choi matrix is then eigendecomposed; eigenvalues in
-    [-1e-8, 0) are clipped to zero (integration noise) and the spectrum
-    rescaled, anything more negative is a genuine complete-positivity
-    failure. A step outside RK4's stability region raises
+    The models' Choi matrices are then eigendecomposed in one stacked
+    ``eigh`` (see :func:`_endpoint_channels`); eigenvalues in [-1e-8, 0) are
+    clipped to zero (integration noise) and the spectrum rescaled, anything
+    more negative is a genuine complete-positivity failure. A step outside RK4's stability region raises
     :class:`IntegratorAccuracyError` before any step is taken; a non-finite
     endpoint, or a trace drift beyond 1e-6 in any propagated matrix unit,
     raises it afterwards. The error's ``index`` names the model.
@@ -393,12 +450,13 @@ def kraus_from_lindblad_endpoints(
     if any(m.dim != d for m in models):
         raise ValueError("models must share one dimension")
     if tau == 0:
-        return tuple(QuantumChannel.identity(d) for _ in models)
+        eye = np.broadcast_to(np.eye(d, dtype=complex), (len(models), 1, d, d))
+        return tuple(_checked_channels(eye, [TP_TOL] * len(models), [UNITAL_TOL] * len(models)))
     gens = np.stack([m.liouvillian for m in models])
     _check_rk4_stability(gens, tau, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # judged by the guard below
         endpoints = _block_endpoints(gens, tau, dt)
-    return tuple(_endpoint_channel(e, d, i) for i, e in enumerate(endpoints))
+    return tuple(_endpoint_channels(endpoints, d))
 
 
 def _invariant_blocks(gens: np.ndarray) -> list[np.ndarray]:
@@ -449,31 +507,39 @@ def _block_endpoints(gens: np.ndarray, tau: float, dt: float) -> np.ndarray:
     return endpoints
 
 
-def _endpoint_channel(endpoint: np.ndarray, d: int, index: int) -> QuantumChannel:
-    """Drift guard and Choi step for one propagated matrix-unit basis of a
-    d-level system; ``index`` is the model's position in its batch."""
+def _endpoint_channels(endpoints: np.ndarray, d: int) -> list[QuantumChannel]:
+    """Drift guard and Choi step for a stack of propagated matrix-unit bases
+    of a d-level system, one per model: one stacked ``eigh`` for all of
+    them and one :func:`_checked_channels` pass. The first model that drifts or is not completely positive, in
+    order, is refused before any trace-preservation check; a drift error's
+    ``index`` names it."""
     # Row a*d+a holds the diagonal entry (a, a), so the column sums of every
     # (d+1)-th row are Tr Phi(|i><j|), which must equal delta_ij.
-    traces = endpoint[:: d + 1].sum(axis=0)
-    drift = float(np.max(np.abs(traces - np.eye(d).reshape(-1))))
-    if not (np.all(np.isfinite(endpoint)) and drift <= MAX_TRACE_DRIFT):
-        raise IntegratorAccuracyError(
-            f"endpoint map trace drift {drift!r} exceeds {MAX_TRACE_DRIFT}; reduce dt",
-            index=index,
-        )
+    traces = endpoints[:, :: d + 1].sum(axis=1)
+    drift = np.max(np.abs(traces - np.eye(d).reshape(-1)), axis=1)
+    drifted = ~(np.isfinite(endpoints).all(axis=(1, 2)) & (drift <= MAX_TRACE_DRIFT))
+    n_ok = int(np.argmax(drifted)) if drifted.any() else len(endpoints)
     # endpoint[:, i*d+j] = vec(Phi(|i><j|)); reindex into the Choi matrix
     # J[(i,a),(j,b)] = Phi(|i><j|)[a,b].
-    choi = endpoint.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    choi = (choi + choi.conj().T) / 2.0
+    choi = endpoints[:n_ok].reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(-1, d * d, d * d)
+    choi = (choi + choi.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(choi)
-    if vals[0] < -CHOI_NEGATIVITY_TOL:
+    negative = np.flatnonzero(vals[:, 0] < -CHOI_NEGATIVITY_TOL)
+    if negative.size:
         raise NonCompletelyPositiveError(
-            f"Choi eigenvalue {vals[0]:.3e} below -{CHOI_NEGATIVITY_TOL}"
+            f"Choi eigenvalue {vals[negative[0], 0]:.3e} below -{CHOI_NEGATIVITY_TOL}"
+        )
+    if n_ok < len(endpoints):
+        raise IntegratorAccuracyError(
+            f"endpoint map trace drift {float(drift[n_ok])!r} exceeds {MAX_TRACE_DRIFT}; reduce dt",
+            index=n_ok,
         )
     vals = np.clip(vals, 0.0, None)
-    vals *= d / vals.sum()
+    vals *= d / vals.sum(axis=1, keepdims=True)
     # eigh sorts ascending, and column n of vecs is vec(E_n^T)
-    kept = np.count_nonzero(vals > 1e-12)
-    vals, vecs = vals[::-1][:kept], vecs[:, ::-1][:, :kept]
-    kraus = np.sqrt(vals)[:, None, None] * vecs.T.reshape(kept, d, d).swapaxes(-1, -2)
-    return QuantumChannel(kraus, tp_tol=1e-8, unital_tol=1e-8)
+    kraus = [
+        np.sqrt(v[::-1][:k])[:, None, None] * e[:, ::-1][:, :k].T.reshape(k, d, d).swapaxes(-1, -2)
+        for v, e, k in zip(vals, vecs, np.count_nonzero(vals > 1e-12, axis=1).tolist())
+    ]
+    n = len(endpoints)
+    return _checked_channels(kraus, [1e-8] * n, [1e-8] * n)

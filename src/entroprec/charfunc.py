@@ -37,9 +37,9 @@ import numpy as np
 
 from . import core
 from .channels import apply_kraus
-from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, tensor_product
+from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, _one_or_many, tensor_product
 from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs, _shape_groups, _stack
-from .protocol import _one_or_many, _require_rank_one
+from .protocol import _require_rank_one
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
@@ -167,7 +167,7 @@ def char_function(protos, subsystem: str, lam):
     """Characteristic function G_C(lam) evaluated via the operator trace form.
 
     ``protos`` is one protocol or a list or tuple of them (see
-    :func:`protocol._one_or_many`), ``lam`` a scalar or a 1-D array of
+    :func:`core._one_or_many`), ``lam`` a scalar or a 1-D array of
     parameter values. Protocols with equal Kraus and projector shapes are
     evaluated together, in stacks of powered states of at most
     ``STACK_PAIRS`` (protocol, parameter value) pairs (one protocol at

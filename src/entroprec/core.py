@@ -39,6 +39,36 @@ class DegenerateSupportWarning(UserWarning):
     treat exactly (negative/imaginary powers, log of a rank-deficient state)."""
 
 
+def _one_or_many(items) -> tuple[list, bool]:
+    """The items as a list, and whether they are many: a list or tuple is
+    many, anything else is one. Each theorem check, chi, ``ms_gate`` and
+    ``time_reversed`` answer in kind."""
+    if isinstance(items, (list, tuple)):
+        return list(items), True
+    return [items], False
+
+
+def _groups(items, key) -> list[list[int]]:
+    """Indices of ``items`` grouped by ``key(item)``, in first-seen order."""
+    groups: dict[object, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    return list(groups.values())
+
+
+def _first_fault(checks) -> tuple[int, str] | None:
+    """The first row that fails any of ``checks``, a list of ``(flags per
+    row, message)`` in check order, and ``message(row)`` of the first check
+    it fails; ``None`` when every row passes. A stacked check refuses the
+    item that a loop of lone checks would refuse, with its message."""
+    flags = np.array([f for f, _ in checks])
+    failing = flags.any(axis=0)
+    if not failing.any():
+        return None
+    row = int(np.argmax(failing))
+    return row, checks[int(np.argmax(flags[:, row]))][1](row)
+
+
 def _as_matrix(m) -> np.ndarray:
     if isinstance(m, DensityMatrix):
         return m.data

@@ -139,7 +139,7 @@ def build_channels(cfgs) -> list[QuantumChannel]:
     stacked batch (bit-identical to building each map alone). An
     :class:`IntegratorAccuracyError` names the offending phase and rate; a
     step outside RK4's stability region is refused before any map of its
-    group is integrated.
+    group is integrated. The unitary gates are one :func:`ms_gate` call.
     """
     cfgs = list(cfgs)
     key = lambda c: (c.phi, c.gamma, c.tau, c.step_size)
@@ -155,7 +155,9 @@ def build_channels(cfgs) -> list[QuantumChannel]:
             phi, gamma = group[err.index][:2]
             raise IntegratorAccuracyError(f"phi={phi!r}, gamma={gamma!r}: {err}") from err
         found.update(zip(group, channels))
-    return [found[key(c)] if c.dynamics == "lindblad" else ms_gate(c.phi) for c in cfgs]
+    phis = [c.phi for c in cfgs if c.dynamics != "lindblad"]
+    gates = iter(ms_gate(phis) if phis else ())
+    return [found[key(c)] if c.dynamics == "lindblad" else next(gates) for c in cfgs]
 
 
 def build_channel(cfg: TwoIonConfig) -> QuantumChannel:

@@ -23,6 +23,8 @@ import numpy as np
 from .core import (
     DensityMatrix,
     Observable,
+    _groups,
+    _one_or_many,
     _product_projectors,
     _reduced,
     relative_entropy,
@@ -462,14 +464,6 @@ def _stack(protos, read) -> np.ndarray:
     return np.stack([read(proto) for proto in protos])
 
 
-def _groups(items, key) -> list[list[int]]:
-    """Indices of ``items`` grouped by ``key(item)``, in first-seen order."""
-    groups: dict[object, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(key(item), []).append(i)
-    return list(groups.values())
-
-
 def _shape_groups(protos) -> list[list[int]]:
     """Indices of ``protos`` grouped by the shapes of their Kraus and
     projector stacks, in first-seen order. A group stacks without padding:
@@ -520,10 +514,11 @@ def _forward_tables(protos) -> list["JointOutcomeTable"]:
 
 def _backward_tables(protos) -> list["JointOutcomeTable"]:
     """Backward joint tables of protocols of one shape group, see
-    :attr:`TwoTimeProtocol.backward`; each channel is reversed on its own
-    (and refused if not unital), then all are applied at once."""
+    :attr:`TwoTimeProtocol.backward`; the channels are reversed and checked
+    in one :func:`time_reversed` call (refused if any is not unital), then
+    all are applied at once."""
     theta = TimeReversal()
-    kraus = _stack(protos, lambda p: time_reversed(p.channel, theta).kraus)
+    kraus = np.stack([c.kraus for c in time_reversed([p.channel for p in protos], theta)])
     rho_tau_rev = theta.apply_to_state(_stack(protos, lambda p: p.states.rho_tau))
     proj_in_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_in.projectors))
     proj_ref_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_fin.projectors))
@@ -656,14 +651,6 @@ class EntropyBoundResult(NamedTuple):
     relative_entropy: float
     mean_sigma: float
     passed: bool
-
-
-def _one_or_many(items) -> tuple[list, bool]:
-    """The items as a list, and whether they are many: a list or tuple is
-    many, anything else is one. Each theorem check and chi answer in kind."""
-    if isinstance(items, (list, tuple)):
-        return list(items), True
-    return [items], False
 
 
 def _require_rank_one(*observables: Observable) -> None:

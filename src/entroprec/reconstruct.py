@@ -20,13 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
+from .core import _first_fault, _groups, _one_or_many
 from .protocol import (
     SUPPORT_MERGE_TOL,
     EntropyDistribution,
     _concatenated,
     _distributions_from_rows,
-    _groups,
-    _one_or_many,
 )
 
 ILL_CONDITION_LIMIT = 1e14
@@ -344,86 +343,138 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
     """:func:`pseudoinverse_reconstruct` of each ``(moments, support, label)``
     item, in order, each with the bits (and the warning) of its lone call.
 
-    Items of equal row count and active support size (nonzero support
-    values) form one group: its Gram products, the singular values that
-    decide the Tikhonov diagonal and its solves are each one stacked call.
-    The right-hand sides ``powers.T @ b`` are formed per item, because a
+    The items are checked by :func:`_pinv_groups`: the first item that
+    fails, in order, raises its lone call's ``ValueError`` before any work.
+    An item numpy cannot read as float64 raises numpy's error, once the
+    items before it have passed.
+    Items of equal row count, support size and active support size (nonzero
+    support values) form one group: its power matrices are one elementwise
+    ``**``, its Gram products, the singular values that decide the Tikhonov
+    diagonal and its solves are each one stacked call, and its masses become
+    probabilities in one pass, each row summed as its lone ``.sum()`` sums
+    it. The right-hand sides ``powers.T @ b`` are formed per item, because a
     stacked product takes another BLAS kernel and rounds differently. The
     distributions are checked and built in one pass (see
     :func:`protocol._distributions_from_rows`).
     """
-    systems = [_pinv_system(*item) for item in items]
-    solved: list = [None] * len(systems)
-    for group in _groups(systems, lambda sys: sys[2].shape):
-        powers = np.stack([systems[i][2] for i in group])
-        k = powers.shape[2]
-        if k == 0:  # every support value is zero
-            for i in group:
-                solved[i] = np.zeros(0)
-            continue
-        gram = powers.swapaxes(1, 2) @ powers
-        singular_values = np.linalg.svd(gram, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = singular_values[:, 0] / singular_values[:, -1]
-        singular = ~np.isfinite(cond) | (cond > 1e12)
-        gram = np.where(singular[:, None, None], gram + TIKHONOV_LAMBDA * np.eye(k), gram)
-        rhs = np.stack([systems[i][2].T @ systems[i][0] for i in group])
-        for i, x in zip(group, np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]):
-            solved[i] = x
-    probs = []
-    for (_, s, _, _), x in zip(systems, solved):
-        if x.size and x.min() < -1e-8:
+    read = []
+    for moments, support, label in items:
+        try:
+            b, s = np.ascontiguousarray(moments, dtype=float), np.asarray(support, dtype=float)
+        except (TypeError, ValueError):
+            _pinv_groups(read)  # a fault of an earlier item comes first
+            raise
+        read.append((b, s, label))
+    items = read
+    probs: list = [None] * len(items)
+    lowest: dict[int, float] = {}  # the least-squares masses' minimum of each item
+    for group, b, s in _pinv_groups(items):
+        active = np.abs(s) > 1e-12
+        for sub in _groups(np.count_nonzero(active, axis=1).tolist(), int):
+            masses = _pinv_masses(b[sub], s[sub], active[sub])
+            if masses.size:
+                lowest.update(zip((group[j] for j in sub), masses.min(axis=1).tolist()))
+            for j, row in zip(sub, _pinv_probs(s[sub], active[sub], masses)):
+                probs[group[j]] = row
+    for i in sorted(lowest):
+        if lowest[i] < -1e-8:
             warnings.warn(
-                f"least-squares masses down to {x.min():.3e}; projecting onto "
+                f"least-squares masses down to {lowest[i]:.3e}; projecting onto "
                 "the simplex (too few moments for this support?)",
                 InfeasibleRecoveryWarning,
                 stacklevel=2,
             )
-        probs.append(_pinv_probs(s, x))
-    support, row = _concatenated([s for _, s, _, _ in systems])
-    labels = [label for *_, label in systems]
-    n = len(systems)
+    support, row = _concatenated([s for _, s, _ in items])
+    labels = [label for *_, label in items]
+    n = len(items)
     return _distributions_from_rows(support, _concatenated(probs)[0], row, labels, [0] * n, [0.0] * n)
 
 
-def _pinv_system(moments, support, label):
-    """The validated ``(b, support, powers, label)`` of one pinv item:
-    ``powers[k, j] = s_j^(k + 1)`` over the nonzero support values s_j."""
-    b = np.ascontiguousarray(moments, dtype=float)
-    if b.ndim != 1 or not np.all(np.isfinite(b)):
-        raise ValueError("moments must be a 1-D array of finite values")
-    s = _validated_support(support)
-    active = np.abs(s) > 1e-12
-    return b, s, s[None, active] ** np.arange(1, b.size + 1)[:, None], label
+def _pinv_groups(items) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The ``(b, s, label)`` items grouped by the shapes of ``b`` and ``s``,
+    as ``(indices, b stack, s stack)``, every group checked in one pass: the
+    moments are a 1-D array of finite values, the support passes
+    :func:`_support_checks`. The first item that fails, in order, raises its
+    lone call's ``ValueError``."""
+    groups, faults = [], []
+    for group in _groups(items, lambda item: (item[0].shape, item[1].shape)):
+        b = np.stack([items[i][0] for i in group])
+        s = np.stack([items[i][1] for i in group])
+        finite = (b.ndim == 2) & np.isfinite(b).all(axis=tuple(range(1, b.ndim)))
+        moments = (~finite, lambda i: "moments must be a 1-D array of finite values")
+        fault = _first_fault([moments, *_support_checks(s)])
+        if fault:
+            faults.append((group[fault[0]], fault[1]))
+        groups.append((group, b, s))
+    if faults:
+        raise ValueError(min(faults)[1])
+    return groups
+
+
+def _pinv_masses(b: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The least-squares masses of the nonzero support values, one row per
+    item of a group: moments ``b`` (items, rows), supports ``s`` and their
+    nonzero flags ``active`` (items, size), an equal count of nonzero values
+    in every row. ``powers[k, j] = s_j^(k + 1)`` over those values."""
+    k = np.count_nonzero(active[0])
+    if not k:  # every support value is zero
+        return np.zeros((len(s), 0))
+    powers = s[active].reshape(len(s), 1, k) ** np.arange(1, b.shape[1] + 1)[:, None]
+    gram = powers.swapaxes(1, 2) @ powers
+    singular_values = np.linalg.svd(gram, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = singular_values[:, 0] / singular_values[:, -1]
+    singular = ~np.isfinite(cond) | (cond > 1e12)
+    gram = np.where(singular[:, None, None], gram + TIKHONOV_LAMBDA * np.eye(k), gram)
+    rhs = np.stack([p.T @ x for p, x in zip(powers, b)])
+    return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+
+
+def _pinv_probs(s: np.ndarray, active: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """The probabilities on each row of supports ``s`` from the least-squares
+    masses of its nonzero values (``active``, an equal count in every row):
+    the masses clipped at zero, the rest of unit mass shared by the zero
+    values, then normalised, or uniform when no mass is left."""
+    masses = np.clip(masses, 0.0, None)
+    probs = np.zeros(s.shape)
+    probs[active] = masses.ravel()
+    zeros = s.shape[1] - masses.shape[1]
+    if zeros:
+        rest = np.maximum(0.0, 1.0 - masses.sum(axis=1)) / zeros
+        probs[~active] = np.repeat(rest, zeros)
+    total = probs.sum(axis=1)
+    empty = total <= 1e-15
+    probs /= np.where(empty, 1.0, total)[:, None]
+    probs[empty] = 1.0 / s.shape[1]
+    return probs
+
+
+def _support_checks(s: np.ndarray) -> list:
+    """The support checks of a stack of float64 supports along the leading
+    axis, in order, as ``(flags per support, message)`` for
+    :func:`_first_fault`: a nonempty 1-D array of finite values, no two
+    within ``SUPPORT_MERGE_TOL``. Both recoveries check their support by
+    them before any work (see :func:`_validated_support`)."""
+    usable = (s.ndim == 2 and s.shape[1] > 0) & np.isfinite(s).all(axis=tuple(range(1, s.ndim)))
+    coincident = np.zeros(len(s), dtype=bool)
+    if s.ndim == 2:
+        with np.errstate(invalid="ignore"):  # inf - inf, in rows refused above
+            gaps = np.diff(np.sort(s, axis=1), axis=1)
+        coincident = usable & (gaps <= SUPPORT_MERGE_TOL).any(axis=1)
+    return [
+        (~usable, lambda i: "support must be a nonempty 1-D array of finite values"),
+        (coincident, lambda i: "support contains coincident values; merge them first"),
+    ]
 
 
 def _validated_support(support) -> np.ndarray:
-    """``support`` as a float64 array; ``ValueError`` unless it is a nonempty
-    1-D array of finite values, no two within ``SUPPORT_MERGE_TOL``. Both
-    recoveries check their support by it before any work."""
+    """``support`` as a float64 array; ``ValueError`` unless it passes
+    :func:`_support_checks`."""
     s = np.asarray(support, dtype=float)
-    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
-        raise ValueError("support must be a nonempty 1-D array of finite values")
-    if s.size > 1 and np.diff(np.sort(s)).min() <= SUPPORT_MERGE_TOL:
-        raise ValueError("support contains coincident values; merge them first")
+    fault = _first_fault(_support_checks(s[None]))
+    if fault:
+        raise ValueError(fault[1])
     return s
-
-
-def _pinv_probs(s: np.ndarray, solved: np.ndarray) -> np.ndarray:
-    """The probabilities on support ``s`` from the least-squares masses of
-    its nonzero values."""
-    solved = np.clip(solved, 0.0, None)
-    zero = np.abs(s) <= 1e-12
-    probs = np.zeros(s.size)
-    probs[~zero] = solved
-    if np.any(zero):
-        probs[zero] = max(0.0, 1.0 - solved.sum()) / zero.sum()
-    total = probs.sum()
-    if total <= 1e-15:
-        probs = np.full(s.size, 1.0 / s.size)
-    else:
-        probs = probs / total
-    return probs
 
 
 def rmse_moments(true_moments, recon_moments, n_max: int) -> float:
@@ -440,7 +491,7 @@ def rmse_probs(true_dist, recon_dist):
     """Root mean square deviation of the recovered probabilities from the
     true ones over their aligned supports. One pair of distributions or two
     lists or tuples of them, paired in order (see
-    :func:`protocol._one_or_many`); each value has the bits of its lone call
+    :func:`core._one_or_many`); each value has the bits of its lone call
     (see :func:`_root_mean_squares`)."""
     trues, many = _one_or_many(true_dist)
     recons, _ = _one_or_many(recon_dist)

@@ -166,8 +166,10 @@ class TestChannelValidation:
             QuantumChannel(kraus)
 
     def test_non_finite_gate_refused(self):
-        with pytest.raises(ValueError, match="must be finite"):
-            ms_gate(math.nan)
+        # an infinite phase used to warn twice (cos and sin) before the refusal
+        for phi in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                ms_gate(phi)
 
     def test_mixed_unitary_needs_one_weight_per_unitary(self):
         eye = np.eye(2, dtype=complex)
@@ -258,6 +260,136 @@ class TestMsGate:
     def test_unitary(self):
         u = ms_gate(1.1).kraus[0]
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
+
+
+def loop_defects(kraus) -> tuple[float, float]:
+    """The trace and unitality defects of one Kraus set, one product at a
+    time: the largest absolute row sum of sum E^dag E - I and of
+    sum E E^dag - I, each sum over operators in order from the first."""
+    ops = np.array(kraus, dtype=complex)
+    eye = np.eye(ops.shape[1])
+    trace, unital = ops[0].conj().T @ ops[0], ops[0] @ ops[0].conj().T
+    for e in ops[1:]:
+        trace, unital = trace + e.conj().T @ e, unital + e @ e.conj().T
+    return tuple(float(np.max(np.sum(np.abs(g - eye), axis=-1))) for g in (trace, unital))
+
+
+def same_channel(a: QuantumChannel, b: QuantumChannel) -> bool:
+    return (a.kraus.tobytes(), a.kraus.shape, a.trace_defect, a.unitality_defect, a.tp_tol,
+            a.unital_tol) == (b.kraus.tobytes(), b.kraus.shape, b.trace_defect,
+                              b.unitality_defect, b.tp_tol, b.unital_tol)
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of its ValueError."""
+    try:
+        return build()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def kraus_batches(draw) -> list[np.ndarray]:
+    """1-6 Kraus sets of dimension 2-6 with 1-4 operators, shapes mixed in
+    one batch: the blocks of a random isometry, one in twelve scaled by
+    1 + 1e-9 (refused at the default tolerance), one by 1.1 and one given a
+    non-finite entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        d, n = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+        z = rng.standard_normal((n * d, d)) + 1j * rng.standard_normal((n * d, d))
+        kraus = np.linalg.qr(z)[0].reshape(n, d, d)
+        fault = draw(st.integers(0, 11))
+        if fault < 2:
+            kraus *= (1 + 1e-9, 1.1)[fault]
+        elif fault == 2:
+            kraus[-1, 0, -1] = draw(st.sampled_from([math.nan, math.inf]))
+        batch.append(kraus)
+    return batch
+
+
+class TestChannelStacks:
+    """The gates, reversals and endpoint maps of a sweep are built and
+    checked as stacks; each channel has the bits of its lone build."""
+
+    def test_gates_match_lone_builds(self, rng):
+        phis = [0.0, -0.0, math.pi / 2, *rng.uniform(0, 2 * math.pi, 20)]
+        gates = ms_gate(phis)
+        assert isinstance(gates, list) and len(gates) == len(phis)
+        assert isinstance(ms_gate(tuple(phis[:2])), list) and ms_gate([]) == []
+        for phi, gate in zip(phis, gates):
+            assert same_channel(gate, ms_gate(phi))
+            assert (gate.trace_defect, gate.unitality_defect) == loop_defects(gate.kraus)
+            assert gate.kraus.shape == (1, 4, 4) and not gate.kraus.flags.writeable
+
+    def test_reversals_match_lone_builds(self, rng):
+        # Kraus shapes and tolerances mixed in one list
+        chans = [random_mixed_unitary_channel(d, rng) for d in (2, 3, 3, 4, 2)]
+        chans += ms_gate([0.4, 1.3]) + list(kraus_from_lindblad_endpoints(
+            [two_ion_model(0.2, g, g) for g in (0.0, 0.5)], 0.5, 0.01))
+        qubits = [c for c in chans if c.dim == 2]  # a basis acts on one dimension
+        for theta, listed in ((TimeReversal(), chans), (TimeReversal(random_unitary(2, rng)), qubits)):
+            for channel, rev in zip(listed, time_reversed(tuple(listed), theta)):
+                assert same_channel(rev, time_reversed(channel, theta))
+                assert (rev.trace_defect, rev.unitality_defect) == loop_defects(rev.kraus)
+
+    @settings(max_examples=80)
+    @given(kraus_batches())
+    def test_checked_stack_matches_lone_constructor(self, batch):
+        # the defects against the loop above, byte for byte; a batch fails
+        # on its first bad set with that set's own message
+        lone = [outcome(lambda k=k: QuantumChannel(k)) for k in batch]
+        first_fault = next((o for o in lone if not isinstance(o, QuantumChannel)), None)
+        stacked = outcome(lambda: channels._checked_channels(
+            [np.array(k) for k in batch], [channels.TP_TOL] * len(batch),
+            [channels.UNITAL_TOL] * len(batch)))
+        if first_fault is not None:
+            assert stacked == first_fault
+            return
+        for single, channel, kraus in zip(lone, stacked, batch):
+            assert same_channel(channel, single)
+            assert (channel.trace_defect, channel.unitality_defect) == loop_defects(kraus)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_first_bad_set_is_refused_with_its_lone_message(self, at):
+        good = ms_gate(0.3).kraus
+        non_finite = np.diag([1.0, math.inf, 1.0, 1.0])[None].astype(complex)
+        non_tp = np.diag([1.0, 0.5, 1.0, 1.0])[None].astype(complex)
+        for first, second in ((non_finite, non_tp), (non_tp, non_finite)):
+            batch = [good] * 4
+            batch[at], batch[3] = first, second
+            with pytest.raises(ValueError) as lone:
+                QuantumChannel(first)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(lone.value))}$"):
+                channels._checked_channels(batch, [channels.TP_TOL] * 4, [channels.UNITAL_TOL] * 4)
+        with pytest.raises(ValueError, match="^Kraus operators must be finite$"):
+            ms_gate([0.1, 0.2, 0.3][:at] + [math.nan, math.inf])
+        damping = QuantumChannel(
+            (np.diag([1.0, math.sqrt(0.5)]), np.array([[0.0, math.sqrt(0.5)], [0.0, 0.0]]))
+        )
+        unital = [QuantumChannel.identity(2)] * 3
+        unital.insert(at, damping)
+        with pytest.raises(ValueError, match="^time reversal is only supported for unital"):
+            time_reversed(unital)
+
+    def test_endpoint_maps_of_mixed_rank_in_one_stack(self, rng):
+        # Choi ranks 1, 2 and 3 interleaved in one eigh
+        endpoints, ranks = [], [2, 1, 3, 2, 1]
+        for n in ranks:
+            weights = rng.dirichlet(np.ones(n))
+            ops = QuantumChannel.mixed_unitary([random_unitary(3, rng) for _ in range(n)],
+                                               weights).kraus
+            endpoints.append(sum(np.kron(e, e.conj()) for e in ops))
+        batch = channels._endpoint_channels(np.stack(endpoints), 3)
+        for endpoint, channel, n in zip(endpoints, batch, ranks):
+            assert len(channel.kraus) == n
+            assert same_channel(channel, channels._endpoint_channels(endpoint[None], 3)[0])
+
+    def test_zero_time_maps_are_one_stack(self):
+        maps = kraus_from_lindblad_endpoints([two_ion_model(0.1, g, g) for g in (0.0, 0.3)], 0, 0.01)
+        for channel in maps:
+            assert same_channel(channel, QuantumChannel.identity(4))
 
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))

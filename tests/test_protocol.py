@@ -32,7 +32,7 @@ from entroprec import (
 )
 from entroprec.protocol import EntropyBoundResult, stack_moments
 from entroprec import DegenerateSupportWarning, relative_entropy
-from entroprec.channels import TimeReversal, _endpoint_channel, time_reversed
+from entroprec.channels import TimeReversal, _endpoint_channels, time_reversed
 from entroprec.reconstruct import rmse_probs
 from entroprec.protocol import (
     MASS_DROP_TOL,
@@ -798,7 +798,7 @@ def loop_reversed_kraus(channel, theta):
 
 
 def loop_endpoint_kraus(endpoint, d):
-    """The Choi step of ``_endpoint_channel``, one eigenvector at a time."""
+    """The Choi step of ``_endpoint_channels``, one eigenvector at a time."""
     choi = endpoint.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
     vals = np.clip(vals, 0.0, None)
@@ -995,15 +995,17 @@ class TestStackedMatchesLoops:
     @pytest.mark.parametrize("n_unitaries", [2, 9], ids=["rank-deficient", "full-rank"])
     def test_endpoint_channel(self, rng, n_unitaries):
         # the endpoint matrix of a mixed-unitary channel on a qutrit, as the
-        # RK4 build lays it out: sum_u E_u kron conj(E_u)
+        # RK4 build lays it out: sum_u E_u kron conj(E_u); five of them as
+        # one stack
+        endpoints = []
         for _ in range(5):
             weights = rng.dirichlet(np.ones(n_unitaries))
             unitaries = [random_unitary(3, rng) for _ in range(n_unitaries)]
             ops = QuantumChannel.mixed_unitary(unitaries, weights).kraus
-            endpoint = sum(np.kron(e, e.conj()) for e in ops)
-            kraus = _endpoint_channel(endpoint, 3, 0).kraus
-            assert same_bits(kraus, loop_endpoint_kraus(endpoint, 3))
-            assert len(kraus) == n_unitaries  # a full-rank Choi matrix keeps all 9
+            endpoints.append(sum(np.kron(e, e.conj()) for e in ops))
+        for endpoint, channel in zip(endpoints, _endpoint_channels(np.stack(endpoints), 3)):
+            assert same_bits(channel.kraus, loop_endpoint_kraus(endpoint, 3))
+            assert len(channel.kraus) == n_unitaries  # a full-rank Choi matrix keeps all 9
 
     def test_entropy_samples(self, rng):
         # marginals drawn from a few values tie sigma exactly, so the merge

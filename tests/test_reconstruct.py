@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -615,6 +616,55 @@ class TestPseudoinverseStack:
 
     def test_empty_batch(self):
         assert reconstruct.pseudoinverse_stack([]) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [([0.1, np.nan], [-0.5, 0.5]), ([0.1, 0.2], [0.5, 0.5 + 1e-12])],
+        ids=["non-finite-moments", "coincident-support"],
+    )
+    def test_first_bad_item_is_refused_in_order(self, bad):
+        # the two items before it would warn, a later item of the first
+        # item's group fails another check and the last one cannot be read;
+        # the third item's lone error wins and no warning comes before it
+        with pytest.raises(ValueError) as lone:
+            pseudoinverse_reconstruct(*bad)
+        items = [
+            ([0.3], [-1.0, -0.3, 0.4, 1.2], "warns"),
+            ([-1.5, -1.25], [0.5, 1.0], "warns too"),
+            (*bad, "bad"),
+            ([0.3], [-1.0, -0.3, 0.4, 0.4], "coincident, later"),
+            ([np.inf, 0.2], [0.5, 1.0], "non-finite, later"),
+            ([0.1], "not a support", "unreadable, later"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(lone.value))}$"):
+                reconstruct.pseudoinverse_stack(items)
+        assert caught == []
+
+    def test_warnings_keep_item_order_across_groups(self):
+        # groups of (rows, support size, nonzero values) in interleaved
+        # order; each item warns with its own lowest mass
+        items = [
+            ([0.3], [-1.0, -0.3, 0.4, 1.2], "a"),
+            ([-1.5, -1.25], [0.5, 1.0], "b"),
+            ([0.2], [-1.0, -0.3, 0.4, 1.1], "a"),
+            ([0.05, 0.3], [-0.5, 0.0, 0.5, 1.0], "c"),
+            ([-1.5, -1.2], [0.5, 1.0], "b"),
+        ]
+        assert len(reconstruct._pinv_groups([
+            (np.asarray(m, float), np.asarray(s, float), label) for m, s, label in items
+        ])) == 3
+        lone = []
+        for item in items:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pseudoinverse_reconstruct(*item)
+            lone += [str(w.message) for w in caught]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reconstruct.pseudoinverse_stack(items)
+        assert [str(w.message) for w in caught] == lone and len(set(lone)) == len(items)
 
 
 class TestRmseMetrics:
