@@ -179,8 +179,10 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vector, partition=None) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), partition)
+        norm = np.linalg.norm(v) if v.ndim == 1 and np.isfinite(v).all() else 0.0
+        if not 0.0 < norm < np.inf:
+            raise ValueError("pure state must be a nonzero 1-D vector of finite entries")
+        return cls(np.outer(v / norm, (v / norm).conj()), partition)
 
 
 def _square_stack(matrices, message: str) -> np.ndarray:

@@ -419,9 +419,8 @@ def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
     one channel application per group of equal Kraus shapes and one
     elimination per distinct N. Last come the bundles (see :func:`_bundles`):
     one call of :func:`_recover` per method for every (point, label), the
-    pinv ones as one :func:`reconstruct.pseudoinverse_stack`, whose
-    right-hand sides stay per item (a stacked product rounds differently),
-    then the convolutions of the recovered A and B. Their temporaries grow
+    pinv ones as one :func:`reconstruct.pseudoinverse_stack`, then the
+    convolutions of the recovered A and B. Their temporaries grow
     with P times the number of chi nodes; chi's stacks stop growing at
     ``charfunc.STACK_PAIRS`` protocol-node pairs. A protocol's record is
     built once, so its warnings are raised once per protocol.

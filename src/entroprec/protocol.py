@@ -21,12 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    HERMITICITY_TOL,
     DensityMatrix,
     Observable,
     _groups,
     _one_or_many,
     _product_projectors,
     _reduced,
+    hermiticity_defect,
     relative_entropy,
     spectral_decomposition,
     tensor_product,
@@ -248,9 +250,9 @@ def stack_moments(dists, orders) -> None:
 def _checked_rows(support, probs, counts, infinite) -> tuple[list, list]:
     """The support and probabilities of each of many distributions, given
     as concatenated rows of ``counts[i]`` entries, checked in one pass on all
-    rows: finite values; each support sorted (see :func:`_row_order`) with
-    neighbours more than ``SUPPORT_MERGE_TOL`` apart; no probability below
-    -1e-12; and each row's probabilities, a running sum (see
+    rows: finite values; each support sorted (equal values keep their order)
+    with neighbours more than ``SUPPORT_MERGE_TOL`` apart; no probability
+    below -1e-12; and each row's probabilities, a running sum (see
     :func:`_concatenated`), plus its ``infinite[i]`` within 1e-10 of 1.
 
     The first check that fails raises ``ValueError`` on its first failing
@@ -266,16 +268,11 @@ def _checked_rows(support, probs, counts, infinite) -> tuple[list, list]:
 
     finite = np.isfinite(support) & np.isfinite(probs)
     check(~finite, row, lambda i: "support and probs must be finite")
+    order = np.lexsort((support, row))
+    support, probs = support[order], probs[order]
     inner = row[1:] == row[:-1]  # neighbours within one row
-    gaps = support[1:] - support[:-1]
-    if (gaps[inner] > 0).all():  # already sorted, as merges leave it
-        support, probs = support.copy(), probs.copy()
-    else:
-        order = _row_order(support, counts)
-        support, probs = support[order], probs[order]
-        gaps = support[1:] - support[:-1]
     distinct = lambda i: "support entries must stay distinct after merging"
-    check(inner & (gaps <= SUPPORT_MERGE_TOL), row[1:], distinct)
+    check(inner & (support[1:] - support[:-1] <= SUPPORT_MERGE_TOL), row[1:], distinct)
     check(probs < -1e-12, row, lambda i: f"negative probability {probs[row == i].min():.3e}")
     total = np.bincount(row, probs, n_rows) + np.asarray(infinite)
     check(np.abs(total - 1.0) > 1e-10, np.arange(n_rows),
@@ -302,31 +299,15 @@ def _distributions_from_rows(support, probs, row, labels, dropped, infinite) -> 
     return out
 
 
-def _row_order(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The permutation that sorts each row of the concatenated ``values``
-    (row i holding ``counts[i]`` entries) in place, by numpy's default
-    argsort, as a lone argsort of the row orders it: rows of one length take
-    one 2-D argsort. Equal values keep that sort's order, which sets the
-    order in which a merged cluster's sums run; a stable sort would change
-    it."""
-    order = np.arange(values.size)
-    starts = np.cumsum(counts) - counts
-    for length in set(counts.tolist()) - {0, 1}:
-        first = starts[counts == length, None]
-        slots = first + np.arange(length)
-        order[slots] = first + np.argsort(values[slots], axis=1)
-    return order
-
-
-def _merged_rows(values: np.ndarray, masses: np.ndarray, row: np.ndarray, n_rows: int):
-    """:func:`merge_support` of each of ``n_rows`` rows at once, given as
-    concatenated ``values`` and ``masses`` with the nondecreasing ``row`` of
-    each entry: each row is sorted by :func:`_row_order`, a row change or a
-    gap above the tolerance between neighbours starts a new cluster, and each
-    sum is one ``np.bincount``. Returns the merged values and masses and the
-    row of each; each row has the bits of its lone merge."""
-    order = _row_order(values, np.bincount(row, minlength=n_rows))
-    values, masses = values[order], masses[order]
+def _merged_rows(values: np.ndarray, masses: np.ndarray, row: np.ndarray):
+    """:func:`merge_support` of many rows at once: concatenated ``values``
+    and ``masses`` with the ``row`` of each entry, in any order, sorted by
+    one stable sort on (row, value); a row change or a gap above the
+    tolerance starts a new cluster, and each sum is one ``np.bincount``.
+    Returns the merged values, masses and rows, in row order; each row has
+    the bits of its lone merge."""
+    order = np.lexsort((values, row))
+    values, masses, row = values[order], masses[order], row[order]
     if not values.size:
         return values, masses, row
     starts = (values[1:] - values[:-1] > SUPPORT_MERGE_TOL) | (row[1:] != row[:-1])
@@ -339,16 +320,19 @@ def _merged_rows(values: np.ndarray, masses: np.ndarray, row: np.ndarray, n_rows
 
 def merge_support(values: np.ndarray, masses: np.ndarray):
     """Aggregate masses whose neighbouring support values lie within
-    ``SUPPORT_MERGE_TOL``.
+    ``SUPPORT_MERGE_TOL``; ``values`` and ``masses`` must be finite 1-D
+    arrays of equal length (``ValueError`` otherwise).
 
     A cluster takes its total mass and its mass-weighted mean
     ``sum(v * m) / sum(m)``, or its plain mean when it has no mass. Each sum
-    is a running sum over the cluster in support order (see
-    :func:`_concatenated`). The one-row case of :func:`_merged_rows`.
+    is a running sum over the cluster in support order, ties in input order
+    (see :func:`_concatenated`). The one-row case of :func:`_merged_rows`.
     """
-    values = np.asarray(values, dtype=float)
-    row = np.zeros(values.size, dtype=int)
-    out_vals, out_mass, _ = _merged_rows(values, np.asarray(masses, dtype=float), row, 1)
+    values, masses = np.asarray(values, dtype=float), np.asarray(masses, dtype=float)
+    matching = values.ndim == 1 and values.shape == masses.shape
+    if not (matching and np.isfinite(values).all() and np.isfinite(masses).all()):
+        raise ValueError("values and masses must be finite 1-D arrays of equal length")
+    out_vals, out_mass, _ = _merged_rows(values, masses, np.zeros(values.size, dtype=int))
     return out_vals, out_mass
 
 
@@ -382,7 +366,7 @@ def convolve_distributions(dist_a, dist_b):
     pair, i, j = _grids(np.stack((counts_a, counts_b), axis=1))
     i += (np.cumsum(counts_a) - counts_a)[pair]
     j += (np.cumsum(counts_b) - counts_b)[pair]
-    merged = _merged_rows(support_a[i] + support_b[j], probs_a[i] * probs_b[j], pair, n)
+    merged = _merged_rows(support_a[i] + support_b[j], probs_a[i] * probs_b[j], pair)
     out = _distributions_from_rows(*merged, ["A+B"] * n, [0] * n, [0.0] * n)
     return out if many else out[0]
 
@@ -630,10 +614,11 @@ def _samples(labelled) -> list[EntropyDistribution]:
     infinite = np.bincount(table[kept & empty_ref], p_fwd[kept & empty_ref], n)
     infinite = [mass if mass > 0 else 0.0 for mass in infinite]
     dropped = np.bincount(table[~kept], minlength=n).tolist()
-    # math.log, not np.log, which may round differently
+    # math.log, not np.log: numpy's log takes the CPU's SIMD dispatch, and
+    # its last bits differ between AVX-512 and baseline builds
     logs = np.array([math.log(p) if p > MASS_DROP_TOL else math.nan for p in marginals.tolist()])
-    # boolean indexing keeps the row-major order, which decides how the
-    # unstable argsort of _row_order orders equal samples
+    # boolean indexing keeps the row-major order, in which the stable sort
+    # of _merged_rows sums equal samples
     finite = kept & ~empty_ref
     values = logs[at_in[finite]] - logs[at_ref[finite]]
     for mass in infinite:
@@ -643,7 +628,7 @@ def _samples(labelled) -> list[EntropyDistribution]:
                 AbsoluteIrreversibilityWarning,
                 stacklevel=3,
             )
-    merged = _merged_rows(values, p_fwd[finite], table[finite], n)
+    merged = _merged_rows(values, p_fwd[finite], table[finite])
     return _distributions_from_rows(*merged, [label for label, _ in labelled], dropped, infinite)
 
 
@@ -748,22 +733,15 @@ def crooks_check(protos):
     fwd_probs, _ = _concatenated([d.probs for d in fwd])
     bwd_support, bwd_row = _concatenated([d.support for d in bwd])
     bwd_probs, _ = _concatenated([d.probs for d in bwd])
-    # math.exp, not np.exp: numpy's exp may round differently
+    # math.exp, not np.exp: numpy's exp takes the CPU's SIMD dispatch, and
+    # its last bits differ between AVX-512 and baseline builds
     weights = np.array([math.exp(-g) for g in fwd_support.tolist()])
     # each protocol's row holds its forward entries, then its negated
-    # backward ones: an entry moves past the other side's earlier rows
-    n = len(protos)
-    n_fwd, n_bwd = np.bincount(fwd_row, minlength=n), np.bincount(bwd_row, minlength=n)
-    at = np.concatenate((
-        np.arange(fwd_row.size) + (np.cumsum(n_bwd) - n_bwd)[fwd_row],
-        np.arange(bwd_row.size) + np.cumsum(n_fwd)[bwd_row],
-    ))
-    values, masses = np.empty(at.size), np.empty(at.size)
-    values[at] = np.concatenate((fwd_support, -bwd_support))
-    masses[at] = np.concatenate((weights * fwd_probs, -bwd_probs))
-    row = np.repeat(np.arange(n), n_fwd + n_bwd)
-    _, merged, merged_row = _merged_rows(values, masses, row, n)
-    out = np.zeros(n)
+    # backward ones, which the stable sort keeps in that order at a tie
+    values = np.concatenate((fwd_support, -bwd_support))
+    masses = np.concatenate((weights * fwd_probs, -bwd_probs))
+    _, merged, merged_row = _merged_rows(values, masses, np.concatenate((fwd_row, bwd_row)))
+    out = np.zeros(len(protos))
     np.maximum.at(out, merged_row, np.abs(merged))
     out = out.tolist()
     return out if many else out[0]
@@ -840,12 +818,18 @@ def second_law_report(
     The initial state is replaced by the Gibbs state of ``h0`` at inverse
     temperature ``beta`` and the initial measurement by a rank-1 eigenbasis of
     ``h0`` (which leaves the Gibbs state untouched); channel and final
-    observable are taken from ``proto``.
+    observable are taken from ``proto``. A ``beta`` that is not positive and
+    finite, or a Hamiltonian that is not a finite Hermitian matrix of the
+    protocol's dimension, raises ``ValueError`` before any arithmetic.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    h0 = np.asarray(h0, dtype=complex)
-    h_tau = np.asarray(h_tau, dtype=complex)
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    d = proto.rho0.dim
+    h0, h_tau = (np.asarray(h, dtype=complex) for h in (h0, h_tau))
+    for name, h in (("h0", h0), ("h_tau", h_tau)):
+        finite = h.shape == (d, d) and np.isfinite(h).all()
+        if not (finite and hermiticity_defect(h) <= HERMITICITY_TOL):
+            raise ValueError(f"{name} must be a finite Hermitian {d}x{d} matrix")
     rho_th, f0, basis = _gibbs(h0, beta)
     thermal = TwoTimeProtocol(rho_th, Observable.from_basis(basis), proto.obs_fin, proto.channel)
     rho_in, rho_fin, _ = thermal.states

@@ -128,12 +128,6 @@ class MomentVector:
     condition_number: float | None = None
     ill_conditioned: bool = False
 
-    def __post_init__(self):
-        # contiguous: the pinv recovery's BLAS kernel, and so its rounding,
-        # depends on the memory layout of the moments it reads
-        object.__setattr__(self, "moments", np.ascontiguousarray(self.moments, dtype=float))
-        object.__setattr__(self, "scaled", np.ascontiguousarray(self.scaled, dtype=float))
-
     @property
     def nontrivial(self) -> np.ndarray:
         """<sigma^k> for k = 1..N-1."""
@@ -271,7 +265,7 @@ def fourier_reconstruct(moments, support_grid, label: str = "sigma") -> EntropyD
     once the support has passed the pinv recovery's check (see
     :func:`_validated_support`).
     """
-    m = np.ascontiguousarray(moments, dtype=float)
+    m = np.asarray(moments, dtype=float)
     if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
         raise ValueError("moments must be a nonempty 1-D array of finite values")
     support = np.sort(_validated_support(support_grid))
@@ -331,10 +325,8 @@ def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> Entropy
     zero has an all-zero column: its mass is fixed by normalisation alone.
     Masses in [-1e-8, 0) are clipped to zero and the result renormalised;
     masses further below zero are clipped too, with an
-    :class:`InfeasibleRecoveryWarning`. The moments are copied to contiguous
-    memory first: a strided ``b`` takes a different BLAS kernel and, through
-    the nearly singular normal equations, visibly different masses. The
-    one-item case of :func:`pseudoinverse_stack`.
+    :class:`InfeasibleRecoveryWarning`. The one-item case of
+    :func:`pseudoinverse_stack`.
     """
     return pseudoinverse_stack([(moments, support, label)])[0]
 
@@ -349,18 +341,17 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
     items before it have passed.
     Items of equal row count, support size and active support size (nonzero
     support values) form one group: its power matrices are one elementwise
-    ``**``, its Gram products, the singular values that decide the Tikhonov
-    diagonal and its solves are each one stacked call, and its masses become
-    probabilities in one pass, each row summed as its lone ``.sum()`` sums
-    it. The right-hand sides ``powers.T @ b`` are formed per item, because a
-    stacked product takes another BLAS kernel and rounds differently. The
-    distributions are checked and built in one pass (see
+    ``**``; its Gram products, right-hand sides ``powers.T @ b``, the
+    singular values that decide the Tikhonov diagonal and its solves are
+    each one stacked call; and its masses become probabilities in one pass,
+    each row summed as its lone ``.sum()`` sums it. The distributions are
+    checked and built in one pass (see
     :func:`protocol._distributions_from_rows`).
     """
     read = []
     for moments, support, label in items:
         try:
-            b, s = np.ascontiguousarray(moments, dtype=float), np.asarray(support, dtype=float)
+            b, s = np.asarray(moments, dtype=float), np.asarray(support, dtype=float)
         except (TypeError, ValueError):
             _pinv_groups(read)  # a fault of an earlier item comes first
             raise
@@ -426,8 +417,7 @@ def _pinv_masses(b: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray
         cond = singular_values[:, 0] / singular_values[:, -1]
     singular = ~np.isfinite(cond) | (cond > 1e12)
     gram = np.where(singular[:, None, None], gram + TIKHONOV_LAMBDA * np.eye(k), gram)
-    rhs = np.stack([p.T @ x for p, x in zip(powers, b)])
-    return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    return np.linalg.solve(gram, powers.swapaxes(1, 2) @ b[:, :, None])[:, :, 0]
 
 
 def _pinv_probs(s: np.ndarray, active: np.ndarray, masses: np.ndarray) -> np.ndarray:

@@ -212,6 +212,16 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="must be square"):
             DensityMatrix(np.ones(shape) / 2)
 
+    @pytest.mark.parametrize(
+        "vector",
+        [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 0.0]), np.eye(2), np.zeros(0)],
+        ids=["zero", "nan", "inf", "2-D", "empty"],
+    )
+    def test_pure_rejects_bad_vectors(self, vector):
+        # refused before the normalisation, which would divide by zero or nan
+        with pytest.raises(ValueError, match="^pure state must be a nonzero 1-D vector of finite entries$"):
+            DensityMatrix.pure(vector)
+
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="partition"):
             DensityMatrix(np.eye(4, dtype=complex) / 4, partition=(3, 2))

@@ -1,7 +1,10 @@
 import dataclasses
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -10,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import entroprec
 
 from entroprec import TwoIonConfig, preset, run_config, sweep_gamma, sweep_moment_count, sweep_phase
 from entroprec import IntegratorAccuracyError, Observable, build_channel, build_protocol
@@ -732,3 +737,38 @@ class TestMomentsOncePerLabel:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method must be"):
             run_config(preset("fig3"), methods=("exact",))
+
+
+# The bytes of every distribution of a 64-point fig3 phase sweep, as a digest;
+# run in this process and in one whose numpy dispatches no SIMD kernel.
+DISTRIBUTION_DIGEST = """
+import hashlib, math
+import numpy as np
+from entroprec import preset, sweep_phase
+
+def digest():
+    sweep = sweep_phase(np.linspace(0, 2 * math.pi, 64), preset("fig3"), methods=())
+    out = hashlib.sha256()
+    for record in sweep.records:
+        for dist in record.distributions.values():
+            out.update(dist.support.tobytes() + dist.probs.tobytes())
+    return out.hexdigest()
+"""
+
+
+def test_distributions_do_not_depend_on_simd_dispatch():
+    # numpy picks AVX2 or AVX-512 kernels for its sorts and maths where the
+    # CPU has them; with a stable merge and math.log, no support or
+    # probability depends on that choice. On a CPU without AVX2 both runs
+    # take the baseline kernels, and the test passes trivially.
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    namespace: dict = {}
+    exec(DISTRIBUTION_DIGEST, namespace)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
+    src = os.path.dirname(os.path.dirname(entroprec.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", DISTRIBUTION_DIGEST + "print(digest())"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert run.stdout.strip() == namespace["digest"]()

@@ -653,6 +653,36 @@ class TestSecondLaw:
         with pytest.raises(ValueError, match="beta"):
             second_law_report(proto, SECTION6_H, SECTION6_H, beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="^beta must be positive and finite$"):
+            second_law_report(section6_protocol(), SECTION6_H, SECTION6_H, beta)
+
+    @pytest.mark.parametrize("which", ["h0", "h_tau"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # eigh reads one triangle, so this one used to pass unnoticed
+            np.diag([0.0, 1.0, 1.0, 2.0]) + 5.0 * np.eye(4, k=3),
+            np.diag([0.0, 1.0, 1.0, 2.0]) + 1e-11j * np.eye(4),
+            np.diag([0.0, 1.0, np.nan, 2.0]),
+            np.diag([0.0, np.inf, 1.0, 2.0]),
+            np.eye(2),
+            np.eye(4)[0],
+        ],
+        ids=["upper-triangle", "imaginary-diagonal", "nan", "inf", "2x2", "1-D"],
+    )
+    def test_rejects_bad_hamiltonians(self, which, bad):
+        # refused by name before any arithmetic: no eigh, no RuntimeWarning
+        hamiltonians = {"h0": SECTION6_H, "h_tau": SECTION6_H, which: bad}
+        with pytest.raises(ValueError, match=f"^{which} must be a finite Hermitian 4x4 matrix$"):
+            second_law_report(section6_protocol(), beta=1.0, **hamiltonians)
+
+    def test_hermitian_within_tolerance_is_accepted(self):
+        h = SECTION6_H + 1e-13 * np.eye(4, k=1)
+        report = second_law_report(section6_protocol(), h, h, beta=1.0)
+        assert report.mean_work - report.free_energy_delta >= -1e-10
+
 
 class TestDistributionBasics:
     def test_normalisation_enforced(self):
@@ -706,6 +736,34 @@ class TestDistributionBasics:
         support, probs = merge_support(values, masses)
         assert len(support) == 2
         assert probs[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "values, masses",
+        [
+            ([np.nan, 1.0], [0.5, 0.5]),
+            ([1.0, 2.0], [0.5, -np.inf]),
+            ([1.0], [0.5, 0.5]),
+            ([[1.0, 2.0]], [[0.5, 0.5]]),
+            (1.0, 0.5),
+        ],
+        ids=["nan-value", "infinite-mass", "lengths", "2-D", "scalar"],
+    )
+    def test_merge_support_refuses_malformed_input(self, values, masses):
+        message = "^values and masses must be finite 1-D arrays of equal length$"
+        with pytest.raises(ValueError, match=message):
+            merge_support(values, masses)
+
+    def test_equal_values_sum_in_input_order(self, rng):
+        # exact ties among three values, masses over eight decades: each
+        # cluster's mass depends on the order of its sum, which must be the
+        # input's, row by row, with all rows merged at once
+        values = rng.choice([0.1, 0.5, 0.9], size=(50, 64))
+        masses = 10.0 ** rng.uniform(-8, 0, size=(50, 64))
+        row = np.repeat(np.arange(50), 64)
+        _, merged, merged_row = _merged_rows(values.ravel(), masses.ravel(), row)
+        for i in range(50):
+            expected = [running_sum(masses[i][values[i] == v]) for v in np.unique(values[i])]
+            assert same_bits(merged[merged_row == i], np.array(expected))
 
     @pytest.mark.parametrize(
         "support, probs, message",
@@ -821,7 +879,7 @@ def running_sum(terms) -> float:
 
 
 def loop_merge_support(values, masses):
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")
     values = np.asarray(values, float)[order]
     masses = np.asarray(masses, float)[order]
     out_vals, out_mass = [], []
@@ -1131,17 +1189,23 @@ class TestStackedMatchesLoops:
         )
     )
     def test_merged_rows(self, rows):
-        # many rows of mixed lengths merged at once: each row has the bits
-        # of its own loop merge
+        # many rows of mixed lengths merged at once, grouped by row or
+        # interleaved entry by entry (each row keeping its own order): each
+        # row has the bits of its own loop merge
         arrays = [np.array(r, dtype=float).reshape(-1, 2) for r in rows]
         values, row = _concatenated([a[:, 0] for a in arrays])
         masses, _ = _concatenated([a[:, 1] for a in arrays])
-        merged_values, merged_masses, merged_row = _merged_rows(values, masses, row, len(rows))
-        assert np.all(np.diff(merged_row) >= 0)
-        for i, a in enumerate(arrays):
-            expected = loop_merge_support(a[:, 0], a[:, 1])
-            assert same_bits(merged_values[merged_row == i], expected[0])
-            assert same_bits(merged_masses[merged_row == i], expected[1])
+        at = np.arange(row.size) - np.searchsorted(row, row)  # position within its row
+        interleaved = np.lexsort((row, at))
+        for order in (np.arange(row.size), interleaved):
+            merged_values, merged_masses, merged_row = _merged_rows(
+                values[order], masses[order], row[order]
+            )
+            assert np.all(np.diff(merged_row) >= 0)
+            for i, a in enumerate(arrays):
+                expected = loop_merge_support(a[:, 0], a[:, 1])
+                assert same_bits(merged_values[merged_row == i], expected[0])
+                assert same_bits(merged_masses[merged_row == i], expected[1])
 
     def test_crooks_check(self, rng):
         protos = [section6_protocol(phi) for phi in (0.0, 0.3, math.pi / 7, 2.0)]
