@@ -12,20 +12,26 @@ procedure (prepare a power-deformed initial state, evolve, read occupation
 probabilities) and must agree with the operator form.
 
 The powered post-measurement states are sums sum_k p_k^x P_k over the outcome
-probabilities of each label's forward table (:attr:`TwoTimeProtocol.tables`),
-so they are assembled directly from the observable's projectors. That form
-holds for rank-one projectors only, so both paths reject any other. Both build
-these states with :func:`_powered_state` (the unpowered spectator factor of A
-and B is its z = 1 case) and weight the reference outcomes with the same
-powers, so they share one zero-outcome convention: a probability at or below
-``EIGENVALUE_CUTOFF`` contributes nothing, and one
+probabilities of each label's forward table (:attr:`TwoTimeProtocol.tables`).
+That form holds for rank-one projectors only, so both paths reject any other.
+Both powered operators of the trace form are then diagonal in the measurement
+bases, so G_C is a bilinear form in the protocol's transfer table
+T_C[k, m] = Tr[P_k Phi(P_m)] (:attr:`TwoTimeProtocol.transfer`, built once per
+protocol): G_C = sum_{k, m} q_k T_C[k, m] r_m, with q and r the powered outcome
+weights of :func:`_powers`. A and B read the table of the product projectors,
+with the spectator factor's weights at z = 1. The measurement path still
+builds the deformed state with :func:`_powered_state` and applies the channel
+to it, so it stays independent of the table. Both weight the outcomes with
+the same powers, so they share one zero-outcome convention: a probability at
+or below ``EIGENVALUE_CUTOFF`` contributes nothing, and one
 :class:`DegenerateSupportWarning` per call counts the terms dropped at
-exponents with non-positive real part. The powers, the channel application and
-the trace run in :data:`core.EXTENDED` precision. Two steps still round to
-float64: the exponent ``1 + i lam`` is formed in complex128 before it is
-widened (so ``1 - phi`` is rounded for real phi), and the A and B states pass
-through a complex128 Kronecker product. Item 4 of ROADMAP.md describes the
-fix, which moves the benchmark's pinned values.
+exponents with non-positive real part. The powers, the tables and the sums
+run in :data:`core.EXTENDED` precision. Two steps still round to float64: the
+exponent ``1 + i lam`` is formed in complex128 before it is widened (so
+``1 - phi`` is rounded for real phi), and the A and B weights (powered times
+spectator, and probe times identity) are the complex128 products of
+:func:`core.tensor_product`. Item 4 of ROADMAP.md describes the fix, which
+moves the benchmark's pinned values.
 """
 
 from __future__ import annotations
@@ -36,17 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .channels import apply_kraus
-from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, _one_or_many, tensor_product
-from .protocol import TwoTimeProtocol, _local_observables, _outcome_probs, _shape_groups, _stack
-from .protocol import _require_rank_one
+from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, _groups, _one_or_many, tensor_product
+from .protocol import TwoTimeProtocol, _fill, _local_observables, _outcome_probs, _stack
+from .protocol import _require_rank_one, _transfer_tables
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
-# (protocol, parameter value) pairs evaluated as one stack. Each pair holds a
-# few extended-precision d x d matrices at a time; larger stacks only raise
-# the peak memory of a sweep, not its speed.
-STACK_PAIRS = 256
 
 
 def _powers(probs, z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -83,29 +84,21 @@ def _powered_state(probs, projectors, z: np.ndarray) -> tuple[np.ndarray, int]:
     return state, dropped
 
 
-def _initial_state(protos, subsystem: str, z: np.ndarray):
+def _initial_state(proto: TwoTimeProtocol, subsystem: str, z: np.ndarray):
     """rho_in with the label's factor raised to each power in ``z`` (all of
-    it for ``"A-B"``), in extended precision, one ``(len(z), d, d)`` stack
-    per protocol of one shape group, and the dropped count. Both factors are
-    powered from their tables' ``p_in``; the spectator at z = 1."""
+    it for ``"A-B"``), in extended precision, one ``(len(z), d, d)`` stack,
+    and the dropped count. Both factors are powered from their tables'
+    ``p_in``; the spectator at z = 1."""
     if subsystem == "A-B":
-        return _powered_state(
-            _stack(protos, lambda p: p.forward.p_in),
-            _stack(protos, lambda p: p.obs_in.projectors),
-            z,
-        )
+        return _powered_state(proto.forward.p_in, proto.obs_in.projectors, z)
     own = "AB".index(subsystem)
     other = 1 - own
     # bipartite_obs is (A_in, B_in, A_fin, B_fin)
     powered, dropped = _powered_state(
-        _stack(protos, lambda p: p.tables[subsystem].p_in),
-        _stack(protos, lambda p: p.bipartite_obs[own].projectors),
-        z,
+        proto.tables[subsystem].p_in, proto.bipartite_obs[own].projectors, z
     )
     spectator, _ = _powered_state(
-        _stack(protos, lambda p: p.tables["AB"[other]].p_in),
-        _stack(protos, lambda p: p.bipartite_obs[other].projectors),
-        np.ones(1),
+        proto.tables["AB"[other]].p_in, proto.bipartite_obs[other].projectors, np.ones(1)
     )
     order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
     # tensor_product works in complex128; the channel acts in extended precision
@@ -136,31 +129,51 @@ def _check_subsystem(proto: TwoTimeProtocol, subsystem: str) -> None:
     _require_rank_one(*observables)
 
 
-def _chi_group(protos, subsystem: str, probe_z: np.ndarray, initial_z: np.ndarray):
-    """G_C at the exponents of every protocol of one shape group, shape
-    ``(len(protos), len(probe_z))``, and the dropped count; one channel
-    application for the whole group."""
-    kraus = _stack(protos, lambda p: p.channel.kraus)
-    initial, dropped_in = _initial_state(protos, subsystem, initial_z)
-    evolved = apply_kraus(kraus, initial)
+def _bilinear(probe: np.ndarray, table: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """sum over (k, m) of probe_k table[k, m] initial_m for weights ``probe``
+    ``(P, N, n_fin)`` and ``initial`` ``(P, N, n_in)`` and tables ``(P, n_fin,
+    n_in)``: shape ``(P, N)``, in extended precision. Each term is formed as
+    ``(probe_k table[k, m]) initial_m``, and the terms add one by one, m by
+    m and k by k within each m, so no value depends on the protocols or
+    parameter values stacked with it."""
+    # one dtype for all three, so no broadcast product converts as it goes
+    probe, table, initial = (a.astype(core.extended_complex()) for a in (probe, table, initial))
+    table = np.expand_dims(table.swapaxes(-1, -2), 1)  # [m, k]
+    terms = probe[..., None, :] * table * initial[..., :, None]
+    return np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
+
+
+def _kron_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The weights ``a_i b_j`` of the Kronecker product of the diagonal
+    operators with weights ``a`` and ``b``, indexed ``i * len(b) + j``,
+    formed in complex128 by :func:`core.tensor_product`."""
+    return tensor_product(np.expand_dims(a, -2), np.expand_dims(b, -2))[..., 0, :]
+
+
+def _chi_rows(protos, subsystem: str, probe_z: np.ndarray, initial_z: np.ndarray):
+    """G_C at the exponents of protocols with equal outcome counts, shape
+    ``(len(protos), len(probe_z))``, and the dropped count. The powered
+    states are diagonal in the measurement bases, so G_C is the bilinear
+    form of the protocol's transfer table in the powered outcome weights.
+    A and B read the table of the product projectors, with the spectator
+    factor at z = 1 and the identity on the other side of the probe."""
     if subsystem == "A-B":
-        # the final outcome probabilities with the channel applied in
-        # extended precision
-        rho_in = _stack(protos, lambda p: p._rho_in).astype(core.extended_complex())
-        proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
-        p_fin = _outcome_probs(proj_fin, apply_kraus(kraus, rho_in))
-        probe, dropped_fin = _powered_state(p_fin, proj_fin, probe_z)
-    else:
-        own = "AB".index(subsystem)
-        probe, dropped_fin = _powered_state(
-            _stack(protos, lambda p: p.tables[subsystem].p_ref),
-            _stack(protos, lambda p: p.bipartite_obs[own + 2].projectors),
-            probe_z,
-        )
-        order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
-        eye = np.eye(protos[0].bipartite_obs[3 - own].dim)
-        probe = tensor_product(*(probe, eye)[::order])
-    return np.trace(probe @ evolved, axis1=-2, axis2=-1), dropped_in + dropped_fin
+        table = _stack(protos, lambda p: p.transfer.joint)
+        initial, dropped_in = _powers(_stack(protos, lambda p: p.forward.p_in), initial_z)
+        probe, dropped_fin = _powers(_stack(protos, lambda p: p.transfer.p_fin), probe_z)
+        return _bilinear(probe, table, initial), dropped_in + dropped_fin
+    own = "AB".index(subsystem)
+    other = "AB"[1 - own]
+    table = _stack(protos, lambda p: p.transfer.local)
+    powered, dropped_in = _powers(_stack(protos, lambda p: p.tables[subsystem].p_in), initial_z)
+    spectator, _ = _powers(_stack(protos, lambda p: p.tables[other].p_in), np.ones(1))
+    probe, dropped_fin = _powers(_stack(protos, lambda p: p.tables[subsystem].p_ref), probe_z)
+    # bipartite_obs is (A_in, B_in, A_fin, B_fin)
+    unmeasured = np.ones(protos[0].bipartite_obs[3 - own].n_outcomes)
+    order = 1 if subsystem == "A" else -1  # A is the first Kronecker factor
+    initial = _kron_weights(*(powered, spectator)[::order])
+    probe = _kron_weights(*(probe, unmeasured)[::order])
+    return _bilinear(probe, table, initial), dropped_in + dropped_fin
 
 
 def char_function(protos, subsystem: str, lam):
@@ -168,16 +181,20 @@ def char_function(protos, subsystem: str, lam):
 
     ``protos`` is one protocol or a list or tuple of them (see
     :func:`core._one_or_many`), ``lam`` a scalar or a 1-D array of
-    parameter values. Protocols with equal Kraus and projector shapes are
-    evaluated together, in stacks of powered states of at most
-    ``STACK_PAIRS`` (protocol, parameter value) pairs (one protocol at
-    least), each with one channel application; so the temporaries stop
-    growing with the number of protocols at that cap. Returns an
-    extended-precision complex scalar or array shaped like ``lam``, or for
-    many protocols one such row each, with the bits of its lone call. Every
-    projector involved must be rank one; ``ValueError`` otherwise. One
-    :class:`DegenerateSupportWarning` per call reports the zero-probability
-    outcomes dropped over all protocols and parameter values.
+    parameter values. With rank-one projectors both powered operators are
+    diagonal in the measurement bases, so G_C(lam) = sum_{k, m} q_k(lam)
+    T_C[k, m] r_m(lam), with q and r the powered outcome weights and T_C the
+    protocol's :attr:`~TwoTimeProtocol.transfer` table, built once per
+    protocol (for every protocol that lacks it, in one stacked channel
+    application per shape group). Protocols with equal outcome counts are
+    evaluated together: the temporaries are ``(P, N, n)`` weight stacks and
+    their ``(P, N, n_fin, n_in)`` products with the tables.
+    Returns an extended-precision complex scalar or array shaped like
+    ``lam``, or for many protocols one such row each, with the bits of its
+    lone call. Every projector involved must be rank one; ``ValueError``
+    otherwise. One :class:`DegenerateSupportWarning` per call reports the
+    zero-probability outcomes dropped over all protocols and parameter
+    values.
     """
     protos, many = _one_or_many(protos)
     lam = np.asarray(lam, dtype=complex)
@@ -185,17 +202,15 @@ def char_function(protos, subsystem: str, lam):
         raise ValueError("parameter values must be a scalar or a 1-D array")
     for proto in protos:
         _check_subsystem(proto, subsystem)
+    _fill(protos, "transfer", _transfer_tables)
     stack = lam.reshape(-1)
     probe_z, initial_z = -1j * stack, 1 + 1j * stack
     values = np.empty((len(protos), stack.size), dtype=core.extended_complex())
     dropped = 0
-    size = max(1, STACK_PAIRS // max(1, stack.size))  # protocols per stack
-    for group in _shape_groups(protos):
-        for start in range(0, len(group), size):
-            rows = group[start : start + size]
-            group_protos = [protos[i] for i in rows]
-            values[rows], count = _chi_group(group_protos, subsystem, probe_z, initial_z)
-            dropped += count
+    # equal table shapes give equal outcome counts on every side
+    for rows in _groups(protos, lambda p: tuple(t.p_fwd.shape for t in p.tables.values())):
+        values[rows], count = _chi_rows([protos[i] for i in rows], subsystem, probe_z, initial_z)
+        dropped += count
     _warn_dropped(dropped, len(protos) * stack.size)
     values = values.reshape((len(protos),) + lam.shape)
     return values if many else values[0][()]
@@ -238,10 +253,10 @@ def simulate_measurement_path(proto: TwoTimeProtocol, subsystem: str, phi: float
     with one :class:`DegenerateSupportWarning` for the dropped terms.
     """
     _check_subsystem(proto, subsystem)
-    deformed, dropped_in = _initial_state([proto], subsystem, np.array([1.0 - phi]))
+    deformed, dropped_in = _initial_state(proto, subsystem, np.array([1.0 - phi]))
     weights, dropped_ref = _powers(proto.tables[subsystem].p_ref, np.array([phi]))
     _warn_dropped(dropped_in + dropped_ref, 1)
-    deformed = deformed[0, 0]
+    deformed = deformed[0]
     norm = np.trace(deformed).real
     evolved = proto.channel.apply_matrix(deformed / norm)
     occupation = _outcome_probs(proto.obs_fin.projectors, evolved)

@@ -271,8 +271,17 @@ class Observable:
     @classmethod
     def from_matrix(cls, matrix) -> "Observable":
         """Spectral form of a Hermitian matrix; eigenvalues within the cluster
-        tolerance are merged into a single projector."""
-        dec = spectral_decomposition(matrix)
+        tolerance are merged into a single projector. A matrix that is not
+        square, finite and Hermitian within ``HERMITICITY_TOL`` raises
+        ``ValueError`` before any decomposition (``eigh`` reads one triangle
+        only)."""
+        m = _as_matrix(matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+            raise ValueError("observable matrix must be a finite square matrix")
+        defect = hermiticity_defect(m)
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"observable matrix not Hermitian: max |m - m^dag| = {defect:.3e}")
+        dec = spectral_decomposition(m)
         vals, vecs = dec.eigenvalues, dec.eigenvectors
         clusters = list(_clusters(vals))
         # one product per cluster: a product padded to the largest rounds otherwise

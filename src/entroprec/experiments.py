@@ -416,13 +416,13 @@ def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
     joint tables with :func:`stack_tables`, the records with their theorem
     checks with :func:`protocol_parts`, and chi and the moments of every
     point with :func:`_measure_moments`: stacks over the P protocols, with
-    one channel application per group of equal Kraus shapes and one
-    elimination per distinct N. Last come the bundles (see :func:`_bundles`):
-    one call of :func:`_recover` per method for every (point, label), the
-    pinv ones as one :func:`reconstruct.pseudoinverse_stack`, then the
-    convolutions of the recovered A and B. Their temporaries grow
-    with P times the number of chi nodes; chi's stacks stop growing at
-    ``charfunc.STACK_PAIRS`` protocol-node pairs. A protocol's record is
+    one channel application per group of equal Kraus shapes (for chi, the
+    one that builds each protocol's transfer table) and one elimination per
+    distinct N. Last come the bundles (see :func:`_bundles`): one call of
+    :func:`_recover` per method for every (point, label), the pinv ones as
+    one :func:`reconstruct.pseudoinverse_stack`, then the convolutions of the
+    recovered A and B. Their temporaries grow with P times the number of chi
+    nodes, chi's as outcome weights, not matrices. A protocol's record is
     built once, so its warnings are raised once per protocol.
     """
     keys = [replace(cfg, n_moments=1) for cfg in cfgs]

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import (
     HERMITICITY_TOL,
     DensityMatrix,
@@ -55,6 +56,19 @@ class ProtocolStates(NamedTuple):
     rho_tau: np.ndarray
 
 
+class TransferTables(NamedTuple):
+    """The channel between the two measurements, in :data:`core.EXTENDED`
+    precision: ``joint[k, m] = Tr[P_fin_k Phi(P_in_m)]`` on the composite
+    projectors, ``local`` the same on the product projectors of
+    ``bipartite_obs`` (``joint`` itself where those are the composite ones,
+    ``None`` without local observables), and ``p_fin[k] = Tr[P_fin_k
+    Phi(rho_in)]``. Read-only."""
+
+    joint: np.ndarray
+    local: np.ndarray | None
+    p_fin: np.ndarray
+
+
 @dataclass(frozen=True)
 class TwoTimeProtocol:
     """One forward/backward measurement experiment.
@@ -66,7 +80,8 @@ class TwoTimeProtocol:
     post-measurement state is built on construction; the other protocol
     states, the joint tables and the distributions are built once, on first
     use (or for many protocols at once by :func:`stack_tables`), and shared
-    by every check and chi evaluation.
+    by every check and chi evaluation, as are the transfer tables that chi
+    reads (:attr:`transfer`).
     """
 
     rho0: DensityMatrix
@@ -75,6 +90,8 @@ class TwoTimeProtocol:
     channel: QuantumChannel
     bipartite_obs: tuple[Observable, Observable, Observable, Observable] | None = None
     _rho_in: np.ndarray = field(init=False, repr=False, compare=False)
+    # obs_in and obs_fin hold the product projectors of bipartite_obs bit for bit
+    _exact_products: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
         d = self.rho0.dim
@@ -90,6 +107,7 @@ class TwoTimeProtocol:
             oa_in, ob_in, oa_fin, ob_fin = self.bipartite_obs
             if oa_in.dim != da or oa_fin.dim != da or ob_in.dim != db or ob_fin.dim != db:
                 raise ValueError("local observable dimensions must match the partition")
+            exact = True
             for obs, a, b in ((self.obs_in, oa_in, ob_in), (self.obs_fin, oa_fin, ob_fin)):
                 # the projectors of a.tensor(b), without its O(n^2) re-validation
                 products = _product_projectors(a, b)
@@ -97,6 +115,8 @@ class TwoTimeProtocol:
                     np.abs(obs.projectors - products)
                 ) > PRODUCT_TOL:
                     raise ValueError("obs_in/obs_fin must be tensor products of bipartite_obs")
+                exact = exact and np.array_equal(obs.projectors, products)
+            object.__setattr__(self, "_exact_products", exact)
             rho_a, rho_b = (_reduced(rho_in, self.rho0.partition, a) for a in (True, False))
             if np.max(np.abs(rho_in - tensor_product(rho_a, rho_b))) > PRODUCT_TOL:
                 raise ValueError("post-measurement state does not factorise between A and B")
@@ -170,6 +190,12 @@ class TwoTimeProtocol:
         read-only; a bipartite protocol adds ``"A+B"``, the convolution of the
         A and B distributions. See :func:`_distributions`."""
         return _distributions([self])[0]
+
+    @cached_property
+    def transfer(self) -> TransferTables:
+        """The channel's transfer tables, built once and read by every chi
+        evaluation; see :func:`_transfer_tables`."""
+        return _transfer_tables([self])[0]
 
 
 @dataclass(frozen=True)
@@ -530,6 +556,41 @@ def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
     return [MappingProxyType({"A": ta, "B": tb, "A-B": f}) for ta, tb, f in zip(a, b, fwd)]
 
 
+def _transfer(kraus: np.ndarray, prepare: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """``table[k, m] = Tr[read_k Phi(prepare_m)]`` in extended precision,
+    with Phi the Kraus set ``kraus`` applied once to the whole ``prepare``
+    stack. Leading axes of all three arguments are a batch of tables."""
+    evolved = apply_kraus(kraus, prepare.astype(core.extended_complex()))
+    return _outcome_probs(np.expand_dims(read, -4), evolved).swapaxes(-1, -2)
+
+
+def _transfer_tables(protos) -> list[TransferTables]:
+    """:attr:`TwoTimeProtocol.transfer` of protocols of one shape group: one
+    channel application to the stack of their initial projectors and
+    post-measurement states. Local tables of protocols whose composite
+    projectors are not the product ones bit for bit take one more."""
+    kraus = _stack(protos, lambda p: p.channel.kraus)
+    prepare = np.concatenate(
+        [_stack(protos, lambda p: p.obs_in.projectors), _stack(protos, lambda p: p._rho_in)[:, None]],
+        axis=1,
+    )
+    rows = _transfer(kraus, prepare, _stack(protos, lambda p: p.obs_fin.projectors))
+    rows.flags.writeable = False
+    out = []
+    for proto, row in zip(protos, rows):
+        local = joint = row[:, :-1]
+        if proto.bipartite_obs is None:
+            local = None
+        elif not proto._exact_products:
+            obs = proto.bipartite_obs
+            local = _transfer(
+                proto.channel.kraus, _product_projectors(*obs[:2]), _product_projectors(*obs[2:])
+            )
+            local.flags.writeable = False
+        out.append(TransferTables(joint, local, row[:, -1]))
+    return out
+
+
 def _distributions(protos) -> list["MappingProxyType[str, EntropyDistribution]"]:
     """:attr:`TwoTimeProtocol.distributions` of many protocols: one
     :func:`_samples` pass over every table of every protocol, then one
@@ -565,11 +626,17 @@ def stack_tables(protos) -> None:
     Values a protocol has already built are kept.
     """
     for name, build in _STACKED:
-        todo = [proto for proto in protos if name not in vars(proto)]
-        for group in _shape_groups(todo):
-            members = [todo[i] for i in group]
-            for proto, value in zip(members, build(members)):
-                vars(proto)[name] = value
+        _fill(protos, name, build)
+
+
+def _fill(protos, name: str, build) -> None:
+    """Cache ``build(group)`` as the cached property ``name`` of every
+    protocol that has not built it yet, one call per shape group."""
+    todo = [proto for proto in protos if name not in vars(proto)]
+    for group in _shape_groups(todo):
+        members = [todo[i] for i in group]
+        for proto, value in zip(members, build(members)):
+            vars(proto)[name] = value
 
 
 def entropy_samples(tables, label: str = "sigma"):
@@ -733,9 +800,7 @@ def crooks_check(protos):
     fwd_probs, _ = _concatenated([d.probs for d in fwd])
     bwd_support, bwd_row = _concatenated([d.support for d in bwd])
     bwd_probs, _ = _concatenated([d.probs for d in bwd])
-    # math.exp, not np.exp: numpy's exp takes the CPU's SIMD dispatch, and
-    # its last bits differ between AVX-512 and baseline builds
-    weights = np.array([math.exp(-g) for g in fwd_support.tolist()])
+    weights = _exp(-fwd_support)
     # each protocol's row holds its forward entries, then its negated
     # backward ones, which the stable sort keeps in that order at a tie
     values = np.concatenate((fwd_support, -bwd_support))
@@ -844,14 +909,27 @@ def second_law_report(
     )
 
 
+def _exp(values: np.ndarray) -> np.ndarray:
+    """exp of each value by ``math.exp``, ``inf`` where it overflows. Not
+    ``np.exp``: numpy's exp takes the CPU's SIMD dispatch, and its last bits
+    differ between AVX-512 and baseline builds."""
+    out = []
+    for x in values.tolist():
+        try:
+            out.append(math.exp(x))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=float)
+
+
 def ift_deviation(dists):
     """|<exp(-sigma)> - 1|: the integral fluctuation theorem residual, of
     one distribution or a list or tuple of them (see :func:`_one_or_many`):
-    one exponential on the concatenated rows of all of them, and each
+    one :func:`_exp` pass on the concatenated rows of all of them, and each
     <exp(-sigma)> a running sum over its row (see :func:`_concatenated`)."""
     dists, many = _one_or_many(dists)
     support, row = _concatenated([d.support for d in dists])
     probs, _ = _concatenated([d.probs for d in dists])
-    mgf = np.bincount(row, probs * np.exp(-1.0 * support), len(dists))
+    mgf = np.bincount(row, probs * _exp(-support), len(dists))
     out = np.abs(mgf - 1.0).tolist()
     return out if many else out[0]

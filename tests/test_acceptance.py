@@ -340,7 +340,7 @@ def test_float64_mode_follows_the_one_extended_type(float64_mode, monkeypatch):
     results = {
         "_powers": _powers(proto.forward.p_in, z)[0],
         "_powered_state": _powered_state(proto.forward.p_in, proto.obs_in.projectors, z)[0],
-        **{f"_initial_state {c}": _initial_state([proto], c, z)[0] for c in SUBSYSTEMS},
+        **{f"_initial_state {c}": _initial_state(proto, c, z)[0] for c in SUBSYSTEMS},
         "char_function A-B": char_function(proto, "A-B", 1j * grid.nodes),
         "moment_generating": chi,
         "vandermonde upper": grid.vandermonde.upper,

@@ -26,7 +26,7 @@ from entroprec.charfunc import SUBSYSTEMS, _powered_state
 from entroprec.experiments import PHI_MAX, PHI_MIN, PRESETS, build_protocol, preset
 from entroprec.protocol import TwoTimeProtocol
 from entroprec.reconstruct import chebyshev_nodes
-from conftest import random_density, random_mixed_unitary_channel
+from conftest import random_density, random_mixed_unitary_channel, random_unitary
 
 RHO0 = DensityMatrix.from_diagonal([6 / 25, 9 / 25, 4 / 25, 6 / 25], partition=(2, 2))
 QUBIT_OBS = Observable.computational(2)
@@ -103,6 +103,30 @@ class TestCharFunction:
                 for phi in (-0.5, 0.3, 1.0):
                     expected = proto.distributions[label].mgf(phi)
                     assert abs(float(moment_generating(proto, label, phi)) - expected) <= 1e-10
+                    assert abs(simulate_measurement_path(proto, label, phi) - expected) <= 1e-10
+
+    def test_local_labels_read_the_product_projectors(self, rng):
+        # composite projectors built from the product basis vectors round
+        # differently from the products of the local projectors, so A and B
+        # read a transfer table of their own
+        for _ in range(5):
+            ua, ub = random_unitary(2, rng), random_unitary(2, rng)
+            local = (Observable.from_basis(ua), Observable.from_basis(ub))
+            composite = Observable.from_basis(np.kron(ua, ub))
+            rho0 = DensityMatrix(
+                np.kron(random_density(2, rng).data, random_density(2, rng).data), partition=(2, 2)
+            )
+            proto = TwoTimeProtocol(
+                rho0, composite, composite, random_mixed_unitary_channel(4, rng), local * 2
+            )
+            assert not proto._exact_products
+            tables = proto.transfer
+            assert tables.local is not tables.joint
+            assert np.max(np.abs(tables.local - tables.joint)) <= 1e-15
+            for label in ("A", "B", "A-B"):
+                for phi in (-0.5, 0.3, 1.0):
+                    expected = proto.distributions[label].mgf(phi)
+                    assert abs(float(moment_generating(proto, label, phi)) - expected) <= 1e-12
                     assert abs(simulate_measurement_path(proto, label, phi) - expected) <= 1e-10
 
     def test_local_label_needs_local_observables(self, rng):
@@ -283,22 +307,28 @@ class TestStackedProtocols:
             section6_protocol(2.5),
         ]
 
-    @pytest.mark.parametrize("stack_pairs", [charfunc.STACK_PAIRS, 7])
+    @pytest.mark.parametrize("n_nodes", [256, 7])
     @pytest.mark.parametrize("label", SUBSYSTEMS)
-    def test_rows_equal_one_protocol_calls(self, label, stack_pairs, monkeypatch):
-        # a small STACK_PAIRS splits each group into stacks of one protocol
-        monkeypatch.setattr(charfunc, "STACK_PAIRS", stack_pairs)
+    def test_rows_equal_one_protocol_calls(self, label, n_nodes):
+        # the lone calls run on fresh protocols, so each builds its own
+        # transfer table too; a call on every third node reads the same bits,
+        # so no value depends on how many parameter values share its batch
+        nodes = np.linspace(-0.5, 2.0, n_nodes)
         protos = self.protocols()
         assert len(protocol._shape_groups(protos)) == 2
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stacked = charfunc.moment_generating(protos, label, self.NODES)
-        assert stacked.dtype == np.longdouble and stacked.shape == (4, self.NODES.size)
+            stacked = charfunc.moment_generating(protos, label, nodes)
+        assert stacked.dtype == np.longdouble and stacked.shape == (4, n_nodes)
         with warnings.catch_warnings(record=True) as alone_caught:
             warnings.simplefilter("always")
-            alone = [moment_generating(proto, label, self.NODES) for proto in protos]
+            alone = [moment_generating(proto, label, nodes) for proto in self.protocols()]
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            fewer = charfunc.moment_generating(self.protocols(), label, nodes[1::3])
         for row, one in zip(stacked, alone):
             assert np.array_equal(row, one)
+        assert np.array_equal(fewer, stacked[:, 1::3])
         assert all(w.category is DegenerateSupportWarning for w in caught + alone_caught)
         assert len(caught) == (1 if alone_caught else 0)
         assert dropped_count(caught) == dropped_count(alone_caught)

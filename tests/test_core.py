@@ -295,6 +295,32 @@ class TestObservable:
         assert ranks == [1, 2]
         assert not obs.is_rank_one
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0, 5], [0, 0]], "observable matrix not Hermitian: max |m - m^dag| = 5.000e+00"),
+            ([[1, 1j], [1j, 0]], "observable matrix not Hermitian: max |m - m^dag| = 2.000e+00"),
+            ([[1, np.nan], [np.nan, 0]], "observable matrix must be a finite square matrix"),
+            ([[np.inf, 0], [0, 1]], "observable matrix must be a finite square matrix"),
+            (np.zeros((2, 3)), "observable matrix must be a finite square matrix"),
+            (np.zeros(2), "observable matrix must be a finite square matrix"),
+        ],
+    )
+    def test_from_matrix_refuses_before_decomposing(self, matrix, message, monkeypatch):
+        # eigh reads one triangle, so [[0, 5], [0, 0]] came back as the
+        # eigenvalue 0 with the identity projector
+        def eigh(m):
+            raise AssertionError("decomposed")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Observable.from_matrix(matrix)
+
+    def test_from_matrix_accepts_rounding_level_asymmetry(self):
+        m = np.array([[1.0, 0.5 + 1e-14], [0.5, -1.0]])
+        obs = Observable.from_matrix(m)
+        assert obs.n_outcomes == 2 and obs.is_rank_one
+
     def test_from_basis(self, rng):
         u = random_unitary(3, rng)
         obs = Observable.from_basis(u)

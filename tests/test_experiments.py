@@ -127,10 +127,8 @@ class TestRunConfig:
 
         def apply_kraus(kraus, m, original=protocol.apply_kraus):
             applied.append(tuple(running))
-            return original(kraus, m)
-
-        def chi_apply_kraus(kraus, m, original=charfunc.apply_kraus):
-            chi_applied.append(m.shape)
+            if running[-1:] == ["_transfer_tables"]:
+                chi_applied.append(m.shape)
             return original(kraus, m)
 
         chi_applied = []
@@ -140,7 +138,8 @@ class TestRunConfig:
         monkeypatch.setattr(protocol, "_STACKED", stacked)
         monkeypatch.setattr(experiments, "protocol_parts", count("protocol_parts", protocol_parts))
         monkeypatch.setattr(protocol, "apply_kraus", apply_kraus)
-        monkeypatch.setattr(charfunc, "apply_kraus", chi_apply_kraus)
+        transfer = count("_transfer_tables", charfunc._transfer_tables)
+        monkeypatch.setattr(charfunc, "_transfer_tables", transfer)
         run_config(preset("fig3"), methods=("pinv", "fourier"))
         # stack_tables builds each quantity once; the label tables build the
         # forward table, and the distributions sample A, B and A-B in one
@@ -156,13 +155,16 @@ class TestRunConfig:
             "protocol_parts": 1,
             "entropy_samples": 1,
             "_dephase": 2,
+            "_transfer_tables": 1,
         }
         # one channel application per build that needs one, each to the stack
         # of all its states; the protocol part only reads what they built
-        assert sorted(applied) == [("backward",), ("states",), ("tables", "_forward_tables")]
-        # chi applies the channel once per label to its 10 powered states,
-        # and the A-B probe once more, to rho_in
-        assert chi_applied == [(1, 10, 4, 4)] * 3 + [(1, 4, 4)]
+        assert sorted(applied) == [
+            ("_transfer_tables",), ("backward",), ("states",), ("tables", "_forward_tables")
+        ]
+        # chi of all three labels reads one transfer table, built by one
+        # channel application to the four initial projectors and rho_in
+        assert chi_applied == [(1, 5, 4, 4)]
 
     def test_determinism(self):
         a = run_config(preset("fig3"), methods=("pinv",))
@@ -699,21 +701,21 @@ class TestMomentsOncePerLabel:
 
     @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")
     def test_extended_final_probabilities_once_per_protocol(self, monkeypatch):
-        # the A-B chi probe applies the channel to rho_in in 80-bit; an N
-        # sweep shares its protocol and evaluates chi of each label in one
-        # stacked call, so that happens once, not per point
+        # chi's transfer table and the A-B probe's final probabilities come
+        # from one 80-bit channel application; an N sweep shares its
+        # protocol, so that happens once, not per point or label
         applied = []
-        original = charfunc.apply_kraus
+        original = protocol.apply_kraus
 
         def counted(kraus, m):
-            applied.append(m.shape)
+            if m.dtype == core.extended_complex():
+                applied.append(m.shape)
             return original(kraus, m)
 
-        monkeypatch.setattr(charfunc, "apply_kraus", counted)
+        monkeypatch.setattr(protocol, "apply_kraus", counted)
         report = sweep_moment_count(range(2, 17), preset("fig3"), methods=("pinv",))
         assert len(report.records) == 15
-        # the union of the 15 grids has 135 nodes
-        assert applied == [(1, 135, 4, 4)] * 3 + [(1, 4, 4)]
+        assert applied == [(1, 5, 4, 4)]
 
     def test_no_extended_channel_application_without_methods(self, monkeypatch):
         # the 80-bit channel applications all serve chi, which a record
@@ -729,7 +731,7 @@ class TestMomentsOncePerLabel:
 
             monkeypatch.setattr(module, "apply_kraus", counted)
 
-        for module in (channels, protocol, charfunc):
+        for module in (channels, protocol):
             spy(module)
         run_config(preset("fig3"), methods=())
         assert applied and core.extended_complex() not in applied

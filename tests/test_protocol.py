@@ -878,6 +878,12 @@ def running_sum(terms) -> float:
     return total
 
 
+def exp_terms(dist) -> np.ndarray:
+    """p_i exp(-sigma_i) with ``math.exp``, whose bits do not follow numpy's
+    SIMD dispatch."""
+    return dist.probs * np.array([math.exp(-x) for x in dist.support.tolist()])
+
+
 def loop_merge_support(values, masses):
     order = np.argsort(values, kind="stable")
     values = np.asarray(values, float)[order]
@@ -1399,7 +1405,7 @@ class TestStackedChecks:
     def test_ift_witness_and_moments(self, rng):
         dists = [d for p in mixed_protocols(rng) for d in quietly(lambda: p.distributions).values()]
         dists.append(EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0))
-        expected = [abs(running_sum(d.probs * np.exp(-1.0 * d.support)) - 1.0) for d in dists]
+        expected = [abs(running_sum(exp_terms(d)) - 1.0) for d in dists]
         assert all(same_bits(a, b) for a, b in zip(ift_deviation(dists), expected))
         assert all(same_bits(ift_deviation(d), e) for d, e in zip(dists, expected))
         stack_moments(dists, range(1, 6))
@@ -1422,7 +1428,8 @@ class TestStackedChecks:
         support = np.sort(rng.uniform(-3, 3, 16))
         probs, other = (p / p.sum() for p in rng.random((2, 16)))
         terms = [probs * support**k for k in range(1, 5)]
-        terms += [probs * np.exp(-1.0 * support), np.abs(probs - other) ** 2]
+        long = EntropyDistribution(support, probs)
+        terms += [exp_terms(long), np.abs(probs - other) ** 2]
         assert all(running_sum(t) != t.sum() for t in terms)
         for stacked in (False, True):
             long = EntropyDistribution(support, probs)
@@ -1439,6 +1446,22 @@ class TestStackedChecks:
             assert same_bits(rmse_probs(trues, recons)[at], expected)
         lone_empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
         assert same_bits(lone_empty.moments(4), np.zeros(4))
+
+    def test_ift_takes_math_exp(self):
+        # 200 seeded supports on [-30, 30], where np.exp may round its last
+        # bit otherwise on some CPUs; each deviation is the running sum of
+        # the math.exp terms, alone and stacked, and an exponential beyond
+        # float64 gives inf, not OverflowError
+        rng = np.random.default_rng(200)
+        dists = []
+        for n in rng.integers(1, 12, 200):
+            support = np.sort(rng.uniform(-30.0, 30.0, n))
+            dists.append(EntropyDistribution(support, rng.dirichlet(np.ones(n))))
+        expected = [abs(running_sum(exp_terms(d)) - 1.0) for d in dists]
+        assert same_bits(np.array(ift_deviation(dists)), np.array(expected))
+        assert all(same_bits(ift_deviation(d), e) for d, e in zip(dists[:20], expected))
+        far = EntropyDistribution(np.array([-800.0, 0.0]), np.array([0.5, 0.5]))
+        assert ift_deviation([far, dists[0]]) == [math.inf, expected[0]]
 
     def test_default_phase_sweep_warns_as_before(self):
         # the counts of the one-protocol checks: a rank-deficient rho0 meets
