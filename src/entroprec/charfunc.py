@@ -44,7 +44,7 @@ import numpy as np
 from . import core
 from .core import EIGENVALUE_CUTOFF, DegenerateSupportWarning, _groups, _one_or_many, tensor_product
 from .protocol import TwoTimeProtocol, _fill, _local_observables, _outcome_probs, _stack
-from .protocol import _require_rank_one, _transfer_tables
+from .protocol import _require_rank_one, _shape_groups, _transfer_tables
 
 SUBSYSTEMS = ("A", "B", "A-B")
 IMAG_RESIDUE_TOL = 1e-12
@@ -200,9 +200,10 @@ def char_function(protos, subsystem: str, lam):
     lam = np.asarray(lam, dtype=complex)
     if lam.ndim > 1:
         raise ValueError("parameter values must be a scalar or a 1-D array")
-    for proto in protos:
-        _check_subsystem(proto, subsystem)
-    _fill(protos, "transfer", _transfer_tables)
+    for proto in {(id(p.obs_in), id(p.obs_fin), id(p.bipartite_obs)): p for p in protos}.values():
+        _check_subsystem(proto, subsystem)  # once per distinct set of observables
+    todo = [proto for proto in protos if "transfer" not in vars(proto)]
+    _fill(_shape_groups(todo), "transfer", _transfer_tables)
     stack = lam.reshape(-1)
     probe_z, initial_z = -1j * stack, 1 + 1j * stack
     values = np.empty((len(protos), stack.size), dtype=core.extended_complex())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 import numpy as np
 
 from .channels import (
@@ -279,10 +280,9 @@ def _scores(trues, dists, counts) -> list[tuple[float, float]]:
     :func:`_scored_moments`) and over the aligned supports (see
     :func:`reconstruct.rmse_probs`). Each value has the bits of its lone
     computation."""
-    stack_moments([*trues, *dists], range(1, max(counts, default=0) + 1))
-    errors_m = _root_mean_squares(
-        [true.moments(k) - dist.moments(k) for true, dist, k in zip(trues, dists, counts)]
-    )
+    moments = stack_moments([*trues, *dists], range(1, max(counts, default=0) + 1))
+    pairs = zip(moments[: len(trues)], moments[len(trues) :], counts)
+    errors_m = _root_mean_squares([np.subtract(t[:k], d[:k]) for t, d, k in pairs])
     return list(zip(errors_m, rmse_probs(trues, dists)))
 
 
@@ -390,18 +390,24 @@ class SweepReport:
     def rows(self) -> list[dict]:
         """Flat per-point rows keyed by the axis and then ``SWEEP_COLUMNS``:
         the first four moments of each of ``LABELS``, the RMSEs of the first
-        method the sweep ran (NaN if none) and the four witness gaps."""
+        method the sweep ran (NaN if none) and the four witness gaps. The
+        values are built once per report; each call hands out fresh dicts."""
+        keys = (self.axis, *SWEEP_COLUMNS)
+        return [dict(zip(keys, values, strict=True)) for values in self._row_values]
+
+    @cached_property
+    def _row_values(self) -> tuple[tuple[float, ...], ...]:
+        """The values of each row of :meth:`rows`, in column order. The
+        moments of every record come from one :func:`stack_moments` call."""
+        dists = [rec.distributions[label] for rec in self.records for label in LABELS]
+        moments = iter(stack_moments(dists, range(1, 5)))
         out = []
         for point, rec in zip(self.points, self.records):
-            table = rec.moments_table()
             bundle = next(iter(rec.reconstructions.values()), None)
             rmse = (bundle.rmse_moments_conv, bundle.rmse_probs_conv) if bundle else (math.nan,) * 2
-            values = [table[label][k] for label in LABELS for k in range(4)]
-            values += [*rmse, *rec.witness.moment_gaps[:4]]
-            row = {self.axis: float(point)}
-            row.update((column, float(v)) for column, v in zip(SWEEP_COLUMNS, values, strict=True))
-            out.append(row)
-        return out
+            values = [v for _ in LABELS for v in next(moments)]
+            out.append(tuple(map(float, (point, *values, *rmse, *rec.witness.moment_gaps[:4]))))
+        return tuple(out)
 
 
 def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:

@@ -204,7 +204,8 @@ class EntropyDistribution:
 
     The constructor checks one distribution as :func:`_checked_rows` checks
     many, and keeps sorted, read-only copies of the support and the
-    probabilities; :func:`_distributions_from_rows` builds many at once."""
+    probabilities; :func:`_distributions_from_rows` builds many at once. Both
+    set an empty ``_moment_memo`` (k to <sigma^k>), read by :func:`stack_moments`."""
 
     support: np.ndarray
     probs: np.ndarray
@@ -222,25 +223,17 @@ class EntropyDistribution:
         )
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
-
-    @cached_property
-    def _moment_memo(self) -> dict[int, float]:
-        return {}
+        object.__setattr__(self, "_moment_memo", {})
 
     def moment(self, k: int) -> float:
         """<sigma^k>, computed once per instance and order (see
         :func:`stack_moments`)."""
-        if k not in self._moment_memo:
-            stack_moments([self], (k,))
-        return self._moment_memo[k]
+        memo = self._moment_memo
+        return memo[k] if k in memo else stack_moments([self], (k,))[0][0]
 
     def moments(self, k_max: int) -> np.ndarray:
         """<sigma^k> for k = 1..k_max."""
-        orders = range(1, k_max + 1)
-        memo = self._moment_memo
-        if not memo.keys() >= set(orders):
-            stack_moments([self], orders)
-        return np.array([memo[k] for k in orders])
+        return np.array(stack_moments([self], range(1, k_max + 1))[0])
 
     def mgf(self, phi: float) -> float:
         """<exp(-phi sigma)> by numpy's pairwise sum, an oracle for chi at a
@@ -251,26 +244,27 @@ class EntropyDistribution:
         return complex(np.sum(self.probs * np.exp(1j * lam * self.support)))
 
 
-def stack_moments(dists, orders) -> None:
-    """Memoise <sigma^k> = sum(probs * support**k) of each distribution for
-    each k of ``orders``, where it is not memoised yet: the powers and
-    products of all of them on their concatenated rows, and one running sum
-    per distribution and order (see :func:`_concatenated`)."""
+def stack_moments(dists, orders) -> list[list[float]]:
+    """<sigma^k> = sum(probs * support**k) of each distribution for each k of
+    ``orders``: one list of floats per distribution, in ``orders``' order.
+    Values not memoised yet are memoised from the powers and products of all
+    of them on their concatenated rows, and one running sum per distribution
+    and order (see :func:`_concatenated`)."""
     orders = tuple(orders)
     wanted = set(orders)
     todo = [d for d in dists if not d._moment_memo.keys() >= wanted]
-    if not todo:
-        return
-    support, row = _concatenated([d.support for d in todo])
-    probs, _ = _concatenated([d.probs for d in todo])
-    terms = np.stack([probs * support**k for k in orders])
-    # the sums of order j fill bins j * P .. j * P + P - 1, P = len(todo)
-    bins = row + len(todo) * np.arange(len(orders))[:, None]
-    sums = np.bincount(bins.ravel(), terms.ravel(), len(orders) * len(todo))
-    for dist, values in zip(todo, sums.reshape(len(orders), len(todo)).T.tolist()):
-        for k, value in zip(orders, values):
-            # float: with no entry at all, bincount counts in integers
-            dist._moment_memo.setdefault(k, float(value))
+    if todo:
+        support, row = _concatenated([d.support for d in todo])
+        probs, _ = _concatenated([d.probs for d in todo])
+        terms = np.stack([probs * support**k for k in orders])
+        # the sums of order j fill bins j * P .. j * P + P - 1, P = len(todo)
+        bins = row + len(todo) * np.arange(len(orders))[:, None]
+        sums = np.bincount(bins.ravel(), terms.ravel(), len(orders) * len(todo))
+        for dist, values in zip(todo, sums.reshape(len(orders), len(todo)).T.tolist()):
+            for k, value in zip(orders, values):
+                # float: with no entry at all, bincount counts in integers
+                dist._moment_memo.setdefault(k, float(value))
+    return [[d._moment_memo[k] for k in orders] for d in dists]
 
 
 def _checked_rows(support, probs, counts, infinite) -> tuple[list, list]:
@@ -320,7 +314,9 @@ def _distributions_from_rows(support, probs, row, labels, dropped, infinite) -> 
     out = []
     for s, p, label, n, mass in zip(supports, probs, labels, dropped, infinite):
         dist = object.__new__(EntropyDistribution)
-        vars(dist).update(support=s, probs=p, label=label, dropped_outcomes=n, infinite_mass=mass)
+        vars(dist).update(
+            support=s, probs=p, label=label, dropped_outcomes=n, infinite_mass=mass, _moment_memo={}
+        )
         out.append(dist)
     return out
 
@@ -474,10 +470,10 @@ def _stack(protos, read) -> np.ndarray:
     return np.stack([read(proto) for proto in protos])
 
 
-def _shape_groups(protos) -> list[list[int]]:
-    """Indices of ``protos`` grouped by the shapes of their Kraus and
-    projector stacks, in first-seen order. A group stacks without padding:
-    zero Kraus operators would add terms, which can flip the sign of a zero."""
+def _shape_groups(protos) -> list[list[TwoTimeProtocol]]:
+    """``protos`` grouped by the shapes of their Kraus and projector stacks,
+    in first-seen order. A group stacks without padding: zero Kraus
+    operators would add terms, which can flip the sign of a zero."""
 
     def key(proto):
         local = proto.bipartite_obs and tuple(o.projectors.shape for o in proto.bipartite_obs)
@@ -488,7 +484,7 @@ def _shape_groups(protos) -> list[list[int]]:
             local,
         )
 
-    return _groups(protos, key)
+    return [[protos[i] for i in group] for group in _groups(protos, key)]
 
 
 def _concatenated(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -511,17 +507,6 @@ def _states(protos) -> list[ProtocolStates]:
     return [ProtocolStates(p._rho_in, f, t) for p, f, t in zip(protos, rho_fin, rho_tau)]
 
 
-def _forward_tables(protos) -> list["JointOutcomeTable"]:
-    """Forward joint tables of protocols of one shape group, see
-    :attr:`TwoTimeProtocol.forward`; one channel application for all of
-    them."""
-    rho0 = _stack(protos, lambda p: p.rho0.data)
-    proj_in = _stack(protos, lambda p: p.obs_in.projectors)
-    proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
-    p_fwd = _measured_joint(_stack(protos, lambda p: p.channel.kraus), rho0, proj_in, proj_fin)
-    return _joint_tables(p_fwd, _outcome_probs(proj_in, rho0), p_fwd.sum(axis=2))
-
-
 def _backward_tables(protos) -> list["JointOutcomeTable"]:
     """Backward joint tables of protocols of one shape group, see
     :attr:`TwoTimeProtocol.backward`; the channels are reversed and checked
@@ -533,24 +518,28 @@ def _backward_tables(protos) -> list["JointOutcomeTable"]:
     proj_in_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_in.projectors))
     proj_ref_rev = theta.apply_to_state(_stack(protos, lambda p: p.obs_fin.projectors))
     p_bwd = _measured_joint(kraus, rho_tau_rev, proj_ref_rev, proj_in_rev)
-    return _joint_tables(
-        p_bwd, _stack(protos, lambda p: p.forward.p_ref), _stack(protos, lambda p: p.forward.p_in)
-    )
+    p_ref, p_in = (_stack(protos, lambda p: getattr(p.forward, name)) for name in ("p_ref", "p_in"))
+    return _joint_tables(p_bwd, p_ref, p_in)
 
 
 def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
     """:attr:`TwoTimeProtocol.tables` of protocols of one shape group: their
-    forward tables, and stacked axis sums of those and of the final outcome
-    probabilities."""
-    fwd = _forward_tables(protos)
+    forward tables (see :attr:`TwoTimeProtocol.forward`), one channel
+    application for all, and stacked axis sums of those and of the final
+    outcome probabilities."""
+    rho0 = _stack(protos, lambda p: p.rho0.data)
+    proj_in = _stack(protos, lambda p: p.obs_in.projectors)
+    proj_fin = _stack(protos, lambda p: p.obs_fin.projectors)
+    p_fwd = _measured_joint(_stack(protos, lambda p: p.channel.kraus), rho0, proj_in, proj_fin)
+    p_in = _outcome_probs(proj_in, rho0)
+    fwd = _joint_tables(p_fwd, p_in, p_fwd.sum(axis=2))
     if protos[0].bipartite_obs is None:
         return [MappingProxyType({"A-B": f}) for f in fwd]
     n_a_in, n_b_in, n_a_fin, n_b_fin = (obs.n_outcomes for obs in protos[0].bipartite_obs)
-    p_fwd = np.stack([f.p_fwd for f in fwd]).reshape(-1, n_a_fin, n_b_fin, n_a_in, n_b_in)
-    p_in = np.stack([f.p_in for f in fwd]).reshape(-1, n_a_in, n_b_in)
-    p_fin = _outcome_probs(
-        _stack(protos, lambda p: p.obs_fin.projectors), _stack(protos, lambda p: p.states.rho_fin)
-    ).reshape(-1, n_a_fin, n_b_fin)
+    p_fwd = p_fwd.reshape(-1, n_a_fin, n_b_fin, n_a_in, n_b_in)
+    p_in = p_in.reshape(-1, n_a_in, n_b_in)
+    p_fin = _outcome_probs(proj_fin, _stack(protos, lambda p: p.states.rho_fin))
+    p_fin = p_fin.reshape(-1, n_a_fin, n_b_fin)
     a = _joint_tables(p_fwd.sum(axis=(2, 4)), p_in.sum(axis=2), p_fin.sum(axis=2))
     b = _joint_tables(p_fwd.sum(axis=(1, 3)), p_in.sum(axis=1), p_fin.sum(axis=1))
     return [MappingProxyType({"A": ta, "B": tb, "A-B": f}) for ta, tb, f in zip(a, b, fwd)]
@@ -620,23 +609,25 @@ def stack_tables(protos) -> None:
     and the backward tables of many protocols at once, and cache each on its
     protocol as if it had been built on first use.
 
-    Protocols are grouped by the shapes of their Kraus and projector stacks;
-    each group takes one channel application per quantity and one sampling
-    pass. Every value has the bits that the one-protocol build gives it.
-    Values a protocol has already built are kept.
+    Protocols are grouped once by the shapes of their Kraus and projector
+    stacks; each group takes one channel application per quantity and one
+    sampling pass. Every value has the bits that the one-protocol build
+    gives it. Values a protocol has already built are kept.
     """
+    groups = _shape_groups(protos)
     for name, build in _STACKED:
-        _fill(protos, name, build)
+        _fill(groups, name, build)
 
 
-def _fill(protos, name: str, build) -> None:
-    """Cache ``build(group)`` as the cached property ``name`` of every
-    protocol that has not built it yet, one call per shape group."""
-    todo = [proto for proto in protos if name not in vars(proto)]
-    for group in _shape_groups(todo):
-        members = [todo[i] for i in group]
-        for proto, value in zip(members, build(members)):
-            vars(proto)[name] = value
+def _fill(groups, name: str, build) -> None:
+    """Cache ``build(members)`` as the cached property ``name`` of the
+    members of each of ``groups`` (see :func:`_shape_groups`) that have not
+    built it yet, one call per group."""
+    for group in groups:
+        members = [proto for proto in group if name not in vars(proto)]
+        if members:
+            for proto, value in zip(members, build(members)):
+                vars(proto)[name] = value
 
 
 def entropy_samples(tables, label: str = "sigma"):
@@ -732,7 +723,7 @@ def entropy_bound_check(protos):
         s_rel = -von_neumann_entropy(rho_fin) - cross  # +inf where cross is -inf
         mean_sigma = -cross - von_neumann_entropy(rho_in)
         passed = (-1e-10 <= s_rel) & (s_rel <= mean_sigma + 1e-10)
-        matrices = {id(p.obs_fin): p.obs_fin.matrix() for p in members}
+        matrices = {id(o): o.matrix() for o in {id(p.obs_fin): p.obs_fin for p in members}.values()}
         obs = np.stack([matrices[id(p.obs_fin)] for p in members])
         commutator = np.max(np.abs(obs @ rho_fin - rho_fin @ obs), axis=(1, 2))
         passed &= (commutator > 1e-10) | (s_rel <= 1e-10)
@@ -844,10 +835,9 @@ def correlation_witness(dist_ab, dist_conv):
     dists_conv, _ = _one_or_many(dist_conv)
     if len(dists_ab) != len(dists_conv):
         raise ValueError("dist_ab and dist_conv must pair up one to one")
-    stack_moments([*dists_ab, *dists_conv], range(1, 5))
-    table = lambda dists: np.array([dist.moments(4) for dist in dists])
-    gaps = np.abs(table(dists_ab) - table(dists_conv))
-    out = [WitnessResult(row, bool(np.any(row > 1e-8))) for row in gaps]
+    table = np.array(stack_moments([*dists_ab, *dists_conv], range(1, 5))).reshape(-1, 4)
+    gaps = np.abs(table[: len(dists_ab)] - table[len(dists_ab) :])
+    out = [WitnessResult(*pair) for pair in zip(gaps, (gaps > 1e-8).any(axis=1).tolist())]
     return out if many else out[0]
 
 

@@ -487,15 +487,17 @@ def rmse_probs(true_dist, recon_dist):
     recons, _ = _one_or_many(recon_dist)
     if len(trues) != len(recons):
         raise ValueError("true_dist and recon_dist must pair up one to one")
-    rows = []
-    for t, r in zip(trues, recons):
-        true, recon = t.support, r.support
-        if true.size == recon.size == 0:
+    same = [t.support.size == r.support.size for t, r in zip(trues, recons)]
+    # the supports of every pair of equal sizes, compared in one pass
+    true, row = _concatenated([t.support if s else () for t, s in zip(trues, same)])
+    recon, _ = _concatenated([r.support if s else () for r, s in zip(recons, same)])
+    apart = np.bincount(row[np.abs(true - recon) > SUPPORT_MERGE_TOL], None, len(same)) > 0
+    for t, s, off in zip(trues, same, apart.tolist()):
+        if s and not t.support.size:
             raise ValueError("no finite support to compare: both distributions are empty")
-        if true.size != recon.size or np.max(np.abs(true - recon)) > SUPPORT_MERGE_TOL:
+        if not s or off:
             raise ValueError("distribution supports do not align")
-        rows.append(t.probs - r.probs)
-    out = _root_mean_squares(rows)
+    out = _root_mean_squares([t.probs - r.probs for t, r in zip(trues, recons)])
     return out if many else out[0]
 
 

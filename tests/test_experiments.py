@@ -132,7 +132,7 @@ class TestRunConfig:
             return original(kraus, m)
 
         chi_applied = []
-        for name in ("entropy_samples", "_dephase", "_forward_tables"):
+        for name in ("entropy_samples", "_dephase"):
             monkeypatch.setattr(protocol, name, count(name, getattr(protocol, name)))
         stacked = tuple((name, count(name, build)) for name, build in protocol._STACKED)
         monkeypatch.setattr(protocol, "_STACKED", stacked)
@@ -149,7 +149,6 @@ class TestRunConfig:
         assert calls == {
             "states": 1,
             "tables": 1,
-            "_forward_tables": 1,
             "distributions": 1,
             "backward": 1,
             "protocol_parts": 1,
@@ -160,7 +159,7 @@ class TestRunConfig:
         # one channel application per build that needs one, each to the stack
         # of all its states; the protocol part only reads what they built
         assert sorted(applied) == [
-            ("_transfer_tables",), ("backward",), ("states",), ("tables", "_forward_tables")
+            ("_transfer_tables",), ("backward",), ("states",), ("tables",)
         ]
         # chi of all three labels reads one transfer table, built by one
         # channel application to the four initial projectors and rho_in
@@ -212,6 +211,45 @@ class TestSweepPhase:
             assert row["m2_AB"] == rec.distributions["A-B"].moment(2)
             assert row["rmse_probs"] == rec.reconstructions["pinv"].rmse_probs_conv
             assert row["gap_m3"] == rec.witness.moment_gaps[2]
+
+    def test_rows_are_fresh_dicts_of_one_build(self, tmp_path, monkeypatch):
+        calls, stack_moments = [], experiments.stack_moments
+        counted = lambda *args: calls.append(args) or stack_moments(*args)
+        monkeypatch.setattr(experiments, "stack_moments", counted)
+        report = sweep_phase([0.3, 0.6], preset("fig3"), methods=("pinv",))
+        calls.clear()
+        columns = ["phi", *experiments.SWEEP_COLUMNS]
+        expected = [[row[c] for c in columns] for row in report.rows()]
+        # a caller that edits the rows it was handed changes no later call
+        edited = report.rows()
+        edited[0]["m1_A"] = 99.0
+        del edited[1]["phi"]
+        assert [[row[c] for c in columns] for row in report.rows()] == expected
+        cfg = cli.RunConfig(command="sweep", ion=preset("fig3"), output_dir=tmp_path, fmt="csv")
+        (path,) = cli.emit_report({}, cfg, sweep=report)
+        lines = path.read_text().splitlines()
+        assert lines[1:] == [",".join(map(repr, values)) for values in expected]
+        assert len(calls) == 1  # the values were built once, by the first call
+
+    def test_moment_columns_are_the_records_moments(self):
+        swept = sweep_phase([0.3], preset("fig3"), methods=()).records[0]
+        # a record whose distributions were built alone, on a fresh protocol,
+        # with only one moment of one distribution memoised
+        cfg = replace(preset("fig3"), phi=0.9)
+        alone = dict(build_protocol(cfg).distributions)
+        alone["A"].moment(2)
+        record = replace(swept, config=cfg, distributions=alone)
+        report = experiments.SweepReport("phi", np.array([0.3, 0.9]), (swept, record))
+        rows = report.rows()
+        # moments_table on a second fresh build, whose memos each fill alone
+        tables = [swept.moments_table(), dataclasses.replace(
+            record, distributions=dict(build_protocol(cfg).distributions)
+        ).moments_table()]
+        keys = {"A": "A", "B": "B", "A-B": "AB", "A+B": "ApB"}
+        for row, table in zip(rows, tables):
+            for label, key in keys.items():
+                values = np.array([row[f"m{k}_{key}"] for k in range(1, 5)])
+                assert values.tobytes() == table[label].tobytes()
 
     def test_rows_without_reconstruction_carry_nan_errors(self):
         row = sweep_phase([0.3], preset("fig3"), methods=()).rows()[0]
@@ -517,6 +555,18 @@ class TestStackedSweeps:
             report = sweep([], QUICK, methods=methods)
             assert report.records == () and report.points.size == 0 and report.rows() == []
         assert protocol.crooks_check([]) == []
+
+    def test_shared_observables_are_read_once(self, monkeypatch):
+        # the 64 protocols of a phase sweep share their observables: the
+        # entropy bound builds one final-observable matrix, and chi checks
+        # the observables of each label once
+        matrices, checks = [], []
+        matrix, check = Observable.matrix, charfunc._check_subsystem
+        monkeypatch.setattr(Observable, "matrix", lambda obs: matrices.append(obs) or matrix(obs))
+        monkeypatch.setattr(charfunc, "_check_subsystem", lambda *a: checks.append(a) or check(*a))
+        sweep_phase(default_sweep_points("phi"), preset("fig3"), methods=("pinv",))
+        assert len(matrices) == 1
+        assert [label for _, label in checks] == ["A", "B", "A-B"]
 
     def test_stacked_work_precedes_the_first_run_config(self, builds, monkeypatch):
         # the tables, protocol parts, chi and recoveries of every point are

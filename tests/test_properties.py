@@ -8,7 +8,8 @@ the three-step measurement procedure. A second family has local dimensions 2
 or 3 and empty initial outcomes; there both chi paths must stay finite and
 agree, and the reversibility checks must hold on the supported outcomes. On
 both families chi from the transfer table must match the node-by-node trace
-form, and a batch of protocols must give each its lone call's bits.
+form, and a batch of protocols must give each its lone call's bits, also
+where some of them share their state and observables by identity.
 """
 
 import math
@@ -40,8 +41,8 @@ from entroprec import (
 from entroprec.channels import apply_kraus
 from entroprec.charfunc import SUBSYSTEMS, _initial_state, _powered_state
 from entroprec.experiments import PHI_MAX, PHI_MIN
-from entroprec.protocol import _outcome_probs
-from conftest import random_mixed_unitary_channel
+from entroprec.protocol import _outcome_probs, stack_tables
+from conftest import random_mixed_unitary_channel, random_unitary
 
 QUBIT_OBS = Observable.computational(2)
 # probabilities bounded away from zero keep every outcome reachable
@@ -210,3 +211,83 @@ def test_mixed_batch_gives_lone_call_bits(protos, lam):
         for row, (values, _) in zip(batch, lone):
             for a, b in ((row.real, values.real), (row.imag, values.imag)):
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def shared_batches(draw) -> list:
+    """A batch of one family's protocols around a drawn one: some are that
+    protocol again, some share its rho0 and observables by identity (on
+    another channel as a sweep builds them, or with a post-measurement state
+    of their own), some carry equal-valued copies of them, all three on
+    channels of its Kraus count, so that they stack with it; and some are
+    drawn anew, with other observables and possibly another dimension."""
+    family = draw(st.sampled_from([protocols, sparse_protocols]))
+    base = draw(family())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    copy = lambda obs: Observable(obs.eigenvalues, obs.projectors.copy())
+    n_kraus, dim = base.channel.kraus.shape[:2]
+    batch = []
+    kinds = st.sampled_from(["again", "moved", "shared", "copied", "drawn"])
+    for kind in draw(st.lists(kinds, min_size=3, max_size=6)):
+        unitaries = [random_unitary(dim, rng) for _ in range(n_kraus)]
+        channel = QuantumChannel.mixed_unitary(unitaries, rng.dirichlet(np.ones(n_kraus)))
+        if kind == "again":
+            batch.append(base)
+        elif kind == "moved":
+            batch.append(base._on_channel(channel))
+        elif kind == "shared":
+            fields = (base.rho0, base.obs_in, base.obs_fin, channel, base.bipartite_obs)
+            batch.append(TwoTimeProtocol(*fields))
+        elif kind == "copied":
+            rho0 = DensityMatrix(base.rho0.data.copy(), base.rho0.partition)
+            local = [copy(obs) for obs in base.bipartite_obs]
+            batch.append(TwoTimeProtocol.bipartite(rho0, *local, channel))
+        else:
+            batch.append(draw(family()))
+    return [base, *batch]
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape, values and signs of zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    parts = lambda x: (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return a.dtype == b.dtype and a.shape == b.shape and all(
+        np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in zip(parts(a), parts(b))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(shared_batches(), parameters)
+def test_shared_operands_give_lone_build_bits(batch, lam):
+    # the lone builds run on fresh copies, each alone in its batch; at
+    # lambda = 2i the initial weights have exponent -1, so empty initial
+    # outcomes are counted as dropped, once for each time a protocol appears
+    lone = [p._on_channel(p.channel) for p in batch]
+    lam = np.array([*lam, 2j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        stack_tables(batch)
+        chi = {label: chi_and_dropped(batch, label, lam) for label in SUBSYSTEMS}
+        for proto, alone in zip(batch, lone):
+            for a, b in zip(proto.states, alone.states):
+                assert same_bits(a, b)
+            tables = [(proto.backward, alone.backward)]
+            tables += [(proto.tables[label], alone.tables[label]) for label in alone.tables]
+            for a, b in tables:
+                assert all(same_bits(x, y) for x, y in zip(vars(a).values(), vars(b).values()))
+            assert list(proto.distributions) == list(alone.distributions)
+            for a, b in zip(proto.distributions.values(), alone.distributions.values()):
+                assert same_bits(a.support, b.support) and same_bits(a.probs, b.probs)
+                assert (a.label, a.dropped_outcomes, a.infinite_mass) == (
+                    b.label, b.dropped_outcomes, b.infinite_mass
+                )
+        for label, (values, dropped) in chi.items():
+            alone = [chi_and_dropped(p, label, lam) for p in lone]
+            assert dropped == sum(count for _, count in alone)
+            assert all(same_bits(row, value) for row, (value, _) in zip(values, alone))
+        for proto, alone in zip(batch, lone):
+            for a, b in zip(proto.transfer, alone.transfer):
+                assert same_bits(a, b)
+        bounds = entropy_bound_check(batch)
+        assert bounds == [entropy_bound_check(p) for p in lone]

@@ -1228,6 +1228,8 @@ class TestStackedMatchesLoops:
     def test_moment_memo(self, rng):
         dist = entropy_samples(generic_protocol(rng).forward)
         other = EntropyDistribution(dist.support, dist.probs[::-1] / dist.probs.sum())
+        # a plain attribute, empty on construction by either path
+        assert vars(dist)["_moment_memo"] == {} == vars(other)["_moment_memo"]
         for k in (1, 2, 3, 4, 7):
             fresh = running_sum(dist.probs * dist.support**k)
             assert same_bits(dist.moment(k), fresh)
@@ -1327,6 +1329,14 @@ class TestOneOrMany:
             assert all(same_result(a, b) for a, b in zip(as_tuple, as_list, strict=True))
             assert all(same_result(r, check(*args)) for r, args in zip(as_list, calls))
 
+    def test_repeated_item_gives_the_lone_result_each_time(self, rng):
+        # the same object twice in a list is two items, each with its answer
+        for check, calls in self.cases(rng).items():
+            for args in calls:
+                alone = check(*args)
+                twice = check(*([arg, arg] for arg in args))
+                assert len(twice) == 2 and all(same_result(r, alone) for r in twice)
+
     def test_duck_typed_protocol_counts_as_one(self):
         # a protocol-like object that is no list or tuple is one item
         alone = quietly(entropy_bound_check, support_violation())
@@ -1347,6 +1357,14 @@ class TestOneOrMany:
         # one misaligned pair in a list refuses the whole call
         with pytest.raises(ValueError, match="align"):
             rmse_probs([dists["A"], dists["A"]], [dists["A"], dists["A-B"]])
+        # the first failing pair names the fault, whatever the pairs after it
+        empty = EntropyDistribution(np.array([]), np.array([]), infinite_mass=1.0)
+        shifted = EntropyDistribution(dists["A"].support + 1e-9, dists["A"].probs)
+        for pairs, fault in (([(shifted, dists["A"]), (empty, empty)], "align"),
+                             ([(empty, empty), (shifted, dists["A"])], "empty"),
+                             ([(dists["A"], dists["A"]), (dists["A-B"], dists["A"])], "align")):
+            with pytest.raises(ValueError, match=fault):
+                rmse_probs(*map(list, zip(*pairs)))
 
     def test_empty_list_gives_an_empty_list(self, rng):
         for check, calls in self.cases(rng).items():
