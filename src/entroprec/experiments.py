@@ -10,7 +10,7 @@ and which produces a non-Gaussian entropy-production distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 import numpy as np
 
@@ -45,7 +45,7 @@ from .reconstruct import (
     ParameterGrid,
     ReconstructionResult,
     chebyshev_nodes,
-    fourier_reconstruct,
+    fourier_stack,
     moments_via_vandermonde,
     pseudoinverse_stack,
     rmse_probs,
@@ -103,6 +103,10 @@ class TwoIonConfig:
     def step_size(self) -> float:
         return self.dt if self.dt is not None else self.tau / DEFAULT_STEPS
 
+
+# What a configuration's protocol depends on: every field but n_moments. A
+# sweep keys its points by these, so a field added later joins the key.
+_PROTOCOL_FIELDS = tuple(f.name for f in fields(TwoIonConfig) if f.name != "n_moments")
 
 PRESETS: dict[str, TwoIonConfig] = {
     "fig3": TwoIonConfig(phi=math.pi / 7, dynamics="unitary"),
@@ -253,18 +257,15 @@ def _recover(items, method: str) -> list[ReconstructionResult]:
     """One recovery method applied to measured moments, for each item
     ``(grid, chi, moments, true_dist, scored, label)``, scored by
     :func:`_scores` against the true distribution on its leading ``scored``
-    moments; see :func:`reconstruct_subsystem`. The pinv recoveries of all
-    items are one :func:`pseudoinverse_stack` call."""
+    moments; see :func:`reconstruct_subsystem`. The recoveries of all items
+    are one :func:`pseudoinverse_stack` or :func:`fourier_stack` call."""
     if method == "pinv":
         dists = pseudoinverse_stack(
             (m.nontrivial[: min(m.nontrivial.size, true.support.size)], true.support, label)
             for _, _, m, true, _, label in items
         )
     elif method == "fourier":
-        dists = [
-            fourier_reconstruct(moments.moments, true.support, label=label)
-            for _, _, moments, true, _, label in items
-        ]
+        dists = fourier_stack((m.moments, true.support, label) for _, _, m, true, _, label in items)
     else:
         raise ValueError(f"method must be 'pinv' or 'fourier', got {method!r}")
     scores = _scores([item[3] for item in items], dists, [item[4] for item in items])
@@ -415,8 +416,9 @@ def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
     record and its :class:`ReconstructionBundle` by each method at its
     ``n_moments`` (``{method: bundle}``, empty when no method runs).
 
-    Points that differ only in ``n_moments`` share one protocol; say there
-    are P protocols. The sweep builds every channel (each distinct Lindblad
+    Points that differ only in ``n_moments`` share one protocol, keyed by
+    their other fields and built from the first of them; say there are P
+    protocols. The sweep builds every channel (each distinct Lindblad
     map once, see :func:`build_channels`) and every protocol, validating each
     initial state and its observables once. It then builds all states and
     joint tables with :func:`stack_tables`, the records with their theorem
@@ -431,19 +433,19 @@ def _sweep_parts(cfgs: list[TwoIonConfig], methods) -> list:
     nodes, chi's as outcome weights, not matrices. A protocol's record is
     built once, so its warnings are raised once per protocol.
     """
-    keys = [replace(cfg, n_moments=1) for cfg in cfgs]
-    channels = {}
-    for key, channel in zip(keys, build_channels(cfgs)):
-        channels.setdefault(key, channel)
+    keys = [tuple(getattr(cfg, name) for name in _PROTOCOL_FIELDS) for cfg in cfgs]
+    firsts = {}  # the first configuration of each key
+    for key, cfg in zip(keys, cfgs):
+        firsts.setdefault(key, cfg)
     protos = []
-    first = {}  # the protocol that validated each initial state
-    for key, channel in channels.items():
-        shared = first.get(key.rho0_diag)
-        protos.append(shared._on_channel(channel) if shared else build_protocol(key, channel))
-        first.setdefault(key.rho0_diag, protos[-1])
+    shared = {}  # the protocol that validated each initial state
+    for cfg, channel in zip(firsts.values(), build_channels(firsts.values())):
+        first = shared.get(cfg.rho0_diag)
+        protos.append(first._on_channel(channel) if first else build_protocol(cfg, channel))
+        shared.setdefault(cfg.rho0_diag, protos[-1])
     stack_tables(protos)
-    records = protocol_parts(channels, protos)
-    owner = {key: i for i, key in enumerate(channels)}
+    records = protocol_parts(firsts.values(), protos)
+    owner = {key: i for i, key in enumerate(firsts)}
     points = [(owner[key], cfg.n_moments) for key, cfg in zip(keys, cfgs)]
     measured = _measure_moments(protos, points) if methods and points else {}
     bundles = _bundles(records, measured, methods)

@@ -455,14 +455,9 @@ def _outcome_probs(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _measured_joint(kraus: np.ndarray, rho: np.ndarray, prepare, read) -> np.ndarray:
     """``table[k, m] = Tr[read_k  Phi(prepare_m rho prepare_m)]``, negatives
-    clipped, with Phi the Kraus set ``kraus``. ``prepare`` and ``read`` are
-    projector stacks; the channel is applied once, to the stack of prepared
-    states. Leading axes of all four arguments are a batch of tables."""
-    evolved = apply_kraus(kraus, prepare @ np.expand_dims(rho, -3) @ prepare)
-    table = np.trace(
-        np.expand_dims(read, -3) @ np.expand_dims(evolved, -4), axis1=-2, axis2=-1
-    ).real
-    return np.clip(table, 0.0, None)
+    clipped: :func:`_transfer` of the stack of prepared states. Leading axes
+    of all four arguments are a batch of tables."""
+    return np.clip(_transfer(kraus, prepare @ np.expand_dims(rho, -3) @ prepare, read), 0.0, None)
 
 
 def _stack(protos, read) -> np.ndarray:
@@ -546,23 +541,24 @@ def _tables(protos) -> list["MappingProxyType[str, JointOutcomeTable]"]:
 
 
 def _transfer(kraus: np.ndarray, prepare: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """``table[k, m] = Tr[read_k Phi(prepare_m)]`` in extended precision,
-    with Phi the Kraus set ``kraus`` applied once to the whole ``prepare``
-    stack. Leading axes of all three arguments are a batch of tables."""
-    evolved = apply_kraus(kraus, prepare.astype(core.extended_complex()))
+    """``table[k, m] = Tr[read_k Phi(prepare_m)]`` in the precision of
+    ``prepare``, with Phi the Kraus set ``kraus`` applied once to the whole
+    ``prepare`` stack. Leading axes of all three arguments are a batch of
+    tables."""
+    evolved = apply_kraus(kraus, prepare)
     return _outcome_probs(np.expand_dims(read, -4), evolved).swapaxes(-1, -2)
 
 
 def _transfer_tables(protos) -> list[TransferTables]:
     """:attr:`TwoTimeProtocol.transfer` of protocols of one shape group: one
-    channel application to the stack of their initial projectors and
-    post-measurement states. Local tables of protocols whose composite
-    projectors are not the product ones bit for bit take one more."""
+    channel application, in extended precision, to the stack of their initial
+    projectors and post-measurement states. Local tables of protocols whose
+    composite projectors are not the product ones bit for bit take one more."""
     kraus = _stack(protos, lambda p: p.channel.kraus)
     prepare = np.concatenate(
         [_stack(protos, lambda p: p.obs_in.projectors), _stack(protos, lambda p: p._rho_in)[:, None]],
         axis=1,
-    )
+    ).astype(core.extended_complex())
     rows = _transfer(kraus, prepare, _stack(protos, lambda p: p.obs_fin.projectors))
     rows.flags.writeable = False
     out = []
@@ -572,9 +568,8 @@ def _transfer_tables(protos) -> list[TransferTables]:
             local = None
         elif not proto._exact_products:
             obs = proto.bipartite_obs
-            local = _transfer(
-                proto.channel.kraus, _product_projectors(*obs[:2]), _product_projectors(*obs[2:])
-            )
+            prepare = _product_projectors(*obs[:2]).astype(core.extended_complex())
+            local = _transfer(proto.channel.kraus, prepare, _product_projectors(*obs[2:]))
             local.flags.writeable = False
         out.append(TransferTables(joint, local, row[:, -1]))
     return out

@@ -14,7 +14,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -97,9 +97,10 @@ def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     """Real zeros of the degree-n Chebyshev polynomial mapped to the interval.
 
     phi_k = (phi_min+phi_max)/2 + (phi_max-phi_min)/2 * cos((2k-1) pi / 2n),
-    k = 1..n; the nodes descend with k. Equal arguments return one shared,
-    read-only grid, so its Vandermonde elimination is done once. ``n`` must
-    be an integer (the cache would take ``True`` for ``1``) below 172.
+    k = 1..n; the nodes descend with k. Each call builds a new grid, whose
+    Vandermonde elimination is done on its first use and kept with it: a
+    sweep builds one grid per distinct N and shares it among its points (see
+    :func:`experiments._measure_moments`). ``n`` must be an integer below 172.
     """
     _validate_count("n", n)
     _require_float64_moments(n)
@@ -107,11 +108,6 @@ def chebyshev_nodes(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
         raise ValueError("phi_min and phi_max must be finite")
     if not phi_min < phi_max:
         raise ValueError("phi_min must be below phi_max")
-    return _chebyshev_grid(n, phi_min, phi_max)
-
-
-@lru_cache(maxsize=64)
-def _chebyshev_grid(n: int, phi_min: float, phi_max: float) -> ParameterGrid:
     k = np.arange(1, n + 1)
     mid = 0.5 * (phi_min + phi_max)
     half = 0.5 * (phi_max - phi_min)
@@ -261,58 +257,63 @@ def fourier_reconstruct(moments, support_grid, label: str = "sigma") -> EntropyD
     integrand Re[series e^{-i s mu}] = E cos(s mu) + O sin(s mu) is even: each
     integral is twice a trapezoid over [0, L]. All limits share the half-line
     grid mu_i = i DEFAULT_DMU and one cos/sin table; each reads its own window.
-    The table is cached per support and grid length (see :func:`_fourier_kernel`),
-    once the support has passed the pinv recovery's check (see
-    :func:`_validated_support`).
+    The one-item case of :func:`fourier_stack`.
     """
-    m = np.asarray(moments, dtype=float)
-    if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
-        raise ValueError("moments must be a nonempty 1-D array of finite values")
-    support = np.sort(_validated_support(support_grid))
-    coeffs = np.array([m[k] * 1j**k / math.factorial(k) for k in range(m.size)])
+    return fourier_stack([(moments, support_grid, label)])[0]
+
+
+def fourier_stack(items) -> list[EntropyDistribution]:
+    """:func:`fourier_reconstruct` of each ``(moments, support, label)`` item,
+    in order, each with the bits of its lone call.
+
+    The items are read and checked by :func:`_recovery_groups`, as
+    :func:`pseudoinverse_stack`'s are, with at least one moment each: the
+    first item that fails, in order, raises its lone call's ``ValueError``
+    before any work. Each item then takes its lone arithmetic on its sorted
+    support, and the first item whose every limit is inadmissible raises
+    :class:`ReconstructionError`. Items with equal sorted supports share one
+    cos/sin table, built in the call. The distributions are checked and built
+    in one pass (see :func:`protocol._distributions_from_rows`).
+    """
+    items, _ = _recovery_groups(items, nonempty=True)
     ends = np.rint(np.array(DEFAULT_LIMITS) / DEFAULT_DMU).astype(int)
     mu = np.arange(ends.max() + 1) * DEFAULT_DMU
-    series = np.polyval(coeffs[::-1], mu)  # real part E, imaginary part O
-    cos, sin = _fourier_kernel(support.tobytes(), mu.size)
-    integrand = series.real * cos + series.imag * sin
-    powers = np.array([support**k for k in range(1, m.size)]).reshape(-1, support.size)
-    best_err = None
-    best_probs = None
-    for end in ends:
-        density = _trapezoid(integrand[:, : end + 1], dx=DEFAULT_DMU, axis=1) / np.pi
-        total = density.sum()
-        if total <= 0:
-            continue
-        masses = density / total
-        if masses.min() < -1e-3:
-            continue
-        probs = np.clip(masses, 0.0, None)
-        probs /= probs.sum()
-        recomputed = np.sum(probs * powers, axis=1)
-        err = float(np.sum(np.abs(m[1:] - recomputed) ** 2))
-        if best_err is None or err < best_err:
-            best_err = err
-            best_probs = probs
-    if best_probs is None:
-        raise ReconstructionError(
-            "all candidate integration limits produced inadmissible mass"
-        )
-    return EntropyDistribution(support, best_probs, label)
-
-
-FOURIER_KERNEL_CACHE_SIZE = 3  # one per reconstructed label
-
-
-@lru_cache(maxsize=FOURIER_KERNEL_CACHE_SIZE)
-def _fourier_kernel(support: bytes, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the phases s mu_i, one row per support value s (given
-    as float64 bytes) and mu_i = i DEFAULT_DMU for i < size, read-only: an N
-    sweep reuses each label's table."""
-    phase = np.outer(np.frombuffer(support), np.arange(size) * DEFAULT_DMU)
-    kernel = np.cos(phase), np.sin(phase)
-    for table in kernel:
-        table.flags.writeable = False
-    return kernel
+    tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    supports, chosen = [], []
+    for m, s, _ in items:
+        support = np.sort(s)
+        key = support.tobytes()
+        if key not in tables:
+            phase = np.outer(support, mu)
+            tables[key] = np.cos(phase), np.sin(phase)
+        cos, sin = tables[key]
+        coeffs = np.array([m[k] * 1j**k / math.factorial(k) for k in range(m.size)])
+        series = np.polyval(coeffs[::-1], mu)  # real part E, imaginary part O
+        integrand = series.real * cos + series.imag * sin
+        powers = np.array([support**k for k in range(1, m.size)]).reshape(-1, support.size)
+        best_err = best_probs = None
+        for end in ends:
+            density = _trapezoid(integrand[:, : end + 1], dx=DEFAULT_DMU, axis=1) / np.pi
+            total = density.sum()
+            if total <= 0:
+                continue
+            masses = density / total
+            if masses.min() < -1e-3:
+                continue
+            probs = np.clip(masses, 0.0, None)
+            probs /= probs.sum()
+            recomputed = np.sum(probs * powers, axis=1)
+            err = float(np.sum(np.abs(m[1:] - recomputed) ** 2))
+            if best_err is None or err < best_err:
+                best_err = err
+                best_probs = probs
+        if best_probs is None:
+            raise ReconstructionError(
+                "all candidate integration limits produced inadmissible mass"
+            )
+        supports.append(support)
+        chosen.append(best_probs)
+    return _built(supports, chosen, [label for *_, label in items])
 
 
 def pseudoinverse_reconstruct(moments, support, label: str = "sigma") -> EntropyDistribution:
@@ -335,10 +336,9 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
     """:func:`pseudoinverse_reconstruct` of each ``(moments, support, label)``
     item, in order, each with the bits (and the warning) of its lone call.
 
-    The items are checked by :func:`_pinv_groups`: the first item that
-    fails, in order, raises its lone call's ``ValueError`` before any work.
-    An item numpy cannot read as float64 raises numpy's error, once the
-    items before it have passed.
+    The items are read and checked by :func:`_recovery_groups`: the first
+    item that fails, in order, raises its lone call's ``ValueError`` before
+    any work.
     Items of equal row count, support size and active support size (nonzero
     support values) form one group: its power matrices are one elementwise
     ``**``; its Gram products, right-hand sides ``powers.T @ b``, the
@@ -348,18 +348,10 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
     checked and built in one pass (see
     :func:`protocol._distributions_from_rows`).
     """
-    read = []
-    for moments, support, label in items:
-        try:
-            b, s = np.asarray(moments, dtype=float), np.asarray(support, dtype=float)
-        except (TypeError, ValueError):
-            _pinv_groups(read)  # a fault of an earlier item comes first
-            raise
-        read.append((b, s, label))
-    items = read
+    items, groups = _recovery_groups(items)
     probs: list = [None] * len(items)
     lowest: dict[int, float] = {}  # the least-squares masses' minimum of each item
-    for group, b, s in _pinv_groups(items):
+    for group, b, s in groups:
         active = np.abs(s) > 1e-12
         for sub in _groups(np.count_nonzero(active, axis=1).tolist(), int):
             masses = _pinv_masses(b[sub], s[sub], active[sub])
@@ -375,31 +367,49 @@ def pseudoinverse_stack(items) -> list[EntropyDistribution]:
                 InfeasibleRecoveryWarning,
                 stacklevel=2,
             )
-    support, row = _concatenated([s for _, s, _ in items])
-    labels = [label for *_, label in items]
-    n = len(items)
-    return _distributions_from_rows(support, _concatenated(probs)[0], row, labels, [0] * n, [0.0] * n)
+    return _built([s for _, s, _ in items], probs, [label for *_, label in items])
 
 
-def _pinv_groups(items) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """The ``(b, s, label)`` items grouped by the shapes of ``b`` and ``s``,
-    as ``(indices, b stack, s stack)``, every group checked in one pass: the
-    moments are a 1-D array of finite values, the support passes
-    :func:`_support_checks`. The first item that fails, in order, raises its
-    lone call's ``ValueError``."""
+def _recovery_groups(items, nonempty: bool = False) -> tuple[list, list]:
+    """The ``(moments, support, label)`` items of a stacked recovery, read as
+    float64 ``(b, s, label)``, and grouped by the shapes of ``b`` and ``s`` as
+    ``(indices, b stack, s stack)``. Every group is checked in one pass: the
+    moments are a 1-D array of finite values (with ``nonempty``, Fourier's
+    rule, at least one), the support passes :func:`_support_checks`. The
+    first item that fails, in order, raises its lone call's ``ValueError``;
+    an item numpy cannot read as float64 raises numpy's error, once the items
+    before it have passed."""
+    read, unreadable = [], None
+    for moments, support, label in items:
+        try:
+            read.append((np.asarray(moments, dtype=float), np.asarray(support, dtype=float), label))
+        except (TypeError, ValueError) as error:
+            unreadable = error
+            break
+    message = f"moments must be a {'nonempty ' if nonempty else ''}1-D array of finite values"
     groups, faults = [], []
-    for group in _groups(items, lambda item: (item[0].shape, item[1].shape)):
-        b = np.stack([items[i][0] for i in group])
-        s = np.stack([items[i][1] for i in group])
-        finite = (b.ndim == 2) & np.isfinite(b).all(axis=tuple(range(1, b.ndim)))
-        moments = (~finite, lambda i: "moments must be a 1-D array of finite values")
-        fault = _first_fault([moments, *_support_checks(s)])
+    for group in _groups(read, lambda item: (item[0].shape, item[1].shape)):
+        b = np.stack([read[i][0] for i in group])
+        s = np.stack([read[i][1] for i in group])
+        shaped = b.ndim == 2 and (b.shape[1] > 0 or not nonempty)
+        finite = shaped & np.isfinite(b).all(axis=tuple(range(1, b.ndim)))
+        fault = _first_fault([(~finite, lambda i: message), *_support_checks(s)])
         if fault:
             faults.append((group[fault[0]], fault[1]))
         groups.append((group, b, s))
     if faults:
         raise ValueError(min(faults)[1])
-    return groups
+    if unreadable:
+        raise unreadable
+    return read, groups
+
+
+def _built(supports, probs, labels) -> list[EntropyDistribution]:
+    """The recovered distribution of each support, probabilities and label,
+    checked and built in one pass (see :func:`protocol._distributions_from_rows`)."""
+    support, row = _concatenated(supports)
+    n = len(labels)
+    return _distributions_from_rows(support, _concatenated(probs)[0], row, labels, [0] * n, [0.0] * n)
 
 
 def _pinv_masses(b: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -443,8 +453,8 @@ def _support_checks(s: np.ndarray) -> list:
     """The support checks of a stack of float64 supports along the leading
     axis, in order, as ``(flags per support, message)`` for
     :func:`_first_fault`: a nonempty 1-D array of finite values, no two
-    within ``SUPPORT_MERGE_TOL``. Both recoveries check their support by
-    them before any work (see :func:`_validated_support`)."""
+    within ``SUPPORT_MERGE_TOL``. Both recoveries check their supports by
+    them before any work (see :func:`_recovery_groups`)."""
     usable = (s.ndim == 2 and s.shape[1] > 0) & np.isfinite(s).all(axis=tuple(range(1, s.ndim)))
     coincident = np.zeros(len(s), dtype=bool)
     if s.ndim == 2:
@@ -455,16 +465,6 @@ def _support_checks(s: np.ndarray) -> list:
         (~usable, lambda i: "support must be a nonempty 1-D array of finite values"),
         (coincident, lambda i: "support contains coincident values; merge them first"),
     ]
-
-
-def _validated_support(support) -> np.ndarray:
-    """``support`` as a float64 array; ``ValueError`` unless it passes
-    :func:`_support_checks`."""
-    s = np.asarray(support, dtype=float)
-    fault = _first_fault(_support_checks(s[None]))
-    if fault:
-        raise ValueError(fault[1])
-    return s
 
 
 def rmse_moments(true_moments, recon_moments, n_max: int) -> float:

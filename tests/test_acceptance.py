@@ -320,13 +320,9 @@ def test_criterion_10_integrator_order():
 
 @pytest.fixture
 def float64_mode(monkeypatch):
-    """``core.EXTENDED`` patched to float64. The Chebyshev grid cache is
-    cleared on both sides: a cached grid keeps the elimination of the
-    precision it was first solved in."""
-    reconstruct._chebyshev_grid.cache_clear()
+    """``core.EXTENDED`` patched to float64. No grid outlives the patch:
+    each :func:`chebyshev_nodes` call builds its own."""
     monkeypatch.setattr(core, "EXTENDED", np.float64)
-    yield
-    reconstruct._chebyshev_grid.cache_clear()
 
 
 @pytest.mark.filterwarnings("ignore::entroprec.reconstruct.InfeasibleRecoveryWarning")

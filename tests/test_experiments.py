@@ -450,6 +450,30 @@ class TestSweepSharing:
         # a repeated point shares, wherever it comes; a new phase does not
         assert builds["part_runs"] == [None] * 3
 
+    def test_phase_sweep_validates_each_configuration_once(self, monkeypatch):
+        # one configuration per point, made by sweep_phase; the sweep keys
+        # its points by their fields and makes none of its own
+        calls = []
+        post_init = TwoIonConfig.__post_init__
+        monkeypatch.setattr(TwoIonConfig, "__post_init__", lambda c: calls.append(1) or post_init(c))
+        sweep_phase(default_sweep_points("phi"), preset("fig3"))
+        assert len(calls) == 64
+
+    def test_points_share_a_protocol_only_when_they_differ_in_n(self, builds):
+        base = preset("fig3")
+        fine = base.tau / 4000
+        cfgs = [
+            base,
+            replace(base, n_moments=4),
+            replace(base, dt=fine),
+            replace(base, rho0_diag=(0.25,) * 4),
+            replace(base, dt=fine, n_moments=6),
+        ]
+        records = [record for record, _ in experiments._sweep_parts(cfgs, ())]
+        assert len(builds["parts"]) == 3
+        assert records[1] is records[0] and records[4] is records[2]
+        assert len({id(records[i]) for i in (0, 2, 3)}) == 3
+
     def test_protocol_part_released_after_sweep(self, builds):
         report = sweep_moment_count([2, 3], preset("fig3"), methods=())
         gc.collect()
@@ -673,7 +697,7 @@ class TestOutOfRangeSettings:
         def refuse(*args):
             raise AssertionError("grid built")
 
-        monkeypatch.setattr(reconstruct, "_chebyshev_grid", refuse)
+        monkeypatch.setattr(reconstruct, "ParameterGrid", refuse)
         with pytest.raises(OverflowError, match="^the moments for N = 1000000 overflow float64$"):
             run_config(replace(preset("fig3"), n_moments=10**6))
         with pytest.raises(OverflowError, match=f"N = {10**400} "):  # beyond any float

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroprec import (
@@ -29,7 +29,6 @@ from entroprec import experiments, reconstruct
 from entroprec.reconstruct import (
     DEFAULT_DMU,
     DEFAULT_LIMITS,
-    FOURIER_KERNEL_CACHE_SIZE,
     InfeasibleRecoveryWarning,
     ParameterGrid,
     ReconstructionError,
@@ -88,19 +87,19 @@ class TestChebyshevNodes:
         "n", [2.5, 3.0, True, np.float64(4.0)], ids=["fraction", "float", "bool", "np-float"]
     )
     def test_non_integer_n_refused(self, n):
-        # 2.5 would give 3 nodes, one of them the interval end; True must not
-        # reach the cache, where it would find the grid of n = 1
-        chebyshev_nodes(1, -0.5, 1.0)
+        # 2.5 would give 3 nodes, one of them the interval end; True is no
+        # count, though it would give the grid of n = 1
         with pytest.raises(ValueError, match="n must be an integer"):
             chebyshev_nodes(n, -0.5, 1.0)
-        assert chebyshev_nodes(np.int64(5), -0.5, 1.0) is chebyshev_nodes(5, -0.5, 1.0)
+        grid = chebyshev_nodes(np.int64(5), -0.5, 1.0)
+        assert grid.nodes.tobytes() == chebyshev_nodes(5, -0.5, 1.0).nodes.tobytes()
 
     @pytest.mark.parametrize("n", [172, 10**6, 10**400], ids=["172", "1e6", "1e400"])
     def test_count_beyond_float64_refused_before_any_node(self, n, monkeypatch):
         def refuse(*args):
             raise AssertionError("nodes computed")
 
-        monkeypatch.setattr(reconstruct, "_chebyshev_grid", refuse)
+        monkeypatch.setattr(reconstruct, "ParameterGrid", refuse)
         with pytest.raises(OverflowError, match=f"^the moments for N = {n} overflow float64$"):
             chebyshev_nodes(n, PHI_MIN, PHI_MAX)
         with pytest.raises(AssertionError, match="nodes computed"):
@@ -241,14 +240,19 @@ class TestFactorOnce:
             assert all(mv.condition_number == cond for mv in rows)
 
     def test_grid_shared_and_factored_once(self, monkeypatch):
+        # a grid keeps its own elimination: every solve on it shares one, and
+        # a new grid of the same nodes, as a new sweep builds, factors anew
         calls = []
         factor = reconstruct._factor_extended
         monkeypatch.setattr(reconstruct, "_factor_extended", lambda m: calls.append(1) or factor(m))
         grid = chebyshev_nodes(9, -0.25, 0.75)
-        assert chebyshev_nodes(9, -0.25, 0.75) is grid
         for _ in range(3):
-            moments_via_vandermonde(chebyshev_nodes(9, -0.25, 0.75), np.ones((3, 9)))
+            moments_via_vandermonde(grid, np.ones((3, 9)))
         assert len(calls) == 1
+        again = chebyshev_nodes(9, -0.25, 0.75)
+        assert again is not grid and again.nodes.tobytes() == grid.nodes.tobytes()
+        assert np.array_equal(again.vandermonde.upper, grid.vandermonde.upper)
+        assert len(calls) == 2
         elim = grid.vandermonde
         assert not grid.nodes.flags.writeable and not elim.upper.flags.writeable
         assert all(not f.flags.writeable for f in elim.factors)
@@ -411,15 +415,15 @@ class TestFourierReconstruct:
         ],
         ids=["inf", "nan", "empty", "2-D", "coincident"],
     )
-    def test_rejects_the_supports_pinv_rejects(self, support, message):
-        # refused by the one support check of both recoveries, before any
-        # kernel is built and cached
-        reconstruct._fourier_kernel.cache_clear()
+    def test_rejects_the_supports_pinv_rejects(self, support, message, monkeypatch):
+        # refused by the one item check of both recoveries, before any
+        # cos/sin table is built
+        tables = spy_tables(monkeypatch)
         cases = ((fourier_reconstruct, [1.0, 0.1, 0.3]), (pseudoinverse_reconstruct, [0.1, 0.3]))
         for recover, moments in cases:
             with pytest.raises(ValueError, match=message):
                 recover(np.array(moments), np.array(support))
-        assert reconstruct._fourier_kernel.cache_info().misses == 0
+        assert tables == []
 
     def test_delta_at_zero(self):
         moments = np.zeros(8)
@@ -444,27 +448,38 @@ class TestFourierReconstruct:
         with pytest.raises(ReconstructionError):
             fourier_reconstruct(moments, [-1.0, 1.0])
 
-    def test_kernel_cache_bounded_and_exact(self):
-        kernel = reconstruct._fourier_kernel
-        kernel.cache_clear()
+    def test_kernel_cache_bounded_and_exact(self, monkeypatch):
+        # the cos/sin tables live inside one call: a stack builds one per
+        # distinct sorted support (the last item reuses the first's table,
+        # its support reversed), one row per support point, and every item
+        # keeps its lone call's bits
         moments = np.array([1.0, 0.1, 0.3, 0.05, 0.15])
-        supports = [[-0.5, 0.5], [-0.6, 0.4, 0.7], [-1.0, 0.0, 1.0], [-0.3, 0.2], [-0.5, 0.5]]
-        cached = [fourier_reconstruct(moments, support).probs for support in supports]
-        assert kernel.cache_info().currsize <= FOURIER_KERNEL_CACHE_SIZE == 3
-        for support, probs in zip(supports, cached):
-            kernel.cache_clear()
-            assert np.array_equal(fourier_reconstruct(moments, support).probs, probs)
-        cos, sin = kernel(np.array([-0.5, 0.5]).tobytes(), 11)
-        assert cos.shape == sin.shape == (2, 11)
-        assert not cos.flags.writeable and not sin.flags.writeable
+        supports = [[-0.5, 0.5], [-0.6, 0.4, 0.7], [-1.0, 0.0, 1.0], [-0.3, 0.2], [0.5, -0.5]]
+        items = [(moments, np.array(s), f"{i}") for i, s in enumerate(supports)]
+        tables = spy_tables(monkeypatch)
+        stacked = reconstruct.fourier_stack(items)
+        width = round(max(DEFAULT_LIMITS) / DEFAULT_DMU) + 1
+        assert tables == [(2, width), (3, width), (3, width), (2, width)]
+        monkeypatch.undo()
+        for item, dist in zip(items, stacked, strict=True):
+            assert dist.probs.tobytes() == fourier_reconstruct(*item).probs.tobytes()
 
-    def test_kernel_reused_across_n(self, dists):
-        reconstruct._fourier_kernel.cache_clear()
-        for n in (6, 8, 10):
-            moments = np.concatenate([[1.0], dists["A"].moments(n - 1)])
-            fourier_reconstruct(moments, dists["A"].support)
-        info = reconstruct._fourier_kernel.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_kernel_reused_across_n(self, dists, monkeypatch):
+        # an N sweep's items: every label at N = 6, 8 and 10, and one
+        # support in another order; items of one sorted support share a table
+        items = [
+            (np.concatenate([[1.0], dists[label].moments(n - 1)]), dists[label].support, label)
+            for n in (6, 8, 10)
+            for label in ("A", "B", "A-B")
+        ]
+        items.append((items[-1][0], items[-1][1][::-1], "A-B reversed"))
+        distinct = {np.sort(s).tobytes() for _, s, _ in items}
+        tables = spy_tables(monkeypatch)
+        stacked = reconstruct.fourier_stack(items)
+        assert len(tables) == len(distinct) >= 2
+        monkeypatch.undo()
+        for item, dist in zip(items, stacked, strict=True):
+            assert dist.probs.tobytes() == fourier_reconstruct(*item).probs.tobytes()
 
     def test_recovers_section6_coarsely(self, proto, dists):
         grid = chebyshev_nodes(10, PHI_MIN, PHI_MAX)
@@ -474,6 +489,69 @@ class TestFourierReconstruct:
         # achievable pointwise accuracy well above the pseudo-inverse path
         assert np.max(np.abs(dist.probs - dists["A"].probs)) <= 0.25
         assert dist.probs.sum() == pytest.approx(1.0)
+
+
+def spy_tables(monkeypatch) -> list:
+    """The shape of each phase array ``np.cos`` is called on from now on:
+    in a recovery, one per cos/sin table it builds."""
+    calls = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda x: calls.append(np.shape(x)) or cos(x))
+    return calls
+
+
+class TestFourierStack:
+    @settings(max_examples=200)
+    @given(st.lists(discrete_distributions(), min_size=1, max_size=3), st.data())
+    def test_mixed_batch_matches_lone_calls(self, cases, data):
+        # each drawn case, then up to three of them again: each item takes its
+        # case's support, sometimes reversed, and a prefix of its moments, so
+        # supports repeat with other N
+        repeats = data.draw(st.lists(st.integers(0, len(cases) - 1), max_size=3))
+        items = []
+        for i, case in enumerate([*range(len(cases)), *repeats]):
+            moments, support = cases[case]
+            n = data.draw(st.integers(1, moments.size))
+            items.append((moments[:n], support[::-1] if data.draw(st.booleans()) else support, f"{i}"))
+        # an item no limit admits fails the batch; the others recover as one
+        lone = {}
+        for i, item in enumerate(items):
+            try:
+                lone[i] = fourier_reconstruct(*item)
+            except ReconstructionError as error:
+                with pytest.raises(ReconstructionError, match=f"^{re.escape(str(error))}$"):
+                    reconstruct.fourier_stack(items)
+        stacked = reconstruct.fourier_stack([items[i] for i in lone])
+        for dist, alone in zip(stacked, lone.values(), strict=True):
+            assert dist.support.tobytes() == alone.support.tobytes()
+            assert dist.probs.tobytes() == alone.probs.tobytes()
+            assert dist.label == alone.label
+
+    def test_empty_batch(self):
+        assert reconstruct.fourier_stack([]) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [([1.0, np.nan], [-0.5, 0.5]), ([], [-0.5, 0.5]), ([1.0, 0.2], [0.5, 0.5 + 1e-12])],
+        ids=["non-finite-moments", "no-moments", "coincident-support"],
+    )
+    def test_first_bad_item_is_refused_before_any_table(self, bad, monkeypatch):
+        # a good item comes first, later items fail other checks and the last
+        # one cannot be read; the bad item's lone error wins, and no table
+        # is built, not even the good item's
+        with pytest.raises(ValueError) as lone:
+            fourier_reconstruct(*bad)
+        items = [
+            ([1.0, 0.1, 0.3], [-0.5, 0.5], "good"),
+            (*bad, "bad"),
+            ([1.0, 0.3], [-1.0, -0.3, 0.4, 0.4], "coincident, later"),
+            ([1.0, np.inf], [0.5, 1.0], "non-finite, later"),
+            ([1.0], "not a support", "unreadable, later"),
+        ]
+        tables = spy_tables(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(lone.value))}$"):
+            reconstruct.fourier_stack(items)
+        assert tables == []
 
 
 class TestPseudoinverse:
@@ -672,9 +750,7 @@ class TestPseudoinverseStack:
             ([0.05, 0.3], [-0.5, 0.0, 0.5, 1.0], "c"),
             ([-1.5, -1.2], [0.5, 1.0], "b"),
         ]
-        assert len(reconstruct._pinv_groups([
-            (np.asarray(m, float), np.asarray(s, float), label) for m, s, label in items
-        ])) == 3
+        assert len(reconstruct._recovery_groups(items)[1]) == 3
         lone = []
         for item in items:
             with warnings.catch_warnings(record=True) as caught:
